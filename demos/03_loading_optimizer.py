@@ -56,8 +56,7 @@ print("the loading program (zero-fixed variables are left out):\n")
 print(model.dump())
 
 result = solve_exact(model)
-print(f"\noptimal residual count: {result.objective_value:g}"
-      f"  (proven optimal: {result.proven_optimal})")
+print(f"\noptimal residual count: {result.objective_value:g}")
 print(f"depot allotment per vehicle: {result.depot_allotment}")
 for node, move in zip(skeleton.visits, result.moves[1]):
     print(f"  node {node}: move {move}")

@@ -8,7 +8,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 from .construction import ConstructionParams
@@ -100,7 +99,6 @@ def _sweep_run(instance: Instance, theta: float, mu: float, seed: int, args):
         master_seed=seed,
         weights=_weights(args),
         construction=ConstructionParams(theta, mu),
-        parallelism=1,  # timing column mirrors a single-thread protocol
     )
     t0 = perf_counter()
     report = run(instance, config)
@@ -122,35 +120,21 @@ def cmd_sweep(args) -> int:
 
     thetas = tuple(args.theta) if args.theta else DEFAULT_THETA_GRID
     mus = tuple(args.mu) if args.mu else DEFAULT_MU_GRID
-    tasks = []
+    cells: dict[tuple[str, float, float], list[tuple[float, int, float]]] = {}
+    failed = False
     for label, instances in corpora:
         for theta in thetas:
             for mu in mus:
                 for instance in instances:
-                    for s in range(args.seeds):
-                        tasks.append((label, theta, mu, instance, args.seed + s))
-
-    def execute(task):
-        label, theta, mu, instance, seed = task
-        try:
-            return task, _sweep_run(instance, theta, mu, seed, args), None
-        except Exception as exc:  # recorded per cell, reported at the end
-            return task, None, exc
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(args.workers) as pool:
-            outcomes = list(pool.map(execute, tasks))
-    else:
-        outcomes = [execute(task) for task in tasks]
-
-    cells: dict[tuple[str, float, float], list[tuple[float, int, float]]] = {}
-    failed = False
-    for (label, theta, mu, _instance, seed), result, error in outcomes:
-        if error is not None:
-            print(f"sweep cell ({label}, {theta}, {mu}) seed {seed} failed: {error}", file=sys.stderr)
-            failed = True
-            continue
-        cells.setdefault((label, theta, mu), []).append(result)
+                    for seed in range(args.seed, args.seed + args.seeds):
+                        try:
+                            result = _sweep_run(instance, theta, mu, seed, args)
+                        except Exception as exc:  # reported per run; the sweep goes on
+                            print(f"sweep cell ({label}, {theta}, {mu}) seed {seed} failed: {exc}",
+                                  file=sys.stderr)
+                            failed = True
+                            continue
+                        cells.setdefault((label, theta, mu), []).append(result)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -249,6 +233,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument("--max-iter", type=int, default=500,
@@ -256,7 +247,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma-d", type=float, default=1.0, help="imbalance term weight")
     parser.add_argument("--gamma-a", type=float, default=1.0, help="damaged term weight")
     parser.add_argument("--gamma-t", type=float, default=1.0, help="time term weight")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers")
+    parser.add_argument("--workers", type=_workers, default=1,
+                        help="accepted for compatibility (at least 1); runs are sequential")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,7 +57,10 @@ def _int(doc, key, path):
 
 
 def _number(doc, key, path):
-    return float(_get(doc, key, path, (int, float)))
+    value = float(_get(doc, key, path, (int, float)))
+    if not math.isfinite(value):
+        raise DocumentError(f"{path}{key}: must be a finite number")
+    return value
 
 
 def parse_instance(document: dict) -> Instance:

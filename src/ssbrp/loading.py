@@ -70,7 +70,6 @@ class LoadingVariables:
     depot_allotment: dict[int, int]
     moves: dict[int, tuple[tuple[int, int], ...]]
     objective_value: float
-    proven_optimal: bool
 
 
 class LoadingModel:
@@ -335,7 +334,7 @@ def build_model(
 
 
 def _assignment_to_result(
-    model: LoadingModel, values: np.ndarray | None, objective: float, proven: bool
+    model: LoadingModel, values: np.ndarray | None, objective: float
 ) -> LoadingVariables:
     allot: dict[int, int] = {}
     moves: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -355,35 +354,46 @@ def _assignment_to_result(
             )
             for i in range(1, len(sk.visits) + 1)
         )
-    return LoadingVariables(allot, moves, objective, proven)
+    return LoadingVariables(allot, moves, objective)
 
 
-def _derive_allotments(model: LoadingModel, values: np.ndarray) -> None:
+def _column_maps(model: LoadingModel) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+    """Columns of the x variables by (vehicle, visit) and of w0 by vehicle."""
+    x_cols: dict[tuple[int, int], int] = {}
+    w0_cols: dict[int, int] = {}
+    for i, v in enumerate(model.variables):
+        if v.kind == "x":
+            x_cols[v.vehicle_id, v.visit] = i
+        elif v.kind == "w0":
+            w0_cols[v.vehicle_id] = i
+    return x_cols, w0_cols
+
+
+def _derive_allotments(
+    model: LoadingModel,
+    values: np.ndarray,
+    x_cols: dict[tuple[int, int], int],
+    w0_cols: dict[int, int],
+) -> None:
     """Set each w0 to the smallest value covering its cumulative depot takes."""
     for sk in model.skeletons:
         if not sk.visits:
             continue
-        col = next(
-            i for i, v in enumerate(model.variables)
-            if v.kind == "w0" and v.vehicle_id == sk.vehicle_id
-        )
         running = 0.0
         peak = 0.0
         for i, node in enumerate(sk.visits, start=1):
             if node == DEPOT:
-                running += values[_x_col(model, sk.vehicle_id, i)]
+                running += values[x_cols[sk.vehicle_id, i]]
                 peak = max(peak, running)
-        values[col] = max(0.0, round(peak))
+        values[w0_cols[sk.vehicle_id]] = max(0.0, round(peak))
 
 
-def _x_col(model: LoadingModel, vehicle_id: int, visit: int) -> int:
-    for i, v in enumerate(model.variables):
-        if v.kind == "x" and v.vehicle_id == vehicle_id and v.visit == visit:
-            return i
-    raise KeyError((vehicle_id, visit))
-
-
-def _minimal_depot_takes(model: LoadingModel, values: np.ndarray) -> np.ndarray | None:
+def _minimal_depot_takes(
+    model: LoadingModel,
+    values: np.ndarray,
+    x_cols: dict[tuple[int, int], int],
+    w0_cols: dict[int, int],
+) -> np.ndarray | None:
     """Rewrite depot operative moves to draw the least stock, station moves fixed.
 
     Among assignments that tie on the objective, prefer the one without
@@ -392,13 +402,6 @@ def _minimal_depot_takes(model: LoadingModel, values: np.ndarray) -> np.ndarray 
     Returns None when vehicle capacity blocks the rewrite.
     """
     out = values.copy()
-    cols: dict[tuple[int, int], int] = {}
-    w0_cols: dict[int, int] = {}
-    for i, v in enumerate(model.variables):
-        if v.kind == "x":
-            cols[v.vehicle_id, v.visit] = i
-        elif v.kind == "w0":
-            w0_cols[v.vehicle_id] = i
     for sk in model.skeletons:
         if not sk.visits:
             continue
@@ -406,19 +409,19 @@ def _minimal_depot_takes(model: LoadingModel, values: np.ndarray) -> np.ndarray 
         flow = []  # operative bikes gained from stations alone, after each visit
         c = 0.0
         for i, node in enumerate(sk.visits, start=1):
-            if node != DEPOT and (lid, i) in cols:
-                c += out[cols[lid, i]]
+            if node != DEPOT and (lid, i) in x_cols:
+                c += out[x_cols[lid, i]]
             flow.append(c)
         depots = [i for i, node in enumerate(sk.visits, start=1) if node == DEPOT]
         cum = 0.0
         for pos, j in enumerate(depots):
             if j == len(sk.visits):
-                out[cols[lid, j]] = -(flow[-1] + cum)
+                out[x_cols[lid, j]] = -(flow[-1] + cum)
                 break
             end = depots[pos + 1]
             needed = -min(flow[i - 1] for i in range(j, end))
             take = max(cum, needed) - cum
-            out[cols[lid, j]] = take
+            out[x_cols[lid, j]] = take
             cum += take
         out[w0_cols[lid]] = max(0.0, cum)
     for var, x in zip(model.variables, out):
@@ -441,13 +444,10 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
     winning assignment's depot moves are normalized to draw minimal stock.
     """
     if model.n_vars == 0:
-        return _assignment_to_result(model, None, model.constant, True)
+        return _assignment_to_result(model, None, model.constant)
 
-    # precompute column maps once; bounds vary per node
-    x_cols: dict[tuple[int, int], int] = {}
-    for i, v in enumerate(model.variables):
-        if v.kind == "x":
-            x_cols[v.vehicle_id, v.visit] = i
+    # column maps are built once; bounds vary per node
+    x_cols, w0_cols = _column_maps(model)
 
     def relax(bounds: list[tuple[float, float]]):
         return linprog(
@@ -485,7 +485,7 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
                 break
         if frac_col is None:
             rounded = np.round(values)
-            _derive_allotments(model, rounded)
+            _derive_allotments(model, rounded, x_cols, w0_cols)
             _check_assignment(model, rounded)
             val = float(model.c @ rounded + model.constant)
             if val < best_val - 1e-9:
@@ -508,10 +508,10 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
         stack.append(first)
 
     assert best_values is not None, "loading program infeasible for a structurally valid route"
-    canonical = _minimal_depot_takes(model, best_values)
+    canonical = _minimal_depot_takes(model, best_values, x_cols, w0_cols)
     if canonical is not None:
         best_values = canonical
-    return _assignment_to_result(model, best_values, best_val, True)
+    return _assignment_to_result(model, best_values, best_val)
 
 
 def _check_assignment(model: LoadingModel, values: np.ndarray) -> None:
@@ -647,7 +647,7 @@ def brute_force_loading(
     for sk in skeletons:
         moves.setdefault(sk.vehicle_id, ())
         allot.setdefault(sk.vehicle_id, 0)
-    return LoadingVariables(allot, moves, best["val"], True)
+    return LoadingVariables(allot, moves, best["val"])
 
 
 def reoptimize_solution(

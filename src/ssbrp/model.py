@@ -8,6 +8,7 @@ and solutions can be shared freely across workers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -180,10 +181,6 @@ def classify_station(station: Station) -> StationClass:
     return StationClass.SURPLUS if d > 0 else StationClass.DEFICIT
 
 
-def has_damaged(station: Station) -> bool:
-    return station.damaged > 0
-
-
 def route_time(route: Route, travel: TravelMatrix) -> float:
     """Total travel time of the visit sequence; an empty route takes 0."""
     total = 0.0
@@ -210,8 +207,8 @@ def check_instance(instance: Instance) -> None:
             raise ValueError(f"{path}: operative + damaged exceeds capacity")
         if s.target > s.capacity:
             raise ValueError(f"{path}: target exceeds capacity")
-        if s.weight < 0:
-            raise ValueError(f"{path}: weight must be nonnegative")
+        if not math.isfinite(s.weight) or s.weight < 0:
+            raise ValueError(f"{path}: weight must be finite and nonnegative")
     if instance.depot.operative < 0:
         raise ValueError("depot: operative stock must be nonnegative")
     if instance.depot.capacity is not None and instance.depot.capacity < instance.depot.operative:
@@ -221,8 +218,8 @@ def check_instance(instance: Instance) -> None:
             raise ValueError(f"vehicles[{j}] (id={veh.id}): capacity must be positive")
     if len({v.id for v in instance.fleet}) != len(instance.fleet):
         raise ValueError("vehicles: duplicate vehicle id")
-    if instance.time_budget <= 0:
-        raise ValueError("time_budget_min: must be positive")
+    if not math.isfinite(instance.time_budget) or instance.time_budget <= 0:
+        raise ValueError("time_budget_min: must be finite and positive")
 
     nodes = instance.nodes
     idx = instance.travel.node_index

@@ -1,17 +1,16 @@
 """Multi-start driver: construct, reoptimize, keep the best.
 
 Each iteration builds a fresh randomized solution (phase one) and replaces
-its loading plans with exactly optimal ones (phase two). The loop stops
-once a run of consecutive non-improving iterations reaches the configured
-limit. Every iteration derives its RNG stream from (master seed, iteration
-index), so iterations are independent of the incumbent and can be computed
-in parallel while folding results in index order — parallel runs are
-bit-identical to sequential ones.
+its loading plans with exactly optimal ones (phase two), then folds the
+result into the incumbent. The loop stops once a run of consecutive
+non-improving iterations reaches the configured limit. Every iteration
+derives its RNG stream from (master seed, iteration index), so any
+iteration can be replayed in isolation. Iterations run one after another
+on the calling thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -26,6 +25,12 @@ _TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Parameters of one run.
+
+    ``parallelism`` is validated (at least 1) but has no effect: iterations
+    are sequential, because a thread pool gave no speed-up under the GIL.
+    """
+
     max_iter: int = 500
     master_seed: int = 0
     weights: ObjectiveWeights = ObjectiveWeights()
@@ -56,33 +61,14 @@ class RunReport:
     incumbent_trace: tuple[tuple[int, float], ...]
 
 
-def is_better(a: Solution, b: Solution | None, weights: ObjectiveWeights | None = None) -> bool:
+def is_better(a: Solution, b: Solution | None) -> bool:
     """Strict improvement on the objective total; a missing incumbent loses.
 
-    Both solutions must have been evaluated under the same weights; the
-    parameter documents that contract rather than re-evaluating anything.
+    Both solutions must have been evaluated under the same weights.
     """
     if b is None:
         return True
     return a.objective.total < b.objective.total - _TOLERANCE
-
-
-def _iteration(instance: Instance, config: RunConfig, index: int) -> tuple[Solution, float, float]:
-    """One construct + reoptimize pass with its own seeded RNG stream."""
-    rng = np.random.default_rng([config.master_seed, index])
-    t0 = perf_counter()
-    built = construct_solution(
-        instance, config.construction, rng, config.weights,
-        weighted_damaged_denominator=config.weighted_damaged_denominator,
-    )
-    t1 = perf_counter()
-    improved = reoptimize_solution(
-        instance, built, config.weights,
-        weighted_phase2=config.weighted_phase2,
-        weighted_damaged_denominator=config.weighted_damaged_denominator,
-    )
-    t2 = perf_counter()
-    return improved, t1 - t0, t2 - t1
 
 
 def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
@@ -102,39 +88,34 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
     t_construct = 0.0
     t_load = 0.0
     trace: list[tuple[int, float]] = []
-    stop = False
-    executor = ThreadPoolExecutor(config.parallelism) if config.parallelism > 1 else None
-    block = 1 if executor is None else 4 * config.parallelism
-    try:
-        while not stop:
-            indices = range(iteration + 1, iteration + 1 + block)
-            if executor is None:
-                results = [_iteration(instance, config, indices[0])]
-            else:
-                results = list(
-                    executor.map(lambda i: _iteration(instance, config, i), indices)
-                )
-            for offset, (solution, tc, tl) in enumerate(results):
-                iteration = indices[offset]
-                t_construct += tc
-                t_load += tl
-                if is_better(solution, best, config.weights):
-                    best = solution
-                    best_iter = iteration
-                    counter = 1
-                    trace.append((iteration, solution.objective.total))
-                else:
-                    counter += 1
-                if counter >= config.max_iter:
-                    stop = True
-                    break
-                if config.wall_clock_cap is not None and perf_counter() - start >= config.wall_clock_cap:
-                    stop = True
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
-    assert best is not None
+    while True:
+        iteration += 1
+        rng = np.random.default_rng([config.master_seed, iteration])
+        t0 = perf_counter()
+        built = construct_solution(
+            instance, config.construction, rng, config.weights,
+            weighted_damaged_denominator=config.weighted_damaged_denominator,
+        )
+        t1 = perf_counter()
+        solution = reoptimize_solution(
+            instance, built, config.weights,
+            weighted_phase2=config.weighted_phase2,
+            weighted_damaged_denominator=config.weighted_damaged_denominator,
+        )
+        t2 = perf_counter()
+        t_construct += t1 - t0
+        t_load += t2 - t1
+        if is_better(solution, best):
+            best = solution
+            best_iter = iteration
+            counter = 1
+            trace.append((iteration, solution.objective.total))
+        else:
+            counter += 1
+        if counter >= config.max_iter:
+            break
+        if config.wall_clock_cap is not None and perf_counter() - start >= config.wall_clock_cap:
+            break
     return RunReport(
         best_solution=best,
         best_objective=best.objective,

@@ -192,6 +192,14 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_workers_below_one_is_a_usage_error(tmp_path, command):
+    inst_path = _generate(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", str(inst_path), "--workers", "0"])
+    assert exc.value.code == 2
+
+
 def test_io_failures_exit_one(tmp_path, capsys):
     assert main(["solve", "--instance", str(tmp_path / "missing.json")]) == 1
     assert "error:" in capsys.readouterr().err

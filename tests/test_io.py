@@ -95,6 +95,19 @@ def test_parse_rejects_bad_documents():
         parse_instance(doc)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_parse_rejects_non_finite_numbers(bad):
+    doc = _minimal_doc()
+    doc["time_budget_min"] = bad
+    with pytest.raises(DocumentError, match="time_budget_min: must be a finite number"):
+        parse_instance(doc)
+
+    doc = _minimal_doc()
+    doc["stations"][1]["weight"] = bad
+    with pytest.raises(DocumentError, match=r"stations\[1\].weight: must be a finite number"):
+        parse_instance(doc)
+
+
 def test_parse_runs_semantic_validation():
     doc = _minimal_doc()
     doc["stations"][0]["damaged"] = 9  # 7 + 9 bikes in 10 docks

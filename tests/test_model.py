@@ -18,7 +18,6 @@ from ssbrp.model import (
     classify_station,
     empty_solution,
     evaluate_objective,
-    has_damaged,
     route_time,
     solution_from_plans,
     validate_solution,
@@ -29,11 +28,6 @@ def test_classify_station():
     assert classify_station(Station(1, 10, 3, 0, 3)) is StationClass.BALANCED
     assert classify_station(Station(1, 10, 5, 0, 3)) is StationClass.SURPLUS
     assert classify_station(Station(1, 10, 1, 0, 4)) is StationClass.DEFICIT
-
-
-def test_has_damaged_is_independent_of_class():
-    assert has_damaged(Station(1, 10, 3, 2, 3))
-    assert not has_damaged(Station(1, 10, 5, 0, 3))
 
 
 def _travel(entries):
@@ -222,6 +216,14 @@ def test_check_instance_rejects_bad_data():
         check_instance(make_instance([(1, 10, 5, 0, 3)], time_budget=0))
     with pytest.raises(ValueError, match="vehicle"):
         check_instance(make_instance([(1, 10, 5, 0, 3)], fleet=((1, 5), (1, 5))))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_check_instance_rejects_non_finite_numbers(bad):
+    with pytest.raises(ValueError, match="time_budget_min: must be finite"):
+        check_instance(make_instance([(1, 10, 5, 0, 3)], time_budget=bad))
+    with pytest.raises(ValueError, match=r"stations\[1\] \(id=2\): weight must be finite"):
+        check_instance(make_instance([(1, 10, 5, 0, 3), (2, 10, 5, 0, 3, bad)]))
 
 
 def test_check_instance_rejects_bad_matrix():
