@@ -84,17 +84,28 @@ def max_movable(state: BuildState, station: Station, vehicle: Vehicle) -> tuple[
     depot pickup bounded by the unclaimed stock and by the lockers that were
     free along the whole segment since the last depot visit.
     """
+    # conditional expressions, not min()/max(): this runs for every station at
+    # every step, and the builtin calls would cost twice the rest of the body
     k = vehicle.capacity
-    free = k - state.onboard_operative - state.onboard_damaged
+    onboard_op = state.onboard_operative
+    onboard_dam = state.onboard_damaged
+    free = k - onboard_op - onboard_dam
     d = state.residual_imbalance[station.id]
     avail_damaged = state.residual_damaged[station.id]
     if d < 0:
-        beta = min(state.onboard_operative + min(state.depot_remaining, state.min_free_lockers), -d)
+        stock, lockers = state.depot_remaining, state.min_free_lockers
+        reach = onboard_op + (stock if stock < lockers else lockers)
+        beta = reach if reach < -d else -d
         # free space after the delivery, never beyond the lockers damaged bikes leave open
-        alpha = min(free + beta, k - state.onboard_damaged, avail_damaged)
+        room = free + beta
+        if room > k - onboard_dam:
+            room = k - onboard_dam
+        alpha = room if room < avail_damaged else avail_damaged
     else:
-        beta = max(0, min(free, d))
-        alpha = min(free - beta, avail_damaged)
+        beta = free if free < d else d
+        if beta < 0:
+            beta = 0
+        alpha = free - beta if free - beta < avail_damaged else avail_damaged
     return beta, alpha
 
 
@@ -107,21 +118,28 @@ def feasible_successors(
     and return to the depot in time, and the vehicle can actually move at
     least one bike there. The depot qualifies only to unload damaged bikes.
     """
-    travel = instance.travel
+    lookup = instance._lookup
+    try:
+        row, t_u0 = lookup.rows[u]
+    except KeyError:
+        raise ValueError(f"unknown node id {u}") from None
     budget = instance.time_budget
+    elapsed = state.elapsed
+    imbalance = state.residual_imbalance
+    damaged = state.residual_damaged
     out: dict[int, tuple[int, int]] = {}
-    for s in instance.stations:
+    for s, t_uv, t_v0 in zip(instance.stations, row, lookup.back):
         v = s.id
         if v == u:
             continue
-        if state.residual_imbalance[v] == 0 and state.residual_damaged[v] <= 0:
+        if imbalance[v] == 0 and damaged[v] <= 0:
             continue
-        if state.elapsed + travel.time(u, v) + travel.time(v, DEPOT) > budget:
+        if elapsed + t_uv + t_v0 > budget:
             continue
         beta, alpha = max_movable(state, s, vehicle)
         if beta + alpha > 0:
             out[v] = (beta, alpha)
-    if u != DEPOT and state.onboard_damaged > 0 and state.elapsed + travel.time(u, DEPOT) <= budget:
+    if u != DEPOT and state.onboard_damaged > 0 and elapsed + t_u0 <= budget:
         out[DEPOT] = (0, 0)
     return out
 
@@ -136,12 +154,18 @@ def candidate_ratio(
     alpha: int,
 ) -> float:
     """Attractiveness of moving from u to v; zero travel time dominates all."""
-    t = instance.travel.time(u, v)
-    if v == DEPOT:
-        return math.inf if t == 0 else params.mu * state.onboard_damaged / t
+    lookup = instance._lookup
+    try:
+        row, t_u0 = lookup.rows[u]
+        i = None if v == DEPOT else lookup.position[v]
+    except KeyError:
+        raise ValueError(f"unknown node id {v if u in lookup.rows else u}") from None
+    if i is None:
+        return math.inf if t_u0 == 0 else params.mu * state.onboard_damaged / t_u0
+    t = row[i]
     if t == 0:
         return math.inf
-    return (beta + alpha) ** params.theta / t * instance.station(v).weight
+    return (beta + alpha) ** params.theta / t * lookup.weight[i]
 
 
 def select_next(

@@ -56,11 +56,19 @@ def _int(doc, key, path):
     return _get(doc, key, path, int)
 
 
-def _number(doc, key, path):
-    value = float(_get(doc, key, path, (int, float)))
+def _finite(value, path):
+    """A JSON number as a finite float; an integer beyond float range is not finite."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
-        raise DocumentError(f"{path}{key}: must be a finite number")
+        raise DocumentError(f"{path}: must be a finite number")
     return value
+
+
+def _number(doc, key, path):
+    return _finite(_get(doc, key, path, (int, float)), f"{path}{key}")
 
 
 def parse_instance(document: dict) -> Instance:
@@ -110,10 +118,18 @@ def parse_instance(document: dict) -> Instance:
         for j, cell in enumerate(row):
             if isinstance(cell, bool) or not isinstance(cell, (int, float)):
                 raise DocumentError(f"travel_min[{i}][{j}]: wrong type")
+    try:
+        minutes = np.array(matrix_doc, dtype=float)
+    except OverflowError:
+        # an integer no float can hold: name the first such cell
+        for i, row in enumerate(matrix_doc):
+            for j, cell in enumerate(row):
+                _finite(cell, f"travel_min[{i}][{j}]")
+        raise
     node_index = {DEPOT: 0}
     for pos, s in enumerate(stations, start=1):
         node_index[s.id] = pos
-    travel = TravelMatrix(np.array(matrix_doc, dtype=float), node_index)
+    travel = TravelMatrix(minutes, node_index)
 
     instance = Instance(
         stations=tuple(stations),

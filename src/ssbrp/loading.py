@@ -12,6 +12,7 @@ serves as a verification oracle for small cases.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,70 +208,8 @@ def build_model(
         )
 
     n = len(variables)
-    rows_ub: list[np.ndarray] = []
-    rhs_ub: list[float] = []
-    rows_eq: list[np.ndarray] = []
-    rhs_eq: list[float] = []
-
-    def new_row() -> np.ndarray:
-        return np.zeros(n)
-
-    for sk in skeletons:
-        if not sk.visits:
-            continue
-        lid = sk.vehicle_id
-        k = fleet[lid].capacity
-        nv = len(sk.visits)
-        # running load: nonnegative by component, within capacity, on every proper prefix
-        for j in range(1, nv):
-            cap = new_row()
-            op_row = new_row()
-            dam_row = new_row()
-            for i in range(1, j + 1):
-                if (lid, i) in x_idx:
-                    cap[x_idx[lid, i]] = 1
-                    op_row[x_idx[lid, i]] = -1
-                if (lid, i) in y_idx:
-                    cap[y_idx[lid, i]] = 1
-                    dam_row[y_idx[lid, i]] = -1
-            rows_ub.append(cap)
-            rhs_ub.append(k)
-            rows_ub.append(op_row)
-            rhs_ub.append(0)
-            rows_ub.append(dam_row)
-            rhs_ub.append(0)
-        # everything on board is dropped by the end of the route
-        total_x = new_row()
-        for i in range(1, nv + 1):
-            if (lid, i) in x_idx:
-                total_x[x_idx[lid, i]] = 1
-        rows_eq.append(total_x)
-        rhs_eq.append(0)
-        depot_visits = sk.visit_indices(DEPOT)
-        for j in depot_visits:
-            # all damaged bikes on board are unloaded at each depot stop
-            row = new_row()
-            for i in range(1, j + 1):
-                if (lid, i) in y_idx:
-                    row[y_idx[lid, i]] = 1
-            rows_eq.append(row)
-            rhs_eq.append(0)
-            # cumulative depot takes never exceed the vehicle's allotment
-            row = new_row()
-            row[x_idx[lid, j]] = 1
-            for i in depot_visits:
-                if i < j:
-                    row[x_idx[lid, i]] += 1
-            row[w0_idx[lid]] = -1
-            rows_ub.append(row)
-            rhs_ub.append(0)
-
-    if w0_idx:
-        row = new_row()
-        for col in w0_idx.values():
-            row[col] = 1
-        rows_ub.append(row)
-        rhs_ub.append(p_o)
+    routed = [sk for sk in skeletons if sk.visits]
+    depot_visits = {sk.vehicle_id: sk.visit_indices(DEPOT) for sk in routed}
 
     # per-station totals across all vehicles
     c = np.zeros(n)
@@ -286,6 +225,7 @@ def build_model(
             if (sk.vehicle_id, i) in y_idx:
                 ys.append(y_idx[sk.vehicle_id, i])
 
+    station_rows: list[tuple[list[int], int, int]] = []  # (columns, coefficient, rhs)
     for s in instance.stations:
         weight = s.weight if weighted else 1.0
         xs, ys = visit_cols.get(s.id, ([], []))
@@ -295,41 +235,71 @@ def build_model(
             for col in xs:
                 c[col] -= weight
             if xs:  # total pickups never exceed the surplus
-                row = new_row()
-                row[xs] = 1
-                rows_ub.append(row)
-                rhs_ub.append(d)
+                station_rows.append((xs, 1, d))
         elif d < 0:
             constant -= weight * d
             for col in xs:
                 c[col] += weight
             if xs:  # total deliveries never exceed the deficit
-                row = new_row()
-                row[xs] = -1
-                rows_ub.append(row)
-                rhs_ub.append(-d)
+                station_rows.append((xs, -1, -d))
         if s.damaged > 0:
             constant += weight * s.damaged
             for col in ys:
                 c[col] -= weight
             if ys:
-                row = new_row()
-                row[ys] = 1
-                rows_ub.append(row)
-                rhs_ub.append(s.damaged)
+                station_rows.append((ys, 1, s.damaged))
         if d < 0 and xs:
             # deliveries may not leave the station holding more than its docks:
             # p - sum(x) + a - sum(y) <= c  (binding only where bikes arrive)
-            row = new_row()
-            row[xs] = -1
-            row[ys] = -1
-            rows_ub.append(row)
-            rhs_ub.append(s.capacity - s.operative - s.damaged)
+            station_rows.append((xs + ys, -1, s.capacity - s.operative - s.damaged))
 
-    a_ub = np.array(rows_ub) if rows_ub else np.zeros((0, n))
-    b_ub = np.array(rhs_ub) if rhs_ub else np.zeros(0)
-    a_eq = np.array(rows_eq) if rows_eq else np.zeros((0, n))
-    b_eq = np.array(rhs_eq) if rhs_eq else np.zeros(0)
+    n_ub = len(station_rows) + (1 if w0_idx else 0) + sum(
+        3 * (len(sk.visits) - 1) + len(depot_visits[sk.vehicle_id]) for sk in routed
+    )
+    n_eq = sum(1 + len(depot_visits[sk.vehicle_id]) for sk in routed)
+    a_ub = np.zeros((n_ub, n))
+    b_ub = np.zeros(n_ub)
+    a_eq = np.zeros((n_eq, n))
+    b_eq = np.zeros(n_eq)
+    r = e = 0  # next free inequality and equality row
+    for sk in routed:
+        lid = sk.vehicle_id
+        nv = len(sk.visits)
+        depots = depot_visits[lid]
+        # running load: nonnegative by component, within capacity, on every proper
+        # prefix 1..j (j < nv), as rows r+3(j-1) (capacity), +1 (operative), +2 (damaged)
+        end = r + 3 * (nv - 1)
+        b_ub[r:end:3] = fleet[lid].capacity
+        for i in range(1, nv + 1):
+            first = r + 3 * (i - 1)  # visit i enters every prefix from j = i on
+            if (lid, i) in x_idx:
+                col = x_idx[lid, i]
+                a_ub[first:end:3, col] = 1
+                a_ub[first + 1:end:3, col] = -1
+                # everything on board is dropped by the end of the route
+                a_eq[e, col] = 1
+            if (lid, i) in y_idx:
+                col = y_idx[lid, i]
+                a_ub[first:end:3, col] = 1
+                a_ub[first + 2:end:3, col] = -1
+                # all damaged bikes on board are unloaded at each depot stop j >= i
+                a_eq[e + 1 + bisect_left(depots, i):e + 1 + len(depots), col] = 1
+        # cumulative depot takes never exceed the vehicle's allotment
+        for m, j in enumerate(depots):
+            a_ub[end + m:end + len(depots), x_idx[lid, j]] = 1
+        a_ub[end:end + len(depots), w0_idx[lid]] = -1
+        r = end + len(depots)
+        e += 1 + len(depots)
+
+    if w0_idx:
+        a_ub[r, list(w0_idx.values())] = 1
+        b_ub[r] = p_o
+        r += 1
+
+    for cols, coef, rhs in station_rows:
+        a_ub[r, cols] = coef
+        b_ub[r] = rhs
+        r += 1
     return LoadingModel(instance, skeletons, variables, c, constant, a_ub, b_ub, a_eq, b_eq)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,6 +86,18 @@ class TravelMatrix:
         )
 
 
+class _Lookup(NamedTuple):
+    """Travel minutes as Python floats, laid out for phase one's station scans.
+
+    Station-ordered lists follow ``Instance.stations``.
+    """
+
+    rows: dict[int, tuple[list[float], float]]  # node -> (minutes to each station, to the depot)
+    back: list[float]  # minutes from each station to the depot
+    position: dict[int, int]  # station id -> index in station order
+    weight: list[float]
+
+
 @dataclass(frozen=True)
 class Instance:
     stations: tuple[Station, ...]
@@ -109,6 +122,23 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {s.id: s for s in self.stations})
+
+    @cached_property
+    def _lookup(self) -> _Lookup:
+        """Built on first use, not at parse; not a field, so outside ``==``."""
+        idx = self.travel.node_index
+        nodes = self.nodes
+        try:
+            order = [idx[n] for n in nodes]
+        except KeyError as exc:
+            raise ValueError(f"unknown node id {exc.args[0]}") from None
+        minutes = self.travel.minutes[np.ix_(order, order)].tolist()
+        return _Lookup(
+            rows={n: (row[1:], row[0]) for n, row in zip(nodes, minutes)},
+            back=[row[0] for row in minutes[1:]],
+            position={s.id: i for i, s in enumerate(self.stations)},
+            weight=[s.weight for s in self.stations],
+        )
 
 
 @dataclass(frozen=True)

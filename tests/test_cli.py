@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -207,3 +208,25 @@ def test_io_failures_exit_one(tmp_path, capsys):
     garbage.write_text("{not json")
     assert main(["solve", "--instance", str(garbage)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, path",
+    [
+        (("time_budget_min",), "time_budget_min"),
+        (("stations", 2, "weight"), r"stations\[2\]\.weight"),
+        (("travel_min", 1, 3), r"travel_min\[1\]\[3\]"),
+    ],
+    ids=["time_budget_min", "weight", "travel_min"],
+)
+def test_solve_reports_number_beyond_float_range(tmp_path, capsys, keys, path):
+    inst_path = _generate(tmp_path)
+    doc = json.loads(inst_path.read_text())
+    *parents, last = keys
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = 10**400  # a valid JSON integer that no float can hold
+    inst_path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(inst_path), "--max-iter", "2"]) == 1
+    assert re.search(rf"error: {path}: must be a finite number", capsys.readouterr().err)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance
 from ssbrp.construction import (
@@ -17,8 +19,11 @@ from ssbrp.construction import (
 )
 from ssbrp.model import (
     DEPOT,
+    Depot,
+    Instance,
     ObjectiveWeights,
     Station,
+    TravelMatrix,
     Vehicle,
     empty_solution,
     validate_solution,
@@ -295,3 +300,116 @@ def test_constructed_solutions_always_validate():
         sol = construct_solution(inst, ConstructionParams(), np.random.default_rng(trial))
         violations = validate_solution(inst, sol.routes, sol.plans)
         assert violations == [], (trial, violations)
+
+
+# --- reference equivalence: phase one against the per-station loop -------------
+
+def _reference_max_movable(state, station, vehicle):
+    """Reference for max_movable: the same formula written with min()/max()."""
+    k = vehicle.capacity
+    free = k - state.onboard_operative - state.onboard_damaged
+    d = state.residual_imbalance[station.id]
+    avail_damaged = state.residual_damaged[station.id]
+    if d < 0:
+        beta = min(state.onboard_operative + min(state.depot_remaining, state.min_free_lockers), -d)
+        alpha = min(free + beta, k - state.onboard_damaged, avail_damaged)
+    else:
+        beta = max(0, min(free, d))
+        alpha = min(free - beta, avail_damaged)
+    return beta, alpha
+
+
+def _reference_successors(instance, state, u, vehicle):
+    """Reference for feasible_successors: one TravelMatrix.time call per travel time."""
+    travel = instance.travel
+    budget = instance.time_budget
+    out = {}
+    for s in instance.stations:
+        v = s.id
+        if v == u:
+            continue
+        if state.residual_imbalance[v] == 0 and state.residual_damaged[v] <= 0:
+            continue
+        if state.elapsed + travel.time(u, v) + travel.time(v, DEPOT) > budget:
+            continue
+        beta, alpha = _reference_max_movable(state, s, vehicle)
+        if beta + alpha > 0:
+            out[v] = (beta, alpha)
+    if u != DEPOT and state.onboard_damaged > 0 and state.elapsed + travel.time(u, DEPOT) <= budget:
+        out[DEPOT] = (0, 0)
+    return out
+
+
+def _reference_ratio(instance, state, params, u, v, beta, alpha):
+    t = instance.travel.time(u, v)
+    if v == DEPOT:
+        return math.inf if t == 0 else params.mu * state.onboard_damaged / t
+    if t == 0:
+        return math.inf
+    return (beta + alpha) ** params.theta / t * instance.station(v).weight
+
+
+@st.composite
+def _phase_one_cases(draw):
+    """A small instance with permuted matrix positions, a build state and a current node."""
+    ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True))
+    nodes = [DEPOT] + ids
+    node_index = dict(zip(nodes, draw(st.permutations(range(len(nodes))))))
+    minutes = st.sampled_from([0.0, 0.5, 1.0, 2.75, 7.0, 12.5, 30.0, 61.1])
+    matrix = np.zeros((len(nodes), len(nodes)))
+    for a in nodes:
+        for b in nodes:
+            if a != b:
+                matrix[node_index[a], node_index[b]] = draw(minutes)
+    weights = st.sampled_from([0.0, 0.5, 1.0, 1.75, 3.0])
+    stations = tuple(Station(sid, 30, 0, 0, 0, draw(weights)) for sid in ids)
+    instance = Instance(
+        stations=stations,
+        depot=Depot(0),
+        travel=TravelMatrix(matrix, node_index),
+        fleet=(),
+        time_budget=draw(st.sampled_from([5.0, 20.0, 45.5, 120.0])),
+    )
+    state = BuildState(
+        residual_imbalance={sid: draw(st.integers(-10, 10)) for sid in ids},
+        residual_damaged={sid: draw(st.integers(-1, 6)) for sid in ids},
+        depot_remaining=draw(st.integers(0, 10)),
+        onboard_operative=draw(st.integers(0, 12)),
+        onboard_damaged=draw(st.integers(0, 12)),
+        elapsed=draw(st.sampled_from([0.0, 3.5, 10.0, 25.25])),
+        min_free_lockers=draw(st.integers(0, 12)),
+    )
+    vehicle = Vehicle(1, draw(st.integers(1, 20)))
+    params = ConstructionParams(
+        theta=draw(st.sampled_from([0.25, 0.5, 1.0])), mu=draw(st.sampled_from([0.5, 1.5, 4.0]))
+    )
+    u = draw(st.sampled_from(nodes))
+    return instance, state, vehicle, params, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_one_cases())
+def test_phase_one_matches_reference_loop(case):
+    instance, state, vehicle, params, u = case
+    for s in instance.stations:
+        assert max_movable(state, s, vehicle) == _reference_max_movable(state, s, vehicle)
+    got = feasible_successors(instance, state, u, vehicle)
+    want = _reference_successors(instance, state, u, vehicle)
+    assert list(got.items()) == list(want.items())  # same entries in the same key order
+    for v, (beta, alpha) in want.items():
+        ratio = candidate_ratio(instance, state, params, u, v, beta, alpha)
+        assert ratio == _reference_ratio(instance, state, params, u, v, beta, alpha)
+
+
+def test_phase_one_rejects_unknown_nodes():
+    inst = make_instance([(1, 10, 7, 0, 5)])
+    state = BuildState.fresh(inst)
+    vehicle = Vehicle(1, 20)
+    state.start_vehicle(vehicle)
+    params = ConstructionParams()
+    with pytest.raises(ValueError, match="unknown node id 9"):
+        feasible_successors(inst, state, 9, vehicle)
+    with pytest.raises(ValueError, match="unknown node id 9"):
+        candidate_ratio(inst, state, params, DEPOT, 9, 1, 0)
+    with pytest.raises(ValueError, match="unknown node id 9"):
+        candidate_ratio(inst, state, params, 9, 1, 1, 0)

@@ -95,7 +95,10 @@ def test_parse_rejects_bad_documents():
         parse_instance(doc)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="int-beyond-float")],
+)
 def test_parse_rejects_non_finite_numbers(bad):
     doc = _minimal_doc()
     doc["time_budget_min"] = bad
