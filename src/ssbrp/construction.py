@@ -273,8 +273,6 @@ def construct_solution(
     params: ConstructionParams,
     rng: np.random.Generator,
     weights: ObjectiveWeights = ObjectiveWeights(),
-    *,
-    weighted_damaged_denominator: bool = False,
 ) -> Solution:
     """Build one feasible solution: a route and provisional plan per vehicle."""
     state = BuildState.fresh(instance)
@@ -284,7 +282,4 @@ def construct_solution(
         route, plan = build_route(instance, state, vehicle, params, rng)
         routes.append(route)
         plans.append(plan)
-    return solution_from_plans(
-        instance, routes, plans, weights,
-        weighted_damaged_denominator=weighted_damaged_denominator,
-    )
+    return solution_from_plans(instance, routes, plans, weights)

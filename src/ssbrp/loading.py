@@ -3,10 +3,11 @@
 Given the routes, the loading decisions form a small integer program: one
 signed operative move x and damaged move y per visit, plus one depot
 allotment w0 per vehicle. The objective counts the residual station
-imbalance and the damaged bikes left uncollected. The program is solved
-exactly by depth-first branch-and-bound with LP-relaxation bounds; an
-independent brute-force enumerator over the same constraint semantics
-serves as a verification oracle for small cases.
+imbalance and the damaged bikes left uncollected, each times its
+station's weight. The program is solved exactly by depth-first
+branch-and-bound with LP-relaxation bounds; an independent brute-force
+enumerator over the same constraint semantics serves as a verification
+oracle for small cases.
 """
 
 from __future__ import annotations
@@ -144,13 +145,11 @@ class LoadingModel:
 def build_model(
     instance: Instance,
     skeletons: tuple[RouteSkeleton, ...] | list[RouteSkeleton],
-    *,
-    weighted: bool = False,
 ) -> LoadingModel:
     """Instantiate the loading program for fixed routes.
 
-    The optional weighted flag multiplies each station's residual in the
-    objective by its weight (sensitivity variant; the default counts bikes).
+    The objective is the station-weighted sum of leftover imbalance and
+    damaged bikes: the numerator that ``evaluate_objective`` divides by D.
     """
     skeletons = tuple(skeletons)
     fleet = {v.id: v for v in instance.fleet}
@@ -227,25 +226,24 @@ def build_model(
 
     station_rows: list[tuple[list[int], int, int]] = []  # (columns, coefficient, rhs)
     for s in instance.stations:
-        weight = s.weight if weighted else 1.0
         xs, ys = visit_cols.get(s.id, ([], []))
         d = s.imbalance
         if d > 0:
-            constant += weight * d
+            constant += s.weight * d
             for col in xs:
-                c[col] -= weight
+                c[col] -= s.weight
             if xs:  # total pickups never exceed the surplus
                 station_rows.append((xs, 1, d))
         elif d < 0:
-            constant -= weight * d
+            constant -= s.weight * d
             for col in xs:
-                c[col] += weight
+                c[col] += s.weight
             if xs:  # total deliveries never exceed the deficit
                 station_rows.append((xs, -1, -d))
         if s.damaged > 0:
-            constant += weight * s.damaged
+            constant += s.weight * s.damaged
             for col in ys:
-                c[col] -= weight
+                c[col] -= s.weight
             if ys:
                 station_rows.append((ys, 1, s.damaged))
         if d < 0 and xs:
@@ -339,69 +337,57 @@ def _column_maps(model: LoadingModel) -> tuple[dict[tuple[int, int], int], dict[
     return x_cols, w0_cols
 
 
-def _derive_allotments(
+def _canonical_depot_moves(
     model: LoadingModel,
     values: np.ndarray,
     x_cols: dict[tuple[int, int], int],
     w0_cols: dict[int, int],
-) -> None:
-    """Set each w0 to the smallest value covering its cumulative depot takes."""
-    for sk in model.skeletons:
-        if not sk.visits:
-            continue
-        running = 0.0
-        peak = 0.0
-        for i, node in enumerate(sk.visits, start=1):
-            if node == DEPOT:
-                running += values[x_cols[sk.vehicle_id, i]]
-                peak = max(peak, running)
-        values[w0_cols[sk.vehicle_id]] = max(0.0, round(peak))
+) -> np.ndarray:
+    """Set the depot moves and allotments of an integral assignment, station moves fixed.
 
-
-def _minimal_depot_takes(
-    model: LoadingModel,
-    values: np.ndarray,
-    x_cols: dict[tuple[int, int], int],
-    w0_cols: dict[int, int],
-) -> np.ndarray | None:
-    """Rewrite depot operative moves to draw the least stock, station moves fixed.
-
-    Among assignments that tie on the objective, prefer the one without
-    shuttle artifacts (take-then-return): each intermediate depot visit takes
-    only what upcoming deliveries still need, the final visit drops the rest.
-    Returns None when vehicle capacity blocks the rewrite.
+    Among assignments that tie on the objective (it has no depot or w0
+    terms), prefer the one without shuttle artifacts (take-then-return):
+    each intermediate depot visit takes only what upcoming deliveries still
+    need, the final visit drops the rest, and w0 is what the takes add up
+    to. When vehicle capacity blocks that rewrite, keep the depot moves and
+    set each w0 to the smallest value covering its cumulative depot takes.
+    Raises RuntimeError when that assignment violates the program too.
     """
-    out = values.copy()
+    minimal = values.copy()
+    kept = values.copy()
     for sk in model.skeletons:
         if not sk.visits:
             continue
         lid = sk.vehicle_id
         flow = []  # operative bikes gained from stations alone, after each visit
-        c = 0.0
+        depots = []
+        gained = 0.0
+        running = peak = 0.0  # the given depot takes, summed, and their running maximum
         for i, node in enumerate(sk.visits, start=1):
-            if node != DEPOT and (lid, i) in x_cols:
-                c += out[x_cols[lid, i]]
-            flow.append(c)
-        depots = [i for i, node in enumerate(sk.visits, start=1) if node == DEPOT]
+            if node == DEPOT:
+                depots.append(i)
+                running += values[x_cols[lid, i]]
+                peak = max(peak, running)
+            elif (lid, i) in x_cols:
+                gained += values[x_cols[lid, i]]
+            flow.append(gained)
+        kept[w0_cols[lid]] = max(0.0, round(peak))
         cum = 0.0
-        for pos, j in enumerate(depots):
-            if j == len(sk.visits):
-                out[x_cols[lid, j]] = -(flow[-1] + cum)
-                break
-            end = depots[pos + 1]
-            needed = -min(flow[i - 1] for i in range(j, end))
+        for j, end in zip(depots, depots[1:]):
+            needed = -min(flow[j - 1:end - 1])
             take = max(cum, needed) - cum
-            out[x_cols[lid, j]] = take
+            minimal[x_cols[lid, j]] = take
             cum += take
-        out[w0_cols[lid]] = max(0.0, cum)
-    for var, x in zip(model.variables, out):
-        if x < var.lower - 1e-9 or x > var.upper + 1e-9:
-            return None
-    try:
-        _check_assignment(model, out)
-    except RuntimeError:
-        return None
-    return out
+        minimal[x_cols[lid, depots[-1]]] = -(flow[-1] + cum)
+        minimal[w0_cols[lid]] = max(0.0, cum)
+    if all(v.lower - 1e-9 <= x <= v.upper + 1e-9 for v, x in zip(model.variables, minimal)):
+        try:
+            _check_assignment(model, minimal)
+            return minimal
+        except RuntimeError:
+            pass
+    _check_assignment(model, kept)
+    return kept
 
 
 def solve_exact(model: LoadingModel) -> LoadingVariables:
@@ -410,8 +396,8 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
     Deterministic: branching follows (vehicle, visit, x before y) order,
     explores the larger-magnitude value first, and ties between equal
     incumbents keep the first one found. Depot allotments are never branched
-    on; they are derived from the integral depot takes afterwards, and the
-    winning assignment's depot moves are normalized to draw minimal stock.
+    on: each integral leaf's depot moves and allotments are set once, by
+    ``_canonical_depot_moves``, to draw minimal stock.
     """
     if model.n_vars == 0:
         return _assignment_to_result(model, None, model.constant)
@@ -454,13 +440,11 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
                 frac_col = col
                 break
         if frac_col is None:
-            rounded = np.round(values)
-            _derive_allotments(model, rounded, x_cols, w0_cols)
-            _check_assignment(model, rounded)
-            val = float(model.c @ rounded + model.constant)
+            leaf = _canonical_depot_moves(model, np.round(values), x_cols, w0_cols)
+            val = float(model.c @ leaf + model.constant)
             if val < best_val - 1e-9:
                 best_val = val
-                best_values = rounded
+                best_values = leaf
             continue
         f = values[frac_col]
         lo, hi = bounds[frac_col]
@@ -478,9 +462,6 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
         stack.append(first)
 
     assert best_values is not None, "loading program infeasible for a structurally valid route"
-    canonical = _minimal_depot_takes(model, best_values, x_cols, w0_cols)
-    if canonical is not None:
-        best_values = canonical
     return _assignment_to_result(model, best_values, best_val)
 
 
@@ -499,8 +480,6 @@ _GUARD_RESIDUAL = 6
 def brute_force_loading(
     instance: Instance,
     skeletons: tuple[RouteSkeleton, ...] | list[RouteSkeleton],
-    *,
-    weighted: bool = False,
 ) -> LoadingVariables:
     """Exhaustively enumerate feasible loadings; oracle for solve_exact.
 
@@ -530,8 +509,7 @@ def brute_force_loading(
     def leaf_value() -> float:
         total = 0.0
         for s in instance.stations:
-            w = s.weight if weighted else 1.0
-            total += w * (abs(rem_imb[s.id]) + rem_dam[s.id])
+            total += s.weight * (abs(rem_imb[s.id]) + rem_dam[s.id])
         return total
 
     def occupancy_ok() -> bool:
@@ -624,24 +602,19 @@ def reoptimize_solution(
     instance: Instance,
     solution: Solution,
     weights: ObjectiveWeights = ObjectiveWeights(),
-    *,
-    weighted_phase2: bool = False,
-    weighted_damaged_denominator: bool = False,
 ) -> Solution:
     """Replace a solution's loading plans with exactly optimal ones.
 
-    Routes and route times are untouched; only the moves change. The
-    resulting (imbalance + damaged) portion of the objective never exceeds
-    the input's.
+    Routes and route times are untouched; only the moves change. Phase two
+    minimizes the same station-weighted residuals that the objective
+    reports, so the resulting (imbalance + damaged) portion never exceeds
+    the input's, whatever the station weights.
     """
     skeletons = tuple(RouteSkeleton.from_route(r) for r in solution.routes)
-    model = build_model(instance, skeletons, weighted=weighted_phase2)
+    model = build_model(instance, skeletons)
     result = solve_exact(model)
     plans = []
     for route in solution.routes:
         moves = result.moves.get(route.vehicle_id, ())
         plans.append(LoadingPlan(route.vehicle_id, moves))
-    return solution_from_plans(
-        instance, solution.routes, plans, weights,
-        weighted_damaged_denominator=weighted_damaged_denominator,
-    )
+    return solution_from_plans(instance, solution.routes, plans, weights)

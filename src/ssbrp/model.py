@@ -220,7 +220,13 @@ def route_time(route: Route, travel: TravelMatrix) -> float:
 
 
 def check_instance(instance: Instance) -> None:
-    """Raise ValueError on the first violated instance invariant."""
+    """Raise ValueError on the first violated instance invariant.
+
+    An instance is immutable, so a pass is remembered on it (outside ``==``)
+    and later calls return at once; a failure is not remembered.
+    """
+    if instance.__dict__.get("_checked"):
+        return
     seen: set[int] = set()
     for i, s in enumerate(instance.stations):
         path = f"stations[{i}] (id={s.id})"
@@ -269,6 +275,7 @@ def check_instance(instance: Instance) -> None:
         one_stop = (m[:, :, None] + m[None, :, :]).min(axis=1)
         if np.any(m > one_stop + 1e-9):
             raise ValueError("travel_min: triangle inequality violated but metric=true")
+    object.__setattr__(instance, "_checked", True)
 
 
 def apply_solution(
@@ -306,15 +313,12 @@ def evaluate_objective(
     instance: Instance,
     final_state: FinalState,
     weights: ObjectiveWeights,
-    *,
-    weighted_damaged_denominator: bool = False,
 ) -> ObjectiveBreakdown:
     """Weighted three-term objective: residual imbalance, residual damaged, fleet time.
 
-    The imbalance and damaged terms are normalized by the initial total
-    deviation D; when D is zero both terms are defined as 0. The optional
-    flag applies the station weight to the damaged count inside D as well
-    (sensitivity variant; default follows the plain sum).
+    The imbalance and damaged terms are station-weighted and normalized by
+    the initial total deviation ``D = sum(w * |dev| + damaged)``; when D is
+    zero both terms are defined as 0.
     """
     denom = 0.0
     imb_num = 0.0
@@ -324,11 +328,7 @@ def evaluate_objective(
         a_hat = final_state.damaged[s.id]
         if p_hat < 0 or a_hat < 0:
             raise ValueError(f"station {s.id}: negative final inventory")
-        start_dev = abs(s.target - s.operative)
-        if weighted_damaged_denominator:
-            denom += s.weight * (start_dev + s.damaged)
-        else:
-            denom += s.weight * start_dev + s.damaged
+        denom += s.weight * abs(s.target - s.operative) + s.damaged
         imb_num += s.weight * abs(s.target - p_hat)
         dam_num += s.weight * a_hat
     imbalance = imb_num / denom if denom > 0 else 0.0
@@ -345,37 +345,24 @@ def solution_from_plans(
     routes: Sequence[Route],
     plans: Sequence[LoadingPlan],
     weights: ObjectiveWeights,
-    *,
-    weighted_damaged_denominator: bool = False,
 ) -> Solution:
     """Assemble a Solution with derived inventories, times, and objective."""
     state = apply_solution(instance, routes, plans)
-    breakdown = evaluate_objective(
-        instance, state, weights, weighted_damaged_denominator=weighted_damaged_denominator
-    )
     return Solution(
         routes=tuple(routes),
         plans=tuple(plans),
         final_operative=state.operative,
         final_damaged=state.damaged,
         route_times=state.route_times,
-        objective=breakdown,
+        objective=evaluate_objective(instance, state, weights),
     )
 
 
-def empty_solution(
-    instance: Instance,
-    weights: ObjectiveWeights,
-    *,
-    weighted_damaged_denominator: bool = False,
-) -> Solution:
+def empty_solution(instance: Instance, weights: ObjectiveWeights) -> Solution:
     """The do-nothing solution: one empty route per vehicle."""
     routes = tuple(Route(v.id) for v in instance.fleet)
     plans = tuple(LoadingPlan(v.id) for v in instance.fleet)
-    return solution_from_plans(
-        instance, routes, plans, weights,
-        weighted_damaged_denominator=weighted_damaged_denominator,
-    )
+    return solution_from_plans(instance, routes, plans, weights)
 
 
 def validate_solution(

@@ -37,8 +37,6 @@ class RunConfig:
     construction: ConstructionParams = ConstructionParams()
     parallelism: int = 1
     wall_clock_cap: float | None = None
-    weighted_phase2: bool = False
-    weighted_damaged_denominator: bool = False
 
     def __post_init__(self):
         if self.max_iter < 2:
@@ -92,16 +90,9 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
         iteration += 1
         rng = np.random.default_rng([config.master_seed, iteration])
         t0 = perf_counter()
-        built = construct_solution(
-            instance, config.construction, rng, config.weights,
-            weighted_damaged_denominator=config.weighted_damaged_denominator,
-        )
+        built = construct_solution(instance, config.construction, rng, config.weights)
         t1 = perf_counter()
-        solution = reoptimize_solution(
-            instance, built, config.weights,
-            weighted_phase2=config.weighted_phase2,
-            weighted_damaged_denominator=config.weighted_damaged_denominator,
-        )
+        solution = reoptimize_solution(instance, built, config.weights)
         t2 = perf_counter()
         t_construct += t1 - t0
         t_load += t2 - t1

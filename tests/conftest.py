@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from ssbrp.model import Depot, Instance, Station, TravelMatrix, Vehicle
@@ -43,3 +45,11 @@ def make_instance(
         time_budget=float(time_budget),
         metric=metric,
     )
+
+
+def reweighted(instance):
+    """The same instance with unequal station weights, so weighting matters."""
+    stations = tuple(
+        dataclasses.replace(s, weight=0.5 + 0.25 * (s.id % 5)) for s in instance.stations
+    )
+    return dataclasses.replace(instance, stations=stations)

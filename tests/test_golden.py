@@ -11,12 +11,12 @@ the pins with ``python tests/test_golden.py`` and say why in the change.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from conftest import reweighted
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import RouteSkeleton, build_model
@@ -32,14 +32,6 @@ def _instance(family: str):
     return generate_instance(GeneratorConfig(family=Family.WIEN, stations=90, seed=1))
 
 
-def _reweighted(instance):
-    """The same instance with unequal station weights, so weighted runs differ."""
-    stations = tuple(
-        dataclasses.replace(s, weight=0.5 + 0.25 * (s.id % 5)) for s in instance.stations
-    )
-    return dataclasses.replace(instance, stations=stations)
-
-
 def run_record(instance, master_seed: int) -> dict:
     report = run(instance, RunConfig(max_iter=3, master_seed=master_seed))
     return {
@@ -50,13 +42,13 @@ def run_record(instance, master_seed: int) -> dict:
     }
 
 
-def model_digest(instance, weighted: bool) -> str:
+def model_digest(instance) -> str:
     """SHA-256 over the arrays of build_model for routes built from fixed seeds."""
     h = hashlib.sha256()
     for seed in SKELETON_SEEDS:
         built = construct_solution(instance, ConstructionParams(), np.random.default_rng(seed))
         skeletons = tuple(RouteSkeleton.from_route(r) for r in built.routes)
-        model = build_model(instance, skeletons, weighted=weighted)
+        model = build_model(instance, skeletons)
         for name in ("a_ub", "b_ub", "a_eq", "b_eq", "c"):
             array = np.ascontiguousarray(getattr(model, name), dtype=np.float64)
             h.update(f"{name}{array.shape}".encode())
@@ -120,10 +112,8 @@ GOLDEN_RUNS = {('palma', 0): {'iteration_of_best': 2,
                'total_iterations': 5,
                'trace': [(1, '0x1.1e4b9a8e982a2p+0'), (3, '0x1.1a6addb508c5dp+0')]}}
 
-GOLDEN_MODELS = {('palma', False): '730e63dfdd749b37ae7f90f3119cb7dc5fc53ab424ce1e6791911d226c92ea20',
- ('palma', True): 'bf1b9d2459db198ab693c1d4303bf571a72e38c6096224d19f57514239f2413d',
- ('wien', False): '27bf9482d9364598304b4ba79b34cdfae450d18bde2448529bbb31aa7d2f1111',
- ('wien', True): '37f98e1c1403f19ea1e95dddd981690882468383551a547ace24e9a1025dcc7d'}
+GOLDEN_MODELS = {'palma': 'bf1b9d2459db198ab693c1d4303bf571a72e38c6096224d19f57514239f2413d',
+ 'wien': '37f98e1c1403f19ea1e95dddd981690882468383551a547ace24e9a1025dcc7d'}
 
 
 @pytest.fixture(scope="module", params=["palma", "wien"])
@@ -141,9 +131,8 @@ def test_run_matches_golden_trace(family, instance, master_seed):
     assert run_record(instance, master_seed) == GOLDEN_RUNS[family, master_seed]
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_build_model_matches_golden_digest(family, instance, weighted):
-    assert model_digest(_reweighted(instance), weighted) == GOLDEN_MODELS[family, weighted]
+def test_build_model_matches_golden_digest(family, instance):
+    assert model_digest(reweighted(instance)) == GOLDEN_MODELS[family]
 
 
 if __name__ == "__main__":
@@ -155,8 +144,7 @@ if __name__ == "__main__":
         inst = _instance(fam)
         for s in MASTER_SEEDS:
             runs[fam, s] = run_record(inst, s)
-        for w in (False, True):
-            models[fam, w] = model_digest(_reweighted(inst), w)
+        models[fam] = model_digest(reweighted(inst))
     print("GOLDEN_RUNS = " + pprint.pformat(runs, width=96, compact=True))
     print()
     print("GOLDEN_MODELS = " + pprint.pformat(models, width=96))

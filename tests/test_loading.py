@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_instance
+from conftest import make_instance, reweighted
 from ssbrp.construction import ConstructionParams, construct_solution
+from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import (
     LoadingModel,
     RouteSkeleton,
@@ -26,14 +27,13 @@ def _plans(instance, skeletons, result):
     return [LoadingPlan(sk.vehicle_id, result.moves[sk.vehicle_id]) for sk in skeletons]
 
 
-def _residual_cost(instance, skeletons, result, weighted=False):
+def _residual_cost(instance, skeletons, result):
     """Re-derive the objective from the moves alone, bypassing the solver."""
     routes = [Route(sk.vehicle_id, sk.visits) for sk in skeletons]
     state = apply_solution(instance, routes, _plans(instance, skeletons, result))
     total = 0.0
     for s in instance.stations:
-        w = s.weight if weighted else 1.0
-        total += w * (abs(s.target - state.operative[s.id]) + state.damaged[s.id])
+        total += s.weight * (abs(s.target - state.operative[s.id]) + state.damaged[s.id])
     return total
 
 
@@ -193,7 +193,7 @@ def test_brute_force_guard_rails():
         brute_force_loading(inst, [big])
 
 
-def _random_case(rng, weighted=False):
+def _random_case(rng, weighted):
     n = int(rng.integers(1, 4))
     stations = []
     for sid in range(1, n + 1):
@@ -230,10 +230,10 @@ def _random_case(rng, weighted=False):
     return inst, skeletons
 
 
-def test_solver_matches_brute_force():
-    rng = np.random.default_rng(4242)
-    for trial in range(40):
-        inst, skeletons = _random_case(rng)
+def _check_against_brute_force(seed, trials, weighted):
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        inst, skeletons = _random_case(rng, weighted)
         exact = solve_exact(build_model(inst, skeletons))
         oracle = brute_force_loading(inst, skeletons)
         assert exact.objective_value == oracle.objective_value, (trial, skeletons)
@@ -242,14 +242,13 @@ def test_solver_matches_brute_force():
         assert validate_solution(inst, routes, _plans(inst, skeletons, exact)) == []
 
 
+def test_solver_matches_brute_force():
+    _check_against_brute_force(4242, 40, weighted=False)
+
+
 def test_solver_matches_weighted_brute_force():
-    rng = np.random.default_rng(777)
-    for trial in range(15):
-        inst, skeletons = _random_case(rng, weighted=True)
-        exact = solve_exact(build_model(inst, skeletons, weighted=True))
-        oracle = brute_force_loading(inst, skeletons, weighted=True)
-        assert exact.objective_value == oracle.objective_value, (trial, skeletons)
-        assert _residual_cost(inst, skeletons, exact, weighted=True) == exact.objective_value
+    # station weights 1-4
+    _check_against_brute_force(777, 15, weighted=True)
 
 
 def test_assignment_respects_domains_and_stock():
@@ -350,13 +349,25 @@ def test_reoptimize_never_worsens_and_keeps_times():
         assert validate_solution(inst, after.routes, after.plans) == []
 
 
+def test_reoptimize_never_worsens_weighted_residuals():
+    # phase two minimizes the same station-weighted residuals the objective reports
+    inst = reweighted(generate_instance(GeneratorConfig(family=Family.PALMA, seed=1)))
+    for seed in range(50):
+        before = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed))
+        after = reoptimize_solution(inst, before)
+        assert (
+            after.objective.imbalance + after.objective.damaged
+            <= before.objective.imbalance + before.objective.damaged + 1e-12
+        ), seed
+
+
 def test_solver_prefers_heavy_station_when_weighted():
     inst = make_instance(
         [(1, 10, 6, 0, 4, 5.0), (2, 10, 6, 0, 4, 1.0)],
         fleet=((1, 2),),
     )
     skeletons = [RouteSkeleton(1, (0, 1, 2, 0))]
-    result = solve_exact(build_model(inst, skeletons, weighted=True))
+    result = solve_exact(build_model(inst, skeletons))
     # both stations hold surplus 2 but the vehicle has room for only one
     # station's worth; the weight decides which residual survives
     assert result.moves[1][1] == (2, 0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,16 +136,13 @@ def test_objective_hand_evaluated_breakdown():
     assert breakdown.total == 0.5
 
 
-def test_objective_weighted_denominator_flag():
+def test_objective_denominator_is_plain_sum():
     inst = make_instance([(1, 10, 5, 1, 3, 2.0)])
     state = apply_solution(inst, [], [])
-    plain = evaluate_objective(inst, state, ObjectiveWeights())
-    flagged = evaluate_objective(
-        inst, state, ObjectiveWeights(), weighted_damaged_denominator=True
-    )
-    # D moves from 2*2+1=5 to 2*(2+1)=6
-    assert plain.imbalance == pytest.approx(4 / 5)
-    assert flagged.imbalance == pytest.approx(4 / 6)
+    breakdown = evaluate_objective(inst, state, ObjectiveWeights())
+    # D = w*|dev| + damaged = 2*2 + 1 = 5; the damaged count is not weighted in D
+    assert breakdown.imbalance == pytest.approx(4 / 5)
+    assert breakdown.damaged == pytest.approx(2 / 5)
 
 
 def test_objective_unused_vehicles_count_in_time_divisor():
@@ -213,7 +212,8 @@ def test_check_instance_rejects_bad_data():
     with pytest.raises(ValueError, match="target"):
         check_instance(make_instance([(1, 10, 5, 0, 11)]))
     with pytest.raises(ValueError, match="time_budget"):
-        check_instance(make_instance([(1, 10, 5, 0, 3)], time_budget=0))
+        # a copy of a checked instance is checked anew
+        check_instance(dataclasses.replace(good, time_budget=0.0))
     with pytest.raises(ValueError, match="vehicle"):
         check_instance(make_instance([(1, 10, 5, 0, 3)], fleet=((1, 5), (1, 5))))
 

@@ -102,8 +102,9 @@ def test_wall_clock_cap_stops_early():
 
 def test_invalid_instance_rejected_before_iterating():
     bad = make_instance([(1, 4, 4, 3, 2)])  # 7 bikes parked in 4 docks
-    with pytest.raises(ValueError):
-        run(bad, RunConfig(max_iter=2))
+    for _ in range(2):  # a failed check is not remembered
+        with pytest.raises(ValueError):
+            run(bad, RunConfig(max_iter=2))
 
 
 def test_zero_vehicle_instance_terminates():
@@ -128,8 +129,6 @@ def test_flag_combinations_smoke():
         master_seed=2,
         weights=ObjectiveWeights(2.0, 1.0, 0.5),
         construction=ConstructionParams(0.8, 2.0),
-        weighted_phase2=True,
-        weighted_damaged_denominator=True,
     )
     report = run(inst, config)
     best = report.best_solution
