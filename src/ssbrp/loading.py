@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .model import (
     DEPOT,
@@ -110,9 +110,6 @@ class LoadingModel:
     @property
     def n_vars(self) -> int:
         return len(self.variables)
-
-    def bounds(self) -> list[tuple[float, float]]:
-        return [(v.lower, v.upper) for v in self.variables]
 
     def dump(self) -> str:
         """Algebraic text form: `min <expr>`, `s.t.`, constraints, `bounds`."""
@@ -308,11 +305,11 @@ def _assignment_to_result(
     moves: dict[int, tuple[tuple[int, int], ...]] = {}
     lookup: dict[tuple[str, int, int], int] = {}
     if values is not None:
-        for col, var in enumerate(model.variables):
+        for var, value in zip(model.variables, values.tolist()):
             if var.kind == "w0":
-                allot[var.vehicle_id] = int(round(values[col]))
+                allot[var.vehicle_id] = int(round(value))
             else:
-                lookup[var.kind, var.vehicle_id, var.visit] = int(round(values[col]))
+                lookup[var.kind, var.vehicle_id, var.visit] = int(round(value))
     for sk in model.skeletons:
         allot.setdefault(sk.vehicle_id, 0)
         moves[sk.vehicle_id] = tuple(
@@ -390,6 +387,59 @@ def _canonical_depot_moves(
     return kept
 
 
+def _relaxation(model: LoadingModel, lower: np.ndarray, upper: np.ndarray) -> highs._Highs:
+    """The model's LP relaxation as one HiGHS model, with presolve off.
+
+    Presolve is most of a HiGHS run on models this small, and a B&B node
+    differs from the last one solved only in column bounds, so each node is
+    a warm-started dual simplex re-solve of this model.
+    """
+    a = np.vstack((model.a_ub, model.a_eq))
+    rows, n = a.shape
+    # compressed sparse columns: nonzeros column by column, rows ascending
+    by_column = a.ravel(order="F")
+    nonzero = np.flatnonzero(by_column != 0)
+    start = np.searchsorted(nonzero, np.arange(n + 1) * rows)
+    lp = highs._Highs()
+    lp.setOptionValue("output_flag", False)
+    lp.setOptionValue("presolve", "off")
+    lp.passModel(
+        n,
+        rows,
+        len(nonzero),
+        highs.MatrixFormat.kColwise,
+        highs.ObjSense.kMinimize,
+        0.0,
+        model.c,
+        lower,
+        upper,
+        np.concatenate((np.full(len(model.b_ub), -highs.kHighsInf), model.b_eq)),
+        np.concatenate((model.b_ub, model.b_eq)),
+        start.astype(np.int32),
+        (nonzero % rows).astype(np.int32),
+        by_column[nonzero],
+        np.zeros(n, dtype=np.int32),
+    )
+    return lp
+
+
+# name kept from the SciPy call it replaced: bench/tracing.py wraps it as the loading.lp span
+def linprog(
+    lp: highs._Highs, lower: np.ndarray, upper: np.ndarray
+) -> tuple[highs.HighsModelStatus, float, list[float] | None]:
+    """Re-solve the relaxation under new column bounds.
+
+    Returns the HiGHS model status and, when it is optimal, the LP
+    objective (without the model's constant) and the column values.
+    """
+    lp.changeColsBounds(len(lower), np.arange(len(lower), dtype=np.int32), lower, upper)
+    lp.run()
+    status = lp.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        return status, math.nan, None
+    return status, lp.getInfo().objective_function_value, lp.getSolution().col_value
+
+
 def solve_exact(model: LoadingModel) -> LoadingVariables:
     """Minimize the loading program exactly by LP-based branch-and-bound.
 
@@ -397,43 +447,38 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
     explores the larger-magnitude value first, and ties between equal
     incumbents keep the first one found. Depot allotments are never branched
     on: each integral leaf's depot moves and allotments are set once, by
-    ``_canonical_depot_moves``, to draw minimal stock.
+    ``_canonical_depot_moves``, to draw minimal stock. An LP that HiGHS
+    proves infeasible prunes its node; any other non-optimal LP status
+    raises RuntimeError.
     """
     if model.n_vars == 0:
         return _assignment_to_result(model, None, model.constant)
 
     # column maps are built once; bounds vary per node
     x_cols, w0_cols = _column_maps(model)
-
-    def relax(bounds: list[tuple[float, float]]):
-        return linprog(
-            model.c,
-            A_ub=model.a_ub if len(model.a_ub) else None,
-            b_ub=model.b_ub if len(model.b_ub) else None,
-            A_eq=model.a_eq if len(model.a_eq) else None,
-            b_eq=model.b_eq if len(model.b_eq) else None,
-            bounds=bounds,
-            method="highs",
-        )
+    lower = np.array([v.lower for v in model.variables], dtype=float)
+    upper = np.array([v.upper for v in model.variables], dtype=float)
+    lp = _relaxation(model, lower, upper)
 
     best_val = math.inf
     best_values: np.ndarray | None = None
-    stack: list[list[tuple[float, float]]] = [model.bounds()]
+    stack = [(lower, upper)]  # column bounds of the open nodes
     nodes = 0
     while stack:
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise RuntimeError("branch-and-bound node limit exceeded")
-        bounds = stack.pop()
-        res = relax(bounds)
-        if res.status != 0:
-            continue  # infeasible subproblem
-        lower = res.fun + model.constant
-        if model.objective_integral:
-            lower = math.ceil(lower - _INT_TOL)
-        if lower >= best_val - 1e-9:
+        lo, hi = stack.pop()
+        status, fun, values = linprog(lp, lo, hi)
+        if status == highs.HighsModelStatus.kInfeasible:
             continue
-        values = res.x
+        if values is None:
+            raise RuntimeError(f"LP relaxation not solved: HiGHS model status {status.name}")
+        bound = fun + model.constant
+        if model.objective_integral:
+            bound = math.ceil(bound - _INT_TOL)
+        if bound >= best_val - 1e-9:
+            continue
         frac_col = None
         for col in model.branch_order:
             if abs(values[col] - round(values[col])) > _INT_TOL:
@@ -447,11 +492,10 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
                 best_values = leaf
             continue
         f = values[frac_col]
-        lo, hi = bounds[frac_col]
-        down = list(bounds)
-        down[frac_col] = (lo, math.floor(f))
-        up = list(bounds)
-        up[frac_col] = (math.ceil(f), hi)
+        down = (lo, hi.copy())
+        down[1][frac_col] = math.floor(f)
+        up = (lo.copy(), hi)
+        up[0][frac_col] = math.ceil(f)
         # larger magnitude explored first (DFS pops the last pushed)
         var = model.variables[frac_col]
         if var.upper <= 0 or (var.lower < 0 and f < 0):
@@ -461,7 +505,8 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
         stack.append(second)
         stack.append(first)
 
-    assert best_values is not None, "loading program infeasible for a structurally valid route"
+    if best_values is None:
+        raise RuntimeError("loading program infeasible for a structurally valid route")
     return _assignment_to_result(model, best_values, best_val)
 
 

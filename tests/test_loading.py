@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance, reweighted
+from ssbrp import loading
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import (
@@ -13,6 +18,7 @@ from ssbrp.loading import (
     solve_exact,
 )
 from ssbrp.model import (
+    DEPOT,
     LoadingPlan,
     ObjectiveWeights,
     Route,
@@ -230,16 +236,19 @@ def _random_case(rng, weighted):
     return inst, skeletons
 
 
+def _check_case(inst, skeletons):
+    exact = solve_exact(build_model(inst, skeletons))
+    oracle = brute_force_loading(inst, skeletons)
+    assert exact.objective_value == oracle.objective_value, skeletons
+    assert _residual_cost(inst, skeletons, exact) == exact.objective_value
+    routes = [Route(sk.vehicle_id, sk.visits) for sk in skeletons]
+    assert validate_solution(inst, routes, _plans(inst, skeletons, exact)) == []
+
+
 def _check_against_brute_force(seed, trials, weighted):
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        inst, skeletons = _random_case(rng, weighted)
-        exact = solve_exact(build_model(inst, skeletons))
-        oracle = brute_force_loading(inst, skeletons)
-        assert exact.objective_value == oracle.objective_value, (trial, skeletons)
-        assert _residual_cost(inst, skeletons, exact) == exact.objective_value
-        routes = [Route(sk.vehicle_id, sk.visits) for sk in skeletons]
-        assert validate_solution(inst, routes, _plans(inst, skeletons, exact)) == []
+    for _ in range(trials):
+        _check_case(*_random_case(rng, weighted))
 
 
 def test_solver_matches_brute_force():
@@ -249,6 +258,81 @@ def test_solver_matches_brute_force():
 def test_solver_matches_weighted_brute_force():
     # station weights 1-4
     _check_against_brute_force(777, 15, weighted=True)
+
+
+@st.composite
+def _guarded_cases(draw):
+    """An instance and routes inside the oracle's guard rails (at most 6 visits a vehicle)."""
+    n = draw(st.integers(1, 3))
+    stations = []
+    for sid in range(1, n + 1):
+        q = draw(st.integers(0, 6))
+        p = draw(st.integers(max(0, q - 4), q + 4))
+        a = draw(st.integers(0, 3))
+        cap = draw(st.integers(max(p + a, q), max(p + a, q) + 3))
+        stations.append((sid, cap, p, a, q, draw(st.sampled_from([1.0, 0.5, 2.0, 3.0]))))
+    fleet = tuple((vid, draw(st.integers(1, 5))) for vid in range(1, draw(st.integers(1, 2)) + 1))
+    skeletons = []
+    for vid, _ in fleet:
+        visits = [DEPOT]
+        for node in draw(st.lists(st.integers(0, n), max_size=4)):
+            if node != visits[-1]:
+                visits.append(node)
+        if visits[-1] != DEPOT:
+            visits.append(DEPOT)
+        skeletons.append(RouteSkeleton(vid, tuple(visits) if len(visits) > 1 else ()))
+    return make_instance(stations, fleet=fleet, stock=draw(st.integers(0, 5))), skeletons
+
+
+@settings(max_examples=200, deadline=None)
+@given(_guarded_cases())
+def test_solver_matches_brute_force_on_random_cases(case):
+    _check_case(*case)
+
+
+def _count_lps(monkeypatch):
+    """Record each per-node LP of solve_exact, at the boundary the benchmark traces."""
+    calls = []
+    solve = loading.linprog
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(loading, "linprog", counted)
+    return calls
+
+
+def test_fractional_root_is_branched_and_matches_brute_force(monkeypatch):
+    inst = make_instance([(1, 9, 8, 1, 3), (6, 11, 7, 1, 11), (9, 9, 8, 1, 8)], fleet=((1, 4),))
+    skeletons = [RouteSkeleton(1, (0, 9, 1, 6, 1, 0))]
+    calls = _count_lps(monkeypatch)
+    _check_case(inst, skeletons)
+    # the root LP is fractional: nodes are re-solved after bound changes
+    assert len(calls) > 1
+
+
+def test_root_integral_solve_takes_one_lp(monkeypatch):
+    inst = make_instance([(1, 10, 8, 0, 5), (2, 10, 2, 0, 5)], fleet=((1, 5),))
+    model = build_model(inst, [RouteSkeleton(1, (0, 1, 2, 0))])
+    calls = _count_lps(monkeypatch)
+    for solves in (1, 2, 3):
+        assert solve_exact(model).objective_value == 0
+        assert len(calls) == solves
+
+
+@pytest.mark.parametrize(
+    "status, message",
+    [("kSolveError", "HiGHS model status kSolveError"), ("kInfeasible", "infeasible")],
+)
+def test_lp_failure_raises(monkeypatch, status, message):
+    # only a proven-infeasible LP prunes a node; an infeasible root leaves no plan
+    failed = getattr(loading.highs.HighsModelStatus, status)
+    monkeypatch.setattr(loading, "linprog", lambda lp, lower, upper: (failed, math.nan, None))
+    inst = make_instance([(1, 10, 8, 0, 5), (2, 10, 2, 0, 5)], fleet=((1, 5),))
+    model = build_model(inst, [RouteSkeleton(1, (0, 1, 2, 0))])
+    with pytest.raises(RuntimeError, match=message):
+        solve_exact(model)
 
 
 def test_assignment_respects_domains_and_stock():
