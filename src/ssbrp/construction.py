@@ -48,7 +48,11 @@ class BuildState:
 
     Residuals and the remaining depot stock persist between routes; the
     onboard/elapsed fields describe the vehicle currently being routed and
-    are reset by start_vehicle.
+    are reset by start_vehicle. ``depot_room`` is what the depot can still
+    take in of the bikes the routes remove from stations (every removed bike
+    ends there); None is unbounded. ``live`` holds the station-order indices
+    of the stations with residual work left; None (a state built by hand)
+    scans every station.
     """
 
     residual_imbalance: dict[int, int]
@@ -59,13 +63,18 @@ class BuildState:
     elapsed: float = 0.0
     min_free_lockers: int = 0
     last_depot_index: int = 0
+    depot_room: int | None = None
+    live: list[int] | None = None
 
     @classmethod
     def fresh(cls, instance: Instance) -> BuildState:
+        capacity = instance.depot.capacity
         return cls(
             residual_imbalance={s.id: s.imbalance for s in instance.stations},
             residual_damaged={s.id: s.damaged for s in instance.stations},
             depot_remaining=instance.depot.operative,
+            depot_room=None if capacity is None else capacity - instance.depot.operative,
+            live=[i for i, s in enumerate(instance.stations) if not _done(s.imbalance, s.damaged)],
         )
 
     def start_vehicle(self, vehicle: Vehicle) -> None:
@@ -76,13 +85,19 @@ class BuildState:
         self.last_depot_index = 0
 
 
+def _done(imbalance: int, damaged: int) -> bool:
+    """No residual work left. Residuals only move toward 0 within a construction."""
+    return imbalance == 0 and damaged <= 0
+
+
 def max_movable(state: BuildState, station: Station, vehicle: Vehicle) -> tuple[int, int]:
     """Largest (operative, damaged) move the vehicle could perform at a station.
 
     Surplus and balanced stations are served from free vehicle capacity.
     Deficit stations may draw on bikes already onboard plus a retroactive
     depot pickup bounded by the unclaimed stock and by the lockers that were
-    free along the whole segment since the last depot visit.
+    free along the whole segment since the last depot visit. Pickups, net of
+    the delivery, never exceed the depot's room.
     """
     # conditional expressions, not min()/max(): this runs for every station at
     # every step, and the builtin calls would cost twice the rest of the body
@@ -90,6 +105,8 @@ def max_movable(state: BuildState, station: Station, vehicle: Vehicle) -> tuple[
     onboard_op = state.onboard_operative
     onboard_dam = state.onboard_damaged
     free = k - onboard_op - onboard_dam
+    depot_room = state.depot_room
+    pick = free if depot_room is None or free < depot_room else depot_room
     d = state.residual_imbalance[station.id]
     avail_damaged = state.residual_damaged[station.id]
     if d < 0:
@@ -97,15 +114,15 @@ def max_movable(state: BuildState, station: Station, vehicle: Vehicle) -> tuple[
         reach = onboard_op + (stock if stock < lockers else lockers)
         beta = reach if reach < -d else -d
         # free space after the delivery, never beyond the lockers damaged bikes leave open
-        room = free + beta
+        room = pick + beta
         if room > k - onboard_dam:
             room = k - onboard_dam
         alpha = room if room < avail_damaged else avail_damaged
     else:
-        beta = free if free < d else d
+        beta = pick if pick < d else d
         if beta < 0:
             beta = 0
-        alpha = free - beta if free - beta < avail_damaged else avail_damaged
+        alpha = pick - beta if pick - beta < avail_damaged else avail_damaged
     return beta, alpha
 
 
@@ -116,7 +133,9 @@ def feasible_successors(
 
     A station qualifies if it still has residual work, the route can visit it
     and return to the depot in time, and the vehicle can actually move at
-    least one bike there. The depot qualifies only to unload damaged bikes.
+    least one bike there (see max_movable). The depot qualifies only to
+    unload damaged bikes. Stations come in ``Instance.stations`` order, the
+    depot last.
     """
     lookup = instance._lookup
     try:
@@ -127,19 +146,42 @@ def feasible_successors(
     elapsed = state.elapsed
     imbalance = state.residual_imbalance
     damaged = state.residual_damaged
+    ids = lookup.ids
+    back = lookup.back
+    # max_movable with its station-independent terms hoisted; a finished
+    # station (imbalance 0, damaged <= 0) always gets beta + alpha <= 0
+    k = vehicle.capacity
+    onboard_op = state.onboard_operative
+    onboard_dam = state.onboard_damaged
+    free = k - onboard_op - onboard_dam
+    depot_room = state.depot_room
+    pick = free if depot_room is None or free < depot_room else depot_room
+    stock, lockers = state.depot_remaining, state.min_free_lockers
+    reach = onboard_op + (stock if stock < lockers else lockers)
+    undamaged = k - onboard_dam
     out: dict[int, tuple[int, int]] = {}
-    for s, t_uv, t_v0 in zip(instance.stations, row, lookup.back):
-        v = s.id
+    for i in range(len(ids)) if state.live is None else state.live:
+        v = ids[i]
         if v == u:
             continue
-        if imbalance[v] == 0 and damaged[v] <= 0:
+        if elapsed + row[i] + back[i] > budget:
             continue
-        if elapsed + t_uv + t_v0 > budget:
-            continue
-        beta, alpha = max_movable(state, s, vehicle)
+        d = imbalance[v]
+        avail_damaged = damaged[v]
+        if d < 0:
+            beta = reach if reach < -d else -d
+            room = pick + beta
+            if room > undamaged:
+                room = undamaged
+            alpha = room if room < avail_damaged else avail_damaged
+        else:
+            beta = pick if pick < d else d
+            if beta < 0:
+                beta = 0
+            alpha = pick - beta if pick - beta < avail_damaged else avail_damaged
         if beta + alpha > 0:
             out[v] = (beta, alpha)
-    if u != DEPOT and state.onboard_damaged > 0 and elapsed + t_u0 <= budget:
+    if u != DEPOT and onboard_dam > 0 and elapsed + t_u0 <= budget:
         out[DEPOT] = (0, 0)
     return out
 
@@ -153,7 +195,11 @@ def candidate_ratio(
     beta: int,
     alpha: int,
 ) -> float:
-    """Attractiveness of moving from u to v; zero travel time dominates all."""
+    """Attractiveness of moving from u to v; zero travel time dominates all.
+
+    A station of weight 0 scores 0, also where the quotient overflows
+    (inf * 0 would be nan, which no epsilon cut can compare).
+    """
     lookup = instance._lookup
     try:
         row, t_u0 = lookup.rows[u]
@@ -165,7 +211,8 @@ def candidate_ratio(
     t = row[i]
     if t == 0:
         return math.inf
-    return (beta + alpha) ** params.theta / t * lookup.weight[i]
+    w = lookup.weight[i]
+    return (beta + alpha) ** params.theta / t * w if w else 0.0
 
 
 def select_next(
@@ -175,12 +222,14 @@ def select_next(
     if not ratios:
         raise ValueError("no candidates to select from")
     if epsilon is None:
-        epsilon = float(rng.uniform())
+        # the same draw as rng.uniform(), which returns 0 + 1 * random()
+        epsilon = rng.random()
     rho_max = max(ratios.values())
     if math.isinf(rho_max):
         eligible = [v for v, r in ratios.items() if math.isinf(r)]
     else:
-        eligible = [v for v, r in ratios.items() if r >= epsilon * rho_max]
+        cut = epsilon * rho_max
+        eligible = [v for v, r in ratios.items() if r >= cut]
     return eligible[int(rng.integers(len(eligible)))]
 
 
@@ -222,6 +271,11 @@ def apply_visit(
         delta_op = beta
     state.onboard_damaged += alpha
     state.residual_damaged[v_star] -= alpha
+    if state.depot_room is not None:
+        state.depot_room -= delta_op + alpha
+    live = state.live
+    if live is not None and _done(state.residual_imbalance[v_star], state.residual_damaged[v_star]):
+        live.remove(instance._lookup.position[v_star])
     visits.append(v_star)
     moves.append((delta_op, alpha))
     state.min_free_lockers = min(
@@ -240,16 +294,32 @@ def build_route(
 ) -> tuple[Route, LoadingPlan]:
     """Grow one route from the depot until no candidate remains, then close it."""
     state.start_vehicle(vehicle)
+    lookup = instance._lookup
+    position, weight = lookup.position, lookup.weight
+    # candidate_ratio's (beta + alpha) ** theta for every move size; a move
+    # reaches 2k, since a delivery frees lockers for damaged pickups
+    theta, mu = params.theta, params.mu
+    powered = [n**theta for n in range(2 * vehicle.capacity + 1)]
     visits: list[int] = [DEPOT]
     moves: list[tuple[int, int]] = [(0, 0)]
     while True:
-        candidates = feasible_successors(instance, state, visits[-1], vehicle)
+        u = visits[-1]
+        candidates = feasible_successors(instance, state, u, vehicle)
         if not candidates:
             break
-        ratios = {
-            v: candidate_ratio(instance, state, params, visits[-1], v, beta, alpha)
-            for v, (beta, alpha) in candidates.items()
-        }
+        row, t_u0 = lookup.rows[u]
+        ratios = {}
+        for v, (beta, alpha) in candidates.items():
+            if v == DEPOT:
+                ratios[v] = math.inf if t_u0 == 0 else mu * state.onboard_damaged / t_u0
+                continue
+            i = position[v]
+            t = row[i]
+            w = weight[i]
+            if t and w:
+                ratios[v] = powered[beta + alpha] / t * w
+            else:  # as in candidate_ratio
+                ratios[v] = math.inf if t == 0 else 0.0
         v_star = select_next(ratios, rng)
         beta, alpha = candidates[v_star]
         apply_visit(instance, state, vehicle, visits, moves, v_star, beta, alpha)

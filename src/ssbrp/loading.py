@@ -4,10 +4,10 @@ Given the routes, the loading decisions form a small integer program: one
 signed operative move x and damaged move y per visit, plus one depot
 allotment w0 per vehicle. The objective counts the residual station
 imbalance and the damaged bikes left uncollected, each times its
-station's weight. The program is solved exactly by depth-first
-branch-and-bound with LP-relaxation bounds; an independent brute-force
-enumerator over the same constraint semantics serves as a verification
-oracle for small cases.
+station's weight and its gamma (``gamma_d`` or ``gamma_a``). The program
+is solved exactly by depth-first branch-and-bound with LP-relaxation
+bounds; an independent brute-force enumerator over the same constraint
+semantics serves as a verification oracle for small cases.
 """
 
 from __future__ import annotations
@@ -142,11 +142,13 @@ class LoadingModel:
 def build_model(
     instance: Instance,
     skeletons: tuple[RouteSkeleton, ...] | list[RouteSkeleton],
+    weights: ObjectiveWeights = ObjectiveWeights(),
 ) -> LoadingModel:
     """Instantiate the loading program for fixed routes.
 
-    The objective is the station-weighted sum of leftover imbalance and
-    damaged bikes: the numerator that ``evaluate_objective`` divides by D.
+    The objective is ``gamma_d`` times the station-weighted leftover
+    imbalance plus ``gamma_a`` times the station-weighted damaged bikes left:
+    the part of the reported total that the loading decides, times D.
     """
     skeletons = tuple(skeletons)
     fleet = {v.id: v for v in instance.fleet}
@@ -225,28 +227,36 @@ def build_model(
     for s in instance.stations:
         xs, ys = visit_cols.get(s.id, ([], []))
         d = s.imbalance
+        w_d = weights.gamma_d * s.weight
+        w_a = weights.gamma_a * s.weight
         if d > 0:
-            constant += s.weight * d
+            constant += w_d * d
             for col in xs:
-                c[col] -= s.weight
+                c[col] -= w_d
             if xs:  # total pickups never exceed the surplus
                 station_rows.append((xs, 1, d))
         elif d < 0:
-            constant -= s.weight * d
+            constant -= w_d * d
             for col in xs:
-                c[col] += s.weight
+                c[col] += w_d
             if xs:  # total deliveries never exceed the deficit
                 station_rows.append((xs, -1, -d))
         if s.damaged > 0:
-            constant += s.weight * s.damaged
+            constant += w_a * s.damaged
             for col in ys:
-                c[col] -= s.weight
+                c[col] -= w_a
             if ys:
                 station_rows.append((ys, 1, s.damaged))
         if d < 0 and xs:
             # deliveries may not leave the station holding more than its docks:
             # p - sum(x) + a - sum(y) <= c  (binding only where bikes arrive)
             station_rows.append((xs + ys, -1, s.capacity - s.operative - s.damaged))
+
+    if instance.depot.capacity is not None:
+        # every bike removed from a station ends at the depot
+        removed = [col for xs, ys in visit_cols.values() for col in xs + ys]
+        if removed:
+            station_rows.append((removed, 1, instance.depot.capacity - p_o))
 
     n_ub = len(station_rows) + (1 if w0_idx else 0) + sum(
         3 * (len(sk.visits) - 1) + len(depot_visits[sk.vehicle_id]) for sk in routed
@@ -350,8 +360,9 @@ def _canonical_depot_moves(
     set each w0 to the smallest value covering its cumulative depot takes.
     Raises RuntimeError when that assignment violates the program too.
     """
-    minimal = values.copy()
-    kept = values.copy()
+    given = values.tolist()  # Python floats: NumPy scalars cost more per step
+    minimal = list(given)
+    kept = list(given)
     for sk in model.skeletons:
         if not sk.visits:
             continue
@@ -363,10 +374,10 @@ def _canonical_depot_moves(
         for i, node in enumerate(sk.visits, start=1):
             if node == DEPOT:
                 depots.append(i)
-                running += values[x_cols[lid, i]]
+                running += given[x_cols[lid, i]]
                 peak = max(peak, running)
             elif (lid, i) in x_cols:
-                gained += values[x_cols[lid, i]]
+                gained += given[x_cols[lid, i]]
             flow.append(gained)
         kept[w0_cols[lid]] = max(0.0, round(peak))
         cum = 0.0
@@ -378,11 +389,13 @@ def _canonical_depot_moves(
         minimal[x_cols[lid, depots[-1]]] = -(flow[-1] + cum)
         minimal[w0_cols[lid]] = max(0.0, cum)
     if all(v.lower - 1e-9 <= x <= v.upper + 1e-9 for v, x in zip(model.variables, minimal)):
+        minimal = np.array(minimal)
         try:
             _check_assignment(model, minimal)
             return minimal
         except RuntimeError:
             pass
+    kept = np.array(kept)
     _check_assignment(model, kept)
     return kept
 
@@ -525,6 +538,7 @@ _GUARD_RESIDUAL = 6
 def brute_force_loading(
     instance: Instance,
     skeletons: tuple[RouteSkeleton, ...] | list[RouteSkeleton],
+    weights: ObjectiveWeights = ObjectiveWeights(),
 ) -> LoadingVariables:
     """Exhaustively enumerate feasible loadings; oracle for solve_exact.
 
@@ -554,15 +568,20 @@ def brute_force_loading(
     def leaf_value() -> float:
         total = 0.0
         for s in instance.stations:
-            total += s.weight * (abs(rem_imb[s.id]) + rem_dam[s.id])
+            total += s.weight * (
+                weights.gamma_d * abs(rem_imb[s.id]) + weights.gamma_a * rem_dam[s.id]
+            )
         return total
 
     def occupancy_ok() -> bool:
+        removed = 0
         for s in instance.stations:
             p_hat = s.target + rem_imb[s.id]
             if p_hat + rem_dam[s.id] > s.capacity:
                 return False
-        return True
+            removed += s.operative - p_hat + s.damaged - rem_dam[s.id]
+        depot_capacity = instance.depot.capacity
+        return depot_capacity is None or instance.depot.operative + removed <= depot_capacity
 
     def visit(si: int, vi: int, op: int, dam: int, take_run: int, take_peak: int) -> None:
         nonlocal stock
@@ -651,12 +670,11 @@ def reoptimize_solution(
     """Replace a solution's loading plans with exactly optimal ones.
 
     Routes and route times are untouched; only the moves change. Phase two
-    minimizes the same station-weighted residuals that the objective
-    reports, so the resulting (imbalance + damaged) portion never exceeds
-    the input's, whatever the station weights.
+    minimizes the same gamma- and station-weighted residuals that the
+    objective reports, so the total never rises, whatever the weights.
     """
     skeletons = tuple(RouteSkeleton.from_route(r) for r in solution.routes)
-    model = build_model(instance, skeletons)
+    model = build_model(instance, skeletons, weights)
     result = solve_exact(model)
     plans = []
     for route in solution.routes:

@@ -78,11 +78,16 @@ class TravelMatrix:
             raise ValueError(f"unknown node id {u if u not in self.node_index else v}")
 
     def __eq__(self, other) -> bool:
+        """The same nodes and the same time for every pair, whatever the layout."""
         if not isinstance(other, TravelMatrix):
             return NotImplemented
-        return (
-            dict(self.node_index) == dict(other.node_index)
-            and np.array_equal(self.minutes, other.minutes)
+        nodes = list(self.node_index)
+        if set(nodes) != set(other.node_index):
+            return False
+        mine = [self.node_index[n] for n in nodes]
+        theirs = [other.node_index[n] for n in nodes]
+        return np.array_equal(
+            self.minutes[np.ix_(mine, mine)], other.minutes[np.ix_(theirs, theirs)]
         )
 
 
@@ -94,6 +99,7 @@ class _Lookup(NamedTuple):
 
     rows: dict[int, tuple[list[float], float]]  # node -> (minutes to each station, to the depot)
     back: list[float]  # minutes from each station to the depot
+    ids: list[int]  # station id at each index in station order
     position: dict[int, int]  # station id -> index in station order
     weight: list[float]
 
@@ -136,6 +142,7 @@ class Instance:
         return _Lookup(
             rows={n: (row[1:], row[0]) for n, row in zip(nodes, minutes)},
             back=[row[0] for row in minutes[1:]],
+            ids=[s.id for s in self.stations],
             position={s.id: i for i, s in enumerate(self.stations)},
             weight=[s.weight for s in self.stations],
         )

@@ -5,8 +5,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from hypothesis import strategies as st
 
-from ssbrp.model import Depot, Instance, Station, TravelMatrix, Vehicle
+from ssbrp.model import DEPOT, Depot, Instance, Station, TravelMatrix, Vehicle
 
 
 def make_instance(
@@ -53,3 +54,40 @@ def reweighted(instance):
         dataclasses.replace(s, weight=0.5 + 0.25 * (s.id % 5)) for s in instance.stations
     )
     return dataclasses.replace(instance, stations=stations)
+
+
+@st.composite
+def random_instances(draw, max_stations=6):
+    """A valid instance: unique ids, permuted matrix positions, float minutes
+    and weights; when flagged metric, the matrix is its shortest-path closure."""
+    ids = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=max_stations, unique=True))
+    stations = []
+    for sid in ids:
+        capacity = draw(st.integers(1, 40))
+        operative = draw(st.integers(0, capacity))
+        damaged = draw(st.integers(0, capacity - operative))
+        target = draw(st.integers(0, capacity))
+        weight = draw(st.floats(0, 1e6, allow_nan=False, allow_infinity=False))
+        stations.append(Station(sid, capacity, operative, damaged, target, weight))
+    nodes = [DEPOT] + ids
+    n = len(nodes)
+    position = draw(st.permutations(range(n)))
+    minutes = st.floats(0, 1e4, allow_nan=False, allow_infinity=False)
+    matrix = np.array([[0.0 if a == b else draw(minutes) for b in range(n)] for a in range(n)])
+    metric = draw(st.booleans())
+    if metric:
+        for k in range(n):
+            matrix = np.minimum(matrix, matrix[:, k : k + 1] + matrix[k : k + 1, :])
+    stock = draw(st.integers(0, 50))
+    depot_capacity = draw(st.none() | st.integers(stock, stock + 50))
+    vehicle_ids = draw(st.lists(st.integers(1, 10**6), max_size=4, unique=True))
+    laid_out = np.empty_like(matrix)
+    laid_out[np.ix_(position, position)] = matrix
+    return Instance(
+        stations=tuple(stations),
+        depot=Depot(stock, depot_capacity),
+        travel=TravelMatrix(laid_out, dict(zip(nodes, position))),
+        fleet=tuple(Vehicle(vid, draw(st.integers(1, 30))) for vid in vehicle_ids),
+        time_budget=draw(st.floats(1e-3, 1e5, allow_nan=False, allow_infinity=False)),
+        metric=metric,
+    )

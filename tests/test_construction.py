@@ -21,11 +21,14 @@ from ssbrp.model import (
     DEPOT,
     Depot,
     Instance,
+    LoadingPlan,
     ObjectiveWeights,
+    Route,
     Station,
     TravelMatrix,
     Vehicle,
     empty_solution,
+    solution_from_plans,
     validate_solution,
 )
 
@@ -136,6 +139,22 @@ def test_candidate_ratio_zero_travel_dominates():
     assert math.isinf(ratio)
     rng = np.random.default_rng(0)
     assert select_next({1: ratio, 2: 5.0}, rng) == 1
+
+
+def test_zero_weight_scores_zero_even_when_the_quotient_overflows():
+    # 1 / 5e-324 overflows to inf, and inf * 0 would be nan
+    tiny = 5e-324
+    inst = make_instance(
+        [(1, 10, 7, 0, 5, 0.0), (2, 10, 7, 0, 5, 1.0)],
+        travel=np.array([[0.0, tiny, tiny], [tiny, 0.0, 1.0], [tiny, 1.0, 0.0]]),
+    )
+    state = BuildState.fresh(inst)
+    params = ConstructionParams()
+    assert candidate_ratio(inst, state, params, DEPOT, 1, 1, 0) == 0.0
+    assert candidate_ratio(inst, state, params, DEPOT, 2, 1, 0) == math.inf
+    for seed in range(10):
+        sol = construct_solution(inst, params, np.random.default_rng(seed))
+        assert validate_solution(inst, sol.routes, sol.plans) == []
 
 
 def test_select_next_singleton():
@@ -308,14 +327,15 @@ def _reference_max_movable(state, station, vehicle):
     """Reference for max_movable: the same formula written with min()/max()."""
     k = vehicle.capacity
     free = k - state.onboard_operative - state.onboard_damaged
+    depot_room = math.inf if state.depot_room is None else state.depot_room
     d = state.residual_imbalance[station.id]
     avail_damaged = state.residual_damaged[station.id]
     if d < 0:
         beta = min(state.onboard_operative + min(state.depot_remaining, state.min_free_lockers), -d)
-        alpha = min(free + beta, k - state.onboard_damaged, avail_damaged)
+        alpha = min(free + beta, k - state.onboard_damaged, depot_room + beta, avail_damaged)
     else:
-        beta = max(0, min(free, d))
-        alpha = min(free - beta, avail_damaged)
+        beta = max(0, min(free, depot_room, d))
+        alpha = min(free - beta, depot_room - beta, avail_damaged)
     return beta, alpha
 
 
@@ -346,7 +366,8 @@ def _reference_ratio(instance, state, params, u, v, beta, alpha):
         return math.inf if t == 0 else params.mu * state.onboard_damaged / t
     if t == 0:
         return math.inf
-    return (beta + alpha) ** params.theta / t * instance.station(v).weight
+    w = instance.station(v).weight
+    return (beta + alpha) ** params.theta / t * w if w > 0 else 0.0
 
 
 @st.composite
@@ -370,14 +391,16 @@ def _phase_one_cases(draw):
         fleet=(),
         time_budget=draw(st.sampled_from([5.0, 20.0, 45.5, 120.0])),
     )
+    # a state built by hand: its dict keys need not follow station order
     state = BuildState(
-        residual_imbalance={sid: draw(st.integers(-10, 10)) for sid in ids},
-        residual_damaged={sid: draw(st.integers(-1, 6)) for sid in ids},
+        residual_imbalance={sid: draw(st.integers(-10, 10)) for sid in draw(st.permutations(ids))},
+        residual_damaged={sid: draw(st.integers(-1, 6)) for sid in draw(st.permutations(ids))},
         depot_remaining=draw(st.integers(0, 10)),
         onboard_operative=draw(st.integers(0, 12)),
         onboard_damaged=draw(st.integers(0, 12)),
         elapsed=draw(st.sampled_from([0.0, 3.5, 10.0, 25.25])),
         min_free_lockers=draw(st.integers(0, 12)),
+        depot_room=draw(st.none() | st.integers(0, 15)),
     )
     vehicle = Vehicle(1, draw(st.integers(1, 20)))
     params = ConstructionParams(
@@ -413,3 +436,146 @@ def test_phase_one_rejects_unknown_nodes():
         candidate_ratio(inst, state, params, DEPOT, 9, 1, 0)
     with pytest.raises(ValueError, match="unknown node id 9"):
         candidate_ratio(inst, state, params, 9, 1, 1, 0)
+
+
+# --- reference equivalence: the whole construction -----------------------------
+
+def _reference_construction(instance, params, rng, state):
+    """construct_solution without the live list: every station is scanned at
+    every step, and each candidate's ratio is one call."""
+    routes, plans = [], []
+    for vehicle in instance.fleet:
+        state.start_vehicle(vehicle)
+        visits, moves = [DEPOT], [(0, 0)]
+        while True:
+            u = visits[-1]
+            candidates = _reference_successors(instance, state, u, vehicle)
+            if not candidates:
+                break
+            ratios = {
+                v: _reference_ratio(instance, state, params, u, v, beta, alpha)
+                for v, (beta, alpha) in candidates.items()
+            }
+            v_star = select_next(ratios, rng)
+            apply_visit(instance, state, vehicle, visits, moves, v_star, *candidates[v_star])
+        if len(visits) == 1:
+            routes.append(Route(vehicle.id))
+            plans.append(LoadingPlan(vehicle.id))
+            continue
+        if visits[-1] == DEPOT:
+            dx, dy = moves[-1]
+            moves[-1] = (dx - state.onboard_operative, dy - state.onboard_damaged)
+        else:
+            visits.append(DEPOT)
+            moves.append((-state.onboard_operative, -state.onboard_damaged))
+        routes.append(Route(vehicle.id, tuple(visits)))
+        plans.append(LoadingPlan(vehicle.id, tuple(moves)))
+    return solution_from_plans(instance, routes, plans, ObjectiveWeights())
+
+
+def _hand_built_state(instance, key_order):
+    """A fresh state built by hand (no live list), its dict keys in key_order."""
+    by_id = {s.id: s for s in instance.stations}
+    depot = instance.depot
+    return BuildState(
+        residual_imbalance={sid: by_id[sid].imbalance for sid in key_order},
+        residual_damaged={sid: by_id[sid].damaged for sid in reversed(key_order)},
+        depot_remaining=depot.operative,
+        depot_room=None if depot.capacity is None else depot.capacity - depot.operative,
+    )
+
+
+def _live(instance, state):
+    return [
+        i
+        for i, s in enumerate(instance.stations)
+        if state.residual_imbalance[s.id] != 0 or state.residual_damaged[s.id] > 0
+    ]
+
+
+def _check_construction(instance, params, seed, key_order):
+    rng = np.random.default_rng(seed)
+    got = construct_solution(instance, params, rng)
+    want_rng = np.random.default_rng(seed)
+    want = _reference_construction(
+        instance, params, want_rng, _hand_built_state(instance, key_order)
+    )
+    assert got.routes == want.routes
+    assert got.plans == want.plans
+    assert got.objective.total.hex() == want.objective.total.hex()
+    assert rng.random() == want_rng.random()  # the same number of draws
+    # route by route: a fresh state's live list holds exactly the stations with
+    # work left, and a hand-built state (scanning every station) builds the same
+    for state in (BuildState.fresh(instance), _hand_built_state(instance, key_order)):
+        route_rng = np.random.default_rng(seed)
+        for vehicle, route, plan in zip(instance.fleet, got.routes, got.plans):
+            assert build_route(instance, state, vehicle, params, route_rng) == (route, plan)
+            if state.live is not None:
+                assert state.live == _live(instance, state)
+    assert validate_solution(instance, got.routes, got.plans) == []
+
+
+@st.composite
+def _construction_cases(draw):
+    """A small instance (mixed fleet, depot stock and capacity, zero travel
+    times, damaged bikes), construction params, a seed, and a shuffled
+    station-id order."""
+    ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=7, unique=True))
+    nodes = [DEPOT] + ids
+    node_index = dict(zip(nodes, draw(st.permutations(range(len(nodes))))))
+    minutes = st.sampled_from([0.0, 0.5, 1.0, 2.75, 7.0, 12.5, 30.0])
+    matrix = np.zeros((len(nodes), len(nodes)))
+    for a in nodes:
+        for b in nodes:
+            if a != b:
+                matrix[node_index[a], node_index[b]] = draw(minutes)
+    stations = []
+    for sid in ids:
+        capacity = draw(st.integers(1, 30))
+        operative = draw(st.integers(0, capacity))
+        damaged = draw(st.integers(0, capacity - operative))
+        target = draw(st.integers(0, capacity))
+        weight = draw(st.sampled_from([0.0, 0.5, 1.0, 1.75, 3.0]))
+        stations.append(Station(sid, capacity, operative, damaged, target, weight))
+    capacities = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    stock = draw(st.integers(0, 12))
+    instance = Instance(
+        stations=tuple(stations),
+        depot=Depot(stock, draw(st.none() | st.integers(stock, stock + 8))),
+        travel=TravelMatrix(matrix, node_index),
+        fleet=tuple(Vehicle(i, k) for i, k in enumerate(capacities, start=1)),
+        time_budget=draw(st.sampled_from([5.0, 20.0, 45.5, 120.0, 1000.0])),
+    )
+    params = ConstructionParams(
+        theta=draw(st.sampled_from([0.25, 0.5, 1.0])), mu=draw(st.sampled_from([0.5, 1.5, 4.0]))
+    )
+    return instance, params, draw(st.integers(0, 2**32 - 1)), draw(st.permutations(ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_construction_cases())
+def test_construction_matches_reference_construction(case):
+    _check_construction(*case)
+
+
+def test_construction_moves_twice_the_capacity():
+    # a full retro-loaded delivery frees all k lockers for damaged pickups,
+    # so one visit moves 2k bikes: the top of build_route's ratio table
+    inst = make_instance([(1, 20, 2, 6, 10), (2, 20, 9, 0, 5)], fleet=((1, 3), (2, 2)), stock=5)
+    state = BuildState.fresh(inst)
+    state.start_vehicle(inst.fleet[0])
+    assert feasible_successors(inst, state, DEPOT, inst.fleet[0])[1] == (3, 3)
+    for seed in range(20):
+        _check_construction(inst, ConstructionParams(), seed, [2, 1])
+
+
+def test_construction_with_zero_travel_times():
+    # zero minutes give infinite ratios, to stations and to the depot
+    inst = make_instance(
+        [(1, 12, 9, 3, 4), (2, 12, 1, 2, 8), (3, 12, 6, 4, 6)],
+        fleet=((1, 4), (2, 7)),
+        stock=3,
+        travel=0.0,
+    )
+    for seed in range(20):
+        _check_construction(inst, ConstructionParams(), seed, [3, 1, 2])

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import make_instance, random_instances
 from ssbrp.instances import (
     DocumentError,
     Family,
@@ -14,8 +16,9 @@ from ssbrp.instances import (
     write_instance,
     write_solution,
 )
+from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.loading import reoptimize_solution
-from ssbrp.model import LoadingPlan, ObjectiveWeights, Route, solution_from_plans
+from ssbrp.model import LoadingPlan, ObjectiveWeights, Route, check_instance, solution_from_plans
 
 
 def _minimal_doc():
@@ -127,6 +130,16 @@ def test_instance_round_trip_through_documents():
     assert write_instance(again) == doc
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_instances())
+def test_instance_round_trip_on_random_instances(instance):
+    check_instance(instance)
+    doc = write_instance(instance)
+    again = parse_instance(json.loads(json.dumps(doc)))
+    assert again == instance
+    assert write_instance(again) == doc
+
+
 def test_travel_entries_written_as_integers_when_integral():
     inst = generate_instance(GeneratorConfig(seed=3))
     doc = write_instance(inst)
@@ -222,6 +235,25 @@ def test_solution_round_trip():
     again = parse_solution(doc, inst)
     assert again == sol
     assert again.objective == sol.objective
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    random_instances(max_stations=5),
+    st.integers(0, 2**32 - 1),
+    st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 3.0])] * 3).filter(any),
+    st.booleans(),
+)
+def test_solution_round_trip_on_random_instances(instance, seed, gammas, reoptimize):
+    weights = ObjectiveWeights(*gammas)
+    sol = construct_solution(instance, ConstructionParams(), np.random.default_rng(seed), weights)
+    if reoptimize:
+        sol = reoptimize_solution(instance, sol, weights)
+    params = dict(zip(("gamma_d", "gamma_a", "gamma_t"), gammas))
+    doc = write_solution(sol, seed=seed, params=params)
+    again = parse_solution(json.loads(json.dumps(doc)), instance)
+    assert again == sol
+    assert write_solution(again, seed=seed, params=params) == doc
 
 
 def test_solution_document_omits_optional_stamps():

@@ -33,13 +33,16 @@ def _plans(instance, skeletons, result):
     return [LoadingPlan(sk.vehicle_id, result.moves[sk.vehicle_id]) for sk in skeletons]
 
 
-def _residual_cost(instance, skeletons, result):
+def _residual_cost(instance, skeletons, result, weights=ObjectiveWeights()):
     """Re-derive the objective from the moves alone, bypassing the solver."""
     routes = [Route(sk.vehicle_id, sk.visits) for sk in skeletons]
     state = apply_solution(instance, routes, _plans(instance, skeletons, result))
     total = 0.0
     for s in instance.stations:
-        total += s.weight * (abs(s.target - state.operative[s.id]) + state.damaged[s.id])
+        total += s.weight * (
+            weights.gamma_d * abs(s.target - state.operative[s.id])
+            + weights.gamma_a * state.damaged[s.id]
+        )
     return total
 
 
@@ -236,11 +239,11 @@ def _random_case(rng, weighted):
     return inst, skeletons
 
 
-def _check_case(inst, skeletons):
-    exact = solve_exact(build_model(inst, skeletons))
-    oracle = brute_force_loading(inst, skeletons)
+def _check_case(inst, skeletons, weights=ObjectiveWeights()):
+    exact = solve_exact(build_model(inst, skeletons, weights))
+    oracle = brute_force_loading(inst, skeletons, weights)
     assert exact.objective_value == oracle.objective_value, skeletons
-    assert _residual_cost(inst, skeletons, exact) == exact.objective_value
+    assert _residual_cost(inst, skeletons, exact, weights) == exact.objective_value
     routes = [Route(sk.vehicle_id, sk.visits) for sk in skeletons]
     assert validate_solution(inst, routes, _plans(inst, skeletons, exact)) == []
 
@@ -262,7 +265,9 @@ def test_solver_matches_weighted_brute_force():
 
 @st.composite
 def _guarded_cases(draw):
-    """An instance and routes inside the oracle's guard rails (at most 6 visits a vehicle)."""
+    """An instance (depot capacity optional) and routes inside the oracle's
+    guard rails (at most 6 visits a vehicle), and objective weights; gammas
+    are dyadic, so sums stay exact."""
     n = draw(st.integers(1, 3))
     stations = []
     for sid in range(1, n + 1):
@@ -281,7 +286,12 @@ def _guarded_cases(draw):
         if visits[-1] != DEPOT:
             visits.append(DEPOT)
         skeletons.append(RouteSkeleton(vid, tuple(visits) if len(visits) > 1 else ()))
-    return make_instance(stations, fleet=fleet, stock=draw(st.integers(0, 5))), skeletons
+    gammas = st.sampled_from([0.0, 0.5, 1.0, 2.0, 10.0])
+    weights = ObjectiveWeights(draw(gammas), draw(gammas), 1.0)
+    stock = draw(st.integers(0, 5))
+    depot_capacity = draw(st.none() | st.integers(stock, stock + 3))
+    inst = make_instance(stations, fleet=fleet, stock=stock, depot_capacity=depot_capacity)
+    return inst, skeletons, weights
 
 
 @settings(max_examples=200, deadline=None)
@@ -433,16 +443,55 @@ def test_reoptimize_never_worsens_and_keeps_times():
         assert validate_solution(inst, after.routes, after.plans) == []
 
 
+_GAMMAS = [(1, 1, 1), (10, 1, 1), (1, 0, 1), (0, 1, 1), (1, 10, 1), (0.5, 3, 0), (2.5, 0.25, 4)]
+
+
 def test_reoptimize_never_worsens_weighted_residuals():
-    # phase two minimizes the same station-weighted residuals the objective reports
+    # phase two minimizes the same gamma- and station-weighted residuals the
+    # objective reports; the 1e-12 allows a tie whose two terms round apart
     inst = reweighted(generate_instance(GeneratorConfig(family=Family.PALMA, seed=1)))
     for seed in range(50):
-        before = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed))
-        after = reoptimize_solution(inst, before)
-        assert (
-            after.objective.imbalance + after.objective.damaged
-            <= before.objective.imbalance + before.objective.damaged + 1e-12
-        ), seed
+        for gammas in (_GAMMAS[0], _GAMMAS[1 + seed % (len(_GAMMAS) - 1)]):
+            weights = ObjectiveWeights(*gammas)
+            rng = np.random.default_rng(seed)
+            before = construct_solution(inst, ConstructionParams(), rng, weights)
+            after = reoptimize_solution(inst, before, weights)
+            g_d, g_a, _ = gammas
+            assert (
+                g_d * after.objective.imbalance + g_a * after.objective.damaged
+                <= g_d * before.objective.imbalance + g_a * before.objective.damaged + 1e-12
+            ), (seed, gammas)
+            assert after.objective.total <= before.objective.total + 1e-12, (seed, gammas)
+
+
+def test_full_depot_takes_no_bikes_in():
+    # every bike removed from a station ends at the depot, which has room for 1
+    inst = make_instance(
+        [(1, 10, 2, 3, 2), (2, 10, 9, 0, 5)], fleet=((1, 4), (2, 3)), stock=5, depot_capacity=6
+    )
+    for seed in range(20):
+        sol = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed))
+        assert validate_solution(inst, sol.routes, sol.plans) == [], seed
+        after = reoptimize_solution(inst, sol)
+        assert validate_solution(inst, after.routes, after.plans) == [], seed
+        removed = sum(s.operative - after.final_operative[s.id] for s in inst.stations)
+        removed += sum(s.damaged - after.final_damaged[s.id] for s in inst.stations)
+        assert removed <= 1
+    skeletons = [RouteSkeleton(1, (0, 1, 2, 0)), RouteSkeleton(2, (0, 2, 1, 0))]
+    _check_case(inst, skeletons)
+
+
+def test_reoptimize_keeps_total_when_gammas_differ():
+    # with gamma_d = 10, trading a damaged bike for a bike of imbalance costs
+    # the total; phase two once did it, from 3.4707 to 3.5169, on this case
+    inst = generate_instance(GeneratorConfig(family=Family.PALMA, seed=1))
+    weights = ObjectiveWeights(10, 1, 1)
+    before = construct_solution(inst, ConstructionParams(), np.random.default_rng([38, 1]), weights)
+    after = reoptimize_solution(inst, before, weights)
+    assert before.objective.total == pytest.approx(3.4707, abs=1e-4)
+    assert after.objective.total <= before.objective.total
+    assert after.objective.imbalance <= before.objective.imbalance
+    assert validate_solution(inst, after.routes, after.plans) == []
 
 
 def test_solver_prefers_heavy_station_when_weighted():

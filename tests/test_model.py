@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import make_instance, random_instances
 from ssbrp.model import (
     DEPOT,
     Depot,
@@ -35,6 +37,16 @@ def test_classify_station():
 def _travel(entries):
     n = len(entries)
     return TravelMatrix(np.array(entries, dtype=float), {i: i for i in range(n)})
+
+
+def test_travel_matrix_equality_ignores_layout():
+    minutes = np.array([[0.0, 4.0, 7.5], [3.0, 0.0, 1.0], [2.0, 6.0, 0.0]])
+    a = TravelMatrix(minutes, {0: 0, 5: 1, 9: 2})
+    # the same times with stations 5 and 9 swapped in the matrix
+    b = TravelMatrix(minutes[np.ix_([0, 2, 1], [0, 2, 1])], {0: 0, 9: 1, 5: 2})
+    assert a == b
+    assert a != TravelMatrix(minutes, {0: 0, 9: 1, 5: 2})
+    assert a != TravelMatrix(minutes, {0: 0, 5: 1, 8: 2})
 
 
 def test_route_time_empty_route_is_zero():
@@ -356,3 +368,32 @@ def test_validate_never_raises_on_garbage():
         [LoadingPlan(3, ((0, 0),)), LoadingPlan(1, ((1, 1),))],
     )
     assert violations  # reported, not raised
+
+
+@st.composite
+def _routes_and_plans(draw, instance):
+    """Routes and plans of any shape over known and unknown nodes and vehicles."""
+    nodes = st.sampled_from(list(instance.nodes) + [-1, 10**7])
+    vehicles = st.sampled_from([v.id for v in instance.fleet] + [0, -5])
+    moves = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+    visits = st.lists(nodes, max_size=6).map(tuple)
+    routes = draw(st.lists(st.builds(Route, vehicles, visits), max_size=4))
+    plans = []
+    for route in routes:
+        length = len(route.visits) if draw(st.booleans()) else draw(st.integers(0, 7))
+        vehicle = route.vehicle_id if draw(st.booleans()) else draw(vehicles)
+        plan_moves = draw(st.lists(moves, min_size=length, max_size=length))
+        plans.append(LoadingPlan(vehicle, tuple(plan_moves)))
+    if draw(st.booleans()):
+        plans = plans[: draw(st.integers(0, len(plans)))]
+    return routes, plans
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_never_raises_on_random_routes_and_plans(data):
+    instance = data.draw(random_instances(max_stations=4))
+    routes, plans = data.draw(_routes_and_plans(instance))
+    violations = validate_solution(instance, routes, plans)
+    assert isinstance(violations, list)
+    assert all(isinstance(v, str) for v in violations)
