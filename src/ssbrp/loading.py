@@ -15,19 +15,21 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
 
 from .model import (
     DEPOT,
+    FinalState,
     Instance,
     LoadingPlan,
+    ObjectiveBreakdown,
     ObjectiveWeights,
     Route,
     Solution,
-    StationClass,
-    classify_station,
+    evaluate_objective,
     solution_from_plans,
 )
 
@@ -79,37 +81,69 @@ class LoadingModel:
 
     Variables fixed to zero by their domain (operative moves at balanced
     stations, damaged moves where no damaged bikes exist) are not
-    materialized. All materialized variables are integer.
+    materialized. All materialized variables are integer. Column j is
+    ``columns[j] = (kind, vehicle, visit, node)`` with bounds
+    ``lower[j]``, ``upper[j]``; ``x_idx``/``y_idx`` map (vehicle, visit)
+    and ``w0_idx`` maps vehicle to its column. ``a_ub`` and ``a_eq`` are
+    the row blocks of one column-major matrix ``a``.
     """
 
     def __init__(
         self,
         instance: Instance,
         skeletons: tuple[RouteSkeleton, ...],
-        variables: list[ModelVariable],
+        columns: list[tuple[str, int, int, int]],
+        lower: np.ndarray,
+        upper: np.ndarray,
+        x_idx: dict[tuple[int, int], int],
+        y_idx: dict[tuple[int, int], int],
+        w0_idx: dict[int, int],
         c: np.ndarray,
         constant: float,
-        a_ub: np.ndarray,
+        a: np.ndarray,
         b_ub: np.ndarray,
-        a_eq: np.ndarray,
         b_eq: np.ndarray,
     ):
         self.instance = instance
         self.skeletons = skeletons
-        self.variables = variables
+        self.columns = columns
+        self.lower = lower
+        self.upper = upper
+        self.x_idx = x_idx
+        self.y_idx = y_idx
+        self.w0_idx = w0_idx
         self.c = c
         self.constant = constant
-        self.a_ub = a_ub
+        self.a = a
+        self.a_ub = a[: len(b_ub)]
+        self.a_eq = a[len(b_ub) :]
         self.b_ub = b_ub
-        self.a_eq = a_eq
         self.b_eq = b_eq
-        self.branch_order = [i for i, v in enumerate(variables) if v.kind != "w0"]
-        coefs = list(c) + [constant]
+        self.branch_order = [j for j, col in enumerate(columns) if col[0] != "w0"]
+        coefs = c.tolist() + [constant]
         self.objective_integral = all(float(v).is_integer() for v in coefs)
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self.columns)
+
+    @cached_property
+    def variables(self) -> list[ModelVariable]:
+        """The columns as named variables with integer bounds, in column order."""
+        return [
+            ModelVariable(
+                f"w0[{vid}]" if kind == "w0" else f"{kind}[{vid},{visit}]",
+                kind,
+                vid,
+                visit,
+                node,
+                int(lo),
+                int(hi),
+            )
+            for (kind, vid, visit, node), lo, hi in zip(
+                self.columns, self.lower.tolist(), self.upper.tolist()
+            )
+        ]
 
     def dump(self) -> str:
         """Algebraic text form: `min <expr>`, `s.t.`, constraints, `bounds`."""
@@ -159,7 +193,9 @@ def build_model(
             if node != DEPOT and not instance.is_station(node):
                 raise ValueError(f"vehicle {sk.vehicle_id}: unknown node {node}")
 
-    variables: list[ModelVariable] = []
+    columns: list[tuple[str, int, int, int]] = []  # (kind, vehicle_id, visit, node)
+    lower: list[int] = []
+    upper: list[int] = []
     x_idx: dict[tuple[int, int], int] = {}  # (vehicle_id, visit) -> column
     y_idx: dict[tuple[int, int], int] = {}
     w0_idx: dict[int, int] = {}
@@ -168,44 +204,34 @@ def build_model(
     for sk in skeletons:
         if not sk.visits:
             continue
-        k = fleet[sk.vehicle_id].capacity
+        lid = sk.vehicle_id
+        k = fleet[lid].capacity
         for i, node in enumerate(sk.visits, start=1):
             if node == DEPOT:
-                x_idx[sk.vehicle_id, i] = len(variables)
-                variables.append(
-                    ModelVariable(f"x[{sk.vehicle_id},{i}]", "x", sk.vehicle_id, i, node, -k, k)
-                )
-                y_idx[sk.vehicle_id, i] = len(variables)
-                variables.append(
-                    ModelVariable(f"y[{sk.vehicle_id},{i}]", "y", sk.vehicle_id, i, node, -k, 0)
-                )
+                x_idx[lid, i] = len(columns)
+                y_idx[lid, i] = len(columns) + 1
+                columns += (("x", lid, i, node), ("y", lid, i, node))
+                lower += (-k, -k)
+                upper += (k, 0)
                 continue
             s = instance.station(node)
-            cls = classify_station(s)
-            if cls is StationClass.SURPLUS:
-                lo, hi = 0, min(k, s.imbalance)
-            elif cls is StationClass.DEFICIT:
-                lo, hi = max(-k, s.imbalance), 0
-            else:
-                lo = hi = None  # balanced: x fixed to zero, not materialized
-            if lo is not None:
-                x_idx[sk.vehicle_id, i] = len(variables)
-                variables.append(
-                    ModelVariable(f"x[{sk.vehicle_id},{i}]", "x", sk.vehicle_id, i, node, lo, hi)
-                )
+            d = s.imbalance
+            if d:  # balanced: x fixed to zero, not materialized
+                x_idx[lid, i] = len(columns)
+                columns.append(("x", lid, i, node))
+                lower.append(0 if d > 0 else max(-k, d))
+                upper.append(min(k, d) if d > 0 else 0)
             if s.damaged > 0:
-                y_idx[sk.vehicle_id, i] = len(variables)
-                variables.append(
-                    ModelVariable(
-                        f"y[{sk.vehicle_id},{i}]", "y", sk.vehicle_id, i, node, 0, min(k, s.damaged)
-                    )
-                )
-        w0_idx[sk.vehicle_id] = len(variables)
-        variables.append(
-            ModelVariable(f"w0[{sk.vehicle_id}]", "w0", sk.vehicle_id, 0, -1, 0, p_o)
-        )
+                y_idx[lid, i] = len(columns)
+                columns.append(("y", lid, i, node))
+                lower.append(0)
+                upper.append(min(k, s.damaged))
+        w0_idx[lid] = len(columns)
+        columns.append(("w0", lid, 0, -1))
+        lower.append(0)
+        upper.append(p_o)
 
-    n = len(variables)
+    n = len(columns)
     routed = [sk for sk in skeletons if sk.visits]
     depot_visits = {sk.vehicle_id: sk.visit_indices(DEPOT) for sk in routed}
 
@@ -262,11 +288,15 @@ def build_model(
         3 * (len(sk.visits) - 1) + len(depot_visits[sk.vehicle_id]) for sk in routed
     )
     n_eq = sum(1 + len(depot_visits[sk.vehicle_id]) for sk in routed)
-    a_ub = np.zeros((n_ub, n))
+    # one column-major matrix: its inequality rows, then its equality rows
+    a = np.zeros((n_ub + n_eq, n), order="F")
     b_ub = np.zeros(n_ub)
-    a_eq = np.zeros((n_eq, n))
     b_eq = np.zeros(n_eq)
-    r = e = 0  # next free inequality and equality row
+    # single entries are collected here and written in one fancy assignment
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[int] = []
+    r, e = 0, n_ub  # next free inequality and equality row
     for sk in routed:
         lid = sk.vehicle_id
         nv = len(sk.visits)
@@ -277,79 +307,81 @@ def build_model(
         b_ub[r:end:3] = fleet[lid].capacity
         for i in range(1, nv + 1):
             first = r + 3 * (i - 1)  # visit i enters every prefix from j = i on
-            if (lid, i) in x_idx:
-                col = x_idx[lid, i]
-                a_ub[first:end:3, col] = 1
-                a_ub[first + 1:end:3, col] = -1
+            col = x_idx.get((lid, i))
+            if col is not None:
+                a[first:end:3, col] = 1
+                a[first + 1:end:3, col] = -1
                 # everything on board is dropped by the end of the route
-                a_eq[e, col] = 1
-            if (lid, i) in y_idx:
-                col = y_idx[lid, i]
-                a_ub[first:end:3, col] = 1
-                a_ub[first + 2:end:3, col] = -1
+                rows.append(e)
+                cols.append(col)
+                vals.append(1)
+            col = y_idx.get((lid, i))
+            if col is not None:
+                a[first:end:3, col] = 1
+                a[first + 2:end:3, col] = -1
                 # all damaged bikes on board are unloaded at each depot stop j >= i
-                a_eq[e + 1 + bisect_left(depots, i):e + 1 + len(depots), col] = 1
+                a[e + 1 + bisect_left(depots, i):e + 1 + len(depots), col] = 1
         # cumulative depot takes never exceed the vehicle's allotment
         for m, j in enumerate(depots):
-            a_ub[end + m:end + len(depots), x_idx[lid, j]] = 1
-        a_ub[end:end + len(depots), w0_idx[lid]] = -1
+            a[end + m:end + len(depots), x_idx[lid, j]] = 1
+        rows += range(end, end + len(depots))
+        cols += [w0_idx[lid]] * len(depots)
+        vals += [-1] * len(depots)
         r = end + len(depots)
         e += 1 + len(depots)
 
     if w0_idx:
-        a_ub[r, list(w0_idx.values())] = 1
+        rows += [r] * len(w0_idx)
+        cols += w0_idx.values()
+        vals += [1] * len(w0_idx)
         b_ub[r] = p_o
         r += 1
 
-    for cols, coef, rhs in station_rows:
-        a_ub[r, cols] = coef
+    for station_cols, coef, rhs in station_rows:
+        rows += [r] * len(station_cols)
+        cols += station_cols
+        vals += [coef] * len(station_cols)
         b_ub[r] = rhs
         r += 1
-    return LoadingModel(instance, skeletons, variables, c, constant, a_ub, b_ub, a_eq, b_eq)
+    a[rows, cols] = vals
+    return LoadingModel(
+        instance,
+        skeletons,
+        columns,
+        np.array(lower, dtype=float),
+        np.array(upper, dtype=float),
+        x_idx,
+        y_idx,
+        w0_idx,
+        c,
+        constant,
+        a,
+        b_ub,
+        b_eq,
+    )
 
 
 def _assignment_to_result(
     model: LoadingModel, values: np.ndarray | None, objective: float
 ) -> LoadingVariables:
-    allot: dict[int, int] = {}
+    given = [] if values is None else values.tolist()
+
+    def value(col: int | None) -> int:
+        return 0 if col is None else int(round(given[col]))
+
+    allot = {lid: value(col) for lid, col in model.w0_idx.items()}
     moves: dict[int, tuple[tuple[int, int], ...]] = {}
-    lookup: dict[tuple[str, int, int], int] = {}
-    if values is not None:
-        for var, value in zip(model.variables, values.tolist()):
-            if var.kind == "w0":
-                allot[var.vehicle_id] = int(round(value))
-            else:
-                lookup[var.kind, var.vehicle_id, var.visit] = int(round(value))
     for sk in model.skeletons:
-        allot.setdefault(sk.vehicle_id, 0)
-        moves[sk.vehicle_id] = tuple(
-            (
-                lookup.get(("x", sk.vehicle_id, i), 0),
-                lookup.get(("y", sk.vehicle_id, i), 0),
-            )
+        lid = sk.vehicle_id
+        allot.setdefault(lid, 0)
+        moves[lid] = tuple(
+            (value(model.x_idx.get((lid, i))), value(model.y_idx.get((lid, i))))
             for i in range(1, len(sk.visits) + 1)
         )
     return LoadingVariables(allot, moves, objective)
 
 
-def _column_maps(model: LoadingModel) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
-    """Columns of the x variables by (vehicle, visit) and of w0 by vehicle."""
-    x_cols: dict[tuple[int, int], int] = {}
-    w0_cols: dict[int, int] = {}
-    for i, v in enumerate(model.variables):
-        if v.kind == "x":
-            x_cols[v.vehicle_id, v.visit] = i
-        elif v.kind == "w0":
-            w0_cols[v.vehicle_id] = i
-    return x_cols, w0_cols
-
-
-def _canonical_depot_moves(
-    model: LoadingModel,
-    values: np.ndarray,
-    x_cols: dict[tuple[int, int], int],
-    w0_cols: dict[int, int],
-) -> np.ndarray:
+def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarray:
     """Set the depot moves and allotments of an integral assignment, station moves fixed.
 
     Among assignments that tie on the objective (it has no depot or w0
@@ -361,6 +393,7 @@ def _canonical_depot_moves(
     Raises RuntimeError when that assignment violates the program too.
     """
     given = values.tolist()  # Python floats: NumPy scalars cost more per step
+    x_cols, w0_cols = model.x_idx, model.w0_idx
     minimal = list(given)
     kept = list(given)
     for sk in model.skeletons:
@@ -388,7 +421,8 @@ def _canonical_depot_moves(
             cum += take
         minimal[x_cols[lid, depots[-1]]] = -(flow[-1] + cum)
         minimal[w0_cols[lid]] = max(0.0, cum)
-    if all(v.lower - 1e-9 <= x <= v.upper + 1e-9 for v, x in zip(model.variables, minimal)):
+    bounds = zip(model.lower.tolist(), minimal, model.upper.tolist())
+    if all(lo - 1e-9 <= x <= hi + 1e-9 for lo, x, hi in bounds):
         minimal = np.array(minimal)
         try:
             _check_assignment(model, minimal)
@@ -407,10 +441,9 @@ def _relaxation(model: LoadingModel, lower: np.ndarray, upper: np.ndarray) -> hi
     differs from the last one solved only in column bounds, so each node is
     a warm-started dual simplex re-solve of this model.
     """
-    a = np.vstack((model.a_ub, model.a_eq))
-    rows, n = a.shape
+    rows, n = model.a.shape
     # compressed sparse columns: nonzeros column by column, rows ascending
-    by_column = a.ravel(order="F")
+    by_column = model.a.ravel(order="F")  # a view: the matrix is column-major
     nonzero = np.flatnonzero(by_column != 0)
     start = np.searchsorted(nonzero, np.arange(n + 1) * rows)
     lp = highs._Highs()
@@ -467,15 +500,12 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
     if model.n_vars == 0:
         return _assignment_to_result(model, None, model.constant)
 
-    # column maps are built once; bounds vary per node
-    x_cols, w0_cols = _column_maps(model)
-    lower = np.array([v.lower for v in model.variables], dtype=float)
-    upper = np.array([v.upper for v in model.variables], dtype=float)
-    lp = _relaxation(model, lower, upper)
+    lp = _relaxation(model, model.lower, model.upper)
 
     best_val = math.inf
     best_values: np.ndarray | None = None
-    stack = [(lower, upper)]  # column bounds of the open nodes
+    # column bounds of the open nodes; a child copies the array it changes
+    stack = [(model.lower, model.upper)]
     nodes = 0
     while stack:
         nodes += 1
@@ -498,7 +528,7 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
                 frac_col = col
                 break
         if frac_col is None:
-            leaf = _canonical_depot_moves(model, np.round(values), x_cols, w0_cols)
+            leaf = _canonical_depot_moves(model, np.round(values))
             val = float(model.c @ leaf + model.constant)
             if val < best_val - 1e-9:
                 best_val = val
@@ -510,8 +540,7 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
         up = (lo.copy(), hi)
         up[0][frac_col] = math.ceil(f)
         # larger magnitude explored first (DFS pops the last pushed)
-        var = model.variables[frac_col]
-        if var.upper <= 0 or (var.lower < 0 and f < 0):
+        if model.upper[frac_col] <= 0 or (model.lower[frac_col] < 0 and f < 0):
             first, second = down, up
         else:
             first, second = up, down
@@ -524,9 +553,11 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
 
 
 def _check_assignment(model: LoadingModel, values: np.ndarray) -> None:
-    if len(model.a_ub) and np.any(model.a_ub @ values > model.b_ub + 1e-6):
+    lhs = model.a @ values
+    n_ub = len(model.b_ub)
+    if np.any(lhs[:n_ub] > model.b_ub + 1e-6):
         raise RuntimeError("rounded assignment violates an inequality")
-    if len(model.a_eq) and np.any(np.abs(model.a_eq @ values - model.b_eq) > 1e-6):
+    if np.any(np.abs(lhs[n_ub:] - model.b_eq) > 1e-6):
         raise RuntimeError("rounded assignment violates an equality")
 
 
@@ -681,3 +712,26 @@ def reoptimize_solution(
         moves = result.moves.get(route.vehicle_id, ())
         plans.append(LoadingPlan(route.vehicle_id, moves))
     return solution_from_plans(instance, solution.routes, plans, weights)
+
+
+def loading_bound(
+    instance: Instance,
+    solution: Solution,
+    weights: ObjectiveWeights = ObjectiveWeights(),
+) -> ObjectiveBreakdown:
+    """A lower bound on the objective ``reoptimize_solution`` can reach.
+
+    It is the objective of an optimistic final state: every station a
+    route visits ends at its target with no damaged bikes, and every other
+    station keeps its inventory. Phase two keeps the routes, so the time
+    term is the solution's own, and it moves bikes only at visited
+    stations, where each residual term is at least 0. ``evaluate_objective``
+    adds the same terms in the same order, and float addition, division by
+    D > 0 and multiplication by a nonnegative gamma are monotone under
+    rounding, so ``total`` never exceeds the reoptimized total, to the bit.
+    """
+    visited = {node for route in solution.routes for node in route.visits}
+    operative = {s.id: s.target if s.id in visited else s.operative for s in instance.stations}
+    damaged = {s.id: 0 if s.id in visited else s.damaged for s in instance.stations}
+    state = FinalState(operative, damaged, 0, 0, solution.route_times)
+    return evaluate_objective(instance, state, weights)

@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, reweighted
+from conftest import make_instance, random_instances, reweighted
 from ssbrp import loading
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
@@ -14,6 +17,7 @@ from ssbrp.loading import (
     RouteSkeleton,
     brute_force_loading,
     build_model,
+    loading_bound,
     reoptimize_solution,
     solve_exact,
 )
@@ -44,6 +48,124 @@ def _residual_cost(instance, skeletons, result, weights=ObjectiveWeights()):
             + weights.gamma_a * state.damaged[s.id]
         )
     return total
+
+
+@st.composite
+def _models(draw):
+    """An instance and routes of any shape, the depot-only (0,) and (0, 0)
+    and repeated depot and station visits included, plus objective weights."""
+    n = draw(st.integers(1, 4))
+    stations = []
+    for sid in range(1, n + 1):
+        cap = draw(st.integers(1, 12))
+        p = draw(st.integers(0, cap))
+        a = draw(st.integers(0, cap - p))
+        q = draw(st.integers(0, cap))
+        stations.append((sid, cap, p, a, q, draw(st.sampled_from([0.0, 1.0, 2.5]))))
+    fleet = tuple((vid, draw(st.integers(1, 9))) for vid in range(1, draw(st.integers(1, 3)) + 1))
+    skeletons = []
+    for vid, _ in fleet:
+        inner = tuple(draw(st.lists(st.integers(0, n), max_size=7)))
+        if inner:
+            visits = (DEPOT,) + inner + (DEPOT,)
+        else:
+            visits = draw(st.sampled_from([(), (DEPOT,), (DEPOT, DEPOT)]))
+        skeletons.append(RouteSkeleton(vid, visits))
+    stock = draw(st.integers(0, 6))
+    depot_capacity = draw(st.none() | st.integers(stock, stock + 6))
+    gammas = st.sampled_from([0.5, 1.0, 3.0])
+    weights = ObjectiveWeights(draw(gammas), draw(gammas), 1.0)
+    inst = make_instance(stations, fleet=fleet, stock=stock, depot_capacity=depot_capacity)
+    return inst, skeletons, weights
+
+
+def _expected_variables(inst, skeletons):
+    """(name, kind, vehicle, visit, node, lower, upper) of each column, by the
+    domain rules: depot moves within capacity, station moves toward the
+    target and within the residuals, one depot allotment per routed vehicle."""
+    capacity = {v.id: v.capacity for v in inst.fleet}
+    out = []
+    for sk in skeletons:
+        if not sk.visits:
+            continue
+        vid = sk.vehicle_id
+        k = capacity[vid]
+        for i, node in enumerate(sk.visits, start=1):
+            if node == DEPOT:
+                out.append((f"x[{vid},{i}]", "x", vid, i, node, -k, k))
+                out.append((f"y[{vid},{i}]", "y", vid, i, node, -k, 0))
+                continue
+            s = inst.station(node)
+            if s.imbalance > 0:
+                out.append((f"x[{vid},{i}]", "x", vid, i, node, 0, min(k, s.imbalance)))
+            elif s.imbalance < 0:
+                out.append((f"x[{vid},{i}]", "x", vid, i, node, max(-k, s.imbalance), 0))
+            if s.damaged > 0:
+                out.append((f"y[{vid},{i}]", "y", vid, i, node, 0, min(k, s.damaged)))
+        out.append((f"w0[{vid}]", "w0", vid, 0, -1, 0, inst.depot.operative))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models())
+def test_model_columns_and_highs_input(case):
+    inst, skeletons, weights = case
+    model = build_model(inst, skeletons, weights)
+    got = [
+        (v.name, v.kind, v.vehicle_id, v.visit, v.node, v.lower, v.upper)
+        for v in model.variables
+    ]
+    assert got == _expected_variables(inst, skeletons)
+    assert all(type(v.lower) is int and type(v.upper) is int for v in model.variables)
+    assert np.array_equal(model.lower, [v.lower for v in model.variables])
+    assert np.array_equal(model.upper, [v.upper for v in model.variables])
+    if model.n_vars == 0:
+        return
+    # the matrix HiGHS receives is the stacked dense rows, compressed by column
+    passed = []
+
+    class Recorder(loading.highs._Highs):
+        def passModel(self, *args):
+            passed.append(args)
+            return super().passModel(*args)
+
+    core = types.SimpleNamespace(**vars(loading.highs))
+    core._Highs = Recorder
+    saved = loading.highs
+    loading.highs = core
+    try:
+        loading._relaxation(model, model.lower, model.upper)
+    finally:
+        loading.highs = saved
+    (args,) = passed
+    start, index, value = args[-4:-1]
+    expected = scipy.sparse.csc_array(np.vstack((model.a_ub, model.a_eq)))
+    assert args[:3] == (model.n_vars, len(model.b_ub) + len(model.b_eq), expected.nnz)
+    assert start.dtype == index.dtype == np.int32
+    assert np.array_equal(start, expected.indptr)
+    assert np.array_equal(index, expected.indices)
+    assert np.array_equal(value, expected.data)
+
+
+def test_check_assignment_checks_every_row():
+    # surplus station 1, one vehicle: x at visit 2 is the pickup, w0 the allotment
+    inst = make_instance([(1, 10, 7, 0, 5)], fleet=((1, 4),), stock=2)
+    model = build_model(inst, [RouteSkeleton(1, (0, 1, 0))])
+    names = [v.name for v in model.variables]
+    values = np.zeros(model.n_vars)
+    loading._check_assignment(model, values)
+    over_allotted = values.copy()  # the allotments exceed the depot stock
+    over_allotted[names.index("w0[1]")] = 3
+    assert np.count_nonzero(model.a_ub @ over_allotted > model.b_ub) == 1
+    assert np.array_equal(model.a_eq @ over_allotted, model.b_eq)
+    with pytest.raises(RuntimeError, match="inequality"):
+        loading._check_assignment(model, over_allotted)
+    kept_on_board = values.copy()  # a pickup that is never dropped
+    kept_on_board[names.index("x[1,2]")] = 1
+    assert np.all(model.a_ub @ kept_on_board <= model.b_ub)
+    assert np.count_nonzero(model.a_eq @ kept_on_board != model.b_eq) == 1
+    with pytest.raises(RuntimeError, match="equality"):
+        loading._check_assignment(model, kept_on_board)
 
 
 def test_skeleton_requires_depot_endpoints():
@@ -322,6 +444,42 @@ def test_fractional_root_is_branched_and_matches_brute_force(monkeypatch):
     assert len(calls) > 1
 
 
+# more fleet-mixed solves whose root LP is fractional (instance seed 1,
+# construction rng [seed, 1]), shrunk into the oracle's guard rails while
+# the root stayed fractional: stations, fleet and routes; depot stock 0
+_FRACTIONAL_ROOTS = {
+    "seed82": (
+        [(2, 3, 2, 1, 0), (4, 7, 3, 4, 0), (6, 5, 0, 0, 5)],
+        ((1, 5),),
+        [(1, (0, 2, 4, 6, 4, 0))],
+    ),
+    "seed104": (
+        [(1, 6, 5, 1, 0), (6, 4, 0, 1, 4), (12, 1, 0, 1, 0)],
+        ((1, 4),),
+        [(1, (0, 12, 1, 6, 1, 0))],
+    ),
+    "seed185": (
+        [(4, 7, 3, 4, 0), (5, 2, 0, 2, 2), (6, 4, 0, 1, 4), (14, 4, 3, 1, 0)],
+        ((2, 6), (3, 2)),
+        [(2, (0, 14, 4, 5, 6, 4, 0)), (3, (0, 4, 0))],
+    ),
+    "seed161": (
+        [(5, 4, 0, 4, 1), (6, 1, 0, 1, 1), (14, 8, 3, 5, 0)],
+        ((2, 5), (3, 5)),
+        [(2, (0, 6, 0, 14, 5, 0, 14, 0)), (3, (0, 14, 0))],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FRACTIONAL_ROOTS))
+def test_shrunk_fractional_roots_match_brute_force(monkeypatch, name):
+    stations, fleet, routes = _FRACTIONAL_ROOTS[name]
+    inst = make_instance(stations, fleet=fleet)
+    calls = _count_lps(monkeypatch)
+    _check_case(inst, [RouteSkeleton(vid, visits) for vid, visits in routes])
+    assert len(calls) > 1
+
+
 def test_root_integral_solve_takes_one_lp(monkeypatch):
     inst = make_instance([(1, 10, 8, 0, 5), (2, 10, 2, 0, 5)], fleet=((1, 5),))
     model = build_model(inst, [RouteSkeleton(1, (0, 1, 2, 0))])
@@ -462,6 +620,35 @@ def test_reoptimize_never_worsens_weighted_residuals():
                 <= g_d * before.objective.imbalance + g_a * before.objective.damaged + 1e-12
             ), (seed, gammas)
             assert after.objective.total <= before.objective.total + 1e-12, (seed, gammas)
+
+
+@st.composite
+def _bound_cases(draw):
+    """A random instance with some station weights set to 0, objective
+    weights from {0, 0.5, 1, 10} (not all 0), and a construction seed."""
+    inst = draw(random_instances())
+    zeroed = draw(st.lists(st.booleans(), min_size=len(inst.stations), max_size=len(inst.stations)))
+    stations = tuple(
+        dataclasses.replace(s, weight=0.0) if zero else s
+        for s, zero in zip(inst.stations, zeroed)
+    )
+    gamma = st.sampled_from([0.0, 0.5, 1.0, 10.0])
+    gammas = draw(st.tuples(gamma, gamma, gamma).filter(any))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dataclasses.replace(inst, stations=stations), ObjectiveWeights(*gammas), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bound_cases())
+def test_loading_bound_never_exceeds_reoptimized_total(case):
+    inst, weights, seed = case
+    built = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed), weights)
+    bound = loading_bound(inst, built, weights)
+    after = reoptimize_solution(inst, built, weights)
+    assert bound.total <= after.objective.total
+    assert bound.time == after.objective.time
+    assert bound.imbalance <= after.objective.imbalance
+    assert bound.damaged <= after.objective.damaged
 
 
 def test_full_depot_takes_no_bikes_in():

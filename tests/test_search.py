@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_instance
-from ssbrp.construction import ConstructionParams
+from ssbrp.construction import ConstructionParams, construct_solution
+from ssbrp.instances import Family, GeneratorConfig, generate_instance
+from ssbrp.loading import reoptimize_solution
 from ssbrp.model import (
     LoadingPlan,
     ObjectiveWeights,
     Route,
+    Vehicle,
     solution_from_plans,
     validate_solution,
 )
@@ -134,3 +139,49 @@ def test_flag_combinations_smoke():
     best = report.best_solution
     assert validate_solution(inst, best.routes, best.plans) == []
     assert report.best_objective.total <= 2.0 + 1.0  # weighted do-nothing bound
+
+
+def _always_reoptimized(instance, config):
+    """The run loop without the bound: phase two on every iteration."""
+    best = None
+    best_iter = 0
+    counter = 1
+    iteration = 0
+    trace = []
+    while counter < config.max_iter:
+        iteration += 1
+        rng = np.random.default_rng([config.master_seed, iteration])
+        built = construct_solution(instance, config.construction, rng, config.weights)
+        solution = reoptimize_solution(instance, built, config.weights)
+        if is_better(solution, best):
+            best, best_iter, counter = solution, iteration, 1
+            trace.append((iteration, solution.objective.total))
+        else:
+            counter += 1
+    return best, tuple(trace), best_iter, iteration
+
+
+@pytest.mark.parametrize("max_iter, seeds", [(2, range(20)), (20, range(5))])
+def test_skipping_phase_two_keeps_results(max_iter, seeds):
+    # fleet-mixed's shape: many visits per station, so many route sets cannot win
+    generated = generate_instance(
+        GeneratorConfig(
+            family=Family.WIEN, stations=15, damaged_fraction=0.3, depot_stock=10, seed=2
+        )
+    )
+    fleet = tuple(Vehicle(i, k) for i, k in enumerate((5, 7, 9, 11, 13, 17), start=1))
+    inst = dataclasses.replace(generated, fleet=fleet)
+    skipped = 0
+    for seed in seeds:
+        config = RunConfig(max_iter=max_iter, master_seed=seed)
+        report = run(inst, config)
+        expected = _always_reoptimized(inst, config)
+        got = (
+            report.best_solution,
+            report.incumbent_trace,
+            report.iteration_of_best,
+            report.total_iterations,
+        )
+        assert got == expected, seed
+        skipped += report.loading_skipped
+    assert skipped > 0
