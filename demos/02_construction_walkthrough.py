@@ -20,7 +20,7 @@ from ssbrp import (
     construct_solution,
     validate_solution,
 )
-from ssbrp.construction import apply_visit, candidate_ratio, feasible_successors, select_next
+from ssbrp.construction import apply_visit, candidate_ratios, feasible_successors, select_next
 
 # three stations: 1 has three bikes too many, 2 is three short, 3 holds
 # two damaged bikes; a single vehicle with four lockers, two spares at depot
@@ -58,9 +58,9 @@ for step in range(1, 4):
     if not candidates:
         break
     print(f"step {step}: at node {visits[-1]}, elapsed {state.elapsed:g} min")
-    ratios = {}
-    for v, (beta, alpha) in sorted(candidates.items()):
-        ratios[v] = candidate_ratio(instance, state, params, visits[-1], v, beta, alpha)
+    # candidates come in station order, the depot last
+    ratios = candidate_ratios(instance, state, params, vehicle, visits[-1], candidates)
+    for v, (beta, alpha) in candidates.items():
         print(f"  node {v}: move ({beta} operative, {alpha} damaged)"
               f"  ratio {ratios[v]:.4f}")
     # a fresh epsilon is drawn per choice; pin it here to make the cut visible

@@ -72,7 +72,6 @@ def cmd_solve(args) -> int:
         master_seed=args.seed,
         weights=_weights(args),
         construction=ConstructionParams(args.theta, args.mu),
-        parallelism=args.workers,
     )
     report = run(instance, config)
     obj = report.best_objective
@@ -234,13 +233,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _workers(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument("--max-iter", type=int, default=500,
@@ -248,8 +240,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma-d", type=float, default=1.0, help="imbalance term weight")
     parser.add_argument("--gamma-a", type=float, default=1.0, help="damaged term weight")
     parser.add_argument("--gamma-t", type=float, default=1.0, help="time term weight")
-    parser.add_argument("--workers", type=_workers, default=1,
-                        help="accepted for compatibility (at least 1); runs are sequential")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,9 @@ drawn uniformly among them.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .model import (
     ObjectiveWeights,
     Route,
     Solution,
-    Station,
     Vehicle,
     solution_from_plans,
 )
@@ -51,20 +51,22 @@ class BuildState:
     are reset by start_vehicle. ``depot_room`` is what the depot can still
     take in of the bikes the routes remove from stations (every removed bike
     ends there); None is unbounded. ``live`` holds the station-order indices
-    of the stations with residual work left; None (a state built by hand)
-    scans every station.
+    of the stations the scan visits: ``fresh`` lists those with residual work
+    left, and apply_visit drops a station once its work is done. A state
+    built by hand passes its own list; it may also hold finished stations,
+    which never become candidates.
     """
 
     residual_imbalance: dict[int, int]
     residual_damaged: dict[int, int]
     depot_remaining: int
+    live: list[int]
     onboard_operative: int = 0
     onboard_damaged: int = 0
     elapsed: float = 0.0
     min_free_lockers: int = 0
     last_depot_index: int = 0
     depot_room: int | None = None
-    live: list[int] | None = None
 
     @classmethod
     def fresh(cls, instance: Instance) -> BuildState:
@@ -90,52 +92,20 @@ def _done(imbalance: int, damaged: int) -> bool:
     return imbalance == 0 and damaged <= 0
 
 
-def max_movable(state: BuildState, station: Station, vehicle: Vehicle) -> tuple[int, int]:
-    """Largest (operative, damaged) move the vehicle could perform at a station.
-
-    Surplus and balanced stations are served from free vehicle capacity.
-    Deficit stations may draw on bikes already onboard plus a retroactive
-    depot pickup bounded by the unclaimed stock and by the lockers that were
-    free along the whole segment since the last depot visit. Pickups, net of
-    the delivery, never exceed the depot's room.
-    """
-    # conditional expressions, not min()/max(): this runs for every station at
-    # every step, and the builtin calls would cost twice the rest of the body
-    k = vehicle.capacity
-    onboard_op = state.onboard_operative
-    onboard_dam = state.onboard_damaged
-    free = k - onboard_op - onboard_dam
-    depot_room = state.depot_room
-    pick = free if depot_room is None or free < depot_room else depot_room
-    d = state.residual_imbalance[station.id]
-    avail_damaged = state.residual_damaged[station.id]
-    if d < 0:
-        stock, lockers = state.depot_remaining, state.min_free_lockers
-        reach = onboard_op + (stock if stock < lockers else lockers)
-        beta = reach if reach < -d else -d
-        # free space after the delivery, never beyond the lockers damaged bikes leave open
-        room = pick + beta
-        if room > k - onboard_dam:
-            room = k - onboard_dam
-        alpha = room if room < avail_damaged else avail_damaged
-    else:
-        beta = pick if pick < d else d
-        if beta < 0:
-            beta = 0
-        alpha = pick - beta if pick - beta < avail_damaged else avail_damaged
-    return beta, alpha
-
-
 def feasible_successors(
     instance: Instance, state: BuildState, u: int, vehicle: Vehicle
 ) -> dict[int, tuple[int, int]]:
     """Candidate next visits from u, mapped to their (beta, alpha) moves.
 
-    A station qualifies if it still has residual work, the route can visit it
-    and return to the depot in time, and the vehicle can actually move at
-    least one bike there (see max_movable). The depot qualifies only to
-    unload damaged bikes. Stations come in ``Instance.stations`` order, the
-    depot last.
+    A station qualifies if it is live, the route can visit it and return to
+    the depot in time, and the vehicle can actually move at least one bike
+    there. Surplus and balanced stations are served from free vehicle
+    capacity. Deficit stations may draw on bikes already onboard plus a
+    retroactive depot pickup bounded by the unclaimed stock and by the
+    lockers that were free along the whole segment since the last depot
+    visit. Pickups, net of the delivery, never exceed the depot's room. The
+    depot qualifies only to unload damaged bikes. Stations come in
+    ``Instance.stations`` order, the depot last.
     """
     lookup = instance._lookup
     try:
@@ -148,8 +118,10 @@ def feasible_successors(
     damaged = state.residual_damaged
     ids = lookup.ids
     back = lookup.back
-    # max_movable with its station-independent terms hoisted; a finished
-    # station (imbalance 0, damaged <= 0) always gets beta + alpha <= 0
+    # conditional expressions, not min()/max(): this runs for every live
+    # station at every step, and the builtin calls would cost twice the rest
+    # of the body. A finished station (imbalance 0, damaged <= 0) always gets
+    # beta + alpha <= 0.
     k = vehicle.capacity
     onboard_op = state.onboard_operative
     onboard_dam = state.onboard_damaged
@@ -160,7 +132,7 @@ def feasible_successors(
     reach = onboard_op + (stock if stock < lockers else lockers)
     undamaged = k - onboard_dam
     out: dict[int, tuple[int, int]] = {}
-    for i in range(len(ids)) if state.live is None else state.live:
+    for i in state.live:
         v = ids[i]
         if v == u:
             continue
@@ -170,6 +142,7 @@ def feasible_successors(
         avail_damaged = damaged[v]
         if d < 0:
             beta = reach if reach < -d else -d
+            # free space after the delivery, never beyond the lockers damaged bikes leave open
             room = pick + beta
             if room > undamaged:
                 room = undamaged
@@ -186,33 +159,50 @@ def feasible_successors(
     return out
 
 
-def candidate_ratio(
+@functools.cache
+def _powers(theta: float, capacity: int) -> tuple[float, ...]:
+    """``n ** theta`` for every move size n; a move reaches 2 * capacity,
+    since a delivery frees lockers for damaged pickups."""
+    return tuple(n**theta for n in range(2 * capacity + 1))
+
+
+def candidate_ratios(
     instance: Instance,
     state: BuildState,
     params: ConstructionParams,
+    vehicle: Vehicle,
     u: int,
-    v: int,
-    beta: int,
-    alpha: int,
-) -> float:
-    """Attractiveness of moving from u to v; zero travel time dominates all.
+    candidates: dict[int, tuple[int, int]],
+) -> dict[int, float]:
+    """Attractiveness of moving from u to each candidate, in candidate order.
 
-    A station of weight 0 scores 0, also where the quotient overflows
-    (inf * 0 would be nan, which no epsilon cut can compare).
+    A station scores ``(beta + alpha) ** theta / t * w`` (bikes moved, travel
+    minutes, station weight), the depot ``mu * onboard damaged / t``. Zero
+    travel time scores infinity and dominates all. A station of weight 0
+    scores 0, also where the quotient overflows (inf * 0 would be nan, which
+    no epsilon cut can compare). The candidates are feasible_successors' of
+    a state whose load fits the vehicle, so no move exceeds 2 * capacity.
     """
     lookup = instance._lookup
+    position, weight = lookup.position, lookup.weight
+    powered = _powers(params.theta, vehicle.capacity)
+    ratios = {}
     try:
         row, t_u0 = lookup.rows[u]
-        i = None if v == DEPOT else lookup.position[v]
-    except KeyError:
-        raise ValueError(f"unknown node id {v if u in lookup.rows else u}") from None
-    if i is None:
-        return math.inf if t_u0 == 0 else params.mu * state.onboard_damaged / t_u0
-    t = row[i]
-    if t == 0:
-        return math.inf
-    w = lookup.weight[i]
-    return (beta + alpha) ** params.theta / t * w if w else 0.0
+        for v, (beta, alpha) in candidates.items():
+            if v == DEPOT:
+                ratios[v] = math.inf if t_u0 == 0 else params.mu * state.onboard_damaged / t_u0
+                continue
+            i = position[v]
+            t = row[i]
+            w = weight[i]
+            if t and w:
+                ratios[v] = powered[beta + alpha] / t * w
+            else:
+                ratios[v] = math.inf if t == 0 else 0.0
+    except KeyError as exc:
+        raise ValueError(f"unknown node id {exc.args[0]}") from None
+    return ratios
 
 
 def select_next(
@@ -273,9 +263,8 @@ def apply_visit(
     state.residual_damaged[v_star] -= alpha
     if state.depot_room is not None:
         state.depot_room -= delta_op + alpha
-    live = state.live
-    if live is not None and _done(state.residual_imbalance[v_star], state.residual_damaged[v_star]):
-        live.remove(instance._lookup.position[v_star])
+    if _done(state.residual_imbalance[v_star], state.residual_damaged[v_star]):
+        state.live.remove(instance._lookup.position[v_star])
     visits.append(v_star)
     moves.append((delta_op, alpha))
     state.min_free_lockers = min(
@@ -294,12 +283,6 @@ def build_route(
 ) -> tuple[Route, LoadingPlan]:
     """Grow one route from the depot until no candidate remains, then close it."""
     state.start_vehicle(vehicle)
-    lookup = instance._lookup
-    position, weight = lookup.position, lookup.weight
-    # candidate_ratio's (beta + alpha) ** theta for every move size; a move
-    # reaches 2k, since a delivery frees lockers for damaged pickups
-    theta, mu = params.theta, params.mu
-    powered = [n**theta for n in range(2 * vehicle.capacity + 1)]
     visits: list[int] = [DEPOT]
     moves: list[tuple[int, int]] = [(0, 0)]
     while True:
@@ -307,19 +290,7 @@ def build_route(
         candidates = feasible_successors(instance, state, u, vehicle)
         if not candidates:
             break
-        row, t_u0 = lookup.rows[u]
-        ratios = {}
-        for v, (beta, alpha) in candidates.items():
-            if v == DEPOT:
-                ratios[v] = math.inf if t_u0 == 0 else mu * state.onboard_damaged / t_u0
-                continue
-            i = position[v]
-            t = row[i]
-            w = weight[i]
-            if t and w:
-                ratios[v] = powered[beta + alpha] / t * w
-            else:  # as in candidate_ratio
-                ratios[v] = math.inf if t == 0 else 0.0
+        ratios = candidate_ratios(instance, state, params, vehicle, u, candidates)
         v_star = select_next(ratios, rng)
         beta, alpha = candidates[v_star]
         apply_visit(instance, state, vehicle, visits, moves, v_star, beta, alpha)

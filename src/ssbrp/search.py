@@ -32,6 +32,7 @@ class RunConfig:
 
     ``parallelism`` is validated (at least 1) but has no effect: iterations
     are sequential, because a thread pool gave no speed-up under the GIL.
+    It stays because the benchmark passes it; no CLI flag sets it.
     """
 
     max_iter: int = 500

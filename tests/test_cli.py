@@ -173,7 +173,7 @@ def test_sweep_multiple_seeds_aggregates(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     assert main([
         "sweep", "--instance", str(inst_path), "--max-iter", "2",
-        "--theta", "0.5", "--mu", "1.5", "--seeds", "3", "--workers", "2",
+        "--theta", "0.5", "--mu", "1.5", "--seeds", "3",
         "--out", str(csv_path),
     ]) == 0
     rows = list(csv.DictReader(csv_path.read_text().splitlines()))
@@ -191,14 +191,6 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_workers_below_one_is_a_usage_error(tmp_path, command):
-    inst_path = _generate(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--instance", str(inst_path), "--workers", "0"])
     assert exc.value.code == 2
 
 

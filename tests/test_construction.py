@@ -11,10 +11,9 @@ from ssbrp.construction import (
     ConstructionParams,
     apply_visit,
     build_route,
-    candidate_ratio,
+    candidate_ratios,
     construct_solution,
     feasible_successors,
-    max_movable,
     select_next,
 )
 from ssbrp.model import (
@@ -43,40 +42,39 @@ def test_params_validated():
         ConstructionParams(mu=0.0)
 
 
-def _state(imbalance, damaged, stock, **vehicle_fields):
-    state = BuildState(dict(imbalance), dict(damaged), stock)
+def _move(station, capacity, stock, **vehicle_fields):
+    """The move feasible_successors offers at the only station of a
+    one-station instance, from the depot; (0, 0) when it offers none."""
+    inst = make_instance([station], fleet=((1, capacity),), stock=stock)
+    s = inst.stations[0]
+    # the station is live whatever its residuals, so the move rule decides
+    state = BuildState({s.id: s.imbalance}, {s.id: s.damaged}, stock, [0])
     for key, value in vehicle_fields.items():
         setattr(state, key, value)
-    return state
+    successors = feasible_successors(inst, state, DEPOT, inst.fleet[0])
+    assert set(successors) <= {s.id}
+    return successors.get(s.id, (0, 0))
 
 
 def test_max_movable_surplus():
-    state = _state({1: 10}, {1: 4}, 0, onboard_operative=3, onboard_damaged=2)
-    station = Station(1, 30, 14, 4, 4)
-    assert max_movable(state, station, Vehicle(1, 20)) == (10, 4)
+    station = (1, 30, 14, 4, 4)
+    assert _move(station, 20, 0, onboard_operative=3, onboard_damaged=2) == (10, 4)
 
 
 def test_max_movable_deficit_with_retro_loading():
-    state = _state(
-        {1: -8}, {1: 2}, 5,
-        onboard_operative=2, onboard_damaged=1, min_free_lockers=3,
-    )
-    station = Station(1, 30, 2, 2, 10)
-    assert max_movable(state, station, Vehicle(1, 10)) == (5, 2)
+    station = (1, 30, 2, 2, 10)
+    move = _move(station, 10, 5, onboard_operative=2, onboard_damaged=1, min_free_lockers=3)
+    assert move == (5, 2)
 
 
 def test_max_movable_balanced_without_damaged():
-    state = _state({1: 0}, {1: 0}, 5, onboard_operative=2)
-    assert max_movable(state, Station(1, 30, 5, 0, 5), Vehicle(1, 10)) == (0, 0)
+    assert _move((1, 30, 5, 0, 5), 10, 5, onboard_operative=2) == (0, 0)
 
 
 def test_max_movable_deficit_damaged_capped_by_free_lockers():
     # retro-loaded delivery must not let damaged pickups overfill the vehicle
-    state = _state(
-        {1: -6}, {1: 10}, 10,
-        onboard_operative=0, onboard_damaged=4, min_free_lockers=6,
-    )
-    beta, alpha = max_movable(state, Station(1, 30, 4, 10, 10), Vehicle(1, 10))
+    station = (1, 30, 4, 10, 10)
+    beta, alpha = _move(station, 10, 10, onboard_damaged=4, min_free_lockers=6)
     assert beta == 6
     assert alpha == 6  # never 10: the four damaged already on board keep their lockers
 
@@ -124,10 +122,23 @@ def test_candidate_ratio_examples():
         travel=np.array([[0.0, 4.0, 3.0], [2.0, 0.0, 9.0], [9.0, 9.0, 0.0]]),
     )
     state = BuildState.fresh(inst)
-    assert candidate_ratio(inst, state, ConstructionParams(0.5, 1.5), DEPOT, 1, 3, 1) == 1.0
-    assert candidate_ratio(inst, state, ConstructionParams(1.0, 1.5), DEPOT, 2, 4, 2) == 2.0
+    vehicle = inst.fleet[0]
+    ratios = candidate_ratios(inst, state, ConstructionParams(0.5, 1.5), vehicle, DEPOT, {1: (3, 1)})
+    assert ratios == {1: 1.0}
+    ratios = candidate_ratios(inst, state, ConstructionParams(1.0, 1.5), vehicle, DEPOT, {2: (4, 2)})
+    assert ratios == {2: 2.0}
     state.onboard_damaged = 4
-    assert candidate_ratio(inst, state, ConstructionParams(0.5, 1.5), 1, DEPOT, 0, 0) == 3.0
+    ratios = candidate_ratios(inst, state, ConstructionParams(0.5, 1.5), vehicle, 1, {DEPOT: (0, 0)})
+    assert ratios == {DEPOT: 3.0}
+
+
+def test_candidate_ratios_keep_candidate_order():
+    inst = make_instance([(1, 10, 7, 0, 5), (2, 10, 9, 0, 3)])
+    state = BuildState.fresh(inst)
+    state.onboard_damaged = 1
+    candidates = {2: (4, 0), 1: (2, 0), DEPOT: (0, 0)}
+    ratios = candidate_ratios(inst, state, ConstructionParams(), inst.fleet[0], 1, candidates)
+    assert list(ratios) == [2, 1, DEPOT]
 
 
 def test_candidate_ratio_zero_travel_dominates():
@@ -135,7 +146,7 @@ def test_candidate_ratio_zero_travel_dominates():
         [(1, 10, 7, 0, 5)], travel=np.array([[0.0, 0.0], [0.0, 0.0]])
     )
     state = BuildState.fresh(inst)
-    ratio = candidate_ratio(inst, state, ConstructionParams(), DEPOT, 1, 2, 0)
+    ratio = candidate_ratios(inst, state, ConstructionParams(), inst.fleet[0], DEPOT, {1: (2, 0)})[1]
     assert math.isinf(ratio)
     rng = np.random.default_rng(0)
     assert select_next({1: ratio, 2: 5.0}, rng) == 1
@@ -150,8 +161,8 @@ def test_zero_weight_scores_zero_even_when_the_quotient_overflows():
     )
     state = BuildState.fresh(inst)
     params = ConstructionParams()
-    assert candidate_ratio(inst, state, params, DEPOT, 1, 1, 0) == 0.0
-    assert candidate_ratio(inst, state, params, DEPOT, 2, 1, 0) == math.inf
+    ratios = candidate_ratios(inst, state, params, inst.fleet[0], DEPOT, {1: (1, 0), 2: (1, 0)})
+    assert ratios == {1: 0.0, 2: math.inf}
     for seed in range(10):
         sol = construct_solution(inst, params, np.random.default_rng(seed))
         assert validate_solution(inst, sol.routes, sol.plans) == []
@@ -289,7 +300,8 @@ def test_ratio_monotone_in_moved_bikes():
     state = BuildState.fresh(inst)
     params = ConstructionParams(0.5, 1.5)
     values = [
-        candidate_ratio(inst, state, params, DEPOT, 1, beta, 0) for beta in (1, 2, 5, 8)
+        candidate_ratios(inst, state, params, inst.fleet[0], DEPOT, {1: (beta, 0)})[1]
+        for beta in (1, 2, 5, 8)
     ]
     assert values == sorted(values)
 
@@ -324,7 +336,8 @@ def test_constructed_solutions_always_validate():
 # --- reference equivalence: phase one against the per-station loop -------------
 
 def _reference_max_movable(state, station, vehicle):
-    """Reference for max_movable: the same formula written with min()/max()."""
+    """Reference for feasible_successors' move at one station: the same
+    formula written with min()/max()."""
     k = vehicle.capacity
     free = k - state.onboard_operative - state.onboard_damaged
     depot_room = math.inf if state.depot_room is None else state.depot_room
@@ -391,18 +404,25 @@ def _phase_one_cases(draw):
         fleet=(),
         time_budget=draw(st.sampled_from([5.0, 20.0, 45.5, 120.0])),
     )
-    # a state built by hand: its dict keys need not follow station order
+    vehicle = Vehicle(1, draw(st.integers(1, 20)))
+    # a state built by hand: its dict keys need not follow station order, and
+    # every station is live, finished or not. The load fits the vehicle and
+    # the lockers free since the last depot visit fit the free room, as
+    # apply_visit keeps them, so no move exceeds twice the capacity.
+    onboard_operative = draw(st.integers(0, vehicle.capacity))
+    onboard_damaged = draw(st.integers(0, vehicle.capacity - onboard_operative))
+    free = vehicle.capacity - onboard_operative - onboard_damaged
     state = BuildState(
         residual_imbalance={sid: draw(st.integers(-10, 10)) for sid in draw(st.permutations(ids))},
         residual_damaged={sid: draw(st.integers(-1, 6)) for sid in draw(st.permutations(ids))},
         depot_remaining=draw(st.integers(0, 10)),
-        onboard_operative=draw(st.integers(0, 12)),
-        onboard_damaged=draw(st.integers(0, 12)),
+        live=list(range(len(ids))),
+        onboard_operative=onboard_operative,
+        onboard_damaged=onboard_damaged,
         elapsed=draw(st.sampled_from([0.0, 3.5, 10.0, 25.25])),
-        min_free_lockers=draw(st.integers(0, 12)),
+        min_free_lockers=draw(st.integers(0, free)),
         depot_room=draw(st.none() | st.integers(0, 15)),
     )
-    vehicle = Vehicle(1, draw(st.integers(1, 20)))
     params = ConstructionParams(
         theta=draw(st.sampled_from([0.25, 0.5, 1.0])), mu=draw(st.sampled_from([0.5, 1.5, 4.0]))
     )
@@ -414,14 +434,14 @@ def _phase_one_cases(draw):
 @given(_phase_one_cases())
 def test_phase_one_matches_reference_loop(case):
     instance, state, vehicle, params, u = case
-    for s in instance.stations:
-        assert max_movable(state, s, vehicle) == _reference_max_movable(state, s, vehicle)
     got = feasible_successors(instance, state, u, vehicle)
     want = _reference_successors(instance, state, u, vehicle)
     assert list(got.items()) == list(want.items())  # same entries in the same key order
-    for v, (beta, alpha) in want.items():
-        ratio = candidate_ratio(instance, state, params, u, v, beta, alpha)
-        assert ratio == _reference_ratio(instance, state, params, u, v, beta, alpha)
+    ratios = candidate_ratios(instance, state, params, vehicle, u, want)
+    assert list(ratios.items()) == [
+        (v, _reference_ratio(instance, state, params, u, v, beta, alpha))
+        for v, (beta, alpha) in want.items()
+    ]
 
 
 def test_phase_one_rejects_unknown_nodes():
@@ -433,9 +453,11 @@ def test_phase_one_rejects_unknown_nodes():
     with pytest.raises(ValueError, match="unknown node id 9"):
         feasible_successors(inst, state, 9, vehicle)
     with pytest.raises(ValueError, match="unknown node id 9"):
-        candidate_ratio(inst, state, params, DEPOT, 9, 1, 0)
+        candidate_ratios(inst, state, params, vehicle, DEPOT, {1: (1, 0), 9: (1, 0)})
     with pytest.raises(ValueError, match="unknown node id 9"):
-        candidate_ratio(inst, state, params, 9, 1, 1, 0)
+        candidate_ratios(inst, state, params, vehicle, 9, {1: (1, 0)})
+    with pytest.raises(ValueError, match="unknown node id 9"):
+        candidate_ratios(inst, state, params, vehicle, 9, {})
 
 
 # --- reference equivalence: the whole construction -----------------------------
@@ -474,13 +496,15 @@ def _reference_construction(instance, params, rng, state):
 
 
 def _hand_built_state(instance, key_order):
-    """A fresh state built by hand (no live list), its dict keys in key_order."""
+    """A fresh state built by hand, its dict keys in key_order, with every
+    station live, finished or not."""
     by_id = {s.id: s for s in instance.stations}
     depot = instance.depot
     return BuildState(
         residual_imbalance={sid: by_id[sid].imbalance for sid in key_order},
         residual_damaged={sid: by_id[sid].damaged for sid in reversed(key_order)},
         depot_remaining=depot.operative,
+        live=list(range(len(instance.stations))),
         depot_room=None if depot.capacity is None else depot.capacity - depot.operative,
     )
 
@@ -505,12 +529,13 @@ def _check_construction(instance, params, seed, key_order):
     assert got.objective.total.hex() == want.objective.total.hex()
     assert rng.random() == want_rng.random()  # the same number of draws
     # route by route: a fresh state's live list holds exactly the stations with
-    # work left, and a hand-built state (scanning every station) builds the same
-    for state in (BuildState.fresh(instance), _hand_built_state(instance, key_order)):
+    # work left, and a hand-built state (listing every station) builds the same
+    fresh = BuildState.fresh(instance)
+    for state in (fresh, _hand_built_state(instance, key_order)):
         route_rng = np.random.default_rng(seed)
         for vehicle, route, plan in zip(instance.fleet, got.routes, got.plans):
             assert build_route(instance, state, vehicle, params, route_rng) == (route, plan)
-            if state.live is not None:
+            if state is fresh:
                 assert state.live == _live(instance, state)
     assert validate_solution(instance, got.routes, got.plans) == []
 

@@ -168,6 +168,47 @@ def test_check_assignment_checks_every_row():
         loading._check_assignment(model, kept_on_board)
 
 
+def _assignment(model, entries):
+    """An assignment of the model's columns by name; the rest are 0."""
+    names = [v.name for v in model.variables]
+    values = np.zeros(model.n_vars)
+    for name, value in entries.items():
+        values[names.index(name)] = value
+    return values
+
+
+def test_canonical_depot_moves_draw_minimal_stock():
+    # deficit station 1: take 3 at the depot, deliver 2, return 1; the rewrite
+    # takes only the 2 delivered, returns none and allots 2 of the stock of 3
+    inst = make_instance([(1, 10, 3, 0, 5)], fleet=((1, 5),), stock=3)
+    model = build_model(inst, [RouteSkeleton(1, (0, 1, 0))])
+    given = _assignment(model, {"x[1,1]": 3, "x[1,2]": -2, "x[1,3]": -1, "w0[1]": 3})
+    loading._check_assignment(model, given)
+    want = _assignment(model, {"x[1,1]": 2, "x[1,2]": -2, "x[1,3]": 0, "w0[1]": 2})
+    assert loading._canonical_depot_moves(model, given).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "stations, visits",
+    [
+        # the rewrite's last depot visit would drop 4 bikes, past its bound of 2
+        ([(1, 10, 7, 0, 5), (2, 10, 7, 0, 5)], (0, 1, 0, 2, 0)),
+        # within every bound, but it would carry 4 bikes from station 2 to 3
+        ([(1, 10, 7, 0, 5), (2, 10, 7, 0, 5), (3, 10, 3, 0, 5)], (0, 1, 0, 2, 3, 0)),
+    ],
+    ids=["bound", "load-row"],
+)
+def test_canonical_depot_moves_kept_when_capacity_blocks_the_rewrite(stations, visits):
+    # surplus stations 1 and 2, capacity 2: the vehicle drops its 2 bikes at the
+    # mid-route depot visit, where the rewrite may only take
+    inst = make_instance(stations, fleet=((1, 2),))
+    model = build_model(inst, [RouteSkeleton(1, visits)])
+    given = _assignment(model, {"x[1,2]": 2, "x[1,3]": -2, "x[1,4]": 2, "x[1,5]": -2})
+    loading._check_assignment(model, given)
+    got = loading._canonical_depot_moves(model, given)
+    assert got.tolist() == given.tolist()  # the depot moves stay, w0 = 0
+
+
 def test_skeleton_requires_depot_endpoints():
     RouteSkeleton(1, (0, 3, 0))
     RouteSkeleton(1, ())
