@@ -180,12 +180,15 @@ def candidate_ratios(
     minutes, station weight), the depot ``mu * onboard damaged / t``. Zero
     travel time scores infinity and dominates all. A station of weight 0
     scores 0, also where the quotient overflows (inf * 0 would be nan, which
-    no epsilon cut can compare). The candidates are feasible_successors' of
-    a state whose load fits the vehicle, so no move exceeds 2 * capacity.
+    no epsilon cut can compare). ``n ** theta`` comes from a table up to
+    2 * capacity, the largest move of a load that fits the vehicle; a larger
+    move is scored by the same formula, and a negative one is refused.
     """
     lookup = instance._lookup
     position, weight = lookup.position, lookup.weight
-    powered = _powers(params.theta, vehicle.capacity)
+    theta = params.theta
+    powered = _powers(theta, vehicle.capacity)
+    size = len(powered)
     ratios = {}
     try:
         row, t_u0 = lookup.rows[u]
@@ -194,10 +197,13 @@ def candidate_ratios(
                 ratios[v] = math.inf if t_u0 == 0 else params.mu * state.onboard_damaged / t_u0
                 continue
             i = position[v]
+            n = beta + alpha
+            if n < 0:
+                raise ValueError(f"negative move {beta} + {alpha} at node {v}")
             t = row[i]
             w = weight[i]
             if t and w:
-                ratios[v] = powered[beta + alpha] / t * w
+                ratios[v] = (powered[n] if n < size else n**theta) / t * w
             else:
                 ratios[v] = math.inf if t == 0 else 0.0
     except KeyError as exc:

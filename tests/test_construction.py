@@ -141,6 +141,28 @@ def test_candidate_ratios_keep_candidate_order():
     assert list(ratios) == [2, 1, DEPOT]
 
 
+def test_candidate_ratios_score_moves_beyond_the_table():
+    # the n ** theta table stops at twice the capacity; a larger move, as a
+    # hand-built state overloading the vehicle can yield, uses the formula
+    inst = make_instance(
+        [(1, 10, 7, 0, 5)], fleet=((1, 2),),
+        travel=np.array([[0.0, 4.0], [4.0, 0.0]]),
+    )
+    state = BuildState.fresh(inst)
+    params = ConstructionParams(0.5, 1.5)
+    ratios = candidate_ratios(inst, state, params, inst.fleet[0], DEPOT, {1: (4, 0)})
+    assert ratios == {1: 0.5}
+    ratios = candidate_ratios(inst, state, params, inst.fleet[0], DEPOT, {1: (9, 7)})
+    assert ratios == {1: 1.0}
+
+
+def test_candidate_ratios_reject_negative_moves():
+    inst = make_instance([(1, 10, 7, 0, 5)], fleet=((1, 2),))
+    state = BuildState.fresh(inst)
+    with pytest.raises(ValueError, match="negative move"):
+        candidate_ratios(inst, state, ConstructionParams(), inst.fleet[0], DEPOT, {1: (-3, 1)})
+
+
 def test_candidate_ratio_zero_travel_dominates():
     inst = make_instance(
         [(1, 10, 7, 0, 5)], travel=np.array([[0.0, 0.0], [0.0, 0.0]])
@@ -404,25 +426,20 @@ def _phase_one_cases(draw):
         fleet=(),
         time_budget=draw(st.sampled_from([5.0, 20.0, 45.5, 120.0])),
     )
-    vehicle = Vehicle(1, draw(st.integers(1, 20)))
     # a state built by hand: its dict keys need not follow station order, and
-    # every station is live, finished or not. The load fits the vehicle and
-    # the lockers free since the last depot visit fit the free room, as
-    # apply_visit keeps them, so no move exceeds twice the capacity.
-    onboard_operative = draw(st.integers(0, vehicle.capacity))
-    onboard_damaged = draw(st.integers(0, vehicle.capacity - onboard_operative))
-    free = vehicle.capacity - onboard_operative - onboard_damaged
+    # every station is live, finished or not
     state = BuildState(
         residual_imbalance={sid: draw(st.integers(-10, 10)) for sid in draw(st.permutations(ids))},
         residual_damaged={sid: draw(st.integers(-1, 6)) for sid in draw(st.permutations(ids))},
         depot_remaining=draw(st.integers(0, 10)),
         live=list(range(len(ids))),
-        onboard_operative=onboard_operative,
-        onboard_damaged=onboard_damaged,
+        onboard_operative=draw(st.integers(0, 12)),
+        onboard_damaged=draw(st.integers(0, 12)),
         elapsed=draw(st.sampled_from([0.0, 3.5, 10.0, 25.25])),
-        min_free_lockers=draw(st.integers(0, free)),
+        min_free_lockers=draw(st.integers(0, 12)),
         depot_room=draw(st.none() | st.integers(0, 15)),
     )
+    vehicle = Vehicle(1, draw(st.integers(1, 20)))
     params = ConstructionParams(
         theta=draw(st.sampled_from([0.25, 0.5, 1.0])), mu=draw(st.sampled_from([0.5, 1.5, 4.0]))
     )
