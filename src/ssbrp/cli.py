@@ -84,7 +84,8 @@ def cmd_solve(args) -> int:
         f"elapsed {report.elapsed_total:.2f} s "
         f"(construction {report.elapsed_construction:.2f} s, "
         f"loading {report.elapsed_loading:.2f} s, "
-        f"{report.loading_skipped} skipped by the bound)"
+        f"{report.loading_skipped} skipped by the bound, "
+        f"{report.loading_certified} certified by it)"
     )
     if args.out:
         doc = write_solution(report.best_solution, seed=args.seed, params=_solve_params(args))

@@ -59,7 +59,7 @@ def test_solve_writes_feasible_solution(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "objective total" in out
     assert "best found at iteration" in out
-    assert re.search(r"loading [0-9.]+ s, \d+ skipped by the bound\)", out)
+    assert re.search(r"loading [0-9.]+ s, \d+ skipped by the bound, \d+ certified by it\)", out)
     inst = parse_instance(json.loads(inst_path.read_text()))
     doc = json.loads(sol_path.read_text())
     assert doc["seed"] == 1

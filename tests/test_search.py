@@ -1,12 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from conftest import make_instance
+from ssbrp import search
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
-from ssbrp.loading import reoptimize_solution
+from ssbrp.loading import loading_bound, reoptimize_solution
 from ssbrp.model import (
     LoadingPlan,
     ObjectiveWeights,
@@ -161,27 +163,61 @@ def _always_reoptimized(instance, config):
     return best, tuple(trace), best_iter, iteration
 
 
-@pytest.mark.parametrize("max_iter, seeds", [(2, range(20)), (20, range(5))])
-def test_skipping_phase_two_keeps_results(max_iter, seeds):
-    # fleet-mixed's shape: many visits per station, so many route sets cannot win
+def _fleet_mixed(seed):
+    """fleet-mixed's shape: many visits per station, so many route sets
+    cannot win, and on instance seed 1 most constructed plans meet the bound."""
     generated = generate_instance(
         GeneratorConfig(
-            family=Family.WIEN, stations=15, damaged_fraction=0.3, depot_stock=10, seed=2
+            family=Family.WIEN, stations=15, damaged_fraction=0.3, depot_stock=10, seed=seed
         )
     )
     fleet = tuple(Vehicle(i, k) for i, k in enumerate((5, 7, 9, 11, 13, 17), start=1))
-    inst = dataclasses.replace(generated, fleet=fleet)
-    skipped = 0
-    for seed in seeds:
-        config = RunConfig(max_iter=max_iter, master_seed=seed)
-        report = run(inst, config)
-        expected = _always_reoptimized(inst, config)
-        got = (
-            report.best_solution,
-            report.incumbent_trace,
-            report.iteration_of_best,
-            report.total_iterations,
-        )
-        assert got == expected, seed
-        skipped += report.loading_skipped
+    return dataclasses.replace(generated, fleet=fleet)
+
+
+@pytest.mark.parametrize("max_iter, seeds", [(2, range(20)), (20, range(5))])
+def test_skipping_phase_two_keeps_results(max_iter, seeds):
+    skipped = certified = 0
+    for inst in (_fleet_mixed(2), _fleet_mixed(1)):
+        for seed in seeds:
+            config = RunConfig(max_iter=max_iter, master_seed=seed)
+            report = run(inst, config)
+            expected = _always_reoptimized(inst, config)
+            got = (
+                report.best_solution,
+                report.incumbent_trace,
+                report.iteration_of_best,
+                report.total_iterations,
+            )
+            assert got == expected, seed
+            skipped += report.loading_skipped
+            certified += report.loading_certified
     assert skipped > 0
+    assert certified > 0
+
+
+def test_certified_best_stays_constructed_when_phase_two_moves_its_total(monkeypatch):
+    # phase two runs on a certified best once, after the loop; if its total
+    # is not the certified one, run() returns the constructed plans
+    inst = _fleet_mixed(1)
+    solve = search.reoptimize_solution
+    deferred = []
+
+    def one_ulp_higher_when_certified(instance, solution, weights):
+        solved = solve(instance, solution, weights)
+        if solution.objective.total <= loading_bound(instance, solution, weights).total:
+            deferred.append(solution)
+            total = math.nextafter(solved.objective.total, math.inf)
+            objective = dataclasses.replace(solved.objective, total=total)
+            solved = dataclasses.replace(solved, objective=objective)
+        return solved
+
+    monkeypatch.setattr(search, "reoptimize_solution", one_ulp_higher_when_certified)
+    config = RunConfig(max_iter=2, master_seed=0)
+    report = run(inst, config)
+    rng = np.random.default_rng([config.master_seed, report.iteration_of_best])
+    built = construct_solution(inst, config.construction, rng, config.weights)
+    assert deferred == [built]
+    assert report.best_solution == built
+    assert report.best_objective == built.objective
+    assert report.incumbent_trace[-1] == (report.iteration_of_best, report.best_objective.total)
