@@ -15,7 +15,6 @@ from ssbrp import (
     LoadingPlan,
     ObjectiveWeights,
     Route,
-    RouteSkeleton,
     Station,
     TravelMatrix,
     Vehicle,
@@ -50,25 +49,24 @@ instance = Instance(
     metric=True,
 )
 
-skeleton = RouteSkeleton(1, (0, 1, 3, 2, 0))
-model = build_model(instance, (skeleton,))
+route = Route(1, (0, 1, 3, 2, 0))
+model = build_model(instance, (route,))
 print("the loading program (zero-fixed variables are left out):\n")
 print(model.dump())
 
 result = solve_exact(model)
 print(f"\noptimal residual count: {result.objective_value:g}")
 print(f"depot allotment per vehicle: {result.depot_allotment}")
-for node, move in zip(skeleton.visits, result.moves[1]):
+for node, move in zip(route.visits, result.moves[1]):
     print(f"  node {node}: move {move}")
 
 # the exhaustive oracle explores every integral choice move by move
-oracle = brute_force_loading(instance, (skeleton,))
+oracle = brute_force_loading(instance, (route,))
 assert oracle.objective_value == result.objective_value
 print("\nexhaustive enumeration agrees")
 
-# reoptimize_solution applies the same program to a whole solution: here a
-# deliberately myopic plan that ignored the depot stock entirely
-route = Route(1, (0, 1, 3, 2, 0))
+# reoptimize_solution applies the same program to a whole solution: here the
+# same route with a deliberately myopic plan that ignored the depot stock
 myopic = LoadingPlan(1, ((0, 0), (0, 0), (0, 1), (2, 0), (-2, -1)))
 weights = ObjectiveWeights()
 before = solution_from_plans(instance, [route], [myopic], weights)

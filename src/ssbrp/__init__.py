@@ -20,7 +20,6 @@ from .instances import (
 from .loading import (
     LoadingModel,
     LoadingVariables,
-    RouteSkeleton,
     brute_force_loading,
     build_model,
     reoptimize_solution,
@@ -36,12 +35,10 @@ from .model import (
     Route,
     Solution,
     Station,
-    StationClass,
     TravelMatrix,
     Vehicle,
     apply_solution,
     check_instance,
-    classify_station,
     empty_solution,
     evaluate_objective,
     route_time,
@@ -67,19 +64,16 @@ __all__ = [
     "ObjectiveBreakdown",
     "ObjectiveWeights",
     "Route",
-    "RouteSkeleton",
     "RunConfig",
     "RunReport",
     "Solution",
     "Station",
-    "StationClass",
     "TravelMatrix",
     "Vehicle",
     "apply_solution",
     "brute_force_loading",
     "build_model",
     "check_instance",
-    "classify_station",
     "construct_solution",
     "empty_solution",
     "evaluate_objective",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
@@ -35,36 +35,6 @@ from .model import (
 
 _INT_TOL = 1e-6
 _NODE_LIMIT = 500_000
-
-
-@dataclass(frozen=True)
-class RouteSkeleton:
-    """A fixed visit sequence plus, per node, the 1-based indices visiting it."""
-
-    vehicle_id: int
-    visits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.visits and (self.visits[0] != DEPOT or self.visits[-1] != DEPOT):
-            raise ValueError(f"vehicle {self.vehicle_id}: route must start and end at the depot")
-
-    @classmethod
-    def from_route(cls, route: Route) -> RouteSkeleton:
-        return cls(route.vehicle_id, route.visits)
-
-    def visit_indices(self, node: int) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.visits, start=1) if v == node)
-
-
-@dataclass(frozen=True)
-class ModelVariable:
-    name: str
-    kind: str  # "x", "y", or "w0"
-    vehicle_id: int
-    visit: int  # 1-based visit index; 0 for w0
-    node: int  # DEPOT or station id; -1 for w0
-    lower: float
-    upper: float
 
 
 @dataclass(frozen=True)
@@ -90,8 +60,7 @@ class LoadingModel:
 
     def __init__(
         self,
-        instance: Instance,
-        skeletons: tuple[RouteSkeleton, ...],
+        routes: tuple[Route, ...],
         columns: list[tuple[str, int, int, int]],
         lower: np.ndarray,
         upper: np.ndarray,
@@ -104,8 +73,7 @@ class LoadingModel:
         b_ub: np.ndarray,
         b_eq: np.ndarray,
     ):
-        self.instance = instance
-        self.skeletons = skeletons
+        self.routes = routes
         self.columns = columns
         self.lower = lower
         self.upper = upper
@@ -127,55 +95,70 @@ class LoadingModel:
     def n_vars(self) -> int:
         return len(self.columns)
 
-    @cached_property
-    def variables(self) -> list[ModelVariable]:
-        """The columns as named variables with integer bounds, in column order."""
-        return [
-            ModelVariable(
-                f"w0[{vid}]" if kind == "w0" else f"{kind}[{vid},{visit}]",
-                kind,
-                vid,
-                visit,
-                node,
-                int(lo),
-                int(hi),
-            )
-            for (kind, vid, visit, node), lo, hi in zip(
-                self.columns, self.lower.tolist(), self.upper.tolist()
-            )
-        ]
-
     def dump(self) -> str:
         """Algebraic text form: `min <expr>`, `s.t.`, constraints, `bounds`."""
-        lines = ["min " + self._expr(self.c, self.constant), "s.t."]
+        names = [
+            f"w0[{vid}]" if kind == "w0" else f"{kind}[{vid},{visit}]"
+            for kind, vid, visit, _ in self.columns
+        ]
+        lines = ["min " + _expr(names, self.c, self.constant), "s.t."]
         for row, rhs in zip(self.a_ub, self.b_ub):
-            lines.append(f"{self._expr(row)} <= {rhs:g}")
+            lines.append(f"{_expr(names, row)} <= {rhs:g}")
         for row, rhs in zip(self.a_eq, self.b_eq):
-            lines.append(f"{self._expr(row)} = {rhs:g}")
+            lines.append(f"{_expr(names, row)} = {rhs:g}")
         lines.append("bounds")
-        for v in self.variables:
-            lines.append(f"{v.lower:g} <= {v.name} <= {v.upper:g}")
+        for name, lo, hi in zip(names, self.lower.tolist(), self.upper.tolist()):
+            lines.append(f"{lo:g} <= {name} <= {hi:g}")
         return "\n".join(lines) + "\n"
 
-    def _expr(self, coefs: np.ndarray, constant: float = 0.0) -> str:
-        parts: list[str] = []
-        if constant != 0 or not np.any(coefs):
-            parts.append(f"{constant:g}")
-        for coef, var in zip(coefs, self.variables):
-            if coef == 0:
-                continue
-            mag = abs(float(coef))
-            term = var.name if mag == 1 else f"{mag:g} {var.name}"
-            if not parts:
-                parts.append(term if coef > 0 else f"- {term}")
-            else:
-                parts.append(f"+ {term}" if coef > 0 else f"- {term}")
-        return " ".join(parts)
+
+def _expr(names: list[str], coefs: np.ndarray, constant: float = 0.0) -> str:
+    parts: list[str] = []
+    if constant != 0 or not np.any(coefs):
+        parts.append(f"{constant:g}")
+    for coef, name in zip(coefs, names):
+        if coef == 0:
+            continue
+        mag = abs(float(coef))
+        term = name if mag == 1 else f"{mag:g} {name}"
+        if not parts:
+            parts.append(term if coef > 0 else f"- {term}")
+        else:
+            parts.append(f"+ {term}" if coef > 0 else f"- {term}")
+    return " ".join(parts)
+
+
+def _check_routes(instance: Instance, routes: Sequence[Route]) -> dict[int, int]:
+    """Raise ValueError on a route that phase two cannot take; return the
+    vehicle capacities by vehicle id.
+
+    A route belongs to a vehicle of the fleet that has no other route,
+    visits only the depot and the instance's stations, and, unless empty,
+    starts and ends at the depot without visiting one node twice in a row.
+    """
+    capacity = {v.id: v.capacity for v in instance.fleet}
+    seen: set[int] = set()
+    for route in routes:
+        tag = f"vehicle {route.vehicle_id}"
+        visits = route.visits
+        if route.vehicle_id not in capacity:
+            raise ValueError(f"{tag}: not in fleet")
+        if route.vehicle_id in seen:
+            raise ValueError(f"{tag}: multiple routes assigned")
+        seen.add(route.vehicle_id)
+        if visits and (visits[0] != DEPOT or visits[-1] != DEPOT):
+            raise ValueError(f"{tag}: route must start and end at the depot")
+        for i, node in enumerate(visits):
+            if node != DEPOT and not instance.is_station(node):
+                raise ValueError(f"{tag}: unknown node {node}")
+            if i and node == visits[i - 1]:
+                raise ValueError(f"{tag}: visit {i} immediately repeats node {node}")
+    return capacity
 
 
 def build_model(
     instance: Instance,
-    skeletons: tuple[RouteSkeleton, ...] | list[RouteSkeleton],
+    routes: Sequence[Route],
     weights: ObjectiveWeights = ObjectiveWeights(),
 ) -> LoadingModel:
     """Instantiate the loading program for fixed routes.
@@ -184,14 +167,8 @@ def build_model(
     imbalance plus ``gamma_a`` times the station-weighted damaged bikes left:
     the part of the reported total that the loading decides, times D.
     """
-    skeletons = tuple(skeletons)
-    fleet = {v.id: v for v in instance.fleet}
-    for sk in skeletons:
-        if sk.vehicle_id not in fleet:
-            raise ValueError(f"vehicle {sk.vehicle_id}: not in fleet")
-        for node in sk.visits:
-            if node != DEPOT and not instance.is_station(node):
-                raise ValueError(f"vehicle {sk.vehicle_id}: unknown node {node}")
+    routes = tuple(routes)
+    capacity = _check_routes(instance, routes)
 
     columns: list[tuple[str, int, int, int]] = []  # (kind, vehicle_id, visit, node)
     lower: list[int] = []
@@ -201,12 +178,12 @@ def build_model(
     w0_idx: dict[int, int] = {}
     p_o = instance.depot.operative
 
-    for sk in skeletons:
-        if not sk.visits:
+    for route in routes:
+        if not route.visits:
             continue
-        lid = sk.vehicle_id
-        k = fleet[lid].capacity
-        for i, node in enumerate(sk.visits, start=1):
+        lid = route.vehicle_id
+        k = capacity[lid]
+        for i, node in enumerate(route.visits, start=1):
             if node == DEPOT:
                 x_idx[lid, i] = len(columns)
                 y_idx[lid, i] = len(columns) + 1
@@ -232,22 +209,25 @@ def build_model(
         upper.append(p_o)
 
     n = len(columns)
-    routed = [sk for sk in skeletons if sk.visits]
-    depot_visits = {sk.vehicle_id: sk.visit_indices(DEPOT) for sk in routed}
+    routed = [route for route in routes if route.visits]
+    depot_visits = {
+        route.vehicle_id: [i for i, node in enumerate(route.visits, start=1) if node == DEPOT]
+        for route in routed
+    }
 
     # per-station totals across all vehicles
     c = np.zeros(n)
     constant = 0.0
     visit_cols: dict[int, tuple[list[int], list[int]]] = {}
-    for sk in skeletons:
-        for i, node in enumerate(sk.visits, start=1):
+    for route in routes:
+        for i, node in enumerate(route.visits, start=1):
             if node == DEPOT:
                 continue
             xs, ys = visit_cols.setdefault(node, ([], []))
-            if (sk.vehicle_id, i) in x_idx:
-                xs.append(x_idx[sk.vehicle_id, i])
-            if (sk.vehicle_id, i) in y_idx:
-                ys.append(y_idx[sk.vehicle_id, i])
+            if (route.vehicle_id, i) in x_idx:
+                xs.append(x_idx[route.vehicle_id, i])
+            if (route.vehicle_id, i) in y_idx:
+                ys.append(y_idx[route.vehicle_id, i])
 
     station_rows: list[tuple[list[int], int, int]] = []  # (columns, coefficient, rhs)
     for s in instance.stations:
@@ -285,9 +265,9 @@ def build_model(
             station_rows.append((removed, 1, instance.depot.capacity - p_o))
 
     n_ub = len(station_rows) + (1 if w0_idx else 0) + sum(
-        3 * (len(sk.visits) - 1) + len(depot_visits[sk.vehicle_id]) for sk in routed
+        3 * (len(route.visits) - 1) + len(depot_visits[route.vehicle_id]) for route in routed
     )
-    n_eq = sum(1 + len(depot_visits[sk.vehicle_id]) for sk in routed)
+    n_eq = sum(1 + len(depot_visits[route.vehicle_id]) for route in routed)
     # one column-major matrix: its inequality rows, then its equality rows
     a = np.zeros((n_ub + n_eq, n), order="F")
     b_ub = np.zeros(n_ub)
@@ -297,14 +277,14 @@ def build_model(
     cols: list[int] = []
     vals: list[int] = []
     r, e = 0, n_ub  # next free inequality and equality row
-    for sk in routed:
-        lid = sk.vehicle_id
-        nv = len(sk.visits)
+    for route in routed:
+        lid = route.vehicle_id
+        nv = len(route.visits)
         depots = depot_visits[lid]
         # running load: nonnegative by component, within capacity, on every proper
         # prefix 1..j (j < nv), as rows r+3(j-1) (capacity), +1 (operative), +2 (damaged)
         end = r + 3 * (nv - 1)
-        b_ub[r:end:3] = fleet[lid].capacity
+        b_ub[r:end:3] = capacity[lid]
         for i in range(1, nv + 1):
             first = r + 3 * (i - 1)  # visit i enters every prefix from j = i on
             col = x_idx.get((lid, i))
@@ -345,8 +325,7 @@ def build_model(
         r += 1
     a[rows, cols] = vals
     return LoadingModel(
-        instance,
-        skeletons,
+        routes,
         columns,
         np.array(lower, dtype=float),
         np.array(upper, dtype=float),
@@ -371,12 +350,12 @@ def _assignment_to_result(
 
     allot = {lid: value(col) for lid, col in model.w0_idx.items()}
     moves: dict[int, tuple[tuple[int, int], ...]] = {}
-    for sk in model.skeletons:
-        lid = sk.vehicle_id
+    for route in model.routes:
+        lid = route.vehicle_id
         allot.setdefault(lid, 0)
         moves[lid] = tuple(
             (value(model.x_idx.get((lid, i))), value(model.y_idx.get((lid, i))))
-            for i in range(1, len(sk.visits) + 1)
+            for i in range(1, len(route.visits) + 1)
         )
     return LoadingVariables(allot, moves, objective)
 
@@ -396,15 +375,15 @@ def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarra
     x_cols, w0_cols = model.x_idx, model.w0_idx
     minimal = list(given)
     kept = list(given)
-    for sk in model.skeletons:
-        if not sk.visits:
+    for route in model.routes:
+        if not route.visits:
             continue
-        lid = sk.vehicle_id
+        lid = route.vehicle_id
         flow = []  # operative bikes gained from stations alone, after each visit
         depots = []
         gained = 0.0
         running = peak = 0.0  # the given depot takes, summed, and their running maximum
-        for i, node in enumerate(sk.visits, start=1):
+        for i, node in enumerate(route.visits, start=1):
             if node == DEPOT:
                 depots.append(i)
                 running += given[x_cols[lid, i]]
@@ -568,22 +547,23 @@ _GUARD_RESIDUAL = 6
 
 def brute_force_loading(
     instance: Instance,
-    skeletons: tuple[RouteSkeleton, ...] | list[RouteSkeleton],
+    routes: Sequence[Route],
     weights: ObjectiveWeights = ObjectiveWeights(),
 ) -> LoadingVariables:
     """Exhaustively enumerate feasible loadings; oracle for solve_exact.
 
-    Independent of the matrix model: simulates vehicle and station state
-    move by move and explores every integral choice. Guard rails keep the
-    search space small; breaching them raises ValueError.
+    Shares only the route check with the matrix model: simulates vehicle
+    and station state move by move and explores every integral choice.
+    Guard rails keep the search space small; breaching them raises
+    ValueError.
     """
-    skeletons = tuple(sk for sk in skeletons if sk.visits)
-    fleet = {v.id: v for v in instance.fleet}
-    total_visits = sum(len(sk.visits) for sk in skeletons)
+    capacity = _check_routes(instance, routes)
+    routes = tuple(route for route in routes if route.visits)
+    total_visits = sum(len(route.visits) for route in routes)
     if total_visits > _GUARD_VISITS:
         raise ValueError(f"guard rail: {total_visits} visits exceed {_GUARD_VISITS}")
-    for sk in skeletons:
-        if fleet[sk.vehicle_id].capacity > _GUARD_CAPACITY:
+    for route in routes:
+        if capacity[route.vehicle_id] > _GUARD_CAPACITY:
             raise ValueError(f"guard rail: vehicle capacity exceeds {_GUARD_CAPACITY}")
     for s in instance.stations:
         if abs(s.imbalance) > _GUARD_RESIDUAL or s.damaged > _GUARD_RESIDUAL:
@@ -593,7 +573,7 @@ def brute_force_loading(
     rem_dam = {s.id: s.damaged for s in instance.stations}
     stock = instance.depot.operative
     best = {"val": math.inf, "moves": None, "allot": None}
-    moves_now: dict[int, list[tuple[int, int]]] = {sk.vehicle_id: [] for sk in skeletons}
+    moves_now: dict[int, list[tuple[int, int]]] = {route.vehicle_id: [] for route in routes}
     allot_now: dict[int, int] = {}
 
     def leaf_value() -> float:
@@ -616,15 +596,14 @@ def brute_force_loading(
 
     def visit(si: int, vi: int, op: int, dam: int, take_run: int, take_peak: int) -> None:
         nonlocal stock
-        sk = skeletons[si]
-        vehicle = fleet[sk.vehicle_id]
-        if vi == len(sk.visits):
+        route = routes[si]
+        if vi == len(route.visits):
             claimed = max(0, take_peak)
             if claimed > stock:
                 return
-            allot_now[sk.vehicle_id] = claimed
+            allot_now[route.vehicle_id] = claimed
             stock -= claimed
-            if si + 1 < len(skeletons):
+            if si + 1 < len(routes):
                 visit(si + 1, 0, 0, 0, 0, 0)
             elif occupancy_ok():
                 val = leaf_value()
@@ -635,11 +614,11 @@ def brute_force_loading(
                     }
                     best["allot"] = dict(allot_now)
             stock += claimed
-            del allot_now[sk.vehicle_id]
+            del allot_now[route.vehicle_id]
             return
-        node = sk.visits[vi]
-        k = vehicle.capacity
-        last = vi == len(sk.visits) - 1
+        node = route.visits[vi]
+        k = capacity[route.vehicle_id]
+        last = vi == len(route.visits) - 1
         if node == DEPOT:
             y = -dam  # every damaged bike on board is dropped here
             if last:
@@ -651,9 +630,9 @@ def brute_force_loading(
                 peak = max(take_peak, run)
                 if peak > stock:
                     continue
-                moves_now[sk.vehicle_id].append((x, y))
+                moves_now[route.vehicle_id].append((x, y))
                 visit(si, vi + 1, op + x, 0, run, peak)
-                moves_now[sk.vehicle_id].pop()
+                moves_now[route.vehicle_id].pop()
             return
         s = instance.station(node)
         d0 = s.imbalance
@@ -669,13 +648,13 @@ def brute_force_loading(
             for y in range(0, y_hi + 1):
                 rem_imb[node] -= x
                 rem_dam[node] -= y
-                moves_now[sk.vehicle_id].append((x, y))
+                moves_now[route.vehicle_id].append((x, y))
                 visit(si, vi + 1, op + x, dam + y, take_run, take_peak)
-                moves_now[sk.vehicle_id].pop()
+                moves_now[route.vehicle_id].pop()
                 rem_imb[node] += x
                 rem_dam[node] += y
 
-    if skeletons:
+    if routes:
         visit(0, 0, 0, 0, 0, 0)
     else:
         best["val"] = leaf_value()
@@ -687,9 +666,9 @@ def brute_force_loading(
         raise RuntimeError("enumeration found no feasible assignment")
     moves = dict(best["moves"])
     allot = dict(best["allot"])
-    for sk in skeletons:
-        moves.setdefault(sk.vehicle_id, ())
-        allot.setdefault(sk.vehicle_id, 0)
+    for route in routes:
+        moves.setdefault(route.vehicle_id, ())
+        allot.setdefault(route.vehicle_id, 0)
     return LoadingVariables(allot, moves, best["val"])
 
 
@@ -704,8 +683,7 @@ def reoptimize_solution(
     minimizes the same gamma- and station-weighted residuals that the
     objective reports, so the total never rises, whatever the weights.
     """
-    skeletons = tuple(RouteSkeleton.from_route(r) for r in solution.routes)
-    model = build_model(instance, skeletons, weights)
+    model = build_model(instance, solution.routes, weights)
     result = solve_exact(model)
     plans = []
     for route in solution.routes:

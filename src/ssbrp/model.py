@@ -1,13 +1,12 @@
 """Problem data model, feasibility checks, and objective evaluation.
 
 Nodes are integer ids; the depot is always node 0. All model types are
-immutable values and every operation here is a pure function, so instances
-and solutions can be shared freely across workers.
+immutable values and every operation here is a pure function, so an
+instance or a solution can be passed around and reused without copying.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,12 +15,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 DEPOT = 0
-
-
-class StationClass(enum.Enum):
-    BALANCED = "balanced"
-    SURPLUS = "surplus"
-    DEFICIT = "deficit"
 
 
 @dataclass(frozen=True)
@@ -208,14 +201,6 @@ class Solution:
     @property
     def is_empty(self) -> bool:
         return all(not r.visits for r in self.routes)
-
-
-def classify_station(station: Station) -> StationClass:
-    """Balanced, surplus, or deficit according to the sign of the imbalance."""
-    d = station.imbalance
-    if d == 0:
-        return StationClass.BALANCED
-    return StationClass.SURPLUS if d > 0 else StationClass.DEFICIT
 
 
 def route_time(route: Route, travel: TravelMatrix) -> float:

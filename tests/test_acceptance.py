@@ -14,8 +14,8 @@ from conftest import make_instance
 from ssbrp.cli import SWEEP_COLUMNS, main
 from ssbrp.construction import ConstructionParams, construct_solution, select_next
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
-from ssbrp.loading import RouteSkeleton, brute_force_loading, build_model, reoptimize_solution, solve_exact
-from ssbrp.model import ObjectiveWeights, empty_solution, validate_solution
+from ssbrp.loading import brute_force_loading, build_model, reoptimize_solution, solve_exact
+from ssbrp.model import ObjectiveWeights, Route, empty_solution, validate_solution
 from ssbrp.search import RunConfig, run
 
 
@@ -41,7 +41,7 @@ def _oracle_case(seed: int):
     n_veh = int(rng.integers(1, 3))
     fleet = tuple((i + 1, int(rng.integers(2, 5))) for i in range(n_veh))
     inst = make_instance(stations, fleet=fleet, stock=int(rng.integers(0, 5)))
-    skeletons = []
+    routes = []
     for vid, _ in fleet:
         inner = [int(rng.integers(0, n + 1)) for _ in range(int(rng.integers(0, 5)))]
         visits = [0]
@@ -49,21 +49,21 @@ def _oracle_case(seed: int):
             if node != visits[-1]:
                 visits.append(node)
         if len(visits) == 1:
-            skeletons.append(RouteSkeleton(vid, ()))
+            routes.append(Route(vid))
             continue
         if visits[-1] != 0:
             visits.append(0)
-        skeletons.append(RouteSkeleton(vid, tuple(visits)))
-    return inst, skeletons
+        routes.append(Route(vid, tuple(visits)))
+    return inst, routes
 
 
 def test_criterion_1_oracle_equivalence():
     started = time.perf_counter()
     mismatches = []
     for seed in range(1, 201):
-        inst, skeletons = _oracle_case(seed)
-        exact = solve_exact(build_model(inst, skeletons))
-        oracle = brute_force_loading(inst, skeletons)
+        inst, routes = _oracle_case(seed)
+        exact = solve_exact(build_model(inst, routes))
+        oracle = brute_force_loading(inst, routes)
         if exact.objective_value != oracle.objective_value:
             mismatches.append((seed, exact.objective_value, oracle.objective_value))
     elapsed = time.perf_counter() - started

@@ -19,7 +19,7 @@ import pytest
 from conftest import reweighted
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
-from ssbrp.loading import RouteSkeleton, build_model
+from ssbrp.loading import build_model
 from ssbrp.search import RunConfig, run
 
 MASTER_SEEDS = (0, 1, 2)
@@ -47,8 +47,7 @@ def model_digest(instance) -> str:
     h = hashlib.sha256()
     for seed in SKELETON_SEEDS:
         built = construct_solution(instance, ConstructionParams(), np.random.default_rng(seed))
-        skeletons = tuple(RouteSkeleton.from_route(r) for r in built.routes)
-        model = build_model(instance, skeletons)
+        model = build_model(instance, built.routes)
         for name in ("a_ub", "b_ub", "a_eq", "b_eq", "c"):
             array = np.ascontiguousarray(getattr(model, name), dtype=np.float64)
             h.update(f"{name}{array.shape}".encode())

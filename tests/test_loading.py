@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import types
 
 import numpy as np
@@ -14,7 +15,6 @@ from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import (
     LoadingModel,
-    RouteSkeleton,
     brute_force_loading,
     build_model,
     loading_bound,
@@ -33,14 +33,13 @@ from ssbrp.model import (
 )
 
 
-def _plans(instance, skeletons, result):
-    return [LoadingPlan(sk.vehicle_id, result.moves[sk.vehicle_id]) for sk in skeletons]
+def _plans(routes, result):
+    return [LoadingPlan(r.vehicle_id, result.moves[r.vehicle_id]) for r in routes]
 
 
-def _residual_cost(instance, skeletons, result, weights=ObjectiveWeights()):
+def _residual_cost(instance, routes, result, weights=ObjectiveWeights()):
     """Re-derive the objective from the moves alone, bypassing the solver."""
-    routes = [Route(sk.vehicle_id, sk.visits) for sk in skeletons]
-    state = apply_solution(instance, routes, _plans(instance, skeletons, result))
+    state = apply_solution(instance, routes, _plans(routes, result))
     total = 0.0
     for s in instance.stations:
         total += s.weight * (
@@ -52,8 +51,9 @@ def _residual_cost(instance, skeletons, result, weights=ObjectiveWeights()):
 
 @st.composite
 def _models(draw):
-    """An instance and routes of any shape, the depot-only (0,) and (0, 0)
-    and repeated depot and station visits included, plus objective weights."""
+    """An instance and routes of any shape the route check accepts, the
+    depot-only (0,) and depot and station visits repeated later in the route
+    included, plus objective weights. Back-to-back repeats are collapsed."""
     n = draw(st.integers(1, 4))
     stations = []
     for sid in range(1, n + 1):
@@ -63,34 +63,38 @@ def _models(draw):
         q = draw(st.integers(0, cap))
         stations.append((sid, cap, p, a, q, draw(st.sampled_from([0.0, 1.0, 2.5]))))
     fleet = tuple((vid, draw(st.integers(1, 9))) for vid in range(1, draw(st.integers(1, 3)) + 1))
-    skeletons = []
+    routes = []
     for vid, _ in fleet:
-        inner = tuple(draw(st.lists(st.integers(0, n), max_size=7)))
-        if inner:
-            visits = (DEPOT,) + inner + (DEPOT,)
+        visits = [DEPOT]
+        for node in draw(st.lists(st.integers(0, n), max_size=7)):
+            if node != visits[-1]:
+                visits.append(node)
+        if len(visits) > 1:
+            if visits[-1] != DEPOT:
+                visits.append(DEPOT)
         else:
-            visits = draw(st.sampled_from([(), (DEPOT,), (DEPOT, DEPOT)]))
-        skeletons.append(RouteSkeleton(vid, visits))
+            visits = draw(st.sampled_from([(), (DEPOT,)]))
+        routes.append(Route(vid, tuple(visits)))
     stock = draw(st.integers(0, 6))
     depot_capacity = draw(st.none() | st.integers(stock, stock + 6))
     gammas = st.sampled_from([0.5, 1.0, 3.0])
     weights = ObjectiveWeights(draw(gammas), draw(gammas), 1.0)
     inst = make_instance(stations, fleet=fleet, stock=stock, depot_capacity=depot_capacity)
-    return inst, skeletons, weights
+    return inst, routes, weights
 
 
-def _expected_variables(inst, skeletons):
+def _expected_variables(inst, routes):
     """(name, kind, vehicle, visit, node, lower, upper) of each column, by the
     domain rules: depot moves within capacity, station moves toward the
     target and within the residuals, one depot allotment per routed vehicle."""
     capacity = {v.id: v.capacity for v in inst.fleet}
     out = []
-    for sk in skeletons:
-        if not sk.visits:
+    for route in routes:
+        if not route.visits:
             continue
-        vid = sk.vehicle_id
+        vid = route.vehicle_id
         k = capacity[vid]
-        for i, node in enumerate(sk.visits, start=1):
+        for i, node in enumerate(route.visits, start=1):
             if node == DEPOT:
                 out.append((f"x[{vid},{i}]", "x", vid, i, node, -k, k))
                 out.append((f"y[{vid},{i}]", "y", vid, i, node, -k, 0))
@@ -109,16 +113,13 @@ def _expected_variables(inst, skeletons):
 @settings(max_examples=150, deadline=None)
 @given(_models())
 def test_model_columns_and_highs_input(case):
-    inst, skeletons, weights = case
-    model = build_model(inst, skeletons, weights)
-    got = [
-        (v.name, v.kind, v.vehicle_id, v.visit, v.node, v.lower, v.upper)
-        for v in model.variables
-    ]
-    assert got == _expected_variables(inst, skeletons)
-    assert all(type(v.lower) is int and type(v.upper) is int for v in model.variables)
-    assert np.array_equal(model.lower, [v.lower for v in model.variables])
-    assert np.array_equal(model.upper, [v.upper for v in model.variables])
+    inst, routes, weights = case
+    model = build_model(inst, routes, weights)
+    expected = _expected_variables(inst, routes)
+    assert model.columns == [col[1:5] for col in expected]
+    assert model.lower.tolist() == [col[5] for col in expected]
+    assert model.upper.tolist() == [col[6] for col in expected]
+    assert _bounds(model) == [f"{lo} <= {name} <= {hi}" for name, *_, lo, hi in expected]
     if model.n_vars == 0:
         return
     # the matrix HiGHS receives is the stacked dense rows, compressed by column
@@ -147,11 +148,22 @@ def test_model_columns_and_highs_input(case):
     assert np.array_equal(value, expected.data)
 
 
+def _bounds(model):
+    """The lines of the `bounds` section of the model's text form."""
+    lines = model.dump().splitlines()
+    return lines[lines.index("bounds") + 1 :]
+
+
+def _names(model):
+    """The column names, in column order, as the text form gives them."""
+    return [line.split(" <= ")[1] for line in _bounds(model)]
+
+
 def test_check_assignment_checks_every_row():
     # surplus station 1, one vehicle: x at visit 2 is the pickup, w0 the allotment
     inst = make_instance([(1, 10, 7, 0, 5)], fleet=((1, 4),), stock=2)
-    model = build_model(inst, [RouteSkeleton(1, (0, 1, 0))])
-    names = [v.name for v in model.variables]
+    model = build_model(inst, [Route(1, (0, 1, 0))])
+    names = _names(model)
     values = np.zeros(model.n_vars)
     loading._check_assignment(model, values)
     over_allotted = values.copy()  # the allotments exceed the depot stock
@@ -170,7 +182,7 @@ def test_check_assignment_checks_every_row():
 
 def _assignment(model, entries):
     """An assignment of the model's columns by name; the rest are 0."""
-    names = [v.name for v in model.variables]
+    names = _names(model)
     values = np.zeros(model.n_vars)
     for name, value in entries.items():
         values[names.index(name)] = value
@@ -181,7 +193,7 @@ def test_canonical_depot_moves_draw_minimal_stock():
     # deficit station 1: take 3 at the depot, deliver 2, return 1; the rewrite
     # takes only the 2 delivered, returns none and allots 2 of the stock of 3
     inst = make_instance([(1, 10, 3, 0, 5)], fleet=((1, 5),), stock=3)
-    model = build_model(inst, [RouteSkeleton(1, (0, 1, 0))])
+    model = build_model(inst, [Route(1, (0, 1, 0))])
     given = _assignment(model, {"x[1,1]": 3, "x[1,2]": -2, "x[1,3]": -1, "w0[1]": 3})
     loading._check_assignment(model, given)
     want = _assignment(model, {"x[1,1]": 2, "x[1,2]": -2, "x[1,3]": 0, "w0[1]": 2})
@@ -202,33 +214,16 @@ def test_canonical_depot_moves_kept_when_capacity_blocks_the_rewrite(stations, v
     # surplus stations 1 and 2, capacity 2: the vehicle drops its 2 bikes at the
     # mid-route depot visit, where the rewrite may only take
     inst = make_instance(stations, fleet=((1, 2),))
-    model = build_model(inst, [RouteSkeleton(1, visits)])
+    model = build_model(inst, [Route(1, visits)])
     given = _assignment(model, {"x[1,2]": 2, "x[1,3]": -2, "x[1,4]": 2, "x[1,5]": -2})
     loading._check_assignment(model, given)
     got = loading._canonical_depot_moves(model, given)
     assert got.tolist() == given.tolist()  # the depot moves stay, w0 = 0
 
 
-def test_skeleton_requires_depot_endpoints():
-    RouteSkeleton(1, (0, 3, 0))
-    RouteSkeleton(1, ())
-    with pytest.raises(ValueError):
-        RouteSkeleton(1, (3, 0))
-    with pytest.raises(ValueError):
-        RouteSkeleton(1, (0, 3))
-
-
-def test_skeleton_visit_indices_are_one_based():
-    sk = RouteSkeleton(2, (0, 5, 0, 5, 0))
-    assert sk.visit_indices(0) == (1, 3, 5)
-    assert sk.visit_indices(5) == (2, 4)
-    assert sk.visit_indices(9) == ()
-    assert RouteSkeleton.from_route(Route(2, (0, 5, 0))).visits == (0, 5, 0)
-
-
 def test_build_model_no_routes():
     inst = make_instance([(1, 10, 7, 2, 4), (2, 10, 1, 0, 3)])
-    model = build_model(inst, [RouteSkeleton(1, ())])
+    model = build_model(inst, [Route(1, ())])
     assert model.n_vars == 0
     assert model.constant == 3 + 2 + 2
     result = solve_exact(model)
@@ -237,14 +232,14 @@ def test_build_model_no_routes():
 
 def test_build_model_single_surplus_route():
     inst = make_instance([(1, 10, 7, 0, 5)], fleet=((1, 2),), stock=4)
-    model = build_model(inst, [RouteSkeleton(1, (0, 1, 0))])
-    names = [v.name for v in model.variables]
+    model = build_model(inst, [Route(1, (0, 1, 0))])
+    names = _names(model)
     assert names == ["x[1,1]", "y[1,1]", "x[1,2]", "x[1,3]", "y[1,3]", "w0[1]"]
-    by_name = {v.name: v for v in model.variables}
-    assert (by_name["x[1,1]"].lower, by_name["x[1,1]"].upper) == (-2, 2)
-    assert (by_name["y[1,1]"].lower, by_name["y[1,1]"].upper) == (-2, 0)
-    assert (by_name["x[1,2]"].lower, by_name["x[1,2]"].upper) == (0, 2)
-    assert (by_name["w0[1]"].lower, by_name["w0[1]"].upper) == (0, 4)
+    bounds = dict(zip(names, zip(model.lower.tolist(), model.upper.tolist())))
+    assert bounds["x[1,1]"] == (-2, 2)
+    assert bounds["y[1,1]"] == (-2, 0)
+    assert bounds["x[1,2]"] == (0, 2)
+    assert bounds["w0[1]"] == (0, 4)
     # every operative bike picked up is dropped again by route end
     total_x = [row for row in model.a_eq if row[names.index("x[1,2]")] == 1]
     assert any(
@@ -256,19 +251,17 @@ def test_build_model_single_surplus_route():
 
 def test_build_model_balanced_station_has_no_operative_variable():
     inst = make_instance([(1, 10, 5, 3, 5)], fleet=((1, 4),))
-    model = build_model(inst, [RouteSkeleton(1, (0, 1, 0))])
-    station_vars = [v for v in model.variables if v.node == 1]
-    assert [v.kind for v in station_vars] == ["y"]
-    assert (station_vars[0].lower, station_vars[0].upper) == (0, 3)
+    model = build_model(inst, [Route(1, (0, 1, 0))])
+    station_cols = [j for j, col in enumerate(model.columns) if col[3] == 1]
+    assert [model.columns[j][0] for j in station_cols] == ["y"]
+    assert (model.lower[station_cols[0]], model.upper[station_cols[0]]) == (0, 3)
 
 
 def test_build_model_shared_station_row():
     inst = make_instance([(1, 10, 9, 0, 5)], fleet=((1, 3), (2, 3)))
-    skeletons = [RouteSkeleton(1, (0, 1, 0)), RouteSkeleton(2, (0, 1, 0))]
-    model = build_model(inst, skeletons)
-    cols = [
-        i for i, v in enumerate(model.variables) if v.node == 1 and v.kind == "x"
-    ]
+    routes = [Route(1, (0, 1, 0)), Route(2, (0, 1, 0))]
+    model = build_model(inst, routes)
+    cols = [j for j, col in enumerate(model.columns) if col[3] == 1 and col[0] == "x"]
     assert len(cols) == 2
     shared = [
         (row, rhs)
@@ -278,22 +271,43 @@ def test_build_model_shared_station_row():
     assert any(rhs == 4 for _, rhs in shared)
     result = solve_exact(model)
     assert result.objective_value == 0
-    picked = {sk.vehicle_id: result.moves[sk.vehicle_id][1][0] for sk in skeletons}
+    picked = {r.vehicle_id: result.moves[r.vehicle_id][1][0] for r in routes}
     assert sum(picked.values()) == 4
     assert all(0 <= x <= 3 for x in picked.values())
 
 
-def test_build_model_rejects_unknown_ids():
+@pytest.mark.parametrize("phase_two", [build_model, brute_force_loading])
+@pytest.mark.parametrize(
+    "routes, message",
+    [
+        ([Route(9, (0, 1, 0))], "vehicle 9: not in fleet"),
+        ([Route(1, (0, 1, 0)), Route(1)], "vehicle 1: multiple routes assigned"),
+        ([Route(1, (0, 8, 0))], "vehicle 1: unknown node 8"),
+        ([Route(1, (1, 0))], "vehicle 1: route must start and end at the depot"),
+        ([Route(1, (0, 1))], "vehicle 1: route must start and end at the depot"),
+        ([Route(1, (0, 1, 1, 0))], "vehicle 1: visit 2 immediately repeats node 1"),
+        ([Route(1, (0, 0))], "vehicle 1: visit 1 immediately repeats node 0"),
+    ],
+    ids=[
+        "unknown-vehicle",
+        "second-route",
+        "unknown-node",
+        "no-start",
+        "no-end",
+        "repeat-station",
+        "repeat-depot",
+    ],
+)
+def test_route_check_rejects(phase_two, routes, message):
+    # routes that validate_solution rejects; the accepted shapes are drawn by _models
     inst = make_instance([(1, 10, 7, 0, 5)])
-    with pytest.raises(ValueError, match="not in fleet"):
-        build_model(inst, [RouteSkeleton(9, (0, 1, 0))])
-    with pytest.raises(ValueError, match="unknown node"):
-        build_model(inst, [RouteSkeleton(1, (0, 8, 0))])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        phase_two(inst, routes)
 
 
 def test_dump_grammar():
     inst = make_instance([(1, 10, 7, 2, 5)], fleet=((1, 3),), stock=2)
-    model = build_model(inst, [RouteSkeleton(1, (0, 1, 0))])
+    model = build_model(inst, [Route(1, (0, 1, 0))])
     text = model.dump()
     lines = text.strip().split("\n")
     assert lines[0].startswith("min ")
@@ -303,17 +317,18 @@ def test_dump_grammar():
     assert len(constraints) == len(model.a_ub) + len(model.a_eq)
     for line in constraints:
         assert (" <= " in line) != (" = " in line)
-    for line, var in zip(lines[bounds_at + 1 :], model.variables):
-        lo, name, hi = line.split(" <= ")
-        assert name == var.name
-        assert float(lo) == var.lower and float(hi) == var.upper
+    bounds = lines[bounds_at + 1 :]
+    assert len(bounds) == model.n_vars
+    for line, lower, upper in zip(bounds, model.lower, model.upper):
+        lo, _, hi = line.split(" <= ")
+        assert float(lo) == lower and float(hi) == upper
     assert "x[1,2]" in text and "y[1,2]" in text and "w0[1]" in text
 
 
 def test_solve_exact_moves_surplus_to_deficit():
     inst = make_instance([(1, 10, 7, 0, 5), (2, 10, 3, 0, 5)], fleet=((1, 2),))
-    skeletons = [RouteSkeleton(1, (0, 1, 2, 0))]
-    result = solve_exact(build_model(inst, skeletons))
+    routes = [Route(1, (0, 1, 2, 0))]
+    result = solve_exact(build_model(inst, routes))
     assert result.objective_value == 0
     assert result.moves[1] == ((0, 0), (2, 0), (-2, 0), (0, 0))
     assert result.depot_allotment == {1: 0}
@@ -321,8 +336,8 @@ def test_solve_exact_moves_surplus_to_deficit():
 
 def test_solve_exact_draws_on_depot_stock():
     inst = make_instance([(1, 10, 3, 0, 5)], fleet=((1, 5),), stock=3)
-    skeletons = [RouteSkeleton(1, (0, 1, 0))]
-    result = solve_exact(build_model(inst, skeletons))
+    routes = [Route(1, (0, 1, 0))]
+    result = solve_exact(build_model(inst, routes))
     assert result.objective_value == 0
     assert result.depot_allotment == {1: 2}
     assert result.moves[1] == ((2, 0), (-2, 0), (0, 0))
@@ -330,7 +345,7 @@ def test_solve_exact_draws_on_depot_stock():
 
 def test_solve_exact_without_stock_leaves_deficit():
     inst = make_instance([(1, 10, 3, 0, 5)], fleet=((1, 5),))
-    result = solve_exact(build_model(inst, [RouteSkeleton(1, (0, 1, 0))]))
+    result = solve_exact(build_model(inst, [Route(1, (0, 1, 0))]))
     assert result.objective_value == 2
     assert result.moves[1] == ((0, 0), (0, 0), (0, 0))
     assert result.depot_allotment == {1: 0}
@@ -340,27 +355,26 @@ def test_solve_exact_forces_damaged_room_at_full_deficit_station():
     # filling this station to its target only fits if damaged bikes leave too:
     # target 8 plus 3 damaged would overflow the 10 docks
     inst = make_instance([(1, 10, 2, 3, 8)], fleet=((1, 6),), stock=7)
-    skeletons = [RouteSkeleton(1, (0, 1, 0))]
-    result = solve_exact(build_model(inst, skeletons))
+    routes = [Route(1, (0, 1, 0))]
+    result = solve_exact(build_model(inst, routes))
     assert result.objective_value == 0
     x, y = result.moves[1][1]
     assert x == -6
     assert y == 3
-    routes = [Route(1, (0, 1, 0))]
-    assert validate_solution(inst, routes, _plans(inst, skeletons, result)) == []
-    oracle = brute_force_loading(inst, skeletons)
+    assert validate_solution(inst, routes, _plans(routes, result)) == []
+    oracle = brute_force_loading(inst, routes)
     assert oracle.objective_value == result.objective_value
 
 
 def test_brute_force_guard_rails():
     inst = make_instance([(1, 10, 7, 0, 5)], fleet=((1, 7),))
     with pytest.raises(ValueError, match="guard rail"):
-        brute_force_loading(inst, [RouteSkeleton(1, (0, 1, 0))])
+        brute_force_loading(inst, [Route(1, (0, 1, 0))])
     inst = make_instance([(1, 20, 12, 0, 5)], fleet=((1, 4),))
     with pytest.raises(ValueError, match="guard rail"):
-        brute_force_loading(inst, [RouteSkeleton(1, (0, 1, 0))])
+        brute_force_loading(inst, [Route(1, (0, 1, 0))])
     inst = make_instance([(1, 10, 7, 0, 5)], fleet=((1, 4),))
-    big = RouteSkeleton(1, (0,) + (1, 0) * 6)
+    big = Route(1, (0,) + (1, 0) * 6)
     with pytest.raises(ValueError, match="guard rail"):
         brute_force_loading(inst, [big])
 
@@ -382,7 +396,7 @@ def _random_case(rng, weighted):
     n_veh = int(rng.integers(1, 3))
     fleet = tuple((i + 1, int(rng.integers(2, 5))) for i in range(n_veh))
     inst = make_instance(stations, fleet=fleet, stock=int(rng.integers(0, 5)))
-    skeletons = []
+    routes = []
     remaining = 10 - 2 * n_veh
     for vid, _ in fleet:
         inner_len = int(rng.integers(0, min(3, remaining) + 1))
@@ -394,21 +408,20 @@ def _random_case(rng, weighted):
                 visits.append(node)
         if len(visits) == 1:
             # all picks collapsed into the depot: an unused vehicle
-            skeletons.append(RouteSkeleton(vid, ()))
+            routes.append(Route(vid))
             continue
         if visits[-1] != 0:
             visits.append(0)
-        skeletons.append(RouteSkeleton(vid, tuple(visits)))
-    return inst, skeletons
+        routes.append(Route(vid, tuple(visits)))
+    return inst, routes
 
 
-def _check_case(inst, skeletons, weights=ObjectiveWeights()):
-    exact = solve_exact(build_model(inst, skeletons, weights))
-    oracle = brute_force_loading(inst, skeletons, weights)
-    assert exact.objective_value == oracle.objective_value, skeletons
-    assert _residual_cost(inst, skeletons, exact, weights) == exact.objective_value
-    routes = [Route(sk.vehicle_id, sk.visits) for sk in skeletons]
-    assert validate_solution(inst, routes, _plans(inst, skeletons, exact)) == []
+def _check_case(inst, routes, weights=ObjectiveWeights()):
+    exact = solve_exact(build_model(inst, routes, weights))
+    oracle = brute_force_loading(inst, routes, weights)
+    assert exact.objective_value == oracle.objective_value, routes
+    assert _residual_cost(inst, routes, exact, weights) == exact.objective_value
+    assert validate_solution(inst, routes, _plans(routes, exact)) == []
 
 
 def _check_against_brute_force(seed, trials, weighted):
@@ -440,7 +453,7 @@ def _guarded_cases(draw):
         cap = draw(st.integers(max(p + a, q), max(p + a, q) + 3))
         stations.append((sid, cap, p, a, q, draw(st.sampled_from([1.0, 0.5, 2.0, 3.0]))))
     fleet = tuple((vid, draw(st.integers(1, 5))) for vid in range(1, draw(st.integers(1, 2)) + 1))
-    skeletons = []
+    routes = []
     for vid, _ in fleet:
         visits = [DEPOT]
         for node in draw(st.lists(st.integers(0, n), max_size=4)):
@@ -448,13 +461,13 @@ def _guarded_cases(draw):
                 visits.append(node)
         if visits[-1] != DEPOT:
             visits.append(DEPOT)
-        skeletons.append(RouteSkeleton(vid, tuple(visits) if len(visits) > 1 else ()))
+        routes.append(Route(vid, tuple(visits) if len(visits) > 1 else ()))
     gammas = st.sampled_from([0.0, 0.5, 1.0, 2.0, 10.0])
     weights = ObjectiveWeights(draw(gammas), draw(gammas), 1.0)
     stock = draw(st.integers(0, 5))
     depot_capacity = draw(st.none() | st.integers(stock, stock + 3))
     inst = make_instance(stations, fleet=fleet, stock=stock, depot_capacity=depot_capacity)
-    return inst, skeletons, weights
+    return inst, routes, weights
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,9 +491,9 @@ def _count_lps(monkeypatch):
 
 def test_fractional_root_is_branched_and_matches_brute_force(monkeypatch):
     inst = make_instance([(1, 9, 8, 1, 3), (6, 11, 7, 1, 11), (9, 9, 8, 1, 8)], fleet=((1, 4),))
-    skeletons = [RouteSkeleton(1, (0, 9, 1, 6, 1, 0))]
+    routes = [Route(1, (0, 9, 1, 6, 1, 0))]
     calls = _count_lps(monkeypatch)
-    _check_case(inst, skeletons)
+    _check_case(inst, routes)
     # the root LP is fractional: nodes are re-solved after bound changes
     assert len(calls) > 1
 
@@ -517,13 +530,13 @@ def test_shrunk_fractional_roots_match_brute_force(monkeypatch, name):
     stations, fleet, routes = _FRACTIONAL_ROOTS[name]
     inst = make_instance(stations, fleet=fleet)
     calls = _count_lps(monkeypatch)
-    _check_case(inst, [RouteSkeleton(vid, visits) for vid, visits in routes])
+    _check_case(inst, [Route(vid, visits) for vid, visits in routes])
     assert len(calls) > 1
 
 
 def test_root_integral_solve_takes_one_lp(monkeypatch):
     inst = make_instance([(1, 10, 8, 0, 5), (2, 10, 2, 0, 5)], fleet=((1, 5),))
-    model = build_model(inst, [RouteSkeleton(1, (0, 1, 2, 0))])
+    model = build_model(inst, [Route(1, (0, 1, 2, 0))])
     calls = _count_lps(monkeypatch)
     for solves in (1, 2, 3):
         assert solve_exact(model).objective_value == 0
@@ -539,7 +552,7 @@ def test_lp_failure_raises(monkeypatch, status, message):
     failed = getattr(loading.highs.HighsModelStatus, status)
     monkeypatch.setattr(loading, "linprog", lambda lp, lower, upper: (failed, math.nan, None))
     inst = make_instance([(1, 10, 8, 0, 5), (2, 10, 2, 0, 5)], fleet=((1, 5),))
-    model = build_model(inst, [RouteSkeleton(1, (0, 1, 2, 0))])
+    model = build_model(inst, [Route(1, (0, 1, 2, 0))])
     with pytest.raises(RuntimeError, match=message):
         solve_exact(model)
 
@@ -550,12 +563,12 @@ def test_assignment_respects_domains_and_stock():
         fleet=((1, 4), (2, 3)),
         stock=3,
     )
-    skeletons = [RouteSkeleton(1, (0, 1, 2, 0, 3, 0)), RouteSkeleton(2, (0, 3, 2, 0))]
-    result = solve_exact(build_model(inst, skeletons))
+    routes = [Route(1, (0, 1, 2, 0, 3, 0)), Route(2, (0, 3, 2, 0))]
+    result = solve_exact(build_model(inst, routes))
     assert sum(result.depot_allotment.values()) <= 3
     assert all(w >= 0 for w in result.depot_allotment.values())
-    for sk in skeletons:
-        for node, (x, y) in zip(sk.visits, result.moves[sk.vehicle_id]):
+    for route in routes:
+        for node, (x, y) in zip(route.visits, result.moves[route.vehicle_id]):
             if node == 0:
                 assert y <= 0
                 continue
@@ -584,7 +597,7 @@ def test_reoptimize_improves_myopic_plan():
         before.objective.imbalance + before.objective.damaged
     )
     assert after.plans[0].moves == ((0, 0), (0, 0), (2, 0), (-2, 0), (0, 0))
-    oracle = brute_force_loading(inst, [RouteSkeleton(1, routes[0].visits)])
+    oracle = brute_force_loading(inst, routes)
     assert oracle.objective_value == 1
 
 
@@ -723,8 +736,8 @@ def test_full_depot_takes_no_bikes_in():
         removed = sum(s.operative - after.final_operative[s.id] for s in inst.stations)
         removed += sum(s.damaged - after.final_damaged[s.id] for s in inst.stations)
         assert removed <= 1
-    skeletons = [RouteSkeleton(1, (0, 1, 2, 0)), RouteSkeleton(2, (0, 2, 1, 0))]
-    _check_case(inst, skeletons)
+    routes = [Route(1, (0, 1, 2, 0)), Route(2, (0, 2, 1, 0))]
+    _check_case(inst, routes)
 
 
 def test_reoptimize_keeps_total_when_gammas_differ():
@@ -745,8 +758,8 @@ def test_solver_prefers_heavy_station_when_weighted():
         [(1, 10, 6, 0, 4, 5.0), (2, 10, 6, 0, 4, 1.0)],
         fleet=((1, 2),),
     )
-    skeletons = [RouteSkeleton(1, (0, 1, 2, 0))]
-    result = solve_exact(build_model(inst, skeletons))
+    routes = [Route(1, (0, 1, 2, 0))]
+    result = solve_exact(build_model(inst, routes))
     # both stations hold surplus 2 but the vehicle has room for only one
     # station's worth; the weight decides which residual survives
     assert result.moves[1][1] == (2, 0)
@@ -757,8 +770,8 @@ def test_solver_prefers_heavy_station_when_weighted():
 def test_mid_route_depot_swap():
     # k=2 vehicle must shuttle: surplus 4 cannot all travel at once
     inst = make_instance([(1, 10, 9, 0, 5), (2, 10, 1, 0, 5)], fleet=((1, 2),))
-    skeletons = [RouteSkeleton(1, (0, 1, 2, 0, 1, 2, 0))]
-    result = solve_exact(build_model(inst, skeletons))
+    routes = [Route(1, (0, 1, 2, 0, 1, 2, 0))]
+    result = solve_exact(build_model(inst, routes))
     assert result.objective_value == 0
-    oracle = brute_force_loading(inst, skeletons)
+    oracle = brute_force_loading(inst, routes)
     assert oracle.objective_value == 0

@@ -14,24 +14,16 @@ from ssbrp.model import (
     ObjectiveWeights,
     Route,
     Station,
-    StationClass,
     TravelMatrix,
     Vehicle,
     apply_solution,
     check_instance,
-    classify_station,
     empty_solution,
     evaluate_objective,
     route_time,
     solution_from_plans,
     validate_solution,
 )
-
-
-def test_classify_station():
-    assert classify_station(Station(1, 10, 3, 0, 3)) is StationClass.BALANCED
-    assert classify_station(Station(1, 10, 5, 0, 3)) is StationClass.SURPLUS
-    assert classify_station(Station(1, 10, 1, 0, 4)) is StationClass.DEFICIT
 
 
 def _travel(entries):
