@@ -239,7 +239,10 @@ def apply_visit(
     beta: int,
     alpha: int,
 ) -> None:
-    """Commit one visit: extend route and plan, update loads and residuals."""
+    """Commit one visit: extend route and plan, update loads and residuals.
+
+    A move that overloads the vehicle or overdraws the depot stock or the free
+    lockers raises ValueError, with the state already updated."""
     k = vehicle.capacity
     state.elapsed += instance.travel.time(visits[-1], v_star)
     if v_star == DEPOT:
@@ -276,8 +279,10 @@ def apply_visit(
     state.min_free_lockers = min(
         state.min_free_lockers, k - state.onboard_operative - state.onboard_damaged
     )
-    assert 0 <= state.onboard_operative + state.onboard_damaged <= k
-    assert state.depot_remaining >= 0 and state.min_free_lockers >= 0
+    if not 0 <= state.onboard_operative + state.onboard_damaged <= k:
+        raise ValueError(f"visit to {v_star}: vehicle {vehicle.id} load outside [0, {k}]")
+    if state.depot_remaining < 0 or state.min_free_lockers < 0:
+        raise ValueError(f"visit to {v_star}: depot stock or free lockers below zero")
 
 
 def build_route(

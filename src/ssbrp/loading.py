@@ -29,6 +29,7 @@ from .model import (
     ObjectiveWeights,
     Route,
     Solution,
+    _route_faults,
     evaluate_objective,
     solution_from_plans,
 )
@@ -128,34 +129,6 @@ def _expr(names: list[str], coefs: np.ndarray, constant: float = 0.0) -> str:
     return " ".join(parts)
 
 
-def _check_routes(instance: Instance, routes: Sequence[Route]) -> dict[int, int]:
-    """Raise ValueError on a route that phase two cannot take; return the
-    vehicle capacities by vehicle id.
-
-    A route belongs to a vehicle of the fleet that has no other route,
-    visits only the depot and the instance's stations, and, unless empty,
-    starts and ends at the depot without visiting one node twice in a row.
-    """
-    capacity = {v.id: v.capacity for v in instance.fleet}
-    seen: set[int] = set()
-    for route in routes:
-        tag = f"vehicle {route.vehicle_id}"
-        visits = route.visits
-        if route.vehicle_id not in capacity:
-            raise ValueError(f"{tag}: not in fleet")
-        if route.vehicle_id in seen:
-            raise ValueError(f"{tag}: multiple routes assigned")
-        seen.add(route.vehicle_id)
-        if visits and (visits[0] != DEPOT or visits[-1] != DEPOT):
-            raise ValueError(f"{tag}: route must start and end at the depot")
-        for i, node in enumerate(visits):
-            if node != DEPOT and not instance.is_station(node):
-                raise ValueError(f"{tag}: unknown node {node}")
-            if i and node == visits[i - 1]:
-                raise ValueError(f"{tag}: visit {i} immediately repeats node {node}")
-    return capacity
-
-
 def build_model(
     instance: Instance,
     routes: Sequence[Route],
@@ -165,10 +138,14 @@ def build_model(
 
     The objective is ``gamma_d`` times the station-weighted leftover
     imbalance plus ``gamma_a`` times the station-weighted damaged bikes left:
-    the part of the reported total that the loading decides, times D.
+    the part of the reported total that the loading decides, times D. Raises
+    ValueError with the first route fault ``validate_solution`` reports.
     """
     routes = tuple(routes)
-    capacity = _check_routes(instance, routes)
+    for faults in _route_faults(instance, routes):
+        if faults:
+            raise ValueError(faults[0])
+    capacity = {v.id: v.capacity for v in instance.fleet}
 
     columns: list[tuple[str, int, int, int]] = []  # (kind, vehicle_id, visit, node)
     lower: list[int] = []
@@ -361,59 +338,54 @@ def _assignment_to_result(
 
 
 def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarray:
-    """Set the depot moves and allotments of an integral assignment, station moves fixed.
+    """Set the depot moves and allotments of an integral assignment from its station moves.
 
-    Among assignments that tie on the objective (it has no depot or w0
-    terms), prefer the one without shuttle artifacts (take-then-return):
-    each intermediate depot visit takes only what upcoming deliveries still
-    need, the final visit drops the rest, and w0 is what the takes add up
-    to. When vehicle capacity blocks that rewrite, keep the depot moves and
-    set each w0 to the smallest value covering its cumulative depot takes.
-    Raises RuntimeError when that assignment violates the program too.
+    The objective has no depot or w0 terms, so this breaks ties; it reads no
+    depot column of ``values``. At each depot visit but the last, ``held``,
+    the net operative bikes drawn from the depot so far, becomes
+    ``min(max(held, need), room)``: up to the next depot visit, the vehicle
+    needs ``need`` (minus the least station flow) on board and can carry
+    ``room`` (the least ``k - damaged on board - station flow``). The last
+    visit drops the rest, every depot visit the damaged bikes, and w0 is the
+    largest ``held``, at least 0: the least stock these station moves draw.
+    The assignment's own ``held`` lies in ``[need, room]``, so the result is
+    feasible; it is checked all the same.
     """
-    given = values.tolist()  # Python floats: NumPy scalars cost more per step
-    x_cols, w0_cols = model.x_idx, model.w0_idx
-    minimal = list(given)
-    kept = list(given)
+    leaf = values.tolist()  # Python floats: NumPy scalars cost more per step
+    x_cols, y_cols = model.x_idx, model.y_idx
     for route in model.routes:
         if not route.visits:
             continue
         lid = route.vehicle_id
-        flow = []  # operative bikes gained from stations alone, after each visit
-        depots = []
-        gained = 0.0
-        running = peak = 0.0  # the given depot takes, summed, and their running maximum
+        k = float(model.upper[x_cols[lid, 1]])  # the first visit is the depot: x within ±k
+        flow = damaged = 0.0  # station moves on board so far
+        held = peak = 0.0
+        open_at = 0  # the depot visit whose segment is open
         for i, node in enumerate(route.visits, start=1):
             if node == DEPOT:
-                depots.append(i)
-                running += given[x_cols[lid, i]]
-                peak = max(peak, running)
-            elif (lid, i) in x_cols:
-                gained += given[x_cols[lid, i]]
-            flow.append(gained)
-        kept[w0_cols[lid]] = max(0.0, round(peak))
-        cum = 0.0
-        for j, end in zip(depots, depots[1:]):
-            needed = -min(flow[j - 1:end - 1])
-            take = max(cum, needed) - cum
-            minimal[x_cols[lid, j]] = take
-            cum += take
-        minimal[x_cols[lid, depots[-1]]] = -(flow[-1] + cum)
-        minimal[w0_cols[lid]] = max(0.0, cum)
-    bounds = zip(model.lower.tolist(), minimal, model.upper.tolist())
-    if all(lo - 1e-9 <= x <= hi + 1e-9 for lo, x, hi in bounds):
-        minimal = np.array(minimal)
-        try:
-            _check_assignment(model, minimal)
-            return minimal
-        except RuntimeError:
-            pass
-    kept = np.array(kept)
-    _check_assignment(model, kept)
-    return kept
+                if open_at:
+                    drawn = min(max(held, need), room)
+                    leaf[x_cols[lid, open_at]] = drawn - held
+                    held = drawn
+                    peak = max(peak, held)
+                leaf[y_cols[lid, i]] = -damaged
+                damaged = 0.0
+                open_at, need, room = i, -flow, k - flow
+                continue
+            if (lid, i) in x_cols:
+                flow += leaf[x_cols[lid, i]]
+            if (lid, i) in y_cols:
+                damaged += leaf[y_cols[lid, i]]
+            need = max(need, -flow)
+            room = min(room, k - damaged - flow)
+        leaf[x_cols[lid, open_at]] = -(flow + held)
+        leaf[model.w0_idx[lid]] = peak
+    leaf = np.array(leaf)
+    _check_assignment(model, leaf)
+    return leaf
 
 
-def _relaxation(model: LoadingModel, lower: np.ndarray, upper: np.ndarray) -> highs._Highs:
+def _relaxation(model: LoadingModel) -> highs._Highs:
     """The model's LP relaxation as one HiGHS model, with presolve off.
 
     Presolve is most of a HiGHS run on models this small, and a B&B node
@@ -436,8 +408,8 @@ def _relaxation(model: LoadingModel, lower: np.ndarray, upper: np.ndarray) -> hi
         highs.ObjSense.kMinimize,
         0.0,
         model.c,
-        lower,
-        upper,
+        model.lower,
+        model.upper,
         np.concatenate((np.full(len(model.b_ub), -highs.kHighsInf), model.b_eq)),
         np.concatenate((model.b_ub, model.b_eq)),
         start.astype(np.int32),
@@ -471,15 +443,15 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
     Deterministic: branching follows (vehicle, visit, x before y) order,
     explores the larger-magnitude value first, and ties between equal
     incumbents keep the first one found. Depot allotments are never branched
-    on: each integral leaf's depot moves and allotments are set once, by
-    ``_canonical_depot_moves``, to draw minimal stock. An LP that HiGHS
-    proves infeasible prunes its node; any other non-optimal LP status
-    raises RuntimeError.
+    on: each integral leaf keeps its station moves, and its depot moves and
+    allotments follow from them by one rule, ``_canonical_depot_moves``,
+    that draws the least stock. An LP that HiGHS proves infeasible prunes
+    its node; any other non-optimal LP status raises RuntimeError.
     """
     if model.n_vars == 0:
         return _assignment_to_result(model, None, model.constant)
 
-    lp = _relaxation(model, model.lower, model.upper)
+    lp = _relaxation(model)
 
     best_val = math.inf
     best_values: np.ndarray | None = None
@@ -532,6 +504,8 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
 
 
 def _check_assignment(model: LoadingModel, values: np.ndarray) -> None:
+    if np.any(values < model.lower - 1e-6) or np.any(values > model.upper + 1e-6):
+        raise RuntimeError("rounded assignment violates a column bound")
     lhs = model.a @ values
     n_ub = len(model.b_ub)
     if np.any(lhs[:n_ub] > model.b_ub + 1e-6):
@@ -557,7 +531,10 @@ def brute_force_loading(
     Guard rails keep the search space small; breaching them raises
     ValueError.
     """
-    capacity = _check_routes(instance, routes)
+    for faults in _route_faults(instance, routes):
+        if faults:
+            raise ValueError(faults[0])
+    capacity = {v.id: v.capacity for v in instance.fleet}
     routes = tuple(route for route in routes if route.visits)
     total_visits = sum(len(route.visits) for route in routes)
     if total_visits > _GUARD_VISITS:

@@ -357,6 +357,37 @@ def empty_solution(instance: Instance, weights: ObjectiveWeights) -> Solution:
     return solution_from_plans(instance, routes, plans, weights)
 
 
+def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]]:
+    """Each route's shape faults: a vehicle outside the fleet or with an earlier
+    route, a nonempty route not from and back to the depot, a node visited twice
+    in a row, unknown nodes. ``validate_solution`` reports them; phase two
+    raises the first."""
+    fleet = {v.id for v in instance.fleet}
+    seen: set[int] = set()
+    out: list[list[str]] = []
+    for route in routes:
+        tag = f"vehicle {route.vehicle_id}"
+        visits = route.visits
+        faults: list[str] = []
+        out.append(faults)
+        if route.vehicle_id not in fleet:
+            faults.append(f"{tag}: not in fleet")
+            continue
+        if route.vehicle_id in seen:
+            faults.append(f"{tag}: multiple routes assigned")
+            continue
+        seen.add(route.vehicle_id)
+        if visits and (visits[0] != DEPOT or visits[-1] != DEPOT):
+            faults.append(f"{tag}: route must start and end at the depot")
+        for i, (a, b) in enumerate(zip(visits, visits[1:])):
+            if a == b:
+                faults.append(f"{tag}: visit {i + 1} immediately repeats node {a}")
+        unknown = [n for n in visits if n != DEPOT and not instance.is_station(n)]
+        if unknown:
+            faults.append(f"{tag}: unknown nodes {sorted(set(unknown))}")
+    return out
+
+
 def validate_solution(
     instance: Instance,
     routes: Sequence[Route],
@@ -366,42 +397,26 @@ def validate_solution(
 
     Station and depot inventories are replayed in canonical event order:
     routes in the given order, visits in route order. Never raises; any
-    structural defect is reported as a violation.
+    structural defect is reported as a violation, and a route with one is
+    not replayed.
     """
     out: list[str] = []
     if len(routes) != len(plans):
         out.append(f"structure: {len(routes)} routes but {len(plans)} plans")
     fleet = {v.id: v for v in instance.fleet}
-    seen_vehicles: set[int] = set()
     simulatable: list[tuple[Route, LoadingPlan, Vehicle]] = []
 
-    for route, plan in zip(routes, plans):
+    for route, plan, faults in zip(routes, plans, _route_faults(instance, routes)):
         rid = route.vehicle_id
         tag = f"vehicle {rid}"
         if plan.vehicle_id != rid:
             out.append(f"{tag}: paired with plan for vehicle {plan.vehicle_id}")
             continue
-        if rid not in fleet:
-            out.append(f"{tag}: not in fleet")
-            continue
-        if rid in seen_vehicles:
-            out.append(f"{tag}: multiple routes assigned")
-            continue
-        seen_vehicles.add(rid)
+        out += faults
         if len(route.visits) != len(plan.moves):
             out.append(f"{tag}: {len(route.visits)} visits but {len(plan.moves)} moves")
-            continue
-        if route.visits:
-            if route.visits[0] != DEPOT or route.visits[-1] != DEPOT:
-                out.append(f"{tag}: route must start and end at the depot")
-            for i, (a, b) in enumerate(zip(route.visits, route.visits[1:])):
-                if a == b:
-                    out.append(f"{tag}: visit {i + 1} immediately repeats node {a}")
-        unknown = [n for n in route.visits if n != DEPOT and not instance.is_station(n)]
-        if unknown:
-            out.append(f"{tag}: unknown nodes {sorted(set(unknown))}")
-            continue
-        simulatable.append((route, plan, fleet[rid]))
+        elif not faults:
+            simulatable.append((route, plan, fleet[rid]))
 
     # Per-vehicle load and time limits.
     for route, plan, veh in simulatable:

@@ -257,6 +257,25 @@ def test_apply_visit_surplus_updates_free_lockers():
     assert state.min_free_lockers == 1
 
 
+@pytest.mark.parametrize(
+    "station, message",
+    [
+        # a pickup of 5 at a surplus station, onto a vehicle that holds 4
+        ((1, 30, 20, 0, 4), r"vehicle 1 load outside \[0, 4\]"),
+        # a delivery of 5 at a deficit station, drawn from an empty depot
+        ((1, 30, 0, 0, 20), "depot stock or free lockers below zero"),
+    ],
+    ids=["overload", "overdraw"],
+)
+def test_apply_visit_rejects_a_move_feasible_successors_would_not_offer(station, message):
+    inst = make_instance([station], fleet=((1, 4),))
+    state = BuildState.fresh(inst)
+    vehicle = inst.fleet[0]
+    state.start_vehicle(vehicle)
+    with pytest.raises(ValueError, match=message):
+        apply_visit(inst, state, vehicle, [DEPOT], [(0, 0)], 1, 5, 0)
+
+
 def test_build_route_nothing_to_do():
     inst = make_instance([(1, 10, 5, 0, 5)])
     state = BuildState.fresh(inst)

@@ -135,7 +135,7 @@ def test_model_columns_and_highs_input(case):
     saved = loading.highs
     loading.highs = core
     try:
-        loading._relaxation(model, model.lower, model.upper)
+        loading._relaxation(model)
     finally:
         loading.highs = saved
     (args,) = passed
@@ -166,11 +166,17 @@ def test_check_assignment_checks_every_row():
     names = _names(model)
     values = np.zeros(model.n_vars)
     loading._check_assignment(model, values)
-    over_allotted = values.copy()  # the allotments exceed the depot stock
-    over_allotted[names.index("w0[1]")] = 3
-    assert np.count_nonzero(model.a_ub @ over_allotted > model.b_ub) == 1
-    assert np.array_equal(model.a_eq @ over_allotted, model.b_eq)
+    unallotted = values.copy()  # a bike taken at the depot and returned, none allotted
+    unallotted[names.index("x[1,1]")] = 1
+    unallotted[names.index("x[1,3]")] = -1
+    assert np.count_nonzero(model.a_ub @ unallotted > model.b_ub) == 1
+    assert np.array_equal(model.a_eq @ unallotted, model.b_eq)
     with pytest.raises(RuntimeError, match="inequality"):
+        loading._check_assignment(model, unallotted)
+    over_allotted = values.copy()  # an allotment above the depot stock, its upper bound
+    over_allotted[names.index("w0[1]")] = 3
+    assert model.upper[names.index("w0[1]")] == 2
+    with pytest.raises(RuntimeError, match="column bound"):
         loading._check_assignment(model, over_allotted)
     kept_on_board = values.copy()  # a pickup that is never dropped
     kept_on_board[names.index("x[1,2]")] = 1
@@ -190,7 +196,7 @@ def _assignment(model, entries):
 
 
 def test_canonical_depot_moves_draw_minimal_stock():
-    # deficit station 1: take 3 at the depot, deliver 2, return 1; the rewrite
+    # deficit station 1: take 3 at the depot, deliver 2, return 1; the rule
     # takes only the 2 delivered, returns none and allots 2 of the stock of 3
     inst = make_instance([(1, 10, 3, 0, 5)], fleet=((1, 5),), stock=3)
     model = build_model(inst, [Route(1, (0, 1, 0))])
@@ -203,22 +209,74 @@ def test_canonical_depot_moves_draw_minimal_stock():
 @pytest.mark.parametrize(
     "stations, visits",
     [
-        # the rewrite's last depot visit would drop 4 bikes, past its bound of 2
+        # taking only, the last depot visit would drop 4 bikes, past its bound of 2
         ([(1, 10, 7, 0, 5), (2, 10, 7, 0, 5)], (0, 1, 0, 2, 0)),
-        # within every bound, but it would carry 4 bikes from station 2 to 3
+        # taking only, the vehicle would carry 4 bikes from station 2 to 3
         ([(1, 10, 7, 0, 5), (2, 10, 7, 0, 5), (3, 10, 3, 0, 5)], (0, 1, 0, 2, 3, 0)),
     ],
     ids=["bound", "load-row"],
 )
-def test_canonical_depot_moves_kept_when_capacity_blocks_the_rewrite(stations, visits):
-    # surplus stations 1 and 2, capacity 2: the vehicle drops its 2 bikes at the
-    # mid-route depot visit, where the rewrite may only take
+def test_canonical_depot_moves_drop_mid_route_only_where_capacity_forces_it(stations, visits):
+    # surplus stations 1 and 2, capacity 2: the vehicle must drop its 2 bikes at
+    # the mid-route depot visit to pick up at station 2
     inst = make_instance(stations, fleet=((1, 2),))
     model = build_model(inst, [Route(1, visits)])
     given = _assignment(model, {"x[1,2]": 2, "x[1,3]": -2, "x[1,4]": 2, "x[1,5]": -2})
     loading._check_assignment(model, given)
     got = loading._canonical_depot_moves(model, given)
     assert got.tolist() == given.tolist()  # the depot moves stay, w0 = 0
+
+
+def test_canonical_depot_moves_drop_only_the_forced_bikes():
+    # vehicle 3 of a wien-90 leaf (instance seed 1), shrunk: it picks up 14 at
+    # station 73, and HiGHS's leaf drops 10 of them at the depot. Picking up 7
+    # and 1 damaged at station 49 forces a drop of 2 only; the other 8 ride on,
+    # and the last depot visit takes them back
+    inst = make_instance(
+        [(49, 16, 15, 1, 8), (73, 26, 20, 0, 6), (74, 20, 4, 0, 15)], fleet=((3, 20),)
+    )
+    model = build_model(inst, [Route(3, (0, 73, 0, 49, 74, 0))])
+    station = {"x[3,2]": 14, "x[3,4]": 7, "y[3,4]": 1, "x[3,5]": -11, "y[3,6]": -1}
+    given = _assignment(model, {**station, "x[3,3]": -10})
+    loading._check_assignment(model, given)
+    want = _assignment(model, {**station, "x[3,3]": -2, "x[3,6]": -8})
+    assert loading._canonical_depot_moves(model, given).tolist() == want.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models())
+def test_depot_moves_follow_from_station_moves(case):
+    inst, routes, weights = case
+    model = build_model(inst, routes, weights)
+    rule = loading._canonical_depot_moves
+    leaves = []  # the rounded LP leaves solve_exact hands to the rule
+
+    def recorded(model, values):
+        leaves.append(values)
+        return rule(model, values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loading, "_canonical_depot_moves", recorded)
+        solve_exact(model)
+    depot = [j for j, (kind, *_, node) in enumerate(model.columns) if kind == "w0" or node == DEPOT]
+    station = [j for j in range(model.n_vars) if j not in depot]
+    for values in leaves:
+        leaf = rule(model, values)
+        loading._check_assignment(model, leaf)
+        assert leaf[station].tolist() == values[station].tolist()
+        for route in model.routes:
+            if not route.visits:
+                continue
+            # the stock the route needs: its largest net delivery before the last visit
+            lid, flow, need = route.vehicle_id, 0, 0
+            for i, node in enumerate(route.visits[:-1], start=1):
+                if node != DEPOT and (lid, i) in model.x_idx:
+                    flow += values[model.x_idx[lid, i]]
+                need = max(need, -flow)
+            assert leaf[model.w0_idx[lid]] == need
+        zeroed = values.copy()
+        zeroed[depot] = 0
+        assert rule(model, zeroed).tolist() == leaf.tolist()
 
 
 def test_build_model_no_routes():
@@ -282,7 +340,7 @@ def test_build_model_shared_station_row():
     [
         ([Route(9, (0, 1, 0))], "vehicle 9: not in fleet"),
         ([Route(1, (0, 1, 0)), Route(1)], "vehicle 1: multiple routes assigned"),
-        ([Route(1, (0, 8, 0))], "vehicle 1: unknown node 8"),
+        ([Route(1, (0, 8, 0))], "vehicle 1: unknown nodes [8]"),
         ([Route(1, (1, 0))], "vehicle 1: route must start and end at the depot"),
         ([Route(1, (0, 1))], "vehicle 1: route must start and end at the depot"),
         ([Route(1, (0, 1, 1, 0))], "vehicle 1: visit 2 immediately repeats node 1"),
@@ -299,10 +357,13 @@ def test_build_model_shared_station_row():
     ],
 )
 def test_route_check_rejects(phase_two, routes, message):
-    # routes that validate_solution rejects; the accepted shapes are drawn by _models
+    # phase two raises the first fault validate_solution reports; the accepted
+    # shapes are drawn by _models
     inst = make_instance([(1, 10, 7, 0, 5)])
     with pytest.raises(ValueError, match=re.escape(message)):
         phase_two(inst, routes)
+    plans = [LoadingPlan(r.vehicle_id, ((0, 0),) * len(r.visits)) for r in routes]
+    assert message in validate_solution(inst, routes, plans)
 
 
 def test_dump_grammar():
