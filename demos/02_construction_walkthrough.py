@@ -35,7 +35,7 @@ minutes = np.array([
     [10, 10, 0, 10],
     [5, 10, 10, 0],
 ], dtype=float)
-travel = TravelMatrix(minutes, {0: 0, 1: 1, 2: 2, 3: 3})
+travel = TravelMatrix(minutes)
 instance = Instance(
     stations=stations,
     depot=Depot(operative=2),

@@ -39,7 +39,7 @@ minutes = np.array([
     [8, 6, 0, 8],
     [6, 8, 8, 0],
 ], dtype=float)
-travel = TravelMatrix(minutes, {0: 0, 1: 1, 2: 2, 3: 3})
+travel = TravelMatrix(minutes)
 instance = Instance(
     stations=stations,
     depot=Depot(operative=2),

@@ -121,29 +121,22 @@ def cmd_sweep(args) -> int:
 
     thetas = tuple(args.theta) if args.theta else DEFAULT_THETA_GRID
     mus = tuple(args.mu) if args.mu else DEFAULT_MU_GRID
-    cells: dict[tuple[str, float, float], list[tuple[float, int, float]]] = {}
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(SWEEP_COLUMNS)
     failed = False
     for label, instances in corpora:
         for theta in thetas:
             for mu in mus:
+                results = []
                 for instance in instances:
                     for seed in range(args.seed, args.seed + args.seeds):
                         try:
-                            result = _sweep_run(instance, theta, mu, seed, args)
+                            results.append(_sweep_run(instance, theta, mu, seed, args))
                         except Exception as exc:  # reported per run; the sweep goes on
                             print(f"sweep cell ({label}, {theta}, {mu}) seed {seed} failed: {exc}",
                                   file=sys.stderr)
                             failed = True
-                            continue
-                        cells.setdefault((label, theta, mu), []).append(result)
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(SWEEP_COLUMNS)
-    for label, instances in corpora:
-        for theta in thetas:
-            for mu in mus:
-                results = cells.get((label, theta, mu), [])
                 if results:
                     totals = [r[0] for r in results]
                     iters = [r[1] for r in results]

@@ -244,7 +244,7 @@ def apply_visit(
     A move that overloads the vehicle or overdraws the depot stock or the free
     lockers raises ValueError, with the state already updated."""
     k = vehicle.capacity
-    state.elapsed += instance.travel.time(visits[-1], v_star)
+    state.elapsed += instance.travel_time(visits[-1], v_star)
     if v_star == DEPOT:
         visits.append(DEPOT)
         moves.append((0, -state.onboard_damaged))
@@ -312,7 +312,7 @@ def build_route(
         dx, dy = moves[-1]
         moves[-1] = (dx - state.onboard_operative, dy - state.onboard_damaged)
     else:
-        state.elapsed += instance.travel.time(visits[-1], DEPOT)
+        state.elapsed += instance.travel_time(visits[-1], DEPOT)
         visits.append(DEPOT)
         moves.append((-state.onboard_operative, -state.onboard_damaged))
     state.onboard_operative = 0

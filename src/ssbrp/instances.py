@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    DEPOT,
     Depot,
     Instance,
     LoadingPlan,
@@ -126,15 +125,10 @@ def parse_instance(document: dict) -> Instance:
             for j, cell in enumerate(row):
                 _finite(cell, f"travel_min[{i}][{j}]")
         raise
-    node_index = {DEPOT: 0}
-    for pos, s in enumerate(stations, start=1):
-        node_index[s.id] = pos
-    travel = TravelMatrix(minutes, node_index)
-
     instance = Instance(
         stations=tuple(stations),
         depot=depot,
-        travel=travel,
+        travel=TravelMatrix(minutes),
         fleet=tuple(fleet),
         time_budget=time_budget,
         metric=metric,
@@ -149,13 +143,7 @@ def _plain_number(x: float):
 
 def write_instance(instance: Instance) -> dict:
     """Serialize an Instance to its canonical document."""
-    idx = instance.travel.node_index
-    order = [DEPOT] + [s.id for s in instance.stations]
-    m = instance.travel.minutes
-    matrix = [
-        [_plain_number(m[idx[u], idx[v]]) for v in order]
-        for u in order
-    ]
+    matrix = [[_plain_number(x) for x in row] for row in instance.travel.minutes.tolist()]
     depot_doc: dict = {"operative": instance.depot.operative}
     if instance.depot.capacity is not None:
         depot_doc["capacity"] = instance.depot.capacity
@@ -241,12 +229,11 @@ def parse_solution(
         plans.append(LoadingPlan(vehicle_id, tuple(moves)))
 
     if weights is None:
-        params = document.get("params") or {}
-        weights = ObjectiveWeights(
-            gamma_d=float(params.get("gamma_d", 1.0)),
-            gamma_a=float(params.get("gamma_a", 1.0)),
-            gamma_t=float(params.get("gamma_t", 1.0)),
-        )
+        params = _get(document, "params", "", dict) if "params" in document else {}
+        weights = ObjectiveWeights(*(
+            _number(params, key, "params.") if key in params else 1.0
+            for key in ("gamma_d", "gamma_a", "gamma_t")
+        ))
     violations = validate_solution(instance, routes, plans)
     if violations:
         raise DocumentError("infeasible solution document: " + "; ".join(violations))
@@ -354,13 +341,11 @@ def generate_instance(config: GeneratorConfig) -> Instance:
         for j in range(i + 1, n):
             dist = math.hypot(coords[i][0] - coords[j][0], coords[i][1] - coords[j][1])
             matrix[i, j] = matrix[j, i] = math.ceil(dist * _MIN_PER_KM)
-    node_index = {DEPOT: 0}
-    node_index.update({s.id: pos for pos, s in enumerate(stations, start=1)})
 
     instance = Instance(
         stations=tuple(stations),
         depot=Depot(operative=stock),
-        travel=TravelMatrix(matrix, node_index),
+        travel=TravelMatrix(matrix),
         fleet=tuple(Vehicle(id=i, capacity=capacity) for i in range(1, n_vehicles + 1)),
         time_budget=float(budget),
         metric=True,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,42 +50,28 @@ class Vehicle:
 
 @dataclass(frozen=True, eq=False)
 class TravelMatrix:
-    """Travel times in minutes between all node pairs.
+    """Travel times in minutes between all node pairs, as a read-only array.
 
-    Row/column 0 is the depot; station ids are mapped to matrix positions
-    through ``node_index``.
+    Rows and columns follow ``Instance.nodes``: position 0 is the depot and
+    position i >= 1 is ``stations[i-1]``, as in the instance document.
     """
 
     minutes: np.ndarray
-    node_index: Mapping[int, int]
 
     def __post_init__(self):
         m = np.array(self.minutes, dtype=float)
         m.flags.writeable = False
         object.__setattr__(self, "minutes", m)
 
-    def time(self, u: int, v: int) -> float:
-        try:
-            return float(self.minutes[self.node_index[u], self.node_index[v]])
-        except KeyError:
-            raise ValueError(f"unknown node id {u if u not in self.node_index else v}")
-
     def __eq__(self, other) -> bool:
-        """The same nodes and the same time for every pair, whatever the layout."""
         if not isinstance(other, TravelMatrix):
             return NotImplemented
-        nodes = list(self.node_index)
-        if set(nodes) != set(other.node_index):
-            return False
-        mine = [self.node_index[n] for n in nodes]
-        theirs = [other.node_index[n] for n in nodes]
-        return np.array_equal(
-            self.minutes[np.ix_(mine, mine)], other.minutes[np.ix_(theirs, theirs)]
-        )
+        return np.array_equal(self.minutes, other.minutes)
 
 
 class _Lookup(NamedTuple):
-    """Travel minutes as Python floats, laid out for phase one's station scans.
+    """Travel minutes as Python floats, laid out for phase one's station scans;
+    ``Instance.travel_time`` reads them too.
 
     Station-ordered lists follow ``Instance.stations``.
     """
@@ -99,6 +85,8 @@ class _Lookup(NamedTuple):
 
 @dataclass(frozen=True)
 class Instance:
+    """A repositioning instance; ``travel`` is laid out in ``nodes`` order."""
+
     stations: tuple[Station, ...]
     depot: Depot
     travel: TravelMatrix
@@ -119,21 +107,24 @@ class Instance:
     def nodes(self) -> tuple[int, ...]:
         return (DEPOT,) + tuple(s.id for s in self.stations)
 
+    def travel_time(self, u: int, v: int) -> float:
+        """Minutes from node u to node v."""
+        lookup = self._lookup
+        try:
+            row, to_depot = lookup.rows[u]
+            return to_depot if v == DEPOT else row[lookup.position[v]]
+        except KeyError as exc:
+            raise ValueError(f"unknown node id {exc.args[0]}") from None
+
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {s.id: s for s in self.stations})
 
     @cached_property
     def _lookup(self) -> _Lookup:
         """Built on first use, not at parse; not a field, so outside ``==``."""
-        idx = self.travel.node_index
-        nodes = self.nodes
-        try:
-            order = [idx[n] for n in nodes]
-        except KeyError as exc:
-            raise ValueError(f"unknown node id {exc.args[0]}") from None
-        minutes = self.travel.minutes[np.ix_(order, order)].tolist()
+        minutes = self.travel.minutes.tolist()
         return _Lookup(
-            rows={n: (row[1:], row[0]) for n, row in zip(nodes, minutes)},
+            rows={n: (row[1:], row[0]) for n, row in zip(self.nodes, minutes)},
             back=[row[0] for row in minutes[1:]],
             ids=[s.id for s in self.stations],
             position={s.id: i for i, s in enumerate(self.stations)},
@@ -164,7 +155,10 @@ class ObjectiveWeights:
     gamma_t: float = 1.0
 
     def __post_init__(self):
-        if min(self.gamma_d, self.gamma_a, self.gamma_t) < 0:
+        gammas = (self.gamma_d, self.gamma_a, self.gamma_t)
+        if not all(math.isfinite(g) for g in gammas):
+            raise ValueError("objective weights must be finite")
+        if min(gammas) < 0:
             raise ValueError("objective weights must be nonnegative")
         if self.gamma_d == self.gamma_a == self.gamma_t == 0:
             raise ValueError("at least one objective weight must be positive")
@@ -203,11 +197,11 @@ class Solution:
         return all(not r.visits for r in self.routes)
 
 
-def route_time(route: Route, travel: TravelMatrix) -> float:
+def route_time(route: Route, instance: Instance) -> float:
     """Total travel time of the visit sequence; an empty route takes 0."""
     total = 0.0
     for u, v in zip(route.visits, route.visits[1:]):
-        total += travel.time(u, v)
+        total += instance.travel_time(u, v)
     return total
 
 
@@ -249,13 +243,8 @@ def check_instance(instance: Instance) -> None:
     if not math.isfinite(instance.time_budget) or instance.time_budget <= 0:
         raise ValueError("time_budget_min: must be finite and positive")
 
-    nodes = instance.nodes
-    idx = instance.travel.node_index
-    missing = [n for n in nodes if n not in idx]
-    if missing:
-        raise ValueError(f"travel_min: missing nodes {missing}")
     m = instance.travel.minutes
-    n = len(nodes)
+    n = len(instance.nodes)
     if m.shape != (n, n):
         raise ValueError(f"travel_min: expected {n}x{n} matrix, got {m.shape}")
     if not np.all(np.isfinite(m)) or np.any(m < 0):
@@ -297,7 +286,7 @@ def apply_solution(
                 damaged[node] -= d_dam
             else:
                 raise ValueError(f"vehicle {route.vehicle_id}: visit to unknown node {node}")
-        times[route.vehicle_id] = route_time(route, instance.travel)
+        times[route.vehicle_id] = route_time(route, instance)
     return FinalState(operative, damaged, depot_op, depot_dam, times)
 
 
@@ -437,7 +426,7 @@ def validate_solution(
                 out.append(f"{tag}: visit {i}: load {op + dam} exceeds capacity {veh.capacity}")
         if route.visits and (op != 0 or dam != 0):
             out.append(f"{tag}: not empty at route end (operative={op}, damaged={dam})")
-        t = route_time(route, instance.travel)
+        t = route_time(route, instance)
         if t > instance.time_budget:
             out.append(f"{tag}: route time {t:g} exceeds budget {instance.time_budget:g}")
 

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 from hypothesis import strategies as st
 
-from ssbrp.model import DEPOT, Depot, Instance, Station, TravelMatrix, Vehicle
+from ssbrp.model import Depot, Instance, Station, TravelMatrix, Vehicle
 
 
 def make_instance(
@@ -36,12 +36,10 @@ def make_instance(
         np.fill_diagonal(matrix, 0.0)
     else:
         matrix = np.asarray(travel, dtype=float)
-    node_index = {0: 0}
-    node_index.update({s.id: i + 1 for i, s in enumerate(built)})
     return Instance(
         stations=tuple(built),
         depot=Depot(stock, depot_capacity),
-        travel=TravelMatrix(matrix, node_index),
+        travel=TravelMatrix(matrix),
         fleet=tuple(Vehicle(vid, cap) for vid, cap in fleet),
         time_budget=float(time_budget),
         metric=metric,
@@ -58,8 +56,8 @@ def reweighted(instance):
 
 @st.composite
 def random_instances(draw, max_stations=6):
-    """A valid instance: unique ids, permuted matrix positions, float minutes
-    and weights; when flagged metric, the matrix is its shortest-path closure."""
+    """A valid instance: unique ids, float minutes and weights; when flagged
+    metric, the matrix is its shortest-path closure."""
     ids = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=max_stations, unique=True))
     stations = []
     for sid in ids:
@@ -69,9 +67,7 @@ def random_instances(draw, max_stations=6):
         target = draw(st.integers(0, capacity))
         weight = draw(st.floats(0, 1e6, allow_nan=False, allow_infinity=False))
         stations.append(Station(sid, capacity, operative, damaged, target, weight))
-    nodes = [DEPOT] + ids
-    n = len(nodes)
-    position = draw(st.permutations(range(n)))
+    n = len(ids) + 1
     minutes = st.floats(0, 1e4, allow_nan=False, allow_infinity=False)
     matrix = np.array([[0.0 if a == b else draw(minutes) for b in range(n)] for a in range(n)])
     metric = draw(st.booleans())
@@ -81,12 +77,10 @@ def random_instances(draw, max_stations=6):
     stock = draw(st.integers(0, 50))
     depot_capacity = draw(st.none() | st.integers(stock, stock + 50))
     vehicle_ids = draw(st.lists(st.integers(1, 10**6), max_size=4, unique=True))
-    laid_out = np.empty_like(matrix)
-    laid_out[np.ix_(position, position)] = matrix
     return Instance(
         stations=tuple(stations),
         depot=Depot(stock, depot_capacity),
-        travel=TravelMatrix(laid_out, dict(zip(nodes, position))),
+        travel=TravelMatrix(matrix),
         fleet=tuple(Vehicle(vid, draw(st.integers(1, 30))) for vid in vehicle_ids),
         time_budget=draw(st.floats(1e-3, 1e5, allow_nan=False, allow_infinity=False)),
         metric=metric,

@@ -100,6 +100,26 @@ def test_solve_rejects_bad_runtime_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_rejects_non_finite_gamma(tmp_path, capsys):
+    inst_path = _generate(tmp_path)
+    argv = ["solve", "--instance", str(inst_path), "--max-iter", "3", "--gamma-d", "nan"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: objective weights must be finite\n"
+
+
+def test_validate_reports_malformed_params(tmp_path, capsys):
+    inst_path = _generate(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    argv = ["solve", "--instance", str(inst_path), "--out", str(sol_path), "--max-iter", "2"]
+    assert main(argv) == 0
+    doc = json.loads(sol_path.read_text())
+    doc["params"] = [1]
+    sol_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst_path), "--solution", str(sol_path)]) == 1
+    assert capsys.readouterr().out == "params: wrong type\n"
+
+
 def test_validate_flags_overload_and_stale_objective(tmp_path, capsys):
     inst_path = _generate(tmp_path)
     sol_path = tmp_path / "sol.json"

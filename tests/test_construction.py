@@ -393,10 +393,17 @@ def _reference_max_movable(state, station, vehicle):
     return beta, alpha
 
 
+def _reference_time(instance, u, v):
+    """Minutes from u to v, read off the matrix at the nodes' positions in
+    ``Instance.nodes``, not through ``Instance._lookup``."""
+    nodes = instance.nodes
+    return float(instance.travel.minutes[nodes.index(u), nodes.index(v)])
+
+
 def _reference_successors(instance, state, u, vehicle):
-    """Reference for feasible_successors: one TravelMatrix.time call per travel time."""
-    travel = instance.travel
+    """Reference for feasible_successors: one matrix read per travel time."""
     budget = instance.time_budget
+    elapsed = state.elapsed
     out = {}
     for s in instance.stations:
         v = s.id
@@ -404,18 +411,19 @@ def _reference_successors(instance, state, u, vehicle):
             continue
         if state.residual_imbalance[v] == 0 and state.residual_damaged[v] <= 0:
             continue
-        if state.elapsed + travel.time(u, v) + travel.time(v, DEPOT) > budget:
+        if elapsed + _reference_time(instance, u, v) + _reference_time(instance, v, DEPOT) > budget:
             continue
         beta, alpha = _reference_max_movable(state, s, vehicle)
         if beta + alpha > 0:
             out[v] = (beta, alpha)
-    if u != DEPOT and state.onboard_damaged > 0 and state.elapsed + travel.time(u, DEPOT) <= budget:
-        out[DEPOT] = (0, 0)
+    if u != DEPOT and state.onboard_damaged > 0:
+        if elapsed + _reference_time(instance, u, DEPOT) <= budget:
+            out[DEPOT] = (0, 0)
     return out
 
 
 def _reference_ratio(instance, state, params, u, v, beta, alpha):
-    t = instance.travel.time(u, v)
+    t = _reference_time(instance, u, v)
     if v == DEPOT:
         return math.inf if t == 0 else params.mu * state.onboard_damaged / t
     if t == 0:
@@ -426,22 +434,17 @@ def _reference_ratio(instance, state, params, u, v, beta, alpha):
 
 @st.composite
 def _phase_one_cases(draw):
-    """A small instance with permuted matrix positions, a build state and a current node."""
+    """A small instance, a build state and a current node."""
     ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True))
-    nodes = [DEPOT] + ids
-    node_index = dict(zip(nodes, draw(st.permutations(range(len(nodes))))))
+    n = len(ids) + 1
     minutes = st.sampled_from([0.0, 0.5, 1.0, 2.75, 7.0, 12.5, 30.0, 61.1])
-    matrix = np.zeros((len(nodes), len(nodes)))
-    for a in nodes:
-        for b in nodes:
-            if a != b:
-                matrix[node_index[a], node_index[b]] = draw(minutes)
+    matrix = np.array([[0.0 if a == b else draw(minutes) for b in range(n)] for a in range(n)])
     weights = st.sampled_from([0.0, 0.5, 1.0, 1.75, 3.0])
     stations = tuple(Station(sid, 30, 0, 0, 0, draw(weights)) for sid in ids)
     instance = Instance(
         stations=stations,
         depot=Depot(0),
-        travel=TravelMatrix(matrix, node_index),
+        travel=TravelMatrix(matrix),
         fleet=(),
         time_budget=draw(st.sampled_from([5.0, 20.0, 45.5, 120.0])),
     )
@@ -462,7 +465,7 @@ def _phase_one_cases(draw):
     params = ConstructionParams(
         theta=draw(st.sampled_from([0.25, 0.5, 1.0])), mu=draw(st.sampled_from([0.5, 1.5, 4.0]))
     )
-    u = draw(st.sampled_from(nodes))
+    u = draw(st.sampled_from(instance.nodes))
     return instance, state, vehicle, params, u
 
 
@@ -582,14 +585,9 @@ def _construction_cases(draw):
     times, damaged bikes), construction params, a seed, and a shuffled
     station-id order."""
     ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=7, unique=True))
-    nodes = [DEPOT] + ids
-    node_index = dict(zip(nodes, draw(st.permutations(range(len(nodes))))))
+    n = len(ids) + 1
     minutes = st.sampled_from([0.0, 0.5, 1.0, 2.75, 7.0, 12.5, 30.0])
-    matrix = np.zeros((len(nodes), len(nodes)))
-    for a in nodes:
-        for b in nodes:
-            if a != b:
-                matrix[node_index[a], node_index[b]] = draw(minutes)
+    matrix = np.array([[0.0 if a == b else draw(minutes) for b in range(n)] for a in range(n)])
     stations = []
     for sid in ids:
         capacity = draw(st.integers(1, 30))
@@ -603,7 +601,7 @@ def _construction_cases(draw):
     instance = Instance(
         stations=tuple(stations),
         depot=Depot(stock, draw(st.none() | st.integers(stock, stock + 8))),
-        travel=TravelMatrix(matrix, node_index),
+        travel=TravelMatrix(matrix),
         fleet=tuple(Vehicle(i, k) for i, k in enumerate(capacities, start=1)),
         time_budget=draw(st.sampled_from([5.0, 20.0, 45.5, 120.0, 1000.0])),
     )

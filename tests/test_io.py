@@ -44,7 +44,7 @@ def test_parse_minimal_document():
     assert inst.station(1).weight == 1.0
     assert inst.depot.operative == 4
     assert inst.depot.capacity is None
-    assert inst.travel.time(1, 2) == 3.0
+    assert inst.travel_time(1, 2) == 3.0
     assert inst.time_budget == 120.0
     assert inst.metric is False
     assert inst.fleet[0].capacity == 12
@@ -209,7 +209,7 @@ def test_generator_damaged_fraction_behavior():
 def test_generator_keeps_stations_reachable():
     inst = generate_instance(GeneratorConfig(time_budget_min=26.0, seed=8))
     for s in inst.stations:
-        assert 2 * inst.travel.time(0, s.id) <= inst.time_budget
+        assert 2 * inst.travel_time(0, s.id) <= inst.time_budget
     with pytest.raises(ValueError, match="time budget too small"):
         generate_instance(GeneratorConfig(time_budget_min=1.0, seed=8))
 
@@ -275,6 +275,29 @@ def test_parse_solution_uses_stored_gammas():
     assert parsed.objective.total == 0.0
     heavier = parse_solution(doc, inst, weights=ObjectiveWeights())
     assert heavier.objective.total > 0.0
+    doc["params"] = {"gamma_t": 0}  # absent gammas default to 1.0
+    assert parse_solution(doc, inst).objective == base.objective
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ([1], r"^params: wrong type$"),
+        ("abc", r"^params: wrong type$"),
+        ({"gamma_d": "x"}, r"^params\.gamma_d: wrong type$"),
+        ({"gamma_a": True}, r"^params\.gamma_a: wrong type$"),
+        ({"gamma_d": float("nan")}, r"^params\.gamma_d: must be a finite number$"),
+        ({"gamma_t": 10**400}, r"^params\.gamma_t: must be a finite number$"),
+    ],
+    ids=["list", "string", "string-gamma", "bool-gamma", "nan-gamma", "huge-gamma"],
+)
+def test_parse_solution_rejects_malformed_params(params, message):
+    inst = make_instance([(1, 10, 7, 0, 5)])
+    sol = solution_from_plans(inst, [Route(1)], [LoadingPlan(1)], ObjectiveWeights())
+    doc = write_solution(sol, params={})
+    doc["params"] = params
+    with pytest.raises(DocumentError, match=message):
+        parse_solution(json.loads(json.dumps(doc)), inst)
 
 
 def test_parse_solution_rejects_infeasible_documents():

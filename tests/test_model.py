@@ -26,52 +26,65 @@ from ssbrp.model import (
 )
 
 
-def _travel(entries):
-    n = len(entries)
-    return TravelMatrix(np.array(entries, dtype=float), {i: i for i in range(n)})
+def _instance(entries):
+    """An instance whose stations 1..n-1 sit at matrix positions 1..n-1."""
+    stations = [(sid, 10, 5, 0, 3) for sid in range(1, len(entries))]
+    return make_instance(stations, travel=np.array(entries, dtype=float))
 
 
-def test_travel_matrix_equality_ignores_layout():
+def test_travel_time_reads_the_matrix_in_node_order():
     minutes = np.array([[0.0, 4.0, 7.5], [3.0, 0.0, 1.0], [2.0, 6.0, 0.0]])
-    a = TravelMatrix(minutes, {0: 0, 5: 1, 9: 2})
-    # the same times with stations 5 and 9 swapped in the matrix
-    b = TravelMatrix(minutes[np.ix_([0, 2, 1], [0, 2, 1])], {0: 0, 9: 1, 5: 2})
-    assert a == b
-    assert a != TravelMatrix(minutes, {0: 0, 9: 1, 5: 2})
-    assert a != TravelMatrix(minutes, {0: 0, 5: 1, 8: 2})
+    inst = make_instance([(9, 10, 5, 0, 3), (5, 10, 5, 0, 3)], travel=minutes)
+    assert inst.nodes == (DEPOT, 9, 5)
+    for i, u in enumerate(inst.nodes):
+        for j, v in enumerate(inst.nodes):
+            assert inst.travel_time(u, v) == minutes[i, j]
+    assert inst.travel_time(DEPOT, 5) == 7.5
+    assert inst.travel_time(5, DEPOT) == 2.0
+    assert inst.travel_time(9, 5) == 1.0
+    for u, v in ((7, 5), (9, 7), (7, DEPOT), (DEPOT, 7)):
+        with pytest.raises(ValueError, match="unknown node id 7"):
+            inst.travel_time(u, v)
+
+
+def test_travel_matrix_equality_is_array_equality():
+    minutes = np.array([[0.0, 4.0, 7.5], [3.0, 0.0, 1.0], [2.0, 6.0, 0.0]])
+    travel = TravelMatrix(minutes)
+    assert travel == TravelMatrix(minutes.copy())
+    assert travel != TravelMatrix(minutes[np.ix_([0, 2, 1], [0, 2, 1])])
+    assert travel != TravelMatrix(minutes[:2, :2])
+    with pytest.raises(ValueError, match="read-only"):
+        travel.minutes[0, 1] = 5.0
 
 
 def test_route_time_empty_route_is_zero():
-    travel = _travel([[0, 10], [12, 0]])
-    assert route_time(Route(1), travel) == 0
+    assert route_time(Route(1), _instance([[0, 10], [12, 0]])) == 0
 
 
 def test_route_time_sums_arcs():
-    travel = _travel([[0, 10], [12, 0]])
-    assert route_time(Route(1, (0, 1, 0)), travel) == 22
+    assert route_time(Route(1, (0, 1, 0)), _instance([[0, 10], [12, 0]])) == 22
 
 
 def test_route_time_two_stations():
-    travel = _travel([[0, 10, 99], [99, 0, 5], [12, 99, 0]])
-    assert route_time(Route(1, (0, 1, 2, 0)), travel) == 27
+    inst = _instance([[0, 10, 99], [99, 0, 5], [12, 99, 0]])
+    assert route_time(Route(1, (0, 1, 2, 0)), inst) == 27
 
 
 def test_route_time_unknown_node():
-    travel = _travel([[0, 10], [12, 0]])
-    with pytest.raises(ValueError):
-        route_time(Route(1, (0, 7, 0)), travel)
+    with pytest.raises(ValueError, match="unknown node id 7"):
+        route_time(Route(1, (0, 7, 0)), _instance([[0, 10], [12, 0]]))
 
 
 def test_route_time_additive_under_concatenation():
     rng = np.random.default_rng(5)
     m = rng.integers(1, 30, size=(4, 4)).astype(float)
     np.fill_diagonal(m, 0)
-    travel = TravelMatrix(m, {i: i for i in range(4)})
+    inst = _instance(m)
     left = (0, 1, 2)
     right = (2, 3, 0)
     whole = Route(1, left + right[1:])
-    assert route_time(whole, travel) == route_time(Route(1, left), travel) + route_time(
-        Route(1, right), travel
+    assert route_time(whole, inst) == route_time(Route(1, left), inst) + route_time(
+        Route(1, right), inst
     )
 
 
@@ -181,6 +194,13 @@ def test_objective_weights_validated():
         ObjectiveWeights(0, 0, 0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("gamma", ["gamma_d", "gamma_a", "gamma_t"])
+def test_objective_weights_must_be_finite(gamma, bad):
+    with pytest.raises(ValueError, match="objective weights must be finite"):
+        ObjectiveWeights(**{gamma: bad})
+
+
 def test_total_combines_terms_with_weights():
     inst = make_instance([(1, 10, 5, 1, 3)], fleet=((1, 20),), time_budget=100.0)
     routes = [Route(1, (0, 1, 0))]
@@ -240,7 +260,7 @@ def test_check_instance_rejects_bad_matrix():
     wrong_shape = Instance(
         stations=(Station(1, 10, 5, 0, 3), Station(2, 10, 5, 0, 3)),
         depot=Depot(0),
-        travel=TravelMatrix(np.zeros((2, 2)), {0: 0, 1: 1, 2: 1}),
+        travel=TravelMatrix(np.zeros((2, 2))),
         fleet=(Vehicle(1, 5),),
         time_budget=100.0,
     )

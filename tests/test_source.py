@@ -1,0 +1,45 @@
+"""Source checks: every name a module of the package imports at top level is
+used in that module. ``__init__.py`` is skipped, since its imports are the
+package's re-exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ssbrp"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Top-level imported names that no ``ast.Name`` in the module reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_check_finds_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Mapping, Sequence\n"
+        "def f(x: Sequence) -> float:\n"
+        "    return np.sum(x)\n"
+    )
+    assert _unused_imports(source) == ["os", "Mapping"]
+
+
+def test_modules_are_found():
+    assert len(MODULES) >= 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
