@@ -56,8 +56,8 @@ print(model.dump())
 
 result = solve_exact(model)
 print(f"\noptimal residual count: {result.objective_value:g}")
-print(f"depot allotment per vehicle: {result.depot_allotment}")
-for node, move in zip(route.visits, result.moves[1]):
+(plan,) = result.plans  # one plan per route, in route order
+for node, move in zip(route.visits, plan.moves):
     print(f"  node {node}: move {move}")
 
 # the exhaustive oracle explores every integral choice move by move

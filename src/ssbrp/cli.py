@@ -15,6 +15,7 @@ from .instances import (
     DocumentError,
     Family,
     GeneratorConfig,
+    _number,
     generate_instance,
     parse_instance,
     parse_solution,
@@ -179,6 +180,9 @@ def cmd_validate(args) -> int:
         print(str(exc))
         return 1
     stored = document.get("objective", {})
+    if not isinstance(stored, dict):
+        print("objective: wrong type")
+        return 1
     labels = ("imbalance", "damaged", "time", "total")
     recomputed_values = (
         recomputed.objective.imbalance,
@@ -188,11 +192,13 @@ def cmd_validate(args) -> int:
     )
     status = 0
     for label, value in zip(labels, recomputed_values):
-        if label not in stored:
-            print(f"objective.{label}: missing")
+        try:
+            number = _number(stored, label, "objective.")
+        except DocumentError as exc:  # missing, not a number, or not finite
+            print(exc)
             status = 1
             continue
-        if abs(float(stored[label]) - value) > 1e-9:
+        if abs(number - value) > 1e-9:
             print(f"objective.{label}: stored {stored[label]} but recomputed {value:.12f}")
             status = 1
     if status == 0:

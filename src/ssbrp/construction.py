@@ -38,8 +38,8 @@ class ConstructionParams:
     def __post_init__(self):
         if not 0 < self.theta <= 1:
             raise ValueError("theta must lie in (0, 1]")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
 
 
 @dataclass

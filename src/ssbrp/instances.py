@@ -200,15 +200,11 @@ def write_solution(
     return doc
 
 
-def parse_solution(
-    document: dict,
-    instance: Instance,
-    weights: ObjectiveWeights | None = None,
-) -> Solution:
+def parse_solution(document: dict, instance: Instance) -> Solution:
     """Rebuild a Solution from a document, revalidating against the instance.
 
-    The objective is recomputed, not trusted; weights default to the gammas
-    stored in the document's params (1.0 each when absent).
+    The objective is recomputed, not trusted, with the gammas stored in the
+    document's params (1.0 each when absent).
     """
     routes_doc = _get(document, "routes", "", list)
     routes = []
@@ -228,12 +224,11 @@ def parse_solution(
         routes.append(Route(vehicle_id, tuple(visits)))
         plans.append(LoadingPlan(vehicle_id, tuple(moves)))
 
-    if weights is None:
-        params = _get(document, "params", "", dict) if "params" in document else {}
-        weights = ObjectiveWeights(*(
-            _number(params, key, "params.") if key in params else 1.0
-            for key in ("gamma_d", "gamma_a", "gamma_t")
-        ))
+    params = _get(document, "params", "", dict) if "params" in document else {}
+    weights = ObjectiveWeights(*(
+        _number(params, key, "params.") if key in params else 1.0
+        for key in ("gamma_d", "gamma_a", "gamma_t")
+    ))
     violations = validate_solution(instance, routes, plans)
     if violations:
         raise DocumentError("infeasible solution document: " + "; ".join(violations))

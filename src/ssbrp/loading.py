@@ -40,13 +40,13 @@ _NODE_LIMIT = 500_000
 
 @dataclass(frozen=True)
 class LoadingVariables:
-    """An integral assignment: per-vehicle depot allotments and per-visit moves."""
+    """An optimal loading: one plan per route given, in that order, and its objective value."""
 
-    depot_allotment: dict[int, int]
-    moves: dict[int, tuple[tuple[int, int], ...]]
+    plans: tuple[LoadingPlan, ...]
     objective_value: float
 
 
+@dataclass(frozen=True, eq=False)
 class LoadingModel:
     """The loading integer program in matrix form.
 
@@ -59,38 +59,26 @@ class LoadingModel:
     the row blocks of one column-major matrix ``a``.
     """
 
-    def __init__(
-        self,
-        routes: tuple[Route, ...],
-        columns: list[tuple[str, int, int, int]],
-        lower: np.ndarray,
-        upper: np.ndarray,
-        x_idx: dict[tuple[int, int], int],
-        y_idx: dict[tuple[int, int], int],
-        w0_idx: dict[int, int],
-        c: np.ndarray,
-        constant: float,
-        a: np.ndarray,
-        b_ub: np.ndarray,
-        b_eq: np.ndarray,
-    ):
-        self.routes = routes
-        self.columns = columns
-        self.lower = lower
-        self.upper = upper
-        self.x_idx = x_idx
-        self.y_idx = y_idx
-        self.w0_idx = w0_idx
-        self.c = c
-        self.constant = constant
-        self.a = a
-        self.a_ub = a[: len(b_ub)]
-        self.a_eq = a[len(b_ub) :]
-        self.b_ub = b_ub
-        self.b_eq = b_eq
-        self.branch_order = [j for j, col in enumerate(columns) if col[0] != "w0"]
-        coefs = c.tolist() + [constant]
-        self.objective_integral = all(float(v).is_integer() for v in coefs)
+    routes: tuple[Route, ...]
+    columns: list[tuple[str, int, int, int]]
+    lower: np.ndarray
+    upper: np.ndarray
+    x_idx: dict[tuple[int, int], int]
+    y_idx: dict[tuple[int, int], int]
+    w0_idx: dict[int, int]
+    c: np.ndarray
+    constant: float
+    a: np.ndarray
+    b_ub: np.ndarray
+    b_eq: np.ndarray
+
+    @property
+    def a_ub(self) -> np.ndarray:
+        return self.a[: len(self.b_ub)]
+
+    @property
+    def a_eq(self) -> np.ndarray:
+        return self.a[len(self.b_ub) :]
 
     @property
     def n_vars(self) -> int:
@@ -153,6 +141,8 @@ def build_model(
     x_idx: dict[tuple[int, int], int] = {}  # (vehicle_id, visit) -> column
     y_idx: dict[tuple[int, int], int] = {}
     w0_idx: dict[int, int] = {}
+    visit_cols: dict[int, tuple[list[int], list[int]]] = {}  # station -> its x and y columns
+    routed: list[tuple[Route, list[int]]] = []  # each nonempty route and its depot visits
     p_o = instance.depot.operative
 
     for route in routes:
@@ -160,8 +150,10 @@ def build_model(
             continue
         lid = route.vehicle_id
         k = capacity[lid]
+        depots: list[int] = []
         for i, node in enumerate(route.visits, start=1):
             if node == DEPOT:
+                depots.append(i)
                 x_idx[lid, i] = len(columns)
                 y_idx[lid, i] = len(columns) + 1
                 columns += (("x", lid, i, node), ("y", lid, i, node))
@@ -169,14 +161,17 @@ def build_model(
                 upper += (k, 0)
                 continue
             s = instance.station(node)
+            xs, ys = visit_cols.setdefault(node, ([], []))
             d = s.imbalance
             if d:  # balanced: x fixed to zero, not materialized
                 x_idx[lid, i] = len(columns)
+                xs.append(len(columns))
                 columns.append(("x", lid, i, node))
                 lower.append(0 if d > 0 else max(-k, d))
                 upper.append(min(k, d) if d > 0 else 0)
             if s.damaged > 0:
                 y_idx[lid, i] = len(columns)
+                ys.append(len(columns))
                 columns.append(("y", lid, i, node))
                 lower.append(0)
                 upper.append(min(k, s.damaged))
@@ -184,28 +179,11 @@ def build_model(
         columns.append(("w0", lid, 0, -1))
         lower.append(0)
         upper.append(p_o)
-
-    n = len(columns)
-    routed = [route for route in routes if route.visits]
-    depot_visits = {
-        route.vehicle_id: [i for i, node in enumerate(route.visits, start=1) if node == DEPOT]
-        for route in routed
-    }
+        routed.append((route, depots))
 
     # per-station totals across all vehicles
-    c = np.zeros(n)
+    c = np.zeros(len(columns))
     constant = 0.0
-    visit_cols: dict[int, tuple[list[int], list[int]]] = {}
-    for route in routes:
-        for i, node in enumerate(route.visits, start=1):
-            if node == DEPOT:
-                continue
-            xs, ys = visit_cols.setdefault(node, ([], []))
-            if (route.vehicle_id, i) in x_idx:
-                xs.append(x_idx[route.vehicle_id, i])
-            if (route.vehicle_id, i) in y_idx:
-                ys.append(y_idx[route.vehicle_id, i])
-
     station_rows: list[tuple[list[int], int, int]] = []  # (columns, coefficient, rhs)
     for s in instance.stations:
         xs, ys = visit_cols.get(s.id, ([], []))
@@ -242,11 +220,11 @@ def build_model(
             station_rows.append((removed, 1, instance.depot.capacity - p_o))
 
     n_ub = len(station_rows) + (1 if w0_idx else 0) + sum(
-        3 * (len(route.visits) - 1) + len(depot_visits[route.vehicle_id]) for route in routed
+        3 * (len(route.visits) - 1) + len(depots) for route, depots in routed
     )
-    n_eq = sum(1 + len(depot_visits[route.vehicle_id]) for route in routed)
+    n_eq = sum(1 + len(depots) for _, depots in routed)
     # one column-major matrix: its inequality rows, then its equality rows
-    a = np.zeros((n_ub + n_eq, n), order="F")
+    a = np.zeros((n_ub + n_eq, len(columns)), order="F")
     b_ub = np.zeros(n_ub)
     b_eq = np.zeros(n_eq)
     # single entries are collected here and written in one fancy assignment
@@ -254,10 +232,9 @@ def build_model(
     cols: list[int] = []
     vals: list[int] = []
     r, e = 0, n_ub  # next free inequality and equality row
-    for route in routed:
+    for route, depots in routed:
         lid = route.vehicle_id
         nv = len(route.visits)
-        depots = depot_visits[lid]
         # running load: nonnegative by component, within capacity, on every proper
         # prefix 1..j (j < nv), as rows r+3(j-1) (capacity), +1 (operative), +2 (damaged)
         end = r + 3 * (nv - 1)
@@ -302,39 +279,23 @@ def build_model(
         r += 1
     a[rows, cols] = vals
     return LoadingModel(
-        routes,
-        columns,
-        np.array(lower, dtype=float),
-        np.array(upper, dtype=float),
-        x_idx,
-        y_idx,
-        w0_idx,
-        c,
-        constant,
-        a,
-        b_ub,
-        b_eq,
+        routes, columns, np.array(lower, dtype=float), np.array(upper, dtype=float),
+        x_idx, y_idx, w0_idx, c, constant, a, b_ub, b_eq,
     )
 
 
-def _assignment_to_result(
-    model: LoadingModel, values: np.ndarray | None, objective: float
-) -> LoadingVariables:
-    given = [] if values is None else values.tolist()
+def _plans(model: LoadingModel, values: list[float]) -> tuple[LoadingPlan, ...]:
+    """One plan per route of the model, read from an integral assignment."""
 
     def value(col: int | None) -> int:
-        return 0 if col is None else int(round(given[col]))
+        return 0 if col is None else int(round(values[col]))
 
-    allot = {lid: value(col) for lid, col in model.w0_idx.items()}
-    moves: dict[int, tuple[tuple[int, int], ...]] = {}
+    plans = []
     for route in model.routes:
-        lid = route.vehicle_id
-        allot.setdefault(lid, 0)
-        moves[lid] = tuple(
-            (value(model.x_idx.get((lid, i))), value(model.y_idx.get((lid, i))))
-            for i in range(1, len(route.visits) + 1)
-        )
-    return LoadingVariables(allot, moves, objective)
+        keys = [(route.vehicle_id, i) for i in range(1, len(route.visits) + 1)]
+        moves = tuple((value(model.x_idx.get(key)), value(model.y_idx.get(key))) for key in keys)
+        plans.append(LoadingPlan(route.vehicle_id, moves))
+    return tuple(plans)
 
 
 def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarray:
@@ -446,12 +407,16 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
     on: each integral leaf keeps its station moves, and its depot moves and
     allotments follow from them by one rule, ``_canonical_depot_moves``,
     that draws the least stock. An LP that HiGHS proves infeasible prunes
-    its node; any other non-optimal LP status raises RuntimeError.
+    its node; any other non-optimal LP status raises RuntimeError. Returns
+    one plan per route of the model, in order; an empty route gets an empty
+    plan.
     """
     if model.n_vars == 0:
-        return _assignment_to_result(model, None, model.constant)
+        return LoadingVariables(_plans(model, []), model.constant)
 
     lp = _relaxation(model)
+    branch_order = [j for j, col in enumerate(model.columns) if col[0] != "w0"]
+    objective_integral = all(v.is_integer() for v in model.c.tolist() + [float(model.constant)])
 
     best_val = math.inf
     best_values: np.ndarray | None = None
@@ -469,12 +434,12 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
         if values is None:
             raise RuntimeError(f"LP relaxation not solved: HiGHS model status {status.name}")
         bound = fun + model.constant
-        if model.objective_integral:
+        if objective_integral:
             bound = math.ceil(bound - _INT_TOL)
         if bound >= best_val - 1e-9:
             continue
         frac_col = None
-        for col in model.branch_order:
+        for col in branch_order:
             if abs(values[col] - round(values[col])) > _INT_TOL:
                 frac_col = col
                 break
@@ -500,7 +465,7 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
 
     if best_values is None:
         raise RuntimeError("loading program infeasible for a structurally valid route")
-    return _assignment_to_result(model, best_values, best_val)
+    return LoadingVariables(_plans(model, best_values.tolist()), best_val)
 
 
 def _check_assignment(model: LoadingModel, values: np.ndarray) -> None:
@@ -531,16 +496,16 @@ def brute_force_loading(
     Guard rails keep the search space small; breaching them raises
     ValueError.
     """
+    routes = tuple(routes)
     for faults in _route_faults(instance, routes):
         if faults:
             raise ValueError(faults[0])
     capacity = {v.id: v.capacity for v in instance.fleet}
-    routes = tuple(route for route in routes if route.visits)
     total_visits = sum(len(route.visits) for route in routes)
     if total_visits > _GUARD_VISITS:
         raise ValueError(f"guard rail: {total_visits} visits exceed {_GUARD_VISITS}")
     for route in routes:
-        if capacity[route.vehicle_id] > _GUARD_CAPACITY:
+        if route.visits and capacity[route.vehicle_id] > _GUARD_CAPACITY:
             raise ValueError(f"guard rail: vehicle capacity exceeds {_GUARD_CAPACITY}")
     for s in instance.stations:
         if abs(s.imbalance) > _GUARD_RESIDUAL or s.damaged > _GUARD_RESIDUAL:
@@ -549,9 +514,8 @@ def brute_force_loading(
     rem_imb = {s.id: s.imbalance for s in instance.stations}
     rem_dam = {s.id: s.damaged for s in instance.stations}
     stock = instance.depot.operative
-    best = {"val": math.inf, "moves": None, "allot": None}
-    moves_now: dict[int, list[tuple[int, int]]] = {route.vehicle_id: [] for route in routes}
-    allot_now: dict[int, int] = {}
+    best = {"val": math.inf, "moves": None}
+    moves_now: list[list[tuple[int, int]]] = [[] for _ in routes]
 
     def leaf_value() -> float:
         total = 0.0
@@ -573,25 +537,21 @@ def brute_force_loading(
 
     def visit(si: int, vi: int, op: int, dam: int, take_run: int, take_peak: int) -> None:
         nonlocal stock
-        route = routes[si]
-        if vi == len(route.visits):
-            claimed = max(0, take_peak)
-            if claimed > stock:
-                return
-            allot_now[route.vehicle_id] = claimed
-            stock -= claimed
-            if si + 1 < len(routes):
-                visit(si + 1, 0, 0, 0, 0, 0)
-            elif occupancy_ok():
+        if si == len(routes):
+            if occupancy_ok():
                 val = leaf_value()
                 if val < best["val"] - 1e-12:
                     best["val"] = val
-                    best["moves"] = {
-                        vid: tuple(seq) for vid, seq in moves_now.items()
-                    }
-                    best["allot"] = dict(allot_now)
-            stock += claimed
-            del allot_now[route.vehicle_id]
+                    best["moves"] = [tuple(seq) for seq in moves_now]
+            return
+        route = routes[si]
+        if vi == len(route.visits):
+            # the route draws the largest running depot take from the stock
+            claimed = max(0, take_peak)
+            if claimed <= stock:
+                stock -= claimed
+                visit(si + 1, 0, 0, 0, 0, 0)
+                stock += claimed
             return
         node = route.visits[vi]
         k = capacity[route.vehicle_id]
@@ -607,9 +567,9 @@ def brute_force_loading(
                 peak = max(take_peak, run)
                 if peak > stock:
                     continue
-                moves_now[route.vehicle_id].append((x, y))
+                moves_now[si].append((x, y))
                 visit(si, vi + 1, op + x, 0, run, peak)
-                moves_now[route.vehicle_id].pop()
+                moves_now[si].pop()
             return
         s = instance.station(node)
         d0 = s.imbalance
@@ -625,28 +585,19 @@ def brute_force_loading(
             for y in range(0, y_hi + 1):
                 rem_imb[node] -= x
                 rem_dam[node] -= y
-                moves_now[route.vehicle_id].append((x, y))
+                moves_now[si].append((x, y))
                 visit(si, vi + 1, op + x, dam + y, take_run, take_peak)
-                moves_now[route.vehicle_id].pop()
+                moves_now[si].pop()
                 rem_imb[node] += x
                 rem_dam[node] += y
 
-    if routes:
-        visit(0, 0, 0, 0, 0, 0)
-    else:
-        best["val"] = leaf_value()
-        best["moves"] = {}
-        best["allot"] = {}
+    visit(0, 0, 0, 0, 0, 0)
     if best["moves"] is None:
         # every branch pruned: only possible via occupancy on all leaves,
         # which the all-zero assignment rules out for valid instances
         raise RuntimeError("enumeration found no feasible assignment")
-    moves = dict(best["moves"])
-    allot = dict(best["allot"])
-    for route in routes:
-        moves.setdefault(route.vehicle_id, ())
-        allot.setdefault(route.vehicle_id, 0)
-    return LoadingVariables(allot, moves, best["val"])
+    plans = tuple(LoadingPlan(r.vehicle_id, moves) for r, moves in zip(routes, best["moves"]))
+    return LoadingVariables(plans, best["val"])
 
 
 def reoptimize_solution(
@@ -660,12 +611,7 @@ def reoptimize_solution(
     minimizes the same gamma- and station-weighted residuals that the
     objective reports, so the total never rises, whatever the weights.
     """
-    model = build_model(instance, solution.routes, weights)
-    result = solve_exact(model)
-    plans = []
-    for route in solution.routes:
-        moves = result.moves.get(route.vehicle_id, ())
-        plans.append(LoadingPlan(route.vehicle_id, moves))
+    plans = solve_exact(build_model(instance, solution.routes, weights)).plans
     return solution_from_plans(instance, solution.routes, plans, weights)
 
 

@@ -50,7 +50,7 @@ class RunConfig:
             raise ValueError("max_iter must be at least 2")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-        if self.wall_clock_cap is not None and self.wall_clock_cap <= 0:
+        if self.wall_clock_cap is not None and not self.wall_clock_cap > 0:
             raise ValueError("wall_clock_cap must be positive")
 
 

@@ -107,6 +107,13 @@ def test_solve_rejects_non_finite_gamma(tmp_path, capsys):
     assert capsys.readouterr().err == "error: objective weights must be finite\n"
 
 
+def test_solve_rejects_non_finite_mu(tmp_path, capsys):
+    inst_path = _generate(tmp_path)
+    argv = ["solve", "--instance", str(inst_path), "--max-iter", "3", "--mu", "nan"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: mu must be positive and finite\n"
+
+
 def test_validate_reports_malformed_params(tmp_path, capsys):
     inst_path = _generate(tmp_path)
     sol_path = tmp_path / "sol.json"
@@ -118,6 +125,33 @@ def test_validate_reports_malformed_params(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", "--instance", str(inst_path), "--solution", str(sol_path)]) == 1
     assert capsys.readouterr().out == "params: wrong type\n"
+
+
+@pytest.mark.parametrize(
+    "objective, out",
+    [
+        ({"total": None}, "objective.total: wrong type"),
+        ({"total": [1.0]}, "objective.total: wrong type"),
+        ({"total": {"value": 1.0}}, "objective.total: wrong type"),
+        ({"total": "1.0"}, "objective.total: wrong type"),
+        ({"damaged": True}, "objective.damaged: wrong type"),
+        ({"time": 10**400}, "objective.time: must be a finite number"),
+        ([1.0], "objective: wrong type"),
+        ("total", "objective: wrong type"),
+    ],
+    ids=["null", "list", "object", "string", "bool", "huge-int", "objective-list", "objective-string"],
+)
+def test_validate_reports_malformed_objective(tmp_path, capsys, objective, out):
+    inst_path = _generate(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    argv = ["solve", "--instance", str(inst_path), "--out", str(sol_path), "--max-iter", "2"]
+    assert main(argv) == 0
+    doc = json.loads(sol_path.read_text())
+    doc["objective"] = {**doc["objective"], **objective} if isinstance(objective, dict) else objective
+    sol_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst_path), "--solution", str(sol_path)]) == 1
+    assert capsys.readouterr().out == out + "\n"
 
 
 def test_validate_flags_overload_and_stale_objective(tmp_path, capsys):

@@ -38,8 +38,9 @@ def test_params_validated():
         ConstructionParams(theta=0.0)
     with pytest.raises(ValueError):
         ConstructionParams(theta=1.2)
-    with pytest.raises(ValueError):
-        ConstructionParams(mu=0.0)
+    for mu in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^mu must be positive and finite$"):
+            ConstructionParams(mu=mu)
 
 
 def _move(station, capacity, stock, **vehicle_fields):

@@ -33,13 +33,19 @@ from ssbrp.model import (
 )
 
 
-def _plans(routes, result):
-    return [LoadingPlan(r.vehicle_id, result.moves[r.vehicle_id]) for r in routes]
+def _depot_draw(route, plan):
+    """The depot stock a plan draws: its largest running depot take, at least 0."""
+    take = peak = 0
+    for node, (x, _) in zip(route.visits, plan.moves):
+        if node == DEPOT:
+            take += x
+            peak = max(peak, take)
+    return peak
 
 
 def _residual_cost(instance, routes, result, weights=ObjectiveWeights()):
     """Re-derive the objective from the moves alone, bypassing the solver."""
-    state = apply_solution(instance, routes, _plans(routes, result))
+    state = apply_solution(instance, routes, result.plans)
     total = 0.0
     for s in instance.stations:
         total += s.weight * (
@@ -329,7 +335,7 @@ def test_build_model_shared_station_row():
     assert any(rhs == 4 for _, rhs in shared)
     result = solve_exact(model)
     assert result.objective_value == 0
-    picked = {r.vehicle_id: result.moves[r.vehicle_id][1][0] for r in routes}
+    picked = {plan.vehicle_id: plan.moves[1][0] for plan in result.plans}
     assert sum(picked.values()) == 4
     assert all(0 <= x <= 3 for x in picked.values())
 
@@ -391,8 +397,8 @@ def test_solve_exact_moves_surplus_to_deficit():
     routes = [Route(1, (0, 1, 2, 0))]
     result = solve_exact(build_model(inst, routes))
     assert result.objective_value == 0
-    assert result.moves[1] == ((0, 0), (2, 0), (-2, 0), (0, 0))
-    assert result.depot_allotment == {1: 0}
+    assert result.plans == (LoadingPlan(1, ((0, 0), (2, 0), (-2, 0), (0, 0))),)
+    assert _depot_draw(routes[0], result.plans[0]) == 0
 
 
 def test_solve_exact_draws_on_depot_stock():
@@ -400,16 +406,17 @@ def test_solve_exact_draws_on_depot_stock():
     routes = [Route(1, (0, 1, 0))]
     result = solve_exact(build_model(inst, routes))
     assert result.objective_value == 0
-    assert result.depot_allotment == {1: 2}
-    assert result.moves[1] == ((2, 0), (-2, 0), (0, 0))
+    assert result.plans == (LoadingPlan(1, ((2, 0), (-2, 0), (0, 0))),)
+    assert _depot_draw(routes[0], result.plans[0]) == 2
 
 
 def test_solve_exact_without_stock_leaves_deficit():
     inst = make_instance([(1, 10, 3, 0, 5)], fleet=((1, 5),))
-    result = solve_exact(build_model(inst, [Route(1, (0, 1, 0))]))
+    routes = [Route(1, (0, 1, 0))]
+    result = solve_exact(build_model(inst, routes))
     assert result.objective_value == 2
-    assert result.moves[1] == ((0, 0), (0, 0), (0, 0))
-    assert result.depot_allotment == {1: 0}
+    assert result.plans == (LoadingPlan(1, ((0, 0), (0, 0), (0, 0))),)
+    assert _depot_draw(routes[0], result.plans[0]) == 0
 
 
 def test_solve_exact_forces_damaged_room_at_full_deficit_station():
@@ -419,12 +426,33 @@ def test_solve_exact_forces_damaged_room_at_full_deficit_station():
     routes = [Route(1, (0, 1, 0))]
     result = solve_exact(build_model(inst, routes))
     assert result.objective_value == 0
-    x, y = result.moves[1][1]
+    x, y = result.plans[0].moves[1]
     assert x == -6
     assert y == 3
-    assert validate_solution(inst, routes, _plans(routes, result)) == []
+    assert validate_solution(inst, routes, result.plans) == []
     oracle = brute_force_loading(inst, routes)
     assert oracle.objective_value == result.objective_value
+
+
+@pytest.mark.parametrize(
+    "routes",
+    [
+        [Route(1, (0, 1, 2, 0)), Route(2)],
+        [Route(2), Route(3, (0,)), Route(1, (0, 2, 0, 1, 0))],
+        [Route(1), Route(3)],
+        [],
+    ],
+    ids=["empty-last", "empty-first", "all-empty", "none"],
+)
+def test_both_solvers_return_one_plan_per_route(routes):
+    inst = make_instance([(1, 10, 7, 0, 5), (2, 10, 3, 1, 5)], fleet=((1, 2), (2, 3), (3, 2)))
+    exact = solve_exact(build_model(inst, routes))
+    oracle = brute_force_loading(inst, routes)
+    shape = [(r.vehicle_id, len(r.visits)) for r in routes]
+    for result in (exact, oracle):
+        assert [(p.vehicle_id, len(p.moves)) for p in result.plans] == shape
+        assert validate_solution(inst, routes, result.plans) == []
+    assert exact.objective_value == oracle.objective_value
 
 
 def test_brute_force_guard_rails():
@@ -482,7 +510,8 @@ def _check_case(inst, routes, weights=ObjectiveWeights()):
     oracle = brute_force_loading(inst, routes, weights)
     assert exact.objective_value == oracle.objective_value, routes
     assert _residual_cost(inst, routes, exact, weights) == exact.objective_value
-    assert validate_solution(inst, routes, _plans(routes, exact)) == []
+    assert validate_solution(inst, routes, exact.plans) == []
+    assert validate_solution(inst, routes, oracle.plans) == []
 
 
 def _check_against_brute_force(seed, trials, weighted):
@@ -626,10 +655,10 @@ def test_assignment_respects_domains_and_stock():
     )
     routes = [Route(1, (0, 1, 2, 0, 3, 0)), Route(2, (0, 3, 2, 0))]
     result = solve_exact(build_model(inst, routes))
-    assert sum(result.depot_allotment.values()) <= 3
-    assert all(w >= 0 for w in result.depot_allotment.values())
-    for route in routes:
-        for node, (x, y) in zip(route.visits, result.moves[route.vehicle_id]):
+    assert sum(_depot_draw(route, plan) for route, plan in zip(routes, result.plans)) <= 3
+    assert validate_solution(inst, routes, result.plans) == []
+    for route, plan in zip(routes, result.plans):
+        for node, (x, y) in zip(route.visits, plan.moves):
             if node == 0:
                 assert y <= 0
                 continue
@@ -823,8 +852,8 @@ def test_solver_prefers_heavy_station_when_weighted():
     result = solve_exact(build_model(inst, routes))
     # both stations hold surplus 2 but the vehicle has room for only one
     # station's worth; the weight decides which residual survives
-    assert result.moves[1][1] == (2, 0)
-    assert result.moves[1][2] == (0, 0)
+    assert result.plans[0].moves[1] == (2, 0)
+    assert result.plans[0].moves[2] == (0, 0)
     assert result.objective_value == 5.0 * 0 + 1.0 * 2
 
 

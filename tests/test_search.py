@@ -36,8 +36,9 @@ def test_config_validation():
         RunConfig(max_iter=1)
     with pytest.raises(ValueError):
         RunConfig(parallelism=0)
-    with pytest.raises(ValueError):
-        RunConfig(wall_clock_cap=0.0)
+    for cap in (0.0, math.nan):
+        with pytest.raises(ValueError, match="wall_clock_cap must be positive"):
+            RunConfig(wall_clock_cap=cap)
 
 
 def test_is_better_strict_and_none():
@@ -105,6 +106,13 @@ def test_wall_clock_cap_stops_early():
     report = run(_toy(), RunConfig(max_iter=500, wall_clock_cap=1e-9))
     assert report.total_iterations == 1
     assert report.iteration_of_best == 1
+
+
+def test_infinite_wall_clock_cap_is_no_cap():
+    capped = run(_toy(), RunConfig(max_iter=5, wall_clock_cap=math.inf))
+    uncapped = run(_toy(), RunConfig(max_iter=5))
+    assert capped.total_iterations == uncapped.total_iterations > 1
+    assert capped.incumbent_trace == uncapped.incumbent_trace
 
 
 def test_invalid_instance_rejected_before_iterating():

@@ -1,6 +1,6 @@
 """Source checks: every name a module of the package imports at top level is
-used in that module. ``__init__.py`` is skipped, since its imports are the
-package's re-exports."""
+used in that module (``__init__.py`` is skipped, since its imports are the
+package's re-exports), and no module holds an ``assert`` statement."""
 
 import ast
 from pathlib import Path
@@ -43,3 +43,19 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _asserts(source: str) -> list[int]:
+    """Line numbers of the ``assert`` statements in a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_check_finds_asserts():
+    source = "def f(x):\n    if x:\n        assert x > 0\n    return x\n"
+    assert _asserts(source) == [3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips asserts: a reachable state is guarded by raising an error
+    assert _asserts(path.read_text()) == []
