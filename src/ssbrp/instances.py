@@ -276,8 +276,8 @@ class GeneratorConfig:
             raise ValueError("vehicles must be at least 1")
         if capacity < 1:
             raise ValueError("vehicle capacity must be at least 1")
-        if budget <= 0:
-            raise ValueError("time budget must be positive")
+        if not 0 < budget < math.inf:  # also false for nan
+            raise ValueError("time budget must be positive and finite")
         if stock < 0:
             raise ValueError("depot stock must be nonnegative")
         if not 0 <= self.damaged_fraction <= 1:

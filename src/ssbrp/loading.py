@@ -29,6 +29,7 @@ from .model import (
     ObjectiveWeights,
     Route,
     Solution,
+    Station,
     _route_faults,
     evaluate_objective,
     solution_from_plans,
@@ -623,16 +624,52 @@ def loading_bound(
     """A lower bound on the objective ``reoptimize_solution`` can reach.
 
     It is the objective of an optimistic final state: every station a
-    route visits ends at its target with no damaged bikes, and every other
-    station keeps its inventory. Phase two keeps the routes, so the time
-    term is the solution's own, and it moves bikes only at visited
-    stations, where each residual term is at least 0. ``evaluate_objective``
-    adds the same terms in the same order, and float addition, division by
-    D > 0 and multiplication by a nonnegative gamma are monotone under
-    rounding, so ``total`` never exceeds the reoptimized total, to the bit.
+    route visits ends with no damaged bikes and at its target, short only
+    of the operative bikes no plan can bring, and every other station keeps
+    its inventory. Phase two picks up at most a station's surplus, moves no
+    operative bike at a balanced station, and draws at most the depot stock
+    in all (``sum w0 <= p_o``), so across all routes it delivers at most the
+    stock plus the surplus of the visited surplus stations. Where the
+    visited deficits exceed that supply, the shortfall stays at the visited
+    deficit stations, lowest weight first: no plan leaves less weighted
+    residual there.
+
+    Phase two keeps the routes, so the time term is the solution's own, and
+    it moves bikes only at visited stations, where each damaged residual is
+    at least 0. ``evaluate_objective`` adds the same terms in the same
+    order, and float addition, division by D > 0 and multiplication by a
+    nonnegative gamma are monotone under rounding. Without a shortfall each
+    imbalance term is at most phase two's, so their sum is too. A shortfall
+    breaks that term-by-term order: at weight 0.1, residuals 3 and 3 sum to
+    0.6000000000000001 but 1 and 5 to 0.6. So it is placed only when every
+    station weight is an integer and ``sum w * |imbalance|`` is below 2**53.
+    Then each term and partial sum of either numerator is an integer that a
+    float holds exactly, since no plan leaves a station further from its
+    target than it starts. Either way ``total`` never exceeds the
+    reoptimized total, to the bit.
     """
+    stations = instance.stations
     visited = {node for route in solution.routes for node in route.visits}
-    operative = {s.id: s.target if s.id in visited else s.operative for s in instance.stations}
-    damaged = {s.id: 0 if s.id in visited else s.damaged for s in instance.stations}
+    operative = {s.id: s.target if s.id in visited else s.operative for s in stations}
+    damaged = {s.id: 0 if s.id in visited else s.damaged for s in stations}
+    shortfall = -instance.depot.operative - sum(s.imbalance for s in stations if s.id in visited)
+    if shortfall > 0 and _exact_sums(stations):
+        deficits = sorted(
+            (s for s in stations if s.id in visited and s.imbalance < 0), key=lambda s: s.weight
+        )
+        for s in deficits:
+            left = min(shortfall, -s.imbalance)
+            operative[s.id] -= left
+            shortfall -= left
+            if not shortfall:
+                break
     state = FinalState(operative, damaged, 0, 0, solution.route_times)
     return evaluate_objective(instance, state, weights)
+
+
+def _exact_sums(stations: Sequence[Station]) -> bool:
+    """Whether floats add station-weighted imbalances exactly: integer weights,
+    and ``sum w * |imbalance|`` below 2**53."""
+    if not all(float(s.weight).is_integer() for s in stations):
+        return False
+    return sum(int(s.weight) * abs(s.imbalance) for s in stations) < 2**53

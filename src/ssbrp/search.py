@@ -2,17 +2,19 @@
 
 Each iteration builds a fresh randomized solution (phase one) and replaces
 its loading plans with exactly optimal ones (phase two), then folds the
-result into the incumbent. ``loading_bound`` spares phase two twice. When
-even a perfect loading of the new routes could not beat the incumbent,
-the iteration counts as non-improving. When the constructed plan already
-meets the bound, it is optimal, and it is folded in as constructed; if it
-is still the best when the loop ends, phase two runs once on it, so that
-the returned plans are phase two's. The bound is exact, so results are the
-same as if every iteration were reoptimized. The loop stops once a run of
-consecutive non-improving iterations reaches the configured limit. Every
-iteration derives its RNG stream from (master seed, iteration index), so
-any iteration can be replayed in isolation. Iterations run one after
-another on the calling thread.
+result into the incumbent. ``loading_bound`` spares phase two twice. It
+scores an optimistic loading of the new routes, which serves every visited
+station as far as the depot stock and the visited surplus reach. When
+even that loading could not beat the incumbent, the iteration counts as
+non-improving. When the constructed plan already meets the bound, it is
+optimal, and it is folded in as constructed; if it is still the best when
+the loop ends, phase two runs once on it, so that the returned plans are
+phase two's. The bound is exact, so results are the same as if every
+iteration were reoptimized. The loop stops once a run of consecutive
+non-improving iterations reaches the configured limit. Every iteration
+derives its RNG stream from (master seed, iteration index), so any
+iteration can be replayed in isolation. Iterations run one after another
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
         t1 = perf_counter()
         bound = loading_bound(instance, built, config.weights).total
         if best is not None and bound >= best.objective.total - _TOLERANCE:
-            # even a perfect loading of these routes cannot win
+            # even the bound's optimistic loading of these routes cannot win
             solution = None
             skipped += 1
         elif built.objective.total <= bound:

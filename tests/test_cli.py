@@ -48,6 +48,16 @@ def test_generate_rejects_bad_config(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf", "0"])
+def test_generate_rejects_non_finite_time_budget(capsys, budget):
+    # nan <= 0 is false: unchecked, a nan budget fails every round-trip test
+    # and the generator reports a budget too small for any station
+    assert main(["generate", "--stations", "3", f"--time-budget-min={budget}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: time budget must be positive and finite\n"
+    assert captured.out == ""
+
+
 def test_solve_writes_feasible_solution(tmp_path, capsys):
     inst_path = _generate(tmp_path)
     sol_path = tmp_path / "sol.json"

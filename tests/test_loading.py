@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance, random_instances, reweighted
@@ -529,6 +529,20 @@ def test_solver_matches_weighted_brute_force():
     _check_against_brute_force(777, 15, weighted=True)
 
 
+def _short_routes(draw, fleet, n):
+    """One route per vehicle over stations 1..n, at most 6 visits, or empty."""
+    routes = []
+    for vid, _ in fleet:
+        visits = [DEPOT]
+        for node in draw(st.lists(st.integers(0, n), max_size=4)):
+            if node != visits[-1]:
+                visits.append(node)
+        if visits[-1] != DEPOT:
+            visits.append(DEPOT)
+        routes.append(Route(vid, tuple(visits) if len(visits) > 1 else ()))
+    return routes
+
+
 @st.composite
 def _guarded_cases(draw):
     """An instance (depot capacity optional) and routes inside the oracle's
@@ -543,15 +557,7 @@ def _guarded_cases(draw):
         cap = draw(st.integers(max(p + a, q), max(p + a, q) + 3))
         stations.append((sid, cap, p, a, q, draw(st.sampled_from([1.0, 0.5, 2.0, 3.0]))))
     fleet = tuple((vid, draw(st.integers(1, 5))) for vid in range(1, draw(st.integers(1, 2)) + 1))
-    routes = []
-    for vid, _ in fleet:
-        visits = [DEPOT]
-        for node in draw(st.lists(st.integers(0, n), max_size=4)):
-            if node != visits[-1]:
-                visits.append(node)
-        if visits[-1] != DEPOT:
-            visits.append(DEPOT)
-        routes.append(Route(vid, tuple(visits) if len(visits) > 1 else ()))
+    routes = _short_routes(draw, fleet, n)
     gammas = st.sampled_from([0.0, 0.5, 1.0, 2.0, 10.0])
     weights = ObjectiveWeights(draw(gammas), draw(gammas), 1.0)
     stock = draw(st.integers(0, 5))
@@ -811,6 +817,87 @@ def test_constructed_plan_meeting_the_bound_is_optimal(case):
     costs = [g * s.weight for s in inst.stations for g in (weights.gamma_d, weights.gamma_a)]
     if all(c == 0 or c >= 1e-6 for c in costs):
         assert after.objective.total == built.objective.total
+
+
+@st.composite
+def _short_supply_cases(draw):
+    """Routes inside the oracle's guard rails whose visited deficits exceed the
+    depot stock plus the visited surplus, and objective weights. Station
+    weights are all integers or all from {0.1, 0.3}, so equal non-integer
+    weights occur."""
+    n = draw(st.integers(2, 4))
+    weight = st.sampled_from([1.0, 2.0, 3.0] if draw(st.booleans()) else [0.1, 0.3])
+    stations = []
+    for sid in range(1, n + 1):
+        d = draw(st.integers(-6, 2))
+        q = draw(st.integers(max(0, -d), 6))
+        p = q + d
+        a = draw(st.integers(0, 2))
+        cap = draw(st.integers(max(p + a, q), max(p + a, q) + 2))
+        stations.append((sid, cap, p, a, q, draw(weight)))
+    fleet = tuple((vid, draw(st.integers(1, 6))) for vid in range(1, draw(st.integers(1, 2)) + 1))
+    routes = _short_routes(draw, fleet, n)
+    stock = draw(st.integers(0, 3))
+    visited = {node for route in routes for node in route.visits}
+    imbalances = [p - q for sid, _, p, _, q, _ in stations if sid in visited]
+    assume(-sum(d for d in imbalances if d < 0) > stock + sum(d for d in imbalances if d > 0))
+    gammas = st.sampled_from([0.0, 0.5, 1.0, 10.0])
+    weights = ObjectiveWeights(draw(gammas), draw(gammas), 1.0)
+    depot_capacity = draw(st.none() | st.integers(stock, stock + 3))
+    inst = make_instance(stations, fleet=fleet, stock=stock, depot_capacity=depot_capacity)
+    return inst, routes, weights
+
+
+def _oracle_solution(inst, routes, weights=ObjectiveWeights()):
+    plans = brute_force_loading(inst, routes, weights).plans
+    return solution_from_plans(inst, routes, plans, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_short_supply_cases())
+def test_loading_bound_holds_when_supply_binds(case):
+    inst, routes, weights = case
+    optimum = _oracle_solution(inst, routes, weights)
+    bound = loading_bound(inst, optimum, weights)
+    assert bound.total <= optimum.objective.total
+    assert bound.total <= reoptimize_solution(inst, optimum, weights).objective.total
+
+
+def _short_supply(weights):
+    """Surplus 2, deficits 3 and 2, depot stock 1: one route visits all three
+    stations and can deliver 3 of the 5 bikes short."""
+    w1, w2, w3 = weights
+    stations = [(1, 10, 5, 0, 3, w1), (2, 10, 1, 0, 4, w2), (3, 10, 0, 0, 2, w3)]
+    return make_instance(stations, fleet=((1, 6),), stock=1), [Route(1, (0, 1, 2, 3, 0))]
+
+
+def test_loading_bound_meets_optimum_when_supply_binds():
+    # the shortfall of 2 stays at station 2, the lighter deficit station,
+    # where the optimal plan leaves it too
+    inst, routes = _short_supply((1.0, 1.0, 2.0))
+    optimum = _oracle_solution(inst, routes)
+    bound = loading_bound(inst, optimum)
+    assert optimum.final_operative == {1: 3, 2: 2, 3: 2}
+    assert bound.imbalance == 2 / 9
+    assert bound == optimum.objective == reoptimize_solution(inst, optimum).objective
+
+
+def test_loading_bound_places_no_shortfall_unless_sums_are_exact(monkeypatch):
+    # deficits 3 and 5 of weight 0.1 against a depot stock of 2: the optimum
+    # leaves residuals 1 and 5, and 0.1 * 1 + 0.1 * 5 rounds to 0.6, but a
+    # shortfall of 3 and 3 would give 0.1 * 3 + 0.1 * 3 = 0.6000000000000001
+    inst = make_instance([(1, 5, 0, 0, 3, 0.1), (2, 7, 0, 0, 5, 0.1)], fleet=((1, 6),), stock=2)
+    routes = [Route(1, (0, 1, 2, 0))]
+    optimum = _oracle_solution(inst, routes)
+    bound = loading_bound(inst, optimum)
+    assert bound.imbalance == 0
+    assert bound.total < optimum.objective.total
+    monkeypatch.setattr(loading, "_exact_sums", lambda stations: True)
+    assert loading_bound(inst, optimum).total > optimum.objective.total
+    monkeypatch.undo()
+    # integer weights, but a weighted imbalance sum of 2**53
+    inst, routes = _short_supply((1.0, 1.0, 2.0**52))
+    assert loading_bound(inst, _oracle_solution(inst, routes)).imbalance == 0
 
 
 def test_full_depot_takes_no_bikes_in():

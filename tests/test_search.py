@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_instance
-from ssbrp import search
+from ssbrp import loading, search
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import loading_bound, reoptimize_solution
@@ -202,6 +202,34 @@ def test_skipping_phase_two_keeps_results(max_iter, seeds):
             certified += report.loading_certified
     assert skipped > 0
     assert certified > 0
+
+
+@pytest.mark.parametrize("stock, seed", [(10, 1), (5, 3)])
+def test_supply_shortfall_skips_keep_results(monkeypatch, stock, seed):
+    # on palma instances the visited deficits outrun the depot stock plus the
+    # visited surplus, so the bound's shortfall decides skips and certificates
+    inst = generate_instance(GeneratorConfig(family=Family.PALMA, depot_stock=stock, seed=seed))
+
+    def decisions(check):
+        skipped = certified = 0
+        for master_seed in range(20):
+            config = RunConfig(max_iter=2, master_seed=master_seed)
+            report = run(inst, config)
+            if check:
+                got = (
+                    report.best_solution,
+                    report.incumbent_trace,
+                    report.iteration_of_best,
+                    report.total_iterations,
+                )
+                assert got == _always_reoptimized(inst, config), master_seed
+            skipped += report.loading_skipped
+            certified += report.loading_certified
+        return skipped, certified
+
+    with_shortfall = decisions(check=True)
+    monkeypatch.setattr(loading, "_exact_sums", lambda stations: False)
+    assert decisions(check=False) != with_shortfall
 
 
 def test_certified_best_stays_constructed_when_phase_two_moves_its_total(monkeypatch):
