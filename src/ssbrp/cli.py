@@ -108,6 +108,8 @@ def _sweep_run(instance: Instance, theta: float, mu: float, seed: int, args):
 
 
 def cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     families = [Family(args.family)] if args.family else [Family.PALMA, Family.WIEN]
     corpora: list[tuple[str, list[Instance]]] = []
     if args.instance:

@@ -37,7 +37,7 @@ class DocumentError(ValueError):
 
 def _get(doc, key, path, kind=None):
     if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: expected an object")
+        raise DocumentError(f"{path.rstrip('.') or 'document'}: expected an object")
     if key not in doc:
         raise DocumentError(f"{path}{key}: missing")
     value = doc[key]

@@ -13,7 +13,6 @@ semantics serves as a verification oracle for small cases.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,19 +53,19 @@ class LoadingModel:
     Variables fixed to zero by their domain (operative moves at balanced
     stations, damaged moves where no damaged bikes exist) are not
     materialized. All materialized variables are integer. Column j is
-    ``columns[j] = (kind, vehicle, visit, node)`` with bounds
-    ``lower[j]``, ``upper[j]``; ``x_idx``/``y_idx`` map (vehicle, visit)
-    and ``w0_idx`` maps vehicle to its column. ``a_ub`` and ``a_eq`` are
-    the row blocks of one column-major matrix ``a``.
+    ``columns[j] = (kind, vehicle, visit, node)`` with bounds ``lower[j]``,
+    ``upper[j]``, and ``columns`` is the one index of the columns. They come
+    route by route in the order of ``routes``, an empty route having none;
+    within a route, visit by visit (visits count from 1), x before y, and
+    the route's depot allotment ``("w0", vehicle, 0, -1)`` last. Only the
+    kind tells w0 from a move, as a station's id may be -1. ``a_ub`` and
+    ``a_eq`` are the row blocks of one column-major matrix ``a``.
     """
 
     routes: tuple[Route, ...]
     columns: list[tuple[str, int, int, int]]
     lower: np.ndarray
     upper: np.ndarray
-    x_idx: dict[tuple[int, int], int]
-    y_idx: dict[tuple[int, int], int]
-    w0_idx: dict[int, int]
     c: np.ndarray
     constant: float
     a: np.ndarray
@@ -135,59 +134,53 @@ def build_model(
         if faults:
             raise ValueError(faults[0])
     capacity = {v.id: v.capacity for v in instance.fleet}
+    p_o = instance.depot.operative
 
     columns: list[tuple[str, int, int, int]] = []  # (kind, vehicle_id, visit, node)
     lower: list[int] = []
     upper: list[int] = []
-    x_idx: dict[tuple[int, int], int] = {}  # (vehicle_id, visit) -> column
-    y_idx: dict[tuple[int, int], int] = {}
-    w0_idx: dict[int, int] = {}
-    visit_cols: dict[int, tuple[list[int], list[int]]] = {}  # station -> its x and y columns
-    routed: list[tuple[Route, list[int]]] = []  # each nonempty route and its depot visits
-    p_o = instance.depot.operative
-
     for route in routes:
         if not route.visits:
             continue
         lid = route.vehicle_id
         k = capacity[lid]
-        depots: list[int] = []
         for i, node in enumerate(route.visits, start=1):
             if node == DEPOT:
-                depots.append(i)
-                x_idx[lid, i] = len(columns)
-                y_idx[lid, i] = len(columns) + 1
                 columns += (("x", lid, i, node), ("y", lid, i, node))
                 lower += (-k, -k)
                 upper += (k, 0)
                 continue
             s = instance.station(node)
-            xs, ys = visit_cols.setdefault(node, ([], []))
             d = s.imbalance
             if d:  # balanced: x fixed to zero, not materialized
-                x_idx[lid, i] = len(columns)
-                xs.append(len(columns))
                 columns.append(("x", lid, i, node))
                 lower.append(0 if d > 0 else max(-k, d))
                 upper.append(min(k, d) if d > 0 else 0)
             if s.damaged > 0:
-                y_idx[lid, i] = len(columns)
-                ys.append(len(columns))
                 columns.append(("y", lid, i, node))
                 lower.append(0)
                 upper.append(min(k, s.damaged))
-        w0_idx[lid] = len(columns)
         columns.append(("w0", lid, 0, -1))
         lower.append(0)
         upper.append(p_o)
-        routed.append((route, depots))
 
-    # per-station totals across all vehicles
+    w0_cols: list[int] = []
+    station_cols: dict[int, tuple[list[int], list[int]]] = {}  # station -> its x and y columns
+    for j, (kind, _, _, node) in enumerate(columns):
+        if kind == "w0":
+            w0_cols.append(j)
+        elif node != DEPOT:
+            station_cols.setdefault(node, ([], []))[kind == "y"].append(j)
+
+    # rows of totals, after the route rows: the allotments share the depot
+    # stock, and each station's moves across all vehicles
+    total_rows: list[tuple[list[int], int, int]] = []  # (columns, coefficient, rhs)
+    if w0_cols:
+        total_rows.append((w0_cols, 1, p_o))
     c = np.zeros(len(columns))
     constant = 0.0
-    station_rows: list[tuple[list[int], int, int]] = []  # (columns, coefficient, rhs)
     for s in instance.stations:
-        xs, ys = visit_cols.get(s.id, ([], []))
+        xs, ys = station_cols.get(s.id, ([], []))
         d = s.imbalance
         w_d = weights.gamma_d * s.weight
         w_a = weights.gamma_a * s.weight
@@ -196,107 +189,100 @@ def build_model(
             for col in xs:
                 c[col] -= w_d
             if xs:  # total pickups never exceed the surplus
-                station_rows.append((xs, 1, d))
+                total_rows.append((xs, 1, d))
         elif d < 0:
             constant -= w_d * d
             for col in xs:
                 c[col] += w_d
             if xs:  # total deliveries never exceed the deficit
-                station_rows.append((xs, -1, -d))
+                total_rows.append((xs, -1, -d))
         if s.damaged > 0:
             constant += w_a * s.damaged
             for col in ys:
                 c[col] -= w_a
             if ys:
-                station_rows.append((ys, 1, s.damaged))
+                total_rows.append((ys, 1, s.damaged))
         if d < 0 and xs:
             # deliveries may not leave the station holding more than its docks:
             # p - sum(x) + a - sum(y) <= c  (binding only where bikes arrive)
-            station_rows.append((xs + ys, -1, s.capacity - s.operative - s.damaged))
+            total_rows.append((xs + ys, -1, s.capacity - s.operative - s.damaged))
 
     if instance.depot.capacity is not None:
         # every bike removed from a station ends at the depot
-        removed = [col for xs, ys in visit_cols.values() for col in xs + ys]
+        removed = [col for xs, ys in station_cols.values() for col in xs + ys]
         if removed:
-            station_rows.append((removed, 1, instance.depot.capacity - p_o))
+            total_rows.append((removed, 1, instance.depot.capacity - p_o))
 
-    n_ub = len(station_rows) + (1 if w0_idx else 0) + sum(
-        3 * (len(route.visits) - 1) + len(depots) for route, depots in routed
+    routed = [route for route in routes if route.visits]
+    n_ub = len(total_rows) + sum(
+        3 * (len(route.visits) - 1) + route.visits.count(DEPOT) for route in routed
     )
-    n_eq = sum(1 + len(depots) for _, depots in routed)
+    n_eq = sum(1 + route.visits.count(DEPOT) for route in routed)
     # one column-major matrix: its inequality rows, then its equality rows
     a = np.zeros((n_ub + n_eq, len(columns)), order="F")
     b_ub = np.zeros(n_ub)
     b_eq = np.zeros(n_eq)
+    r, e = 0, n_ub  # next free inequality and equality row
+    first = 0  # the route's first column; its block ends at its w0 column
+    for route, w0 in zip(routed, w0_cols):
+        nv, width = len(route.visits), w0 - first
+        depots = [i for i, node in enumerate(route.visits) if node == DEPOT]
+        # inc[i, t, j] = 1 where column first + j is the x (t = 0) or y (t = 1)
+        # move of visit i + 1; its prefix sums are the loads after each visit.
+        # Each column enters once, so every sum is 0 or 1: int8 sums are the
+        # fastest, and integers hold no -0.0 to write into ``a``
+        inc = np.zeros((nv, 2, width), dtype=np.int8)
+        inc.ravel()[[  # a view: flat index (2 * i + t) * width + j
+            (2 * (col[2] - 1) + (col[0] == "y")) * width + j
+            for j, col in enumerate(columns[first:w0])
+        ]] = 1
+        load = inc.cumsum(axis=0, dtype=np.int8)
+        x, y = load[:, 0], load[:, 1]
+        # running load: nonnegative by component, within capacity, on every proper
+        # prefix 1..j (j < nv), as rows r+3(j-1) (capacity), +1 (operative), +2 (damaged)
+        end = r + 3 * (nv - 1)
+        a[r:end:3, first:w0] = x[:-1] + y[:-1]
+        a[r + 1:end:3, first:w0] = -x[:-1]
+        a[r + 2:end:3, first:w0] = -y[:-1]
+        b_ub[r:end:3] = capacity[route.vehicle_id]
+        # cumulative depot takes never exceed the vehicle's allotment
+        a[end:end + len(depots), first:w0] = inc[depots, 0].cumsum(axis=0, dtype=np.int8)
+        a[end:end + len(depots), w0] = -1
+        # everything on board is dropped by the end of the route, and all
+        # damaged bikes on board are unloaded at each depot stop
+        a[e, first:w0] = x[-1]
+        a[e + 1:e + 1 + len(depots), first:w0] = y[depots]
+        r = end + len(depots)
+        e += 1 + len(depots)
+        first = w0 + 1
+
     # single entries are collected here and written in one fancy assignment
     rows: list[int] = []
     cols: list[int] = []
     vals: list[int] = []
-    r, e = 0, n_ub  # next free inequality and equality row
-    for route, depots in routed:
-        lid = route.vehicle_id
-        nv = len(route.visits)
-        # running load: nonnegative by component, within capacity, on every proper
-        # prefix 1..j (j < nv), as rows r+3(j-1) (capacity), +1 (operative), +2 (damaged)
-        end = r + 3 * (nv - 1)
-        b_ub[r:end:3] = capacity[lid]
-        for i in range(1, nv + 1):
-            first = r + 3 * (i - 1)  # visit i enters every prefix from j = i on
-            col = x_idx.get((lid, i))
-            if col is not None:
-                a[first:end:3, col] = 1
-                a[first + 1:end:3, col] = -1
-                # everything on board is dropped by the end of the route
-                rows.append(e)
-                cols.append(col)
-                vals.append(1)
-            col = y_idx.get((lid, i))
-            if col is not None:
-                a[first:end:3, col] = 1
-                a[first + 2:end:3, col] = -1
-                # all damaged bikes on board are unloaded at each depot stop j >= i
-                a[e + 1 + bisect_left(depots, i):e + 1 + len(depots), col] = 1
-        # cumulative depot takes never exceed the vehicle's allotment
-        for m, j in enumerate(depots):
-            a[end + m:end + len(depots), x_idx[lid, j]] = 1
-        rows += range(end, end + len(depots))
-        cols += [w0_idx[lid]] * len(depots)
-        vals += [-1] * len(depots)
-        r = end + len(depots)
-        e += 1 + len(depots)
-
-    if w0_idx:
-        rows += [r] * len(w0_idx)
-        cols += w0_idx.values()
-        vals += [1] * len(w0_idx)
-        b_ub[r] = p_o
-        r += 1
-
-    for station_cols, coef, rhs in station_rows:
-        rows += [r] * len(station_cols)
-        cols += station_cols
-        vals += [coef] * len(station_cols)
+    for row_cols, coef, rhs in total_rows:
+        rows += [r] * len(row_cols)
+        cols += row_cols
+        vals += [coef] * len(row_cols)
         b_ub[r] = rhs
         r += 1
     a[rows, cols] = vals
     return LoadingModel(
         routes, columns, np.array(lower, dtype=float), np.array(upper, dtype=float),
-        x_idx, y_idx, w0_idx, c, constant, a, b_ub, b_eq,
+        c, constant, a, b_ub, b_eq,
     )
 
 
 def _plans(model: LoadingModel, values: list[float]) -> tuple[LoadingPlan, ...]:
     """One plan per route of the model, read from an integral assignment."""
-
-    def value(col: int | None) -> int:
-        return 0 if col is None else int(round(values[col]))
-
-    plans = []
-    for route in model.routes:
-        keys = [(route.vehicle_id, i) for i in range(1, len(route.visits) + 1)]
-        moves = tuple((value(model.x_idx.get(key)), value(model.y_idx.get(key))) for key in keys)
-        plans.append(LoadingPlan(route.vehicle_id, moves))
-    return tuple(plans)
+    moves = {route.vehicle_id: [[0, 0] for _ in route.visits] for route in model.routes}
+    for value, (kind, lid, i, _) in zip(values, model.columns):
+        if kind != "w0":
+            moves[lid][i - 1][kind == "y"] = int(round(value))
+    return tuple(
+        LoadingPlan(route.vehicle_id, tuple(map(tuple, moves[route.vehicle_id])))
+        for route in model.routes
+    )
 
 
 def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarray:
@@ -312,36 +298,39 @@ def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarra
     largest ``held``, at least 0: the least stock these station moves draw.
     The assignment's own ``held`` lies in ``[need, room]``, so the result is
     feasible; it is checked all the same.
+
+    One walk over the columns: a visit with no column moves nothing, so it
+    leaves ``need`` and ``room`` as they are.
     """
     leaf = values.tolist()  # Python floats: NumPy scalars cost more per step
-    x_cols, y_cols = model.x_idx, model.y_idx
-    for route in model.routes:
-        if not route.visits:
-            continue
-        lid = route.vehicle_id
-        k = float(model.upper[x_cols[lid, 1]])  # the first visit is the depot: x within ±k
-        flow = damaged = 0.0  # station moves on board so far
-        held = peak = 0.0
-        open_at = 0  # the depot visit whose segment is open
-        for i, node in enumerate(route.visits, start=1):
-            if node == DEPOT:
-                if open_at:
-                    drawn = min(max(held, need), room)
-                    leaf[x_cols[lid, open_at]] = drawn - held
-                    held = drawn
-                    peak = max(peak, held)
-                leaf[y_cols[lid, i]] = -damaged
-                damaged = 0.0
-                open_at, need, room = i, -flow, k - flow
-                continue
-            if (lid, i) in x_cols:
-                flow += leaf[x_cols[lid, i]]
-            if (lid, i) in y_cols:
-                damaged += leaf[y_cols[lid, i]]
+    flow = damaged = 0.0  # station moves on board so far
+    held = peak = 0.0
+    open_at = None  # the x column of the depot visit whose segment is open
+    for j, (kind, _, _, node) in enumerate(model.columns):
+        if kind == "w0":  # the route's end: its last depot visit drops the rest
+            leaf[open_at] = -(flow + held)
+            leaf[j] = peak
+            flow = damaged = held = peak = 0.0
+            open_at = None
+        elif node != DEPOT:
+            if kind == "x":
+                flow += leaf[j]
+            else:
+                damaged += leaf[j]
             need = max(need, -flow)
             room = min(room, k - damaged - flow)
-        leaf[x_cols[lid, open_at]] = -(flow + held)
-        leaf[model.w0_idx[lid]] = peak
+        elif kind == "y":
+            leaf[j] = -damaged
+            damaged = 0.0
+        else:
+            if open_at is None:  # the route's first visit: x within ±k
+                k = float(model.upper[j])
+            else:
+                drawn = min(max(held, need), room)
+                leaf[open_at] = drawn - held
+                held = drawn
+                peak = max(peak, held)
+            open_at, need, room = j, -flow, k - flow
     leaf = np.array(leaf)
     _check_assignment(model, leaf)
     return leaf

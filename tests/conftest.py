@@ -1,4 +1,4 @@
-"""Shared builders for small hand-made instances."""
+"""Shared builders for small hand-made instances, and checks of phase two's models."""
 
 from __future__ import annotations
 
@@ -44,6 +44,19 @@ def make_instance(
         time_budget=float(time_budget),
         metric=metric,
     )
+
+
+def negative_zeros(model):
+    """The number of -0.0 entries in each array of a loading model that has any.
+
+    They compare equal to 0.0 but change the bytes of the golden digest."""
+    counts = {}
+    for name in ("a", "c", "b_ub", "b_eq", "lower", "upper"):
+        array = getattr(model, name)
+        count = int(np.count_nonzero(np.signbit(array[array == 0])))
+        if count:
+            counts[name] = count
+    return counts
 
 
 def reweighted(instance):

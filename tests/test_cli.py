@@ -246,6 +246,15 @@ def test_sweep_multiple_seeds_aggregates(tmp_path):
     assert float(rows[0]["of_best"]) <= float(rows[0]["of_mean"]) + 1e-12
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys, seeds):
+    csv_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", "palma", "--max-iter", "2", "--seeds", seeds, "--out", str(csv_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --seeds must be at least 1, got {seeds}\n"
+    assert not csv_path.exists()
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])

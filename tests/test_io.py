@@ -79,7 +79,7 @@ def test_parse_rejects_bad_documents():
 
     doc = _minimal_doc()
     doc["stations"][1] = "oops"
-    with pytest.raises(DocumentError, match=r"stations\[1\]"):
+    with pytest.raises(DocumentError, match=r"^stations\[1\]: expected an object$"):
         parse_instance(doc)
 
     doc = _minimal_doc()
@@ -95,6 +95,22 @@ def test_parse_rejects_bad_documents():
     doc = _minimal_doc()
     doc["vehicles"][0].pop("capacity")
     with pytest.raises(DocumentError, match=r"vehicles\[0\].capacity: missing"):
+        parse_instance(doc)
+
+
+@pytest.mark.parametrize(
+    "keys, path",
+    [(("vehicles", 0), r"vehicles\[0\]"), ((), "document")],
+    ids=["vehicle", "document"],
+)
+def test_parse_instance_names_the_entry_that_is_not_an_object(keys, path):
+    # a station entry is checked in test_parse_rejects_bad_documents
+    doc = _minimal_doc()
+    if keys:
+        doc[keys[0]][keys[1]] = 7
+    else:
+        doc = [doc]
+    with pytest.raises(DocumentError, match=rf"^{path}: expected an object$"):
         parse_instance(doc)
 
 
@@ -296,6 +312,32 @@ def test_parse_solution_rejects_malformed_params(params, message):
     doc["params"] = params
     with pytest.raises(DocumentError, match=message):
         parse_solution(json.loads(json.dumps(doc)), inst)
+
+
+@pytest.mark.parametrize(
+    "keys, path",
+    [
+        (("routes", 0), r"routes\[0\]"),
+        (("routes", 0, "moves", 1), r"routes\[0\]\.moves\[1\]"),
+        ((), "document"),
+    ],
+    ids=["route", "move", "document"],
+)
+def test_parse_solution_names_the_entry_that_is_not_an_object(keys, path):
+    inst = make_instance([(1, 10, 7, 0, 5)], fleet=((1, 4),))
+    routes = [Route(1, (0, 1, 0))]
+    plans = [LoadingPlan(1, ((0, 0), (2, 0), (-2, 0)))]
+    doc = write_solution(solution_from_plans(inst, routes, plans, ObjectiveWeights()))
+    if keys:
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = "oops"
+    else:
+        doc = "oops"
+    with pytest.raises(DocumentError, match=rf"^{path}: expected an object$"):
+        parse_solution(doc, inst)
 
 
 def test_parse_solution_rejects_infeasible_documents():

@@ -9,7 +9,7 @@ import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, random_instances, reweighted
+from conftest import make_instance, negative_zeros, random_instances, reweighted
 from ssbrp import loading
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
@@ -270,16 +270,16 @@ def test_depot_moves_follow_from_station_moves(case):
         leaf = rule(model, values)
         loading._check_assignment(model, leaf)
         assert leaf[station].tolist() == values[station].tolist()
-        for route in model.routes:
-            if not route.visits:
-                continue
-            # the stock the route needs: its largest net delivery before the last visit
-            lid, flow, need = route.vehicle_id, 0, 0
-            for i, node in enumerate(route.visits[:-1], start=1):
-                if node != DEPOT and (lid, i) in model.x_idx:
-                    flow += values[model.x_idx[lid, i]]
+        # the stock each route needs: its largest net delivery, read column by
+        # column up to the route's w0 (station moves precede the last visit)
+        flow = need = 0
+        for j, (kind, *_, node) in enumerate(model.columns):
+            if kind == "w0":
+                assert leaf[j] == need
+                flow = need = 0
+            elif kind == "x" and node != DEPOT:
+                flow += values[j]
                 need = max(need, -flow)
-            assert leaf[model.w0_idx[lid]] == need
         zeroed = values.copy()
         zeroed[depot] = 0
         assert rule(model, zeroed).tolist() == leaf.tolist()
@@ -952,3 +952,45 @@ def test_mid_route_depot_swap():
     assert result.objective_value == 0
     oracle = brute_force_loading(inst, routes)
     assert oracle.objective_value == 0
+
+
+@pytest.mark.parametrize(
+    "stations, visits, moves",
+    [
+        # surplus 3 and 2 damaged at station -1; capacity 4 takes 3 and 1
+        (
+            [(-1, 10, 8, 2, 5), (2, 10, 1, 0, 4)],
+            (0, -1, 0, 2, 0),
+            ((0, 0), (3, 1), (0, -1), (-3, 0), (0, 0)),
+        ),
+        # deficit 3 and 2 damaged at station -1, filled from station 2
+        (
+            [(2, 10, 8, 0, 5), (-1, 10, 1, 2, 4)],
+            (0, 2, 0, -1, 0),
+            ((0, 0), (3, 0), (0, 0), (-3, 2), (0, -2)),
+        ),
+    ],
+    ids=["surplus", "deficit"],
+)
+def test_station_id_minus_one_is_not_an_allotment(stations, visits, moves):
+    # the w0 columns carry node -1 too: only their kind tells them apart
+    inst = make_instance(stations, fleet=((1, 4), (2, 3)))
+    routes = [Route(2), Route(1, visits)]
+    model = build_model(inst, routes)
+    assert [col for col in model.columns if col[3] == -1] == [
+        ("x", 1, visits.index(-1) + 1, -1),
+        ("y", 1, visits.index(-1) + 1, -1),
+        ("w0", 1, 0, -1),
+    ]
+    exact = solve_exact(model)
+    oracle = brute_force_loading(inst, routes)
+    assert exact == oracle
+    assert exact.plans == (LoadingPlan(2), LoadingPlan(1, moves))
+    assert validate_solution(inst, routes, exact.plans) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models())
+def test_model_arrays_hold_no_negative_zero(case):
+    inst, routes, weights = case
+    assert negative_zeros(build_model(inst, routes, weights)) == {}
