@@ -1,8 +1,8 @@
 """Step through the randomized greedy route construction by hand.
 
-Phase one grows a route one visit at a time: enumerate feasible successors,
-score each with a moved-bikes-per-minute ratio, draw the next stop among
-those close to the best ratio. This script replays the first choices of a
+Phase one grows a route one visit at a time: one scan finds the feasible
+successors and scores each with a moved-bikes-per-minute ratio, then the
+next stop is drawn among those close to the best ratio. This script replays the first choices of a
 tiny instance manually, then lets the full builder finish the job.
 """
 
@@ -20,7 +20,7 @@ from ssbrp import (
     construct_solution,
     validate_solution,
 )
-from ssbrp.construction import apply_visit, candidate_ratios, feasible_successors, select_next
+from ssbrp.construction import apply_visit, feasible_successors, select_next
 
 # three stations: 1 has three bikes too many, 2 is three short, 3 holds
 # two damaged bikes; a single vehicle with four lockers, two spares at depot
@@ -54,22 +54,21 @@ state.start_vehicle(vehicle)
 visits, moves = [0], [(0, 0)]
 
 for step in range(1, 4):
-    candidates = feasible_successors(instance, state, visits[-1], vehicle)
-    if not candidates:
+    # each candidate move (node, beta, alpha) with its ratio, in station
+    # order, the depot last
+    ratios = feasible_successors(instance, state, visits[-1], vehicle, params)
+    if not ratios:
         break
     print(f"step {step}: at node {visits[-1]}, elapsed {state.elapsed:g} min")
-    # candidates come in station order, the depot last
-    ratios = candidate_ratios(instance, state, params, vehicle, visits[-1], candidates)
-    for v, (beta, alpha) in candidates.items():
+    for (v, beta, alpha), ratio in ratios.items():
         print(f"  node {v}: move ({beta} operative, {alpha} damaged)"
-              f"  ratio {ratios[v]:.4f}")
+              f"  ratio {ratio:.4f}")
     # a fresh epsilon is drawn per choice; pin it here to make the cut visible
     epsilon = 0.8
     cutoff = epsilon * max(ratios.values())
-    eligible = sorted(v for v, r in ratios.items() if r >= cutoff)
-    v_star = select_next(ratios, rng, epsilon=epsilon)
+    eligible = sorted(v for (v, _, _), r in ratios.items() if r >= cutoff)
+    v_star, beta, alpha = select_next(ratios, rng, epsilon=epsilon)
     print(f"  epsilon {epsilon} keeps {eligible}, drew {v_star}")
-    beta, alpha = candidates[v_star]
     apply_visit(instance, state, vehicle, visits, moves, v_star, beta, alpha)
     print(f"  onboard now {state.onboard_operative} operative,"
           f" {state.onboard_damaged} damaged\n")

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from time import perf_counter
 
 from .construction import ConstructionParams
@@ -95,13 +96,8 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _sweep_run(instance: Instance, theta: float, mu: float, seed: int, args):
-    config = RunConfig(
-        max_iter=args.max_iter,
-        master_seed=seed,
-        weights=_weights(args),
-        construction=ConstructionParams(theta, mu),
-    )
+def _sweep_run(instance: Instance, config: RunConfig, seed: int):
+    config = replace(config, master_seed=seed)
     t0 = perf_counter()
     report = run(instance, config)
     return report.best_objective.total, report.iteration_of_best, perf_counter() - t0
@@ -110,6 +106,17 @@ def _sweep_run(instance: Instance, theta: float, mu: float, seed: int, args):
 def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    thetas = tuple(args.theta) if args.theta else DEFAULT_THETA_GRID
+    mus = tuple(args.mu) if args.mu else DEFAULT_MU_GRID
+    # every cell's configuration is checked before any instance is built or run
+    weights = _weights(args)
+    configs = {
+        (theta, mu): RunConfig(
+            max_iter=args.max_iter, weights=weights, construction=ConstructionParams(theta, mu)
+        )
+        for theta in thetas
+        for mu in mus
+    }
     families = [Family(args.family)] if args.family else [Family.PALMA, Family.WIEN]
     corpora: list[tuple[str, list[Instance]]] = []
     if args.instance:
@@ -122,8 +129,6 @@ def cmd_sweep(args) -> int:
             )
             corpora.append((family.value, [generate_instance(config)]))
 
-    thetas = tuple(args.theta) if args.theta else DEFAULT_THETA_GRID
-    mus = tuple(args.mu) if args.mu else DEFAULT_MU_GRID
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(SWEEP_COLUMNS)
@@ -135,7 +140,7 @@ def cmd_sweep(args) -> int:
                 for instance in instances:
                     for seed in range(args.seed, args.seed + args.seeds):
                         try:
-                            results.append(_sweep_run(instance, theta, mu, seed, args))
+                            results.append(_sweep_run(instance, configs[theta, mu], seed))
                         except Exception as exc:  # reported per run; the sweep goes on
                             print(f"sweep cell ({label}, {theta}, {mu}) seed {seed} failed: {exc}",
                                   file=sys.stderr)

@@ -92,10 +92,18 @@ def _done(imbalance: int, damaged: int) -> bool:
     return imbalance == 0 and damaged <= 0
 
 
+@functools.cache
+def _powers(theta: float, capacity: int) -> tuple[float, ...]:
+    """``n ** theta`` for every move size n; a move reaches 2 * capacity,
+    since a delivery frees lockers for damaged pickups."""
+    return tuple(n**theta for n in range(2 * capacity + 1))
+
+
 def feasible_successors(
-    instance: Instance, state: BuildState, u: int, vehicle: Vehicle
-) -> dict[int, tuple[int, int]]:
-    """Candidate next visits from u, mapped to their (beta, alpha) moves.
+    instance: Instance, state: BuildState, u: int, vehicle: Vehicle, params: ConstructionParams
+) -> dict[tuple[int, int, int], float]:
+    """Candidate next visits from u, as moves ``(node, beta, alpha)`` mapped
+    to their ratios.
 
     A station qualifies if it is live, the route can visit it and return to
     the depot in time, and the vehicle can actually move at least one bike
@@ -106,6 +114,14 @@ def feasible_successors(
     visit. Pickups, net of the delivery, never exceed the depot's room. The
     depot qualifies only to unload damaged bikes. Stations come in
     ``Instance.stations`` order, the depot last.
+
+    A station scores ``(beta + alpha) ** theta / t * w`` (bikes moved, travel
+    minutes, station weight), the depot ``mu * onboard damaged / t``. Zero
+    travel time scores infinity and dominates all. A station of weight 0
+    scores 0, also where the quotient overflows (inf * 0 would be nan, which
+    no epsilon cut can compare). ``n ** theta`` comes from a table up to
+    2 * capacity, the largest move of a load that fits the vehicle; a larger
+    move, which only a hand-built state can yield, uses the same formula.
     """
     lookup = instance._lookup
     try:
@@ -118,11 +134,15 @@ def feasible_successors(
     damaged = state.residual_damaged
     ids = lookup.ids
     back = lookup.back
+    weight = lookup.weight
     # conditional expressions, not min()/max(): this runs for every live
     # station at every step, and the builtin calls would cost twice the rest
     # of the body. A finished station (imbalance 0, damaged <= 0) always gets
     # beta + alpha <= 0.
     k = vehicle.capacity
+    theta = params.theta
+    powered = _powers(theta, k)
+    size = len(powered)
     onboard_op = state.onboard_operative
     onboard_dam = state.onboard_damaged
     free = k - onboard_op - onboard_dam
@@ -131,12 +151,13 @@ def feasible_successors(
     stock, lockers = state.depot_remaining, state.min_free_lockers
     reach = onboard_op + (stock if stock < lockers else lockers)
     undamaged = k - onboard_dam
-    out: dict[int, tuple[int, int]] = {}
+    out: dict[tuple[int, int, int], float] = {}
     for i in state.live:
         v = ids[i]
         if v == u:
             continue
-        if elapsed + row[i] + back[i] > budget:
+        t = row[i]
+        if elapsed + t + back[i] > budget:
             continue
         d = imbalance[v]
         avail_damaged = damaged[v]
@@ -152,68 +173,23 @@ def feasible_successors(
             if beta < 0:
                 beta = 0
             alpha = pick - beta if pick - beta < avail_damaged else avail_damaged
-        if beta + alpha > 0:
-            out[v] = (beta, alpha)
+        n = beta + alpha
+        if n > 0:
+            w = weight[i]
+            if t and w:
+                out[v, beta, alpha] = (powered[n] if n < size else n**theta) / t * w
+            else:
+                out[v, beta, alpha] = math.inf if t == 0 else 0.0
     if u != DEPOT and onboard_dam > 0 and elapsed + t_u0 <= budget:
-        out[DEPOT] = (0, 0)
+        out[DEPOT, 0, 0] = math.inf if t_u0 == 0 else params.mu * onboard_dam / t_u0
     return out
 
 
-@functools.cache
-def _powers(theta: float, capacity: int) -> tuple[float, ...]:
-    """``n ** theta`` for every move size n; a move reaches 2 * capacity,
-    since a delivery frees lockers for damaged pickups."""
-    return tuple(n**theta for n in range(2 * capacity + 1))
-
-
-def candidate_ratios(
-    instance: Instance,
-    state: BuildState,
-    params: ConstructionParams,
-    vehicle: Vehicle,
-    u: int,
-    candidates: dict[int, tuple[int, int]],
-) -> dict[int, float]:
-    """Attractiveness of moving from u to each candidate, in candidate order.
-
-    A station scores ``(beta + alpha) ** theta / t * w`` (bikes moved, travel
-    minutes, station weight), the depot ``mu * onboard damaged / t``. Zero
-    travel time scores infinity and dominates all. A station of weight 0
-    scores 0, also where the quotient overflows (inf * 0 would be nan, which
-    no epsilon cut can compare). ``n ** theta`` comes from a table up to
-    2 * capacity, the largest move of a load that fits the vehicle; a larger
-    move is scored by the same formula, and a negative one is refused.
-    """
-    lookup = instance._lookup
-    position, weight = lookup.position, lookup.weight
-    theta = params.theta
-    powered = _powers(theta, vehicle.capacity)
-    size = len(powered)
-    ratios = {}
-    try:
-        row, t_u0 = lookup.rows[u]
-        for v, (beta, alpha) in candidates.items():
-            if v == DEPOT:
-                ratios[v] = math.inf if t_u0 == 0 else params.mu * state.onboard_damaged / t_u0
-                continue
-            i = position[v]
-            n = beta + alpha
-            if n < 0:
-                raise ValueError(f"negative move {beta} + {alpha} at node {v}")
-            t = row[i]
-            w = weight[i]
-            if t and w:
-                ratios[v] = (powered[n] if n < size else n**theta) / t * w
-            else:
-                ratios[v] = math.inf if t == 0 else 0.0
-    except KeyError as exc:
-        raise ValueError(f"unknown node id {exc.args[0]}") from None
-    return ratios
-
-
 def select_next(
-    ratios: dict[int, float], rng: np.random.Generator, epsilon: float | None = None
-) -> int:
+    ratios: dict[tuple[int, int, int], float],
+    rng: np.random.Generator,
+    epsilon: float | None = None,
+) -> tuple[int, int, int]:
     """Uniform draw among candidates whose ratio reaches epsilon * max ratio."""
     if not ratios:
         raise ValueError("no candidates to select from")
@@ -297,13 +273,10 @@ def build_route(
     visits: list[int] = [DEPOT]
     moves: list[tuple[int, int]] = [(0, 0)]
     while True:
-        u = visits[-1]
-        candidates = feasible_successors(instance, state, u, vehicle)
+        candidates = feasible_successors(instance, state, visits[-1], vehicle, params)
         if not candidates:
             break
-        ratios = candidate_ratios(instance, state, params, vehicle, u, candidates)
-        v_star = select_next(ratios, rng)
-        beta, alpha = candidates[v_star]
+        v_star, beta, alpha = select_next(candidates, rng)
         apply_visit(instance, state, vehicle, visits, moves, v_star, beta, alpha)
     if len(visits) == 1:
         # never left the depot: an unused vehicle

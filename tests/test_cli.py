@@ -255,6 +255,22 @@ def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys, seeds):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-iter", "1"], "max_iter must be at least 2"),
+        (["--gamma-d", "nan"], "objective weights must be finite"),
+        (["--theta", "0.5", "--theta", "2"], "theta must lie in (0, 1]"),
+    ],
+    ids=["max-iter", "gamma-d", "theta"],
+)
+def test_sweep_checks_its_configuration_before_any_run(tmp_path, capsys, flags, message):
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--family", "palma", *flags, "--out", str(csv_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not csv_path.exists()
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
+from ssbrp import construction
 from ssbrp.construction import (
     BuildState,
     ConstructionParams,
     apply_visit,
     build_route,
-    candidate_ratios,
     construct_solution,
     feasible_successors,
     select_next,
@@ -52,9 +52,10 @@ def _move(station, capacity, stock, **vehicle_fields):
     state = BuildState({s.id: s.imbalance}, {s.id: s.damaged}, stock, [0])
     for key, value in vehicle_fields.items():
         setattr(state, key, value)
-    successors = feasible_successors(inst, state, DEPOT, inst.fleet[0])
-    assert set(successors) <= {s.id}
-    return successors.get(s.id, (0, 0))
+    successors = feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams())
+    moves = [(beta, alpha) for v, beta, alpha in successors if v == s.id]
+    assert len(moves) == len(successors) <= 1
+    return moves[0] if moves else (0, 0)
 
 
 def test_max_movable_surplus():
@@ -87,26 +88,28 @@ def test_feasible_successors_time_window():
         travel=np.array([[0.0, 30.0], [30.0, 0.0]]),
     )
     state = BuildState.fresh(inst)
+    params = ConstructionParams()
     state.elapsed = 180.0
-    assert 1 in feasible_successors(inst, state, DEPOT, inst.fleet[0])
+    assert list(feasible_successors(inst, state, DEPOT, inst.fleet[0], params)) == [(1, 2, 0)]
     state.elapsed = 190.0
-    assert feasible_successors(inst, state, DEPOT, inst.fleet[0]) == {}
+    assert feasible_successors(inst, state, DEPOT, inst.fleet[0], params) == {}
 
 
 def test_feasible_successors_nothing_to_do():
     inst = make_instance([(1, 10, 5, 0, 5), (2, 10, 3, 0, 3)])
     state = BuildState.fresh(inst)
-    assert feasible_successors(inst, state, DEPOT, inst.fleet[0]) == {}
+    assert feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams()) == {}
 
 
 def test_feasible_successors_depot_only_with_damaged_on_board():
     inst = make_instance([(1, 10, 5, 0, 5)])
     state = BuildState.fresh(inst)
+    params = ConstructionParams()
     state.onboard_damaged = 2
-    successors = feasible_successors(inst, state, 1, inst.fleet[0])
-    assert list(successors) == [DEPOT]
+    successors = feasible_successors(inst, state, 1, inst.fleet[0], params)
+    assert list(successors) == [(DEPOT, 0, 0)]
     state.onboard_damaged = 0
-    assert feasible_successors(inst, state, 1, inst.fleet[0]) == {}
+    assert feasible_successors(inst, state, 1, inst.fleet[0], params) == {}
 
 
 def test_feasible_successors_drops_immovable_stations():
@@ -114,54 +117,51 @@ def test_feasible_successors_drops_immovable_stations():
     inst = make_instance([(1, 10, 8, 0, 2)], fleet=((1, 4),))
     state = BuildState.fresh(inst)
     state.onboard_operative = 4
-    assert feasible_successors(inst, state, DEPOT, inst.fleet[0]) == {}
+    assert feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams()) == {}
 
 
 def test_candidate_ratio_examples():
+    # station 1 moves (3, 1) in 4 minutes at weight 2, station 2 moves (4, 5) in 3
     inst = make_instance(
-        [(1, 10, 7, 0, 5, 2.0), (2, 10, 9, 0, 3, 1.0)],
+        [(1, 10, 7, 1, 4, 2.0), (2, 16, 9, 5, 5, 1.0)],
         travel=np.array([[0.0, 4.0, 3.0], [2.0, 0.0, 9.0], [9.0, 9.0, 0.0]]),
     )
     state = BuildState.fresh(inst)
     vehicle = inst.fleet[0]
-    ratios = candidate_ratios(inst, state, ConstructionParams(0.5, 1.5), vehicle, DEPOT, {1: (3, 1)})
-    assert ratios == {1: 1.0}
-    ratios = candidate_ratios(inst, state, ConstructionParams(1.0, 1.5), vehicle, DEPOT, {2: (4, 2)})
-    assert ratios == {2: 2.0}
+    ratios = feasible_successors(inst, state, DEPOT, vehicle, ConstructionParams(0.5, 1.5))
+    assert ratios == {(1, 3, 1): 1.0, (2, 4, 5): 1.0}
+    ratios = feasible_successors(inst, state, DEPOT, vehicle, ConstructionParams(1.0, 1.5))
+    assert ratios == {(1, 3, 1): 2.0, (2, 4, 5): 3.0}
     state.onboard_damaged = 4
-    ratios = candidate_ratios(inst, state, ConstructionParams(0.5, 1.5), vehicle, 1, {DEPOT: (0, 0)})
-    assert ratios == {DEPOT: 3.0}
+    ratios = feasible_successors(inst, state, 1, vehicle, ConstructionParams(0.5, 1.5))
+    assert ratios[DEPOT, 0, 0] == 3.0
 
 
-def test_candidate_ratios_keep_candidate_order():
-    inst = make_instance([(1, 10, 7, 0, 5), (2, 10, 9, 0, 3)])
-    state = BuildState.fresh(inst)
+def test_feasible_successors_keep_station_order():
+    inst = make_instance([(1, 10, 7, 0, 5), (2, 10, 9, 0, 3), (3, 10, 1, 0, 4)])
+    # a hand-built state whose dict keys run against station order
+    state = BuildState({3: -3, 2: 6, 1: 2}, {3: 0, 2: 0, 1: 0}, 0, [0, 1, 2])
     state.onboard_damaged = 1
-    candidates = {2: (4, 0), 1: (2, 0), DEPOT: (0, 0)}
-    ratios = candidate_ratios(inst, state, ConstructionParams(), inst.fleet[0], 1, candidates)
-    assert list(ratios) == [2, 1, DEPOT]
+    ratios = feasible_successors(inst, state, 1, inst.fleet[0], ConstructionParams())
+    assert [v for v, _, _ in ratios] == [2, DEPOT]
+    state.onboard_operative = 3
+    ratios = feasible_successors(inst, state, 1, inst.fleet[0], ConstructionParams())
+    assert [v for v, _, _ in ratios] == [2, 3, DEPOT]
 
 
-def test_candidate_ratios_score_moves_beyond_the_table():
+def test_feasible_successors_score_moves_beyond_the_table():
     # the n ** theta table stops at twice the capacity; a larger move, as a
-    # hand-built state overloading the vehicle can yield, uses the formula
+    # hand-built state with a negative load can yield, uses the formula
     inst = make_instance(
-        [(1, 10, 7, 0, 5)], fleet=((1, 2),),
+        [(1, 30, 16, 7, 7)], fleet=((1, 2),),
         travel=np.array([[0.0, 4.0], [4.0, 0.0]]),
     )
-    state = BuildState.fresh(inst)
     params = ConstructionParams(0.5, 1.5)
-    ratios = candidate_ratios(inst, state, params, inst.fleet[0], DEPOT, {1: (4, 0)})
-    assert ratios == {1: 0.5}
-    ratios = candidate_ratios(inst, state, params, inst.fleet[0], DEPOT, {1: (9, 7)})
-    assert ratios == {1: 1.0}
-
-
-def test_candidate_ratios_reject_negative_moves():
-    inst = make_instance([(1, 10, 7, 0, 5)], fleet=((1, 2),))
     state = BuildState.fresh(inst)
-    with pytest.raises(ValueError, match="negative move"):
-        candidate_ratios(inst, state, ConstructionParams(), inst.fleet[0], DEPOT, {1: (-3, 1)})
+    state.onboard_operative = -2
+    assert feasible_successors(inst, state, DEPOT, inst.fleet[0], params) == {(1, 4, 0): 0.5}
+    state.onboard_operative = -14
+    assert feasible_successors(inst, state, DEPOT, inst.fleet[0], params) == {(1, 9, 7): 1.0}
 
 
 def test_candidate_ratio_zero_travel_dominates():
@@ -169,10 +169,12 @@ def test_candidate_ratio_zero_travel_dominates():
         [(1, 10, 7, 0, 5)], travel=np.array([[0.0, 0.0], [0.0, 0.0]])
     )
     state = BuildState.fresh(inst)
-    ratio = candidate_ratios(inst, state, ConstructionParams(), inst.fleet[0], DEPOT, {1: (2, 0)})[1]
+    ratios = feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams())
+    assert list(ratios) == [(1, 2, 0)]
+    ratio = ratios[1, 2, 0]
     assert math.isinf(ratio)
     rng = np.random.default_rng(0)
-    assert select_next({1: ratio, 2: 5.0}, rng) == 1
+    assert select_next({(1, 2, 0): ratio, (2, 1, 0): 5.0}, rng) == (1, 2, 0)
 
 
 def test_zero_weight_scores_zero_even_when_the_quotient_overflows():
@@ -184,8 +186,8 @@ def test_zero_weight_scores_zero_even_when_the_quotient_overflows():
     )
     state = BuildState.fresh(inst)
     params = ConstructionParams()
-    ratios = candidate_ratios(inst, state, params, inst.fleet[0], DEPOT, {1: (1, 0), 2: (1, 0)})
-    assert ratios == {1: 0.0, 2: math.inf}
+    ratios = feasible_successors(inst, state, DEPOT, inst.fleet[0], params)
+    assert ratios == {(1, 2, 0): 0.0, (2, 2, 0): math.inf}
     for seed in range(10):
         sol = construct_solution(inst, params, np.random.default_rng(seed))
         assert validate_solution(inst, sol.routes, sol.plans) == []
@@ -327,6 +329,35 @@ def test_construct_solution_deterministic_under_seed():
     assert a == b
 
 
+def test_construction_calls_the_scan_and_the_draw_by_module_name(monkeypatch):
+    # the benchmark's tracer swaps both functions in the module namespace and
+    # counts each step's candidates by len() of the scan's result
+    inst = make_instance(
+        [(1, 12, 9, 1, 4), (2, 12, 2, 2, 8), (3, 12, 6, 0, 6), (4, 12, 1, 1, 5)],
+        fleet=((1, 8), (2, 6)),
+        stock=4,
+    )
+    want = construct_solution(inst, ConstructionParams(), np.random.default_rng(7))
+    scans, draws = [], []
+
+    def counting_scan(*args, **kwargs):
+        result = scan(*args, **kwargs)
+        scans.append((len(result), len(list(result))))
+        return result
+
+    def counting_draw(*args, **kwargs):
+        draws.append(args[0])
+        return draw(*args, **kwargs)
+
+    scan, draw = construction.feasible_successors, construction.select_next
+    monkeypatch.setattr(construction, "feasible_successors", counting_scan)
+    monkeypatch.setattr(construction, "select_next", counting_draw)
+    got = construct_solution(inst, ConstructionParams(), np.random.default_rng(7))
+    assert got == want
+    assert draws and all(n == keys for n, keys in scans)
+    assert len(draws) == sum(1 for n, _ in scans if n)
+
+
 def test_construct_solution_balances_symmetric_toy():
     inst = make_instance(
         [(1, 12, 9, 0, 5), (2, 12, 8, 0, 4), (3, 12, 1, 0, 5), (4, 12, 2, 0, 6)],
@@ -338,13 +369,16 @@ def test_construct_solution_balances_symmetric_toy():
 
 
 def test_ratio_monotone_in_moved_bikes():
-    inst = make_instance([(1, 10, 9, 0, 1)], travel=4.0)
+    inst = make_instance([(1, 10, 9, 0, 1)], fleet=((1, 8),), travel=4.0)
     state = BuildState.fresh(inst)
     params = ConstructionParams(0.5, 1.5)
-    values = [
-        candidate_ratios(inst, state, params, inst.fleet[0], DEPOT, {1: (beta, 0)})[1]
-        for beta in (1, 2, 5, 8)
-    ]
+    values = []
+    for beta in (1, 2, 5, 8):
+        # free lockers cap the pickup at beta
+        state.onboard_operative = 8 - beta
+        ratios = feasible_successors(inst, state, DEPOT, inst.fleet[0], params)
+        assert list(ratios) == [(1, beta, 0)]
+        values.extend(ratios.values())
     assert values == sorted(values)
 
 
@@ -474,14 +508,13 @@ def _phase_one_cases(draw):
 @given(_phase_one_cases())
 def test_phase_one_matches_reference_loop(case):
     instance, state, vehicle, params, u = case
-    got = feasible_successors(instance, state, u, vehicle)
-    want = _reference_successors(instance, state, u, vehicle)
-    assert list(got.items()) == list(want.items())  # same entries in the same key order
-    ratios = candidate_ratios(instance, state, params, vehicle, u, want)
-    assert list(ratios.items()) == [
-        (v, _reference_ratio(instance, state, params, u, v, beta, alpha))
-        for v, (beta, alpha) in want.items()
-    ]
+    got = feasible_successors(instance, state, u, vehicle, params)
+    want = {
+        (v, beta, alpha): _reference_ratio(instance, state, params, u, v, beta, alpha)
+        for v, (beta, alpha) in _reference_successors(instance, state, u, vehicle).items()
+    }
+    assert got == want
+    assert list(got) == list(want)  # the same key order
 
 
 def test_phase_one_rejects_unknown_nodes():
@@ -489,15 +522,8 @@ def test_phase_one_rejects_unknown_nodes():
     state = BuildState.fresh(inst)
     vehicle = Vehicle(1, 20)
     state.start_vehicle(vehicle)
-    params = ConstructionParams()
     with pytest.raises(ValueError, match="unknown node id 9"):
-        feasible_successors(inst, state, 9, vehicle)
-    with pytest.raises(ValueError, match="unknown node id 9"):
-        candidate_ratios(inst, state, params, vehicle, DEPOT, {1: (1, 0), 9: (1, 0)})
-    with pytest.raises(ValueError, match="unknown node id 9"):
-        candidate_ratios(inst, state, params, vehicle, 9, {1: (1, 0)})
-    with pytest.raises(ValueError, match="unknown node id 9"):
-        candidate_ratios(inst, state, params, vehicle, 9, {})
+        feasible_successors(inst, state, 9, vehicle, ConstructionParams())
 
 
 # --- reference equivalence: the whole construction -----------------------------
@@ -515,11 +541,10 @@ def _reference_construction(instance, params, rng, state):
             if not candidates:
                 break
             ratios = {
-                v: _reference_ratio(instance, state, params, u, v, beta, alpha)
+                (v, beta, alpha): _reference_ratio(instance, state, params, u, v, beta, alpha)
                 for v, (beta, alpha) in candidates.items()
             }
-            v_star = select_next(ratios, rng)
-            apply_visit(instance, state, vehicle, visits, moves, v_star, *candidates[v_star])
+            apply_visit(instance, state, vehicle, visits, moves, *select_next(ratios, rng))
         if len(visits) == 1:
             routes.append(Route(vehicle.id))
             plans.append(LoadingPlan(vehicle.id))
@@ -624,7 +649,8 @@ def test_construction_moves_twice_the_capacity():
     inst = make_instance([(1, 20, 2, 6, 10), (2, 20, 9, 0, 5)], fleet=((1, 3), (2, 2)), stock=5)
     state = BuildState.fresh(inst)
     state.start_vehicle(inst.fleet[0])
-    assert feasible_successors(inst, state, DEPOT, inst.fleet[0])[1] == (3, 3)
+    successors = feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams())
+    assert [key for key in successors if key[0] == 1] == [(1, 3, 3)]
     for seed in range(20):
         _check_construction(inst, ConstructionParams(), seed, [2, 1])
 
