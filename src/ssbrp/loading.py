@@ -28,7 +28,6 @@ from .model import (
     ObjectiveWeights,
     Route,
     Solution,
-    Station,
     _route_faults,
     evaluate_objective,
     solution_from_plans,
@@ -631,18 +630,18 @@ def loading_bound(
     imbalance term is at most phase two's, so their sum is too. A shortfall
     breaks that term-by-term order: at weight 0.1, residuals 3 and 3 sum to
     0.6000000000000001 but 1 and 5 to 0.6. So it is placed only when every
-    station weight is an integer and ``sum w * |imbalance|`` is below 2**53.
-    Then each term and partial sum of either numerator is an integer that a
-    float holds exactly, since no plan leaves a station further from its
-    target than it starts. Either way ``total`` never exceeds the
-    reoptimized total, to the bit.
+    station weight is an integer and ``sum w * |imbalance|`` is below 2**53
+    (``Instance._exact_sums``). Then each term and partial sum of either
+    numerator is an integer that a float holds exactly, since no plan leaves
+    a station further from its target than it starts. Either way ``total``
+    never exceeds the reoptimized total, to the bit.
     """
     stations = instance.stations
     visited = {node for route in solution.routes for node in route.visits}
     operative = {s.id: s.target if s.id in visited else s.operative for s in stations}
     damaged = {s.id: 0 if s.id in visited else s.damaged for s in stations}
     shortfall = -instance.depot.operative - sum(s.imbalance for s in stations if s.id in visited)
-    if shortfall > 0 and _exact_sums(stations):
+    if shortfall > 0 and instance._exact_sums:
         deficits = sorted(
             (s for s in stations if s.id in visited and s.imbalance < 0), key=lambda s: s.weight
         )
@@ -654,11 +653,3 @@ def loading_bound(
                 break
     state = FinalState(operative, damaged, 0, 0, solution.route_times)
     return evaluate_objective(instance, state, weights)
-
-
-def _exact_sums(stations: Sequence[Station]) -> bool:
-    """Whether floats add station-weighted imbalances exactly: integer weights,
-    and ``sum w * |imbalance|`` below 2**53."""
-    if not all(float(s.weight).is_integer() for s in stations):
-        return False
-    return sum(int(s.weight) * abs(s.imbalance) for s in stations) < 2**53

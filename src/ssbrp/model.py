@@ -100,9 +100,6 @@ class Instance:
         except KeyError:
             raise ValueError(f"unknown station id {node}")
 
-    def is_station(self, node: int) -> bool:
-        return node in self._by_id
-
     @property
     def nodes(self) -> tuple[int, ...]:
         return (DEPOT,) + tuple(s.id for s in self.stations)
@@ -130,6 +127,13 @@ class Instance:
             position={s.id: i for i, s in enumerate(self.stations)},
             weight=[s.weight for s in self.stations],
         )
+
+    @cached_property
+    def _exact_sums(self) -> bool:
+        """Whether floats add station-weighted imbalances exactly: integer weights
+        and ``sum w * |imbalance|`` below 2**53. Cached as ``_lookup`` is."""
+        exact = all(float(s.weight).is_integer() for s in self.stations)
+        return exact and sum(int(s.weight) * abs(s.imbalance) for s in self.stations) < 2**53
 
 
 @dataclass(frozen=True)
@@ -252,8 +256,10 @@ def check_instance(instance: Instance) -> None:
     if np.any(np.diag(m) != 0):
         raise ValueError("travel_min: diagonal must be zero")
     if instance.metric:
-        # t(u,w) <= t(u,v) + t(v,w) for all triples, enforced only when declared
-        one_stop = (m[:, :, None] + m[None, :, :]).min(axis=1)
+        # t(u,w) <= t(u,v) + t(v,w), enforced only when declared; one v at a time: O(n^2) memory
+        one_stop = m[:, :1] + m[:1, :]
+        for v in range(1, n):
+            np.minimum(one_stop, m[:, v : v + 1] + m[v : v + 1, :], out=one_stop)
         if np.any(m > one_stop + 1e-9):
             raise ValueError("travel_min: triangle inequality violated but metric=true")
     object.__setattr__(instance, "_checked", True)
@@ -264,30 +270,36 @@ def apply_solution(
     routes: Sequence[Route],
     plans: Sequence[LoadingPlan],
 ) -> FinalState:
-    """Replay all moves and return the resulting inventories and route times."""
-    if len(routes) != len(plans):
-        raise ValueError("routes and plans differ in length")
-    operative = {s.id: s.operative for s in instance.stations}
-    damaged = {s.id: s.damaged for s in instance.stations}
-    depot_op = instance.depot.operative
-    depot_dam = 0
+    """Replay all moves and return the resulting inventories and route times;
+    raises ValueError with the first structural fault ``validate_solution`` reports."""
+    faults, sound = _plan_faults(instance, routes, plans)
+    if faults:
+        raise ValueError(faults[0])
+    operative, damaged = _inventories(instance)
     times: dict[int, float] = {v.id: 0.0 for v in instance.fleet}
-    for route, plan in zip(routes, plans):
-        if route.vehicle_id != plan.vehicle_id:
-            raise ValueError(f"route/plan vehicle mismatch: {route.vehicle_id} vs {plan.vehicle_id}")
-        if len(route.visits) != len(plan.moves):
-            raise ValueError(f"vehicle {route.vehicle_id}: plan length differs from route length")
-        for node, (d_op, d_dam) in zip(route.visits, plan.moves):
-            if node == DEPOT:
-                depot_op -= d_op
-                depot_dam -= d_dam
-            elif instance.is_station(node):
-                operative[node] -= d_op
-                damaged[node] -= d_dam
-            else:
-                raise ValueError(f"vehicle {route.vehicle_id}: visit to unknown node {node}")
+    for route, plan, _ in sound:
+        for _ in _replay(route, plan, operative, damaged):
+            pass
         times[route.vehicle_id] = route_time(route, instance)
-    return FinalState(operative, damaged, depot_op, depot_dam, times)
+    return FinalState(operative, damaged, operative.pop(DEPOT), damaged.pop(DEPOT), times)
+
+
+def _inventories(instance: Instance) -> tuple[dict[int, int], dict[int, int]]:
+    """Initial operative and damaged inventories by node, the depot first."""
+    operative = {DEPOT: instance.depot.operative} | {s.id: s.operative for s in instance.stations}
+    return operative, {DEPOT: 0} | {s.id: s.damaged for s in instance.stations}
+
+
+def _replay(route: Route, plan: LoadingPlan, operative: dict[int, int], damaged: dict[int, int]):
+    """Carry out one route's moves in order on inventories keyed by node (the depot under
+    ``DEPOT``); after each yield ``(visit, node, d_op, d_dam, op, dam)``, op and dam the load."""
+    op = dam = 0
+    for i, (node, (d_op, d_dam)) in enumerate(zip(route.visits, plan.moves)):
+        operative[node] -= d_op
+        damaged[node] -= d_dam
+        op += d_op
+        dam += d_dam
+        yield i, node, d_op, d_dam, op, dam
 
 
 def evaluate_objective(
@@ -301,12 +313,9 @@ def evaluate_objective(
     the initial total deviation ``D = sum(w * |dev| + damaged)``; when D is
     zero both terms are defined as 0.
     """
-    denom = 0.0
-    imb_num = 0.0
-    dam_num = 0.0
+    denom = imb_num = dam_num = 0.0
     for s in instance.stations:
-        p_hat = final_state.operative[s.id]
-        a_hat = final_state.damaged[s.id]
+        p_hat, a_hat = final_state.operative[s.id], final_state.damaged[s.id]
         if p_hat < 0 or a_hat < 0:
             raise ValueError(f"station {s.id}: negative final inventory")
         denom += s.weight * abs(s.target - s.operative) + s.damaged
@@ -349,8 +358,8 @@ def empty_solution(instance: Instance, weights: ObjectiveWeights) -> Solution:
 def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]]:
     """Each route's shape faults: a vehicle outside the fleet or with an earlier
     route, a nonempty route not from and back to the depot, a node visited twice
-    in a row, unknown nodes. ``validate_solution`` reports them; phase two
-    raises the first."""
+    in a row, unknown nodes. ``validate_solution`` reports them; ``apply_solution``
+    and phase two raise the first."""
     fleet = {v.id for v in instance.fleet}
     seen: set[int] = set()
     out: list[list[str]] = []
@@ -371,10 +380,34 @@ def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]
         for i, (a, b) in enumerate(zip(visits, visits[1:])):
             if a == b:
                 faults.append(f"{tag}: visit {i + 1} immediately repeats node {a}")
-        unknown = [n for n in visits if n != DEPOT and not instance.is_station(n)]
+        unknown = [n for n in visits if n != DEPOT and n not in instance._by_id]
         if unknown:
             faults.append(f"{tag}: unknown nodes {sorted(set(unknown))}")
     return out
+
+
+def _plan_faults(
+    instance: Instance, routes: Sequence[Route], plans: Sequence[LoadingPlan]
+) -> tuple[list[str], list[tuple[Route, LoadingPlan, Vehicle]]]:
+    """The structural faults of (routes, plans), in ``validate_solution``'s order,
+    and the sound ``(route, plan, vehicle)`` triples, whose moves can be replayed."""
+    out: list[str] = []
+    if len(routes) != len(plans):
+        out.append(f"structure: {len(routes)} routes but {len(plans)} plans")
+    fleet = {v.id: v for v in instance.fleet}
+    sound: list[tuple[Route, LoadingPlan, Vehicle]] = []
+    for route, plan, faults in zip(routes, plans, _route_faults(instance, routes)):
+        rid = route.vehicle_id
+        tag = f"vehicle {rid}"
+        if plan.vehicle_id != rid:
+            out.append(f"{tag}: paired with plan for vehicle {plan.vehicle_id}")
+            continue
+        out += faults
+        if len(route.visits) != len(plan.moves):
+            out.append(f"{tag}: {len(route.visits)} visits but {len(plan.moves)} moves")
+        elif not faults:
+            sound.append((route, plan, fleet[rid]))
+    return out, sound
 
 
 def validate_solution(
@@ -387,84 +420,51 @@ def validate_solution(
     Station and depot inventories are replayed in canonical event order:
     routes in the given order, visits in route order. Never raises; any
     structural defect is reported as a violation, and a route with one is
-    not replayed.
+    not replayed. Load and time violations come before inventory ones.
     """
-    out: list[str] = []
-    if len(routes) != len(plans):
-        out.append(f"structure: {len(routes)} routes but {len(plans)} plans")
-    fleet = {v.id: v for v in instance.fleet}
-    simulatable: list[tuple[Route, LoadingPlan, Vehicle]] = []
-
-    for route, plan, faults in zip(routes, plans, _route_faults(instance, routes)):
-        rid = route.vehicle_id
-        tag = f"vehicle {rid}"
-        if plan.vehicle_id != rid:
-            out.append(f"{tag}: paired with plan for vehicle {plan.vehicle_id}")
-            continue
-        out += faults
-        if len(route.visits) != len(plan.moves):
-            out.append(f"{tag}: {len(route.visits)} visits but {len(plan.moves)} moves")
-        elif not faults:
-            simulatable.append((route, plan, fleet[rid]))
-
-    # Per-vehicle load and time limits.
-    for route, plan, veh in simulatable:
+    out, sound = _plan_faults(instance, routes, plans)
+    p_hat, a_hat = _inventories(instance)
+    stock: list[str] = []
+    for route, plan, veh in sound:
         tag = f"vehicle {veh.id}"
         op = dam = 0
-        for i, (node, (d_op, d_dam)) in enumerate(zip(route.visits, plan.moves)):
+        for i, node, d_op, d_dam, op, dam in _replay(route, plan, p_hat, a_hat):
             if node == DEPOT and d_dam > 0:
                 out.append(f"{tag}: visit {i}: damaged bikes loaded at the depot")
             if node != DEPOT and d_dam < 0:
                 out.append(f"{tag}: visit {i}: damaged bikes delivered to station {node}")
-            op += d_op
-            dam += d_dam
             if op < 0:
                 out.append(f"{tag}: visit {i}: operative load below zero ({op})")
             if dam < 0:
                 out.append(f"{tag}: visit {i}: damaged load below zero ({dam})")
             if op + dam > veh.capacity:
                 out.append(f"{tag}: visit {i}: load {op + dam} exceeds capacity {veh.capacity}")
+            if node == DEPOT and p_hat[node] < 0:
+                stock.append(f"{tag}: visit {i}: depot operative stock overdrawn ({p_hat[node]})")
+            elif node != DEPOT:
+                if p_hat[node] < 0:
+                    stock.append(f"{tag}: visit {i}: station {node} operative below zero")
+                if p_hat[node] > instance.station(node).capacity:
+                    stock.append(f"{tag}: visit {i}: station {node} filled above capacity")
+                if a_hat[node] < 0:
+                    stock.append(f"{tag}: visit {i}: station {node} damaged pickups exceed stock")
         if route.visits and (op != 0 or dam != 0):
             out.append(f"{tag}: not empty at route end (operative={op}, damaged={dam})")
         t = route_time(route, instance)
         if t > instance.time_budget:
             out.append(f"{tag}: route time {t:g} exceeds budget {instance.time_budget:g}")
-
-    # Station and depot inventories, replayed in canonical order.
-    p_hat = {s.id: s.operative for s in instance.stations}
-    a_hat = {s.id: s.damaged for s in instance.stations}
-    depot_op = instance.depot.operative
-    depot_dam = 0
-    for route, plan, veh in simulatable:
-        tag = f"vehicle {veh.id}"
-        for i, (node, (d_op, d_dam)) in enumerate(zip(route.visits, plan.moves)):
-            if node == DEPOT:
-                depot_op -= d_op
-                depot_dam -= d_dam
-                if depot_op < 0:
-                    out.append(f"{tag}: visit {i}: depot operative stock overdrawn ({depot_op})")
-            else:
-                s = instance.station(node)
-                p_hat[node] -= d_op
-                a_hat[node] -= d_dam
-                if p_hat[node] < 0:
-                    out.append(f"{tag}: visit {i}: station {node} operative below zero")
-                if p_hat[node] > s.capacity:
-                    out.append(f"{tag}: visit {i}: station {node} filled above capacity")
-                if a_hat[node] < 0:
-                    out.append(f"{tag}: visit {i}: station {node} damaged pickups exceed stock")
+    out += stock
 
     for s in instance.stations:
         lo, hi = min(s.operative, s.target), max(s.operative, s.target)
-        if not lo <= p_hat[s.id] <= hi:
-            out.append(
-                f"station {s.id}: final operative {p_hat[s.id]} overshoots "
-                f"target range [{lo}, {hi}]"
-            )
-        if a_hat[s.id] > s.damaged:
+        p, a = p_hat[s.id], a_hat[s.id]
+        if not lo <= p <= hi:
+            out.append(f"station {s.id}: final operative {p} overshoots target range [{lo}, {hi}]")
+        if a > s.damaged:
             out.append(f"station {s.id}: damaged bikes imported")
-        if p_hat[s.id] + a_hat[s.id] > s.capacity:
+        if p + a > s.capacity:
             out.append(f"station {s.id}: final occupancy exceeds capacity {s.capacity}")
-    if instance.depot.capacity is not None and depot_op + depot_dam > instance.depot.capacity:
-        out.append(f"depot: final occupancy exceeds capacity {instance.depot.capacity}")
+    room = instance.depot.capacity
+    if room is not None and p_hat[DEPOT] + a_hat[DEPOT] > room:
+        out.append(f"depot: final occupancy exceeds capacity {room}")
     return out

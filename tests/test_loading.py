@@ -892,7 +892,7 @@ def test_loading_bound_places_no_shortfall_unless_sums_are_exact(monkeypatch):
     bound = loading_bound(inst, optimum)
     assert bound.imbalance == 0
     assert bound.total < optimum.objective.total
-    monkeypatch.setattr(loading, "_exact_sums", lambda stations: True)
+    monkeypatch.setitem(inst.__dict__, "_exact_sums", True)
     assert loading_bound(inst, optimum).total > optimum.objective.total
     monkeypatch.undo()
     # integer weights, but a weighted imbalance sum of 2**53

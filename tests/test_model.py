@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance, random_instances
+from ssbrp.construction import ConstructionParams, construct_solution
+from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.model import (
     DEPOT,
     Depot,
+    FinalState,
     Instance,
     LoadingPlan,
     ObjectiveWeights,
@@ -16,6 +20,7 @@ from ssbrp.model import (
     Station,
     TravelMatrix,
     Vehicle,
+    _route_faults,
     apply_solution,
     check_instance,
     empty_solution,
@@ -117,14 +122,47 @@ def test_apply_solution_multiple_visits_to_same_station():
 
 def test_apply_solution_misaligned_plan_rejected():
     inst = make_instance([(1, 10, 5, 0, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vehicle 1: 3 visits but 1 moves"):
         apply_solution(inst, [Route(1, (0, 1, 0))], [LoadingPlan(1, ((0, 0),))])
 
 
 def test_apply_solution_unknown_node():
     inst = make_instance([(1, 10, 5, 0, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"vehicle 1: unknown nodes \[9\]"):
         apply_solution(inst, [Route(1, (0, 9, 0))], [LoadingPlan(1, ((0, 0), (0, 0), (0, 0)))])
+
+
+def _fleet_probe():
+    """Two vehicles with a 240-minute budget; station 1 is 30 minutes from the
+    depot each way, station 2 is 16."""
+    return generate_instance(GeneratorConfig(family=Family.PALMA, stations=4, vehicles=2, seed=3))
+
+
+def _idle(route):
+    return LoadingPlan(route.vehicle_id, ((0, 0),) * len(route.visits))
+
+
+def test_apply_solution_rejects_a_second_route_of_a_vehicle():
+    # the 32-minute route once overwrote the 60-minute one: a time term of
+    # 32/480 instead of 92/480
+    inst = _fleet_probe()
+    routes = [Route(1, (0, 1, 0)), Route(1, (0, 2, 0))]
+    plans = [_idle(r) for r in routes]
+    assert validate_solution(inst, routes, plans) == ["vehicle 1: multiple routes assigned"]
+    with pytest.raises(ValueError, match="vehicle 1: multiple routes assigned"):
+        apply_solution(inst, routes, plans)
+    with pytest.raises(ValueError, match="vehicle 1: multiple routes assigned"):
+        solution_from_plans(inst, routes, plans, ObjectiveWeights())
+
+
+def test_apply_solution_rejects_a_vehicle_outside_the_fleet():
+    # the route of vehicle 7 once added its 60 minutes to the time term
+    inst = _fleet_probe()
+    routes = [Route(7, (0, 1, 0))]
+    plans = [_idle(r) for r in routes]
+    assert validate_solution(inst, routes, plans) == ["vehicle 7: not in fleet"]
+    with pytest.raises(ValueError, match="vehicle 7: not in fleet"):
+        apply_solution(inst, routes, plans)
 
 
 def test_objective_zero_when_nothing_to_do():
@@ -275,6 +313,28 @@ def test_check_instance_metric_flag():
     with pytest.raises(ValueError, match="triangle"):
         check_instance(make_instance(stations, travel=m, metric=True))
     check_instance(make_instance(stations, travel=m, metric=False))
+    # the only shorter path from the depot to station 1 runs through the last node
+    m = np.array([[0, 9, 9, 1], [9, 0, 9, 1], [9, 9, 0, 9], [1, 1, 9, 0]], dtype=float)
+    stations.append((3, 10, 5, 0, 3))
+    with pytest.raises(ValueError, match="triangle"):
+        check_instance(make_instance(stations, travel=m, metric=True))
+
+
+def test_triangle_check_memory_grows_with_the_matrix_not_its_cube():
+    # 201 nodes: one sum over all triples at once took 62 MiB
+    inst = generate_instance(GeneratorConfig(family=Family.WIEN, stations=200, seed=0))
+    assert inst.metric
+    tracemalloc.start()
+    try:
+        check_instance(dataclasses.replace(inst))  # a copy is checked anew
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    m = inst.travel.minutes.copy()
+    m[5, 150] = 2 * m.max() + 1  # longer than any path through a third node
+    with pytest.raises(ValueError, match="triangle"):
+        check_instance(dataclasses.replace(inst, travel=TravelMatrix(m)))
 
 
 def test_validate_empty_solution():
@@ -409,3 +469,154 @@ def test_validate_never_raises_on_random_routes_and_plans(data):
     violations = validate_solution(instance, routes, plans)
     assert isinstance(violations, list)
     assert all(isinstance(v, str) for v in violations)
+
+
+def _reference_validate(instance, routes, plans):
+    """``validate_solution`` as it was before the one replay: a load loop, then
+    an inventory loop, each over the moves."""
+    out = []
+    if len(routes) != len(plans):
+        out.append(f"structure: {len(routes)} routes but {len(plans)} plans")
+    fleet = {v.id: v for v in instance.fleet}
+    simulatable = []
+
+    for route, plan, faults in zip(routes, plans, _route_faults(instance, routes)):
+        rid = route.vehicle_id
+        tag = f"vehicle {rid}"
+        if plan.vehicle_id != rid:
+            out.append(f"{tag}: paired with plan for vehicle {plan.vehicle_id}")
+            continue
+        out += faults
+        if len(route.visits) != len(plan.moves):
+            out.append(f"{tag}: {len(route.visits)} visits but {len(plan.moves)} moves")
+        elif not faults:
+            simulatable.append((route, plan, fleet[rid]))
+
+    for route, plan, veh in simulatable:
+        tag = f"vehicle {veh.id}"
+        op = dam = 0
+        for i, (node, (d_op, d_dam)) in enumerate(zip(route.visits, plan.moves)):
+            if node == DEPOT and d_dam > 0:
+                out.append(f"{tag}: visit {i}: damaged bikes loaded at the depot")
+            if node != DEPOT and d_dam < 0:
+                out.append(f"{tag}: visit {i}: damaged bikes delivered to station {node}")
+            op += d_op
+            dam += d_dam
+            if op < 0:
+                out.append(f"{tag}: visit {i}: operative load below zero ({op})")
+            if dam < 0:
+                out.append(f"{tag}: visit {i}: damaged load below zero ({dam})")
+            if op + dam > veh.capacity:
+                out.append(f"{tag}: visit {i}: load {op + dam} exceeds capacity {veh.capacity}")
+        if route.visits and (op != 0 or dam != 0):
+            out.append(f"{tag}: not empty at route end (operative={op}, damaged={dam})")
+        t = route_time(route, instance)
+        if t > instance.time_budget:
+            out.append(f"{tag}: route time {t:g} exceeds budget {instance.time_budget:g}")
+
+    p_hat = {s.id: s.operative for s in instance.stations}
+    a_hat = {s.id: s.damaged for s in instance.stations}
+    depot_op = instance.depot.operative
+    depot_dam = 0
+    for route, plan, veh in simulatable:
+        tag = f"vehicle {veh.id}"
+        for i, (node, (d_op, d_dam)) in enumerate(zip(route.visits, plan.moves)):
+            if node == DEPOT:
+                depot_op -= d_op
+                depot_dam -= d_dam
+                if depot_op < 0:
+                    out.append(f"{tag}: visit {i}: depot operative stock overdrawn ({depot_op})")
+            else:
+                s = instance.station(node)
+                p_hat[node] -= d_op
+                a_hat[node] -= d_dam
+                if p_hat[node] < 0:
+                    out.append(f"{tag}: visit {i}: station {node} operative below zero")
+                if p_hat[node] > s.capacity:
+                    out.append(f"{tag}: visit {i}: station {node} filled above capacity")
+                if a_hat[node] < 0:
+                    out.append(f"{tag}: visit {i}: station {node} damaged pickups exceed stock")
+
+    for s in instance.stations:
+        lo, hi = min(s.operative, s.target), max(s.operative, s.target)
+        if not lo <= p_hat[s.id] <= hi:
+            out.append(
+                f"station {s.id}: final operative {p_hat[s.id]} overshoots "
+                f"target range [{lo}, {hi}]"
+            )
+        if a_hat[s.id] > s.damaged:
+            out.append(f"station {s.id}: damaged bikes imported")
+        if p_hat[s.id] + a_hat[s.id] > s.capacity:
+            out.append(f"station {s.id}: final occupancy exceeds capacity {s.capacity}")
+    if instance.depot.capacity is not None and depot_op + depot_dam > instance.depot.capacity:
+        out.append(f"depot: final occupancy exceeds capacity {instance.depot.capacity}")
+    return out
+
+
+def _reference_apply(instance, routes, plans):
+    """``apply_solution`` as it was before it shared ``validate_solution``'s
+    structural checks: it checked neither the fleet nor the route shape."""
+    if len(routes) != len(plans):
+        raise ValueError("routes and plans differ in length")
+    operative = {s.id: s.operative for s in instance.stations}
+    damaged = {s.id: s.damaged for s in instance.stations}
+    depot_op = instance.depot.operative
+    depot_dam = 0
+    times = {v.id: 0.0 for v in instance.fleet}
+    for route, plan in zip(routes, plans):
+        if route.vehicle_id != plan.vehicle_id:
+            raise ValueError(f"route/plan vehicle mismatch: {route.vehicle_id} vs {plan.vehicle_id}")
+        if len(route.visits) != len(plan.moves):
+            raise ValueError(f"vehicle {route.vehicle_id}: plan length differs from route length")
+        for node, (d_op, d_dam) in zip(route.visits, plan.moves):
+            if node == DEPOT:
+                depot_op -= d_op
+                depot_dam -= d_dam
+            elif node in instance.nodes:
+                operative[node] -= d_op
+                damaged[node] -= d_dam
+            else:
+                raise ValueError(f"vehicle {route.vehicle_id}: visit to unknown node {node}")
+        times[route.vehicle_id] = route_time(route, instance)
+    return FinalState(operative, damaged, depot_op, depot_dam, times)
+
+
+def _check_against_reference(instance, routes, plans):
+    """The same messages in the same order as the reference; ``apply_solution``
+    raises wherever the reference does, with ``validate_solution``'s first
+    message, and otherwise returns the reference's state, in the same key order."""
+    violations = validate_solution(instance, routes, plans)
+    assert violations == _reference_validate(instance, routes, plans)
+    try:
+        expected = _reference_apply(instance, routes, plans)
+    except ValueError:
+        expected = None
+    try:
+        got = apply_solution(instance, routes, plans)
+    except ValueError as exc:
+        assert str(exc) == violations[0]
+        return
+    assert got == expected
+    for name in ("operative", "damaged", "route_times"):
+        assert list(getattr(got, name)) == list(getattr(expected, name))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_replay_matches_reference_on_random_routes_and_plans(data):
+    instance = data.draw(random_instances(max_stations=4))
+    _check_against_reference(instance, *data.draw(_routes_and_plans(instance)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_instances(max_stations=5), st.integers(0, 2**32 - 1), st.data())
+def test_replay_matches_reference_on_perturbed_constructions(instance, seed, data):
+    # sound routes whose shifted moves break load, stock and final-state rules
+    sol = construct_solution(instance, ConstructionParams(), np.random.default_rng(seed))
+    shift = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    plans = []
+    for plan in sol.plans:
+        shifts = data.draw(st.lists(shift, min_size=len(plan.moves), max_size=len(plan.moves)))
+        moves = tuple((op + a, dam + b) for (op, dam), (a, b) in zip(plan.moves, shifts))
+        plans.append(LoadingPlan(plan.vehicle_id, moves))
+    _check_against_reference(instance, sol.routes, plans)

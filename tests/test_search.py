@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_instance
-from ssbrp import loading, search
+from ssbrp import search
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import loading_bound, reoptimize_solution
@@ -228,7 +228,7 @@ def test_supply_shortfall_skips_keep_results(monkeypatch, stock, seed):
         return skipped, certified
 
     with_shortfall = decisions(check=True)
-    monkeypatch.setattr(loading, "_exact_sums", lambda stations: False)
+    monkeypatch.setitem(inst.__dict__, "_exact_sums", False)
     assert decisions(check=False) != with_shortfall
 
 
