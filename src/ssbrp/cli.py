@@ -303,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # checked before any command reads or writes a file
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.handler(args)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

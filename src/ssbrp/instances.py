@@ -282,6 +282,8 @@ class GeneratorConfig:
             raise ValueError("depot stock must be nonnegative")
         if not 0 <= self.damaged_fraction <= 1:
             raise ValueError("damaged fraction must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         return values
 
 

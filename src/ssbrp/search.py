@@ -6,15 +6,15 @@ result into the incumbent. ``loading_bound`` spares phase two twice. It
 scores an optimistic loading of the new routes, which serves every visited
 station as far as the depot stock and the visited surplus reach. When
 even that loading could not beat the incumbent, the iteration counts as
-non-improving. When the constructed plan already meets the bound, it is
-optimal, and it is folded in as constructed; if it is still the best when
-the loop ends, phase two runs once on it, so that the returned plans are
-phase two's. The bound is exact, so results are the same as if every
-iteration were reoptimized. The loop stops once a run of consecutive
-non-improving iterations reaches the configured limit. Every iteration
-derives its RNG stream from (master seed, iteration index), so any
-iteration can be replayed in isolation. Iterations run one after another
-on the calling thread.
+non-improving. When the constructed plan already meets the bound, no plan
+over its routes scores lower, so it is folded in, and returned, as
+constructed. The bound is exact, so the trace, the routes and the totals
+are those of a loop that reoptimizes every iteration; a certified best
+may keep another plan of the same total. The loop stops once a run of
+consecutive non-improving iterations reaches the configured limit. Every
+iteration derives its RNG stream from (master seed, iteration index), so
+any iteration can be replayed in isolation. Iterations run one after
+another on the calling thread.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class RunConfig:
     def __post_init__(self):
         if self.max_iter < 2:
             raise ValueError("max_iter must be at least 2")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
         if self.wall_clock_cap is not None and not self.wall_clock_cap > 0:
@@ -67,7 +69,7 @@ class RunReport:
     elapsed_total: float
     incumbent_trace: tuple[tuple[int, float], ...]
     loading_skipped: int  # iterations whose phase two loading_bound skipped
-    loading_certified: int  # other iterations whose constructed plan met the bound
+    loading_certified: int  # other iterations whose constructed plan met the bound, kept as built
 
 
 def is_better(a: Solution, b: Solution | None) -> bool:
@@ -86,13 +88,12 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
     The non-improvement counter starts at 1, resets to 1 on improvement,
     and the loop stops when it reaches max_iter (or when the optional wall
     clock cap expires). Reports the best solution, where it was found, and
-    per-phase elapsed time. ``elapsed_loading`` includes the bound and the
-    final phase two of a certified best.
+    per-phase elapsed time. ``elapsed_loading`` includes the bound. A
+    certified best is returned with its constructed plans.
     """
     check_instance(instance)
     start = perf_counter()
     best: Solution | None = None
-    best_is_built = False
     best_iter = 0
     counter = 1
     iteration = 0
@@ -113,8 +114,8 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
             solution = None
             skipped += 1
         elif built.objective.total <= bound:
-            # no plan over these routes scores below the bound: phase two
-            # would return the same total, so it waits until the loop ends
+            # no plan over these routes scores below the bound, so phase two
+            # could not lower the total: the constructed plan is optimal
             solution = built
             certified += 1
         else:
@@ -124,7 +125,6 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
         t_load += t2 - t1
         if solution is not None and is_better(solution, best):
             best = solution
-            best_is_built = solution is built
             best_iter = iteration
             counter = 1
             trace.append((iteration, solution.objective.total))
@@ -134,15 +134,6 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
             break
         if config.wall_clock_cap is not None and perf_counter() - start >= config.wall_clock_cap:
             break
-    if best_is_built:
-        t0 = perf_counter()
-        solved = reoptimize_solution(instance, best, config.weights)
-        t_load += perf_counter() - t0
-        # a gamma-weighted station weight below HiGHS's dual tolerance can
-        # leave phase two above the certified total; the trace must end at
-        # the returned total, so the constructed plan stays
-        if solved.objective.total == best.objective.total:
-            best = solved
     return RunReport(
         best_solution=best,
         best_objective=best.objective,

@@ -271,6 +271,21 @@ def test_sweep_checks_its_configuration_before_any_run(tmp_path, capsys, flags, 
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep", "generate"])
+def test_negative_seed_is_rejected_up_front(tmp_path, capsys, command):
+    inst_path = _generate(tmp_path)
+    out_path = tmp_path / "out"
+    argv = [command, "--seed", "-1", "--max-iter", "2", "--out", str(out_path)]
+    if command == "generate":
+        argv = [command, "--seed", "-1", "--out", str(out_path)]
+    elif command == "solve":
+        argv += ["--instance", str(inst_path)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: --seed must be nonnegative, got -1\n")
+    assert not out_path.exists()
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])

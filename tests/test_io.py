@@ -198,6 +198,8 @@ def test_generator_overrides_and_validation():
     ):
         with pytest.raises(ValueError):
             generate_instance(bad)
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        generate_instance(GeneratorConfig(seed=-1))
 
 
 def test_generator_is_deterministic_and_seed_sensitive():

@@ -804,11 +804,11 @@ def test_loading_bound_never_exceeds_reoptimized_total(case):
 @settings(max_examples=150, deadline=None)
 @given(_bound_cases())
 def test_constructed_plan_meeting_the_bound_is_optimal(case):
-    # run() keeps such a plan without phase two until the loop ends. Phase
-    # two then reaches its total to the bit, unless a gamma-weighted station
-    # weight sits below HiGHS's 1e-7 dual tolerance and the LP leaves a
-    # residual there: in 6000 draws of this strategy, 61 of the 5667 cases
-    # that met the bound did, each with such a weight of 6e-8 or less
+    # run() returns such a plan without phase two, which would reach its
+    # total to the bit, unless a gamma-weighted station weight sits below
+    # HiGHS's 1e-7 dual tolerance and the LP leaves a residual there: in
+    # 6000 draws of this strategy, 61 of the 5667 cases that met the bound
+    # did, each with such a weight of 6e-8 or less
     inst, weights, seed = case
     built = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed), weights)
     if built.objective.total > loading_bound(inst, built, weights).total:

@@ -8,7 +8,7 @@ from conftest import make_instance
 from ssbrp import search
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
-from ssbrp.loading import loading_bound, reoptimize_solution
+from ssbrp.loading import brute_force_loading, loading_bound, reoptimize_solution
 from ssbrp.model import (
     LoadingPlan,
     ObjectiveWeights,
@@ -36,6 +36,8 @@ def test_config_validation():
         RunConfig(max_iter=1)
     with pytest.raises(ValueError):
         RunConfig(parallelism=0)
+    with pytest.raises(ValueError, match="^master_seed must be nonnegative, got -1$"):
+        RunConfig(master_seed=-1)
     for cap in (0.0, math.nan):
         with pytest.raises(ValueError, match="wall_clock_cap must be positive"):
             RunConfig(wall_clock_cap=cap)
@@ -183,25 +185,41 @@ def _fleet_mixed(seed):
     return dataclasses.replace(generated, fleet=fleet)
 
 
+def _constructed_best(instance, config, report):
+    """The best iteration's constructed solution, and whether it meets the bound."""
+    rng = np.random.default_rng([config.master_seed, report.iteration_of_best])
+    built = construct_solution(instance, config.construction, rng, config.weights)
+    return built, built.objective.total <= loading_bound(instance, built, config.weights).total
+
+
+def _check_against_always_reoptimized(instance, config, report):
+    """The report's trace, iterations, routes and objective are those of the
+    loop that reoptimizes every iteration. A certified best (its constructed
+    plan meets the bound) is returned as constructed; any other best equals
+    that loop's, plans included. Returns whether the best is certified."""
+    best, trace, best_iter, iterations = _always_reoptimized(instance, config)
+    got = (report.incumbent_trace, report.iteration_of_best, report.total_iterations)
+    assert got == (trace, best_iter, iterations), config.master_seed
+    assert report.best_solution.routes == best.routes, config.master_seed
+    assert report.best_objective == best.objective, config.master_seed
+    built, certified = _constructed_best(instance, config, report)
+    assert report.best_solution == (built if certified else best), config.master_seed
+    return certified
+
+
 @pytest.mark.parametrize("max_iter, seeds", [(2, range(20)), (20, range(5))])
 def test_skipping_phase_two_keeps_results(max_iter, seeds):
-    skipped = certified = 0
+    skipped = certified = certified_bests = 0
     for inst in (_fleet_mixed(2), _fleet_mixed(1)):
         for seed in seeds:
             config = RunConfig(max_iter=max_iter, master_seed=seed)
             report = run(inst, config)
-            expected = _always_reoptimized(inst, config)
-            got = (
-                report.best_solution,
-                report.incumbent_trace,
-                report.iteration_of_best,
-                report.total_iterations,
-            )
-            assert got == expected, seed
+            certified_bests += _check_against_always_reoptimized(inst, config, report)
             skipped += report.loading_skipped
             certified += report.loading_certified
     assert skipped > 0
     assert certified > 0
+    assert certified_bests > 0
 
 
 @pytest.mark.parametrize("stock, seed", [(10, 1), (5, 3)])
@@ -211,20 +229,16 @@ def test_supply_shortfall_skips_keep_results(monkeypatch, stock, seed):
     inst = generate_instance(GeneratorConfig(family=Family.PALMA, depot_stock=stock, seed=seed))
 
     def decisions(check):
-        skipped = certified = 0
+        skipped = certified = certified_bests = 0
         for master_seed in range(20):
             config = RunConfig(max_iter=2, master_seed=master_seed)
             report = run(inst, config)
             if check:
-                got = (
-                    report.best_solution,
-                    report.incumbent_trace,
-                    report.iteration_of_best,
-                    report.total_iterations,
-                )
-                assert got == _always_reoptimized(inst, config), master_seed
+                certified_bests += _check_against_always_reoptimized(inst, config, report)
             skipped += report.loading_skipped
             certified += report.loading_certified
+        if check:
+            assert certified_bests > 0
         return skipped, certified
 
     with_shortfall = decisions(check=True)
@@ -232,28 +246,56 @@ def test_supply_shortfall_skips_keep_results(monkeypatch, stock, seed):
     assert decisions(check=False) != with_shortfall
 
 
-def test_certified_best_stays_constructed_when_phase_two_moves_its_total(monkeypatch):
-    # phase two runs on a certified best once, after the loop; if its total
-    # is not the certified one, run() returns the constructed plans
-    inst = _fleet_mixed(1)
+def test_phase_two_runs_only_on_iterations_the_bound_neither_skips_nor_certifies(monkeypatch):
     solve = search.reoptimize_solution
-    deferred = []
+    calls = []
 
-    def one_ulp_higher_when_certified(instance, solution, weights):
-        solved = solve(instance, solution, weights)
-        if solution.objective.total <= loading_bound(instance, solution, weights).total:
-            deferred.append(solution)
-            total = math.nextafter(solved.objective.total, math.inf)
-            objective = dataclasses.replace(solved.objective, total=total)
-            solved = dataclasses.replace(solved, objective=objective)
-        return solved
+    def counted(instance, solution, weights):
+        assert solution.objective.total > loading_bound(instance, solution, weights).total
+        calls.append(solution)
+        return solve(instance, solution, weights)
 
-    monkeypatch.setattr(search, "reoptimize_solution", one_ulp_higher_when_certified)
-    config = RunConfig(max_iter=2, master_seed=0)
-    report = run(inst, config)
-    rng = np.random.default_rng([config.master_seed, report.iteration_of_best])
-    built = construct_solution(inst, config.construction, rng, config.weights)
-    assert deferred == [built]
-    assert report.best_solution == built
-    assert report.best_objective == built.objective
-    assert report.incumbent_trace[-1] == (report.iteration_of_best, report.best_objective.total)
+    monkeypatch.setattr(search, "reoptimize_solution", counted)
+    certified_bests = 0
+    for inst in (_fleet_mixed(1), generate_instance(GeneratorConfig(family=Family.PALMA, seed=1))):
+        for master_seed in range(10):
+            config = RunConfig(max_iter=2, master_seed=master_seed)
+            calls.clear()
+            report = run(inst, config)
+            expected = report.total_iterations - report.loading_skipped - report.loading_certified
+            assert len(calls) == expected, master_seed
+            certified_bests += _constructed_best(inst, config, report)[1]
+    assert certified_bests > 0
+
+
+def _tiny_instance(rng):
+    """An instance inside ``brute_force_loading``'s guard rails whatever routes
+    phase one builds on it: 2-4 stations with residuals up to 6, 1-2 vehicles
+    of capacity 2-6, and 10-minute arcs under a budget of 8 visits a route
+    and 10 in all."""
+    stations = []
+    for sid in range(1, rng.integers(2, 5) + 1):
+        target, operative, damaged = (int(x) for x in rng.integers(0, (7, 7, 4)))
+        capacity = max(1, target, operative + damaged) + int(rng.integers(0, 3))
+        stations.append((sid, capacity, operative, damaged, target, float(rng.integers(1, 3))))
+    fleet = tuple((vid, int(rng.integers(2, 7))) for vid in range(1, rng.integers(1, 3) + 1))
+    budget = 40.0 if len(fleet) == 2 else 70.0
+    return make_instance(stations, fleet=fleet, stock=int(rng.integers(0, 5)), time_budget=budget)
+
+
+def test_certified_best_is_optimal_for_its_routes():
+    # a certified best skips phase two, so the oracle checks it instead
+    certified_bests = 0
+    for case in range(200):
+        inst = _tiny_instance(np.random.default_rng(case))
+        config = RunConfig(max_iter=3, master_seed=case)
+        report = run(inst, config)
+        built, certified = _constructed_best(inst, config, report)
+        if report.best_solution == built:
+            plans = brute_force_loading(inst, built.routes, config.weights).plans
+            optimum = solution_from_plans(inst, built.routes, plans, config.weights)
+            assert built.objective.total == optimum.objective.total, case
+        else:
+            assert not certified, case
+        certified_bests += certified
+    assert certified_bests >= 80
