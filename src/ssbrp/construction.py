@@ -202,6 +202,9 @@ def select_next(
     else:
         cut = epsilon * rho_max
         eligible = [v for v, r in ratios.items() if r >= cut]
+    if len(eligible) == 1:
+        # rng.integers(1) draws no bits, so skipping it leaves the stream as it was
+        return eligible[0]
     return eligible[int(rng.integers(len(eligible)))]
 
 

@@ -614,13 +614,27 @@ def loading_bound(
     It is the objective of an optimistic final state: every station a
     route visits ends with no damaged bikes and at its target, short only
     of the operative bikes no plan can bring, and every other station keeps
-    its inventory. Phase two picks up at most a station's surplus, moves no
-    operative bike at a balanced station, and draws at most the depot stock
-    in all (``sum w0 <= p_o``), so across all routes it delivers at most the
-    stock plus the surplus of the visited surplus stations. Where the
-    visited deficits exceed that supply, the shortfall stays at the visited
-    deficit stations, lowest weight first: no plan leaves less weighted
-    residual there.
+    its inventory.
+
+    Phase two delivers a bike either from the depot stock, which all routes
+    draw on at most ``p_o`` in all (``sum w0 <= p_o``), or from a pickup
+    earlier on the same route: a route's running load never drops below 0,
+    and bikes it drops at the depot count against its own allotment only.
+    It picks up at most a station's surplus in all, moves no operative bike
+    at a balanced station, and delivers at most a station's deficit at each
+    visit. So a route's deliveries from pickups are at most ``matched``, a
+    greedy walk in visit order: the pool gains each surplus station's whole
+    surplus at its first visit on the route, and each deficit visit takes
+    ``min(pool, the station's whole deficit)`` from it. No plan beats the
+    greedy, which delivers as early as the pickups so far allow (capping a
+    visit at the deficit that earlier visits left would be wrong: a plan may
+    skip a visit and serve the station later). Across all routes, those
+    deliveries are also at most the surplus of the useful stations: those
+    that some route visits before one of its own deficit visits, each
+    counted once. So deliveries are at most ``p_o + min(sum matched, sum
+    useful surplus)``. Where the visited deficits exceed that supply, the
+    shortfall stays at the visited deficit stations, lowest weight first:
+    no plan leaves less weighted residual there.
 
     Phase two keeps the routes, so the time term is the solution's own, and
     it moves bikes only at visited stations, where each damaged residual is
@@ -636,11 +650,33 @@ def loading_bound(
     a station further from its target than it starts. Either way ``total``
     never exceeds the reoptimized total, to the bit.
     """
+    imbalance = instance._imbalance
+    visited: set[int] = set()
+    useful: set[int] = set()
+    matched = 0
+    for route in solution.routes:
+        visited.update(route.visits)
+        pool = 0
+        seen: set[int] = set()  # surplus stations met so far on this route
+        waiting: list[int] = []  # those met since the route's last deficit visit
+        for node in route.visits:
+            d = imbalance[node]
+            if d > 0:
+                if node not in seen:
+                    seen.add(node)
+                    waiting.append(node)
+                    pool += d
+            elif d < 0:
+                take = min(pool, -d)
+                pool -= take
+                matched += take
+                useful.update(waiting)
+                waiting.clear()
     stations = instance.stations
-    visited = {node for route in solution.routes for node in route.visits}
+    supply = instance.depot.operative + min(matched, sum(imbalance[s] for s in useful))
+    shortfall = -supply - sum(imbalance[n] for n in visited if imbalance[n] < 0)
     operative = {s.id: s.target if s.id in visited else s.operative for s in stations}
     damaged = {s.id: 0 if s.id in visited else s.damaged for s in stations}
-    shortfall = -instance.depot.operative - sum(s.imbalance for s in stations if s.id in visited)
     if shortfall > 0 and instance._exact_sums:
         deficits = sorted(
             (s for s in stations if s.id in visited and s.imbalance < 0), key=lambda s: s.weight

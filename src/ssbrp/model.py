@@ -129,6 +129,26 @@ class Instance:
         )
 
     @cached_property
+    def _imbalance(self) -> dict[int, int]:
+        """Each node's imbalance, the depot's 0; cached as ``_lookup`` is."""
+        return {DEPOT: 0} | {s.id: s.imbalance for s in self.stations}
+
+    @cached_property
+    def _deviation(self) -> float:
+        """The objective's normalizer ``D = sum(w * |dev| + damaged)``, summed in
+        station order; cached as ``_lookup`` is."""
+        total = 0.0
+        for s in self.stations:
+            total += s.weight * abs(s.target - s.operative) + s.damaged
+        return total
+
+    @cached_property
+    def _objective_rows(self) -> list[tuple[int, float, int]]:
+        """``(id, weight, target)`` of each station in station order, the rows
+        ``evaluate_objective`` sums; cached as ``_lookup`` is."""
+        return [(s.id, s.weight, s.target) for s in self.stations]
+
+    @cached_property
     def _exact_sums(self) -> bool:
         """Whether floats add station-weighted imbalances exactly: integer weights
         and ``sum w * |imbalance|`` below 2**53. Cached as ``_lookup`` is."""
@@ -313,14 +333,15 @@ def evaluate_objective(
     the initial total deviation ``D = sum(w * |dev| + damaged)``; when D is
     zero both terms are defined as 0.
     """
-    denom = imb_num = dam_num = 0.0
-    for s in instance.stations:
-        p_hat, a_hat = final_state.operative[s.id], final_state.damaged[s.id]
+    denom = instance._deviation
+    imb_num = dam_num = 0.0
+    final_operative, final_damaged = final_state.operative, final_state.damaged
+    for sid, weight, target in instance._objective_rows:
+        p_hat, a_hat = final_operative[sid], final_damaged[sid]
         if p_hat < 0 or a_hat < 0:
-            raise ValueError(f"station {s.id}: negative final inventory")
-        denom += s.weight * abs(s.target - s.operative) + s.damaged
-        imb_num += s.weight * abs(s.target - p_hat)
-        dam_num += s.weight * a_hat
+            raise ValueError(f"station {sid}: negative final inventory")
+        imb_num += weight * abs(target - p_hat)
+        dam_num += weight * a_hat
     imbalance = imb_num / denom if denom > 0 else 0.0
     damaged = dam_num / denom if denom > 0 else 0.0
     fleet_size = len(instance.fleet)

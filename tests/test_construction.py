@@ -198,6 +198,22 @@ def test_select_next_singleton():
     assert select_next({7: 0.25}, rng) == 7
 
 
+def test_a_single_eligible_candidate_draws_nothing():
+    # select_next returns a lone eligible candidate without rng.integers; the
+    # stream stays bit-identical to a draw because NumPy's integers(1) uses no bits
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    assert rng.integers(1) == 0
+    assert rng.bit_generator.state == before
+
+    class NoDraw:
+        def integers(self, n):
+            raise AssertionError(f"drew among {n}")
+
+    assert select_next({"a": 10.0, "b": 1.0}, NoDraw(), epsilon=0.5) == "a"
+    assert select_next({"a": math.inf, "b": 1.0}, NoDraw(), epsilon=0.0) == "a"
+
+
 def test_select_next_respects_forced_epsilon():
     rng = np.random.default_rng(1)
     seen = set()

@@ -900,6 +900,110 @@ def test_loading_bound_places_no_shortfall_unless_sums_are_exact(monkeypatch):
     assert loading_bound(inst, _oracle_solution(inst, routes)).imbalance == 0
 
 
+@st.composite
+def _ordered_cases(draw):
+    """Routes inside the oracle's guard rails whose visit order limits what
+    pickups can deliver. Stations 1 and 2 have a surplus, 3 and 4 a deficit.
+    Each route may revisit a deficit station with another deficit and a second
+    pickup in between, meet a surplus after its last deficit, and stop at the
+    depot mid-route; two routes share stations. Station weights are all
+    integers or all from {0.1, 0.3}; the depot stock is small, so pickups
+    decide the supply. No station holds damaged bikes, which keeps the oracle
+    fast on long routes."""
+    n = draw(st.integers(4, 5))
+    weight = st.sampled_from([1.0, 2.0, 3.0] if draw(st.booleans()) else [0.1, 0.3])
+    stations = []
+    for sid in range(1, n + 1):
+        sign = {1: (1, 6), 2: (1, 6), 3: (-6, -1), 4: (-6, -1)}.get(sid, (-6, 6))
+        d = draw(st.integers(*sign))
+        q = draw(st.integers(max(0, -d), 6 - max(0, d)))
+        p = q + d
+        cap = draw(st.integers(max(p, q), max(p, q) + 2))
+        stations.append((sid, cap, p, 0, q, draw(weight)))
+    surplus = [sid for sid, _, p, _, q, _ in stations if p > q]
+    deficits = [sid for sid, _, p, _, q, _ in stations if p < q]
+    fleet = tuple((vid, draw(st.integers(1, 6))) for vid in range(1, draw(st.integers(1, 2)) + 1))
+    left = 12  # visits in all, the oracle's guard rail
+    routes = []
+    for vid, _ in fleet:
+        nodes = draw(st.lists(st.integers(0, n), max_size=2))
+        if draw(st.booleans()):
+            x, y = draw(st.permutations(deficits))[:2]
+            a, b = draw(st.permutations(surplus))[:2]
+            nodes += [a, x, y, b, x]
+        if draw(st.booleans()):
+            nodes.append(draw(st.sampled_from(surplus)))
+        if draw(st.booleans()):
+            nodes.insert(draw(st.integers(0, len(nodes))), DEPOT)
+        visits = [DEPOT]
+        for node in nodes[: max(0, left - 2)]:
+            if node != visits[-1]:
+                visits.append(node)
+        if visits[-1] != DEPOT:
+            visits.append(DEPOT)
+        routes.append(Route(vid, tuple(visits) if len(visits) > 1 else ()))
+        left -= len(routes[-1].visits)
+    stock = draw(st.integers(0, 2))
+    gammas = st.sampled_from([0.0, 0.5, 1.0, 10.0])
+    weights = ObjectiveWeights(draw(gammas), draw(gammas), 1.0)
+    depot_capacity = draw(st.none() | st.integers(stock, stock + 3))
+    inst = make_instance(stations, fleet=fleet, stock=stock, depot_capacity=depot_capacity)
+    return inst, routes, weights
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ordered_cases())
+def test_loading_bound_holds_on_order_sensitive_routes(case):
+    inst, routes, weights = case
+    solution = _oracle_solution(inst, routes, weights)
+    optimum = solution.objective
+    bound = loading_bound(inst, solution, weights)
+    assert bound.imbalance <= optimum.imbalance
+    assert bound.damaged <= optimum.damaged
+    assert bound.time == optimum.time
+    assert bound.total <= optimum.total
+
+
+# (stations, fleet, routes), depot stock 0: (id, capacity, operative, damaged, target)
+_ORDERED_ROUTES = {
+    # a(+4) X(-5) Y(-4) b(+5) X: each visit to X may take its whole deficit,
+    # as a plan may pass X by, serve Y from a, then serve X from b; the
+    # optimum serves everything
+    "deficit-revisited": (
+        [(1, 10, 4, 0, 0), (2, 10, 0, 0, 5), (3, 10, 0, 0, 4), (4, 10, 5, 0, 0)],
+        ((1, 5),),
+        [Route(1, (0, 1, 2, 3, 4, 2, 0))],
+    ),
+    # X(-5) a(+5): a's surplus comes after the route's only deficit, so X stays 5 short
+    "surplus-after-deficit": (
+        [(1, 10, 0, 0, 5), (2, 10, 5, 0, 0)], ((1, 5),), [Route(1, (0, 1, 2, 0))]
+    ),
+    # a(+2) X(-2) a Y(-2), and c(+5) Z(-1): a's surplus counts once on its
+    # route however often it is met, and c's surplus of 5 is useful but its
+    # route delivers only 1, so 2 stay short
+    "surplus-revisited": (
+        [(1, 10, 2, 0, 0), (2, 10, 0, 0, 2), (3, 10, 0, 0, 2), (4, 10, 5, 0, 0), (5, 10, 0, 0, 1)],
+        ((1, 5), (2, 5)),
+        [Route(1, (0, 1, 2, 1, 3, 0)), Route(2, (0, 4, 5, 0))],
+    ),
+    # a(+3) X(-3), and a Y(-3): both routes meet a before a deficit, but its
+    # surplus of 3 counts once, so 3 stay short
+    "surplus-shared": (
+        [(1, 10, 3, 0, 0), (2, 10, 0, 0, 3), (3, 10, 0, 0, 3)],
+        ((1, 3), (2, 3)),
+        [Route(1, (0, 1, 2, 0)), Route(2, (0, 1, 3, 0))],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDERED_ROUTES))
+def test_loading_bound_meets_the_optimum_on_order_sensitive_routes(name):
+    stations, fleet, routes = _ORDERED_ROUTES[name]
+    inst = make_instance(stations, fleet=fleet)
+    optimum = _oracle_solution(inst, routes)
+    assert loading_bound(inst, optimum) == optimum.objective
+
+
 def test_full_depot_takes_no_bikes_in():
     # every bike removed from a station ends at the depot, which has room for 1
     inst = make_instance(

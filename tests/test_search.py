@@ -268,6 +268,25 @@ def test_phase_two_runs_only_on_iterations_the_bound_neither_skips_nor_certifies
     assert certified_bests > 0
 
 
+def test_a_surplus_met_after_the_last_deficit_certifies_the_constructed_plan():
+    # station 1 (deficit 5, one damaged bike) is the only first stop in time,
+    # and station 2's surplus of 5 comes after it, with no time to go back, so
+    # no plan serves station 1; the bound counts no pickup toward it, and
+    # phase two never runs
+    inst = make_instance(
+        [(1, 10, 0, 1, 5), (2, 10, 5, 0, 0, 100.0)],
+        fleet=((1, 10),),
+        time_budget=8.0,
+        travel=[[0, 1, 100], [5, 0, 1], [1, 100, 0]],
+    )
+    report = run(inst, RunConfig(max_iter=5))
+    assert report.best_solution.routes == (Route(1, (0, 1, 2, 0)),)
+    assert report.best_solution.final_operative == {1: 0, 2: 0}
+    assert (report.loading_certified, report.loading_skipped) == (1, report.total_iterations - 1)
+    reoptimized = reoptimize_solution(inst, report.best_solution)
+    assert report.best_objective == reoptimized.objective
+
+
 def _tiny_instance(rng):
     """An instance inside ``brute_force_loading``'s guard rails whatever routes
     phase one builds on it: 2-4 stations with residuals up to 6, 1-2 vehicles
