@@ -12,12 +12,16 @@ semantics serves as a verification oracle for small cases.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
 
 from .model import (
     DEPOT,
@@ -35,6 +39,43 @@ from .model import (
 
 _INT_TOL = 1e-6
 _NODE_LIMIT = 500_000
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _highs_path(scipy_dirs: Sequence[str]) -> str:
+    """The file of SciPy's HiGHS extension module under the given ``scipy`` package directories."""
+    for root in scipy_dirs:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                return path
+    version = importlib.import_module("scipy").__version__
+    searched = ", ".join(os.path.join(root, "optimize", "_highspy") for root in scipy_dirs)
+    raise ImportError(f"SciPy {version} has no HiGHS extension module _core in {searched}")
+
+
+def _load_highs() -> ModuleType:
+    """SciPy's HiGHS binding, loaded from its file without importing ``scipy.optimize``.
+
+    Phase two uses only this extension module, and ``import scipy.optimize``
+    first runs some 300 SciPy modules (about 0.6 s) that ssbrp does not use.
+    The module is registered under its own name, so a later ``import
+    scipy.optimize`` reuses it, and it is reused if SciPy loaded it first.
+    """
+    if _HIGHS in sys.modules:
+        return sys.modules[_HIGHS]
+    scipy = importlib.util.find_spec("scipy")  # finds the package without running its init
+    if scipy is None:
+        raise ModuleNotFoundError("ssbrp needs SciPy, which is not installed", name="scipy")
+    path = _highs_path(scipy.submodule_search_locations)
+    spec = importlib.util.spec_from_file_location(_HIGHS, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS] = module
+    return module
+
+
+highs = _load_highs()
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Source checks: every name a module of the package imports at top level is
 used in that module (``__init__.py`` is skipped, since its imports are the
-package's re-exports), and no module holds an ``assert`` statement."""
+package's re-exports), no module holds an ``assert`` statement, and no module
+imports SciPy (phase two loads SciPy's HiGHS extension module by file)."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,38 @@ def test_assert_check_finds_asserts():
 def test_no_assert_statements(path):
     # python -O strips asserts: a reachable state is guarded by raising an error
     assert _asserts(path.read_text()) == []
+
+
+def _scipy_imports(source: str) -> list[int]:
+    """Line numbers of the ``import`` and ``from ... import`` statements naming SciPy."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module == "scipy" or module.startswith("scipy.") for module in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scipy_import_check_finds_imports():
+    source = (
+        "import scipy\n"
+        "import numpy, scipy.optimize as opt\n"
+        "from scipy.optimize._highspy import _core\n"
+        "import scipyx\n"
+        "from . import scipy\n"
+        "def f():\n"
+        "    from scipy import stats\n"
+        "    return stats\n"
+    )
+    assert _scipy_imports(source) == [1, 2, 3, 7]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    # `import scipy.optimize` costs most of `import ssbrp`: loading._load_highs is the one way in
+    assert _scipy_imports(path.read_text()) == []
