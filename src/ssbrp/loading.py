@@ -17,7 +17,9 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
+from itertools import chain
 from types import ModuleType
 from typing import Sequence
 
@@ -100,6 +102,12 @@ class LoadingModel:
     the route's depot allotment ``("w0", vehicle, 0, -1)`` last. Only the
     kind tells w0 from a move, as a station's id may be -1. ``a_ub`` and
     ``a_eq`` are the row blocks of one column-major matrix ``a``.
+
+    ``slots[j]`` places move column j in the routes' plans laid out flat:
+    route by route, visit by visit, x then y, so visit i of a route whose
+    plan starts at slot b holds slots ``b + 2(i - 1)`` and ``b + 2(i - 1) + 1``.
+    A w0 column has slot -1. ``integral`` tells whether every objective
+    coefficient and the constant is an integer.
     """
 
     routes: tuple[Route, ...]
@@ -111,6 +119,8 @@ class LoadingModel:
     a: np.ndarray
     b_ub: np.ndarray
     b_eq: np.ndarray
+    slots: np.ndarray
+    integral: bool
 
     @property
     def a_ub(self) -> np.ndarray:
@@ -175,10 +185,18 @@ def build_model(
             raise ValueError(faults[0])
     capacity = {v.id: v.capacity for v in instance.fleet}
     p_o = instance.depot.operative
+    stations = instance._loading_rows
+    gamma_d, gamma_a = weights.gamma_d, weights.gamma_a
 
     columns: list[tuple[str, int, int, int]] = []  # (kind, vehicle_id, visit, node)
     lower: list[int] = []
     upper: list[int] = []
+    # objective coefficients, each 0.0 - w or 0.0 + w as on a zeroed array: never -0.0
+    c: list[float] = []
+    slots: list[int] = []
+    w0_cols: list[int] = []
+    station_cols: dict[int, tuple[list[int], list[int]]] = {}  # station -> its x and y columns
+    slot = 0
     for route in routes:
         if not route.visits:
             continue
@@ -189,63 +207,66 @@ def build_model(
                 columns += (("x", lid, i, node), ("y", lid, i, node))
                 lower += (-k, -k)
                 upper += (k, 0)
+                c += (0.0, 0.0)
+                slots += (slot, slot + 1)
+                slot += 2
                 continue
-            s = instance.station(node)
-            d = s.imbalance
+            d, damaged, weight, _ = stations[node]
+            if d or damaged > 0:
+                xs, ys = station_cols.setdefault(node, ([], []))
             if d:  # balanced: x fixed to zero, not materialized
+                xs.append(len(columns))
                 columns.append(("x", lid, i, node))
-                lower.append(0 if d > 0 else max(-k, d))
-                upper.append(min(k, d) if d > 0 else 0)
-            if s.damaged > 0:
+                if d > 0:
+                    lower.append(0)
+                    upper.append(min(k, d))
+                    c.append(0.0 - gamma_d * weight)
+                else:
+                    lower.append(max(-k, d))
+                    upper.append(0)
+                    c.append(0.0 + gamma_d * weight)
+                slots.append(slot)
+            if damaged > 0:
+                ys.append(len(columns))
                 columns.append(("y", lid, i, node))
                 lower.append(0)
-                upper.append(min(k, s.damaged))
+                upper.append(min(k, damaged))
+                c.append(0.0 - gamma_a * weight)
+                slots.append(slot + 1)
+            slot += 2
+        w0_cols.append(len(columns))
         columns.append(("w0", lid, 0, -1))
         lower.append(0)
         upper.append(p_o)
-
-    w0_cols: list[int] = []
-    station_cols: dict[int, tuple[list[int], list[int]]] = {}  # station -> its x and y columns
-    for j, (kind, _, _, node) in enumerate(columns):
-        if kind == "w0":
-            w0_cols.append(j)
-        elif node != DEPOT:
-            station_cols.setdefault(node, ([], []))[kind == "y"].append(j)
+        c.append(0.0)
+        slots.append(-1)
 
     # rows of totals, after the route rows: the allotments share the depot
-    # stock, and each station's moves across all vehicles
+    # stock, and each visited station's moves across all vehicles, in station order
     total_rows: list[tuple[list[int], int, int]] = []  # (columns, coefficient, rhs)
     if w0_cols:
         total_rows.append((w0_cols, 1, p_o))
-    c = np.zeros(len(columns))
     constant = 0.0
-    for s in instance.stations:
-        xs, ys = station_cols.get(s.id, ([], []))
-        d = s.imbalance
-        w_d = weights.gamma_d * s.weight
-        w_a = weights.gamma_a * s.weight
+    for node, (d, damaged, weight, room) in stations.items():
         if d > 0:
-            constant += w_d * d
-            for col in xs:
-                c[col] -= w_d
-            if xs:  # total pickups never exceed the surplus
-                total_rows.append((xs, 1, d))
+            constant += gamma_d * weight * d
         elif d < 0:
-            constant -= w_d * d
-            for col in xs:
-                c[col] += w_d
-            if xs:  # total deliveries never exceed the deficit
-                total_rows.append((xs, -1, -d))
-        if s.damaged > 0:
-            constant += w_a * s.damaged
-            for col in ys:
-                c[col] -= w_a
-            if ys:
-                total_rows.append((ys, 1, s.damaged))
-        if d < 0 and xs:
+            constant -= gamma_d * weight * d
+        if damaged > 0:
+            constant += gamma_a * weight * damaged
+        if node not in station_cols:
+            continue
+        xs, ys = station_cols[node]  # x columns exist where d != 0, y columns where damaged > 0
+        if d > 0:  # total pickups never exceed the surplus
+            total_rows.append((xs, 1, d))
+        elif d < 0:  # total deliveries never exceed the deficit
+            total_rows.append((xs, -1, -d))
+        if ys:
+            total_rows.append((ys, 1, damaged))
+        if d < 0:
             # deliveries may not leave the station holding more than its docks:
             # p - sum(x) + a - sum(y) <= c  (binding only where bikes arrive)
-            total_rows.append((xs + ys, -1, s.capacity - s.operative - s.damaged))
+            total_rows.append((xs + ys, -1, room))
 
     if instance.depot.capacity is not None:
         # every bike removed from a station ends at the depot
@@ -262,8 +283,10 @@ def build_model(
     a = np.zeros((n_ub + n_eq, len(columns)), order="F")
     b_ub = np.zeros(n_ub)
     b_eq = np.zeros(n_eq)
+    slot_of = np.array(slots, dtype=np.intp)
     r, e = 0, n_ub  # next free inequality and equality row
     first = 0  # the route's first column; its block ends at its w0 column
+    base = 0  # the route's first slot
     for route, w0 in zip(routed, w0_cols):
         nv, width = len(route.visits), w0 - first
         depots = [i for i, node in enumerate(route.visits) if node == DEPOT]
@@ -272,10 +295,8 @@ def build_model(
         # Each column enters once, so every sum is 0 or 1: int8 sums are the
         # fastest, and integers hold no -0.0 to write into ``a``
         inc = np.zeros((nv, 2, width), dtype=np.int8)
-        inc.ravel()[[  # a view: flat index (2 * i + t) * width + j
-            (2 * (col[2] - 1) + (col[0] == "y")) * width + j
-            for j, col in enumerate(columns[first:w0])
-        ]] = 1
+        # a view: flat index (2 * i + t) * width + j, and 2 * i + t is the slot in the route
+        inc.ravel()[(slot_of[first:w0] - base) * width + np.arange(width)] = 1
         load = inc.cumsum(axis=0, dtype=np.int8)
         x, y = load[:, 0], load[:, 1]
         # running load: nonnegative by component, within capacity, on every proper
@@ -295,34 +316,34 @@ def build_model(
         r = end + len(depots)
         e += 1 + len(depots)
         first = w0 + 1
+        base += 2 * nv
 
-    # single entries are collected here and written in one fancy assignment
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
-    for row_cols, coef, rhs in total_rows:
-        rows += [r] * len(row_cols)
-        cols += row_cols
-        vals += [coef] * len(row_cols)
-        b_ub[r] = rhs
-        r += 1
-    a[rows, cols] = vals
+    if total_rows:  # the last inequality rows, written in one fancy assignment
+        row_cols, coefs, b_ub[r:] = zip(*total_rows)  # columns, coefficient, rhs
+        sizes = list(map(len, row_cols))
+        rows = np.arange(r, n_ub).repeat(sizes)
+        a[rows, list(chain.from_iterable(row_cols))] = np.repeat(coefs, sizes)
+    integral = constant.is_integer() and all(map(float.is_integer, c))
     return LoadingModel(
         routes, columns, np.array(lower, dtype=float), np.array(upper, dtype=float),
-        c, constant, a, b_ub, b_eq,
+        np.array(c), constant, a, b_ub, b_eq, slot_of, integral,
     )
 
 
-def _plans(model: LoadingModel, values: list[float]) -> tuple[LoadingPlan, ...]:
+def _plans(model: LoadingModel, values: np.ndarray) -> tuple[LoadingPlan, ...]:
     """One plan per route of the model, read from an integral assignment."""
-    moves = {route.vehicle_id: [[0, 0] for _ in route.visits] for route in model.routes}
-    for value, (kind, lid, i, _) in zip(values, model.columns):
-        if kind != "w0":
-            moves[lid][i - 1][kind == "y"] = int(round(value))
-    return tuple(
-        LoadingPlan(route.vehicle_id, tuple(map(tuple, moves[route.vehicle_id])))
-        for route in model.routes
-    )
+    # the flat plans, plus one last entry where the w0 columns (slot -1) land
+    flat = np.zeros(2 * sum(len(route.visits) for route in model.routes) + 1, dtype=np.int64)
+    flat[model.slots] = np.rint(values)
+    moves = flat.tolist()
+    plans = []
+    at = 0
+    for route in model.routes:
+        end = at + 2 * len(route.visits)
+        pairs = zip(moves[at:end:2], moves[at + 1:end:2])  # (x, y) of each visit
+        plans.append(LoadingPlan(route.vehicle_id, tuple(pairs)))
+        at = end
+    return tuple(plans)
 
 
 def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarray:
@@ -376,21 +397,31 @@ def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarra
     return leaf
 
 
-def _relaxation(model: LoadingModel) -> highs._Highs:
-    """The model's LP relaxation as one HiGHS model, with presolve off.
+_solvers = threading.local()  # the calling thread's HiGHS instance, made on its first solve
 
-    Presolve is most of a HiGHS run on models this small, and a B&B node
-    differs from the last one solved only in column bounds, so each node is
-    a warm-started dual simplex re-solve of this model.
+
+def _relaxation(model: LoadingModel) -> highs._Highs:
+    """The model's LP relaxation, passed to the calling thread's HiGHS instance.
+
+    Each thread keeps one HiGHS instance, made on its first solve with
+    output off and presolve off: presolve is most of a HiGHS run on models
+    this small. ``clearModel`` resets the model, the basis and the solution
+    of the last solve, options aside, so nothing carries over from one solve
+    to the next. Within a solve, a B&B node differs from the last one solved
+    only in column bounds, so each node is a warm-started dual simplex
+    re-solve of this model.
     """
+    lp = getattr(_solvers, "lp", None)
+    if lp is None:
+        lp = _solvers.lp = highs._Highs()
+        lp.setOptionValue("output_flag", False)
+        lp.setOptionValue("presolve", "off")
+    lp.clearModel()
     rows, n = model.a.shape
     # compressed sparse columns: nonzeros column by column, rows ascending
     by_column = model.a.ravel(order="F")  # a view: the matrix is column-major
     nonzero = np.flatnonzero(by_column != 0)
     start = np.searchsorted(nonzero, np.arange(n + 1) * rows)
-    lp = highs._Highs()
-    lp.setOptionValue("output_flag", False)
-    lp.setOptionValue("presolve", "off")
     lp.passModel(
         n,
         rows,
@@ -440,13 +471,18 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
     its node; any other non-optimal LP status raises RuntimeError. Returns
     one plan per route of the model, in order; an empty route gets an empty
     plan.
+
+    The LPs run on the calling thread's one HiGHS instance (``_relaxation``),
+    whose ``clearModel`` at the start of each solve resets the model and the
+    basis: nothing carries over from an earlier solve, one that raised
+    included, so a solve's result does not depend on what the thread solved
+    before. Threads may solve at once, each on its own instance.
     """
     if model.n_vars == 0:
-        return LoadingVariables(_plans(model, []), model.constant)
+        return LoadingVariables(_plans(model, np.zeros(0)), model.constant)
 
     lp = _relaxation(model)
-    branch_order = [j for j, col in enumerate(model.columns) if col[0] != "w0"]
-    objective_integral = all(v.is_integer() for v in model.c.tolist() + [float(model.constant)])
+    moves = model.slots >= 0  # the columns branched on, in column order
 
     best_val = math.inf
     best_values: np.ndarray | None = None
@@ -464,23 +500,22 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
         if values is None:
             raise RuntimeError(f"LP relaxation not solved: HiGHS model status {status.name}")
         bound = fun + model.constant
-        if objective_integral:
+        if model.integral:
             bound = math.ceil(bound - _INT_TOL)
         if bound >= best_val - 1e-9:
             continue
-        frac_col = None
-        for col in branch_order:
-            if abs(values[col] - round(values[col])) > _INT_TOL:
-                frac_col = col
-                break
-        if frac_col is None:
-            leaf = _canonical_depot_moves(model, np.round(values))
+        values = np.array(values)
+        rounded = np.round(values)
+        fractional = (np.abs(values - rounded) > _INT_TOL) & moves
+        if not fractional.any():
+            leaf = _canonical_depot_moves(model, rounded)
             val = float(model.c @ leaf + model.constant)
             if val < best_val - 1e-9:
                 best_val = val
                 best_values = leaf
             continue
-        f = values[frac_col]
+        frac_col = int(fractional.argmax())  # the first fractional move
+        f = float(values[frac_col])
         down = (lo, hi.copy())
         down[1][frac_col] = math.floor(f)
         up = (lo.copy(), hi)
@@ -495,7 +530,7 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
 
     if best_values is None:
         raise RuntimeError("loading program infeasible for a structurally valid route")
-    return LoadingVariables(_plans(model, best_values.tolist()), best_val)
+    return LoadingVariables(_plans(model, best_values), best_val)
 
 
 def _check_assignment(model: LoadingModel, values: np.ndarray) -> None:

@@ -149,6 +149,15 @@ class Instance:
         return [(s.id, s.weight, s.target) for s in self.stations]
 
     @cached_property
+    def _loading_rows(self) -> dict[int, tuple[int, int, float, int]]:
+        """Station id -> ``(imbalance, damaged, weight, free docks)`` in station
+        order: what ``build_model`` reads of each station. Cached as ``_lookup`` is."""
+        return {
+            s.id: (s.imbalance, s.damaged, s.weight, s.capacity - s.operative - s.damaged)
+            for s in self.stations
+        }
+
+    @cached_property
     def _exact_sums(self) -> bool:
         """Whether floats add station-weighted imbalances exactly: integer weights
         and ``sum w * |imbalance|`` below 2**53. Cached as ``_lookup`` is."""

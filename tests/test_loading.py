@@ -1,7 +1,10 @@
 import dataclasses
 import math
 import re
-import types
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -128,30 +131,20 @@ def test_model_columns_and_highs_input(case):
     assert _bounds(model) == [f"{lo} <= {name} <= {hi}" for name, *_, lo, hi in expected]
     if model.n_vars == 0:
         return
-    # the matrix HiGHS receives is the stacked dense rows, compressed by column
-    passed = []
-
-    class Recorder(loading.highs._Highs):
-        def passModel(self, *args):
-            passed.append(args)
-            return super().passModel(*args)
-
-    core = types.SimpleNamespace(**vars(loading.highs))
-    core._Highs = Recorder
-    saved = loading.highs
-    loading.highs = core
-    try:
-        loading._relaxation(model)
-    finally:
-        loading.highs = saved
-    (args,) = passed
-    start, index, value = args[-4:-1]
+    # the matrix HiGHS holds is the stacked dense rows, compressed by column,
+    # with the inequality rows unbounded below
+    lp = loading._relaxation(model).getLp()
+    matrix = lp.a_matrix_
     expected = scipy.sparse.csc_array(np.vstack((model.a_ub, model.a_eq)))
-    assert args[:3] == (model.n_vars, len(model.b_ub) + len(model.b_eq), expected.nnz)
-    assert start.dtype == index.dtype == np.int32
-    assert np.array_equal(start, expected.indptr)
-    assert np.array_equal(index, expected.indices)
-    assert np.array_equal(value, expected.data)
+    assert (lp.num_col_, lp.num_row_) == (model.n_vars, len(model.b_ub) + len(model.b_eq))
+    assert matrix.format_ == loading.highs.MatrixFormat.kColwise
+    assert matrix.start_ == expected.indptr.tolist()
+    assert matrix.index_ == expected.indices.tolist()
+    assert matrix.value_ == expected.data.tolist()
+    assert lp.row_lower_ == [-math.inf] * len(model.b_ub) + model.b_eq.tolist()
+    assert lp.row_upper_ == model.b_ub.tolist() + model.b_eq.tolist()
+    assert (lp.col_lower_, lp.col_upper_) == (model.lower.tolist(), model.upper.tolist())
+    assert np.asarray(lp.col_cost_).tolist() == model.c.tolist()
 
 
 def _bounds(model):
@@ -637,6 +630,149 @@ def test_root_integral_solve_takes_one_lp(monkeypatch):
     for solves in (1, 2, 3):
         assert solve_exact(model).objective_value == 0
         assert len(calls) == solves
+
+
+def _branching_case(draw_int):
+    """An instance and routes inside the oracle's guard rails whose root LP is
+    fractional in about 1 case of 16. Vehicle 1, of capacity k, visits a
+    station holding damaged bikes, a surplus of about k, a deficit of at least
+    k whose docks fill only as its damaged bikes leave, and the surplus again;
+    a mid-route depot visit and a second visit to the first station may be
+    inserted. Vehicle 2, of a capacity drawn on its own, may visit one or two
+    stations, each from the depot. ``draw_int(lo, hi)`` draws an integer in
+    [lo, hi]."""
+    k = draw_int(2, 5)
+    surplus, deficit = draw_int(k - 1, k + 1), draw_int(k, 6)
+    first_p, first_a, surplus_a, deficit_a = (draw_int(lo, 2) for lo in (0, 1, 0, 0))
+    stations = [
+        (1, first_p + first_a, first_p, first_a, 0),
+        (2, surplus + surplus_a, surplus, surplus_a, 0),
+        (3, deficit + draw_int(0, 1), 0, deficit_a, deficit),
+    ]
+    visits = [DEPOT, 1, 2, 3, 2]
+    if draw_int(0, 1):
+        visits.insert(draw_int(2, 4), DEPOT)
+    if draw_int(0, 1):
+        visits.insert(draw_int(1, len(visits)), 1)
+    visits.append(DEPOT)
+    visits = [node for i, node in enumerate(visits) if i == 0 or node != visits[i - 1]]
+    fleet = [(1, k)]
+    routes = [Route(1, tuple(visits))]
+    if draw_int(0, 1):
+        fleet.append((2, draw_int(2, 6)))
+        second = (DEPOT, draw_int(1, 3), DEPOT, draw_int(1, 3), DEPOT)
+        routes.append(Route(2, second if len(visits) <= 7 and draw_int(0, 1) else second[:3]))
+    inst = make_instance(stations, fleet=tuple(fleet), stock=draw_int(0, 1))
+    return inst, routes, ObjectiveWeights()
+
+
+@st.composite
+def _branching_cases(draw):
+    return _branching_case(lambda lo, hi: draw(st.integers(lo, hi)))
+
+
+def _seeded_branching_cases(seed, n):
+    rng = np.random.default_rng(seed)
+    return [_branching_case(lambda lo, hi: int(rng.integers(lo, hi + 1))) for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_branching_cases())
+def test_solver_matches_brute_force_on_branching_cases(case):
+    _check_case(*case)
+
+
+def test_seeded_branching_cases_take_more_than_one_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    lps = []
+    for case in _seeded_branching_cases(16, 30):
+        before = len(calls)
+        _check_case(*case)
+        lps.append(len(calls) - before)
+    # a fractional root branches, so its solve takes two more LPs at least
+    assert sum(n >= 3 for n in lps) >= 3
+
+
+@contextmanager
+def _fresh_solver_per_solve():
+    """Within: ``_relaxation`` makes a new HiGHS instance at every solve."""
+    relaxation = loading._relaxation
+
+    def fresh(model):
+        loading._solvers = threading.local()
+        return relaxation(model)
+
+    saved = loading._solvers
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loading, "_relaxation", fresh)
+        try:
+            yield
+        finally:
+            loading._solvers = saved
+
+
+def _fractional_root_models():
+    """The models of ``_FRACTIONAL_ROOTS``, each of whose solves branches."""
+    return [
+        build_model(
+            make_instance(stations, fleet=fleet),
+            [Route(vid, visits) for vid, visits in routes],
+        )
+        for stations, fleet, routes in _FRACTIONAL_ROOTS.values()
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_models() | _branching_cases(), min_size=1, max_size=5),
+    st.data(),
+)
+def test_thread_solver_matches_a_fresh_solver_per_solve(cases, data):
+    models = [build_model(*case) for case in cases]
+    with _fresh_solver_per_solve():
+        expected = [solve_exact(model) for model in models]
+    # a solve that fails after a B&B node has been re-solved, then the rest
+    broken = data.draw(st.sampled_from(_fractional_root_models()))
+    at = data.draw(st.integers(0, len(models) - 1))
+    results = [solve_exact(model) for model in models[:at]]
+    solve = loading.linprog
+    lps = []
+
+    def failing(*args):
+        lps.append(solve(*args))
+        if len(lps) == 2:
+            raise RuntimeError("injected LP failure")
+        return lps[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loading, "linprog", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            solve_exact(broken)
+    results += [solve_exact(model) for model in models[at:]]
+    assert results == expected
+
+
+def test_threads_solve_with_their_own_solvers():
+    models = _fractional_root_models() + [
+        build_model(*case) for case in _seeded_branching_cases(16, 30)
+    ]
+    expected = [solve_exact(model) for model in models]
+    workers = 4  # more threads than cores
+    start = threading.Barrier(workers, timeout=30)
+
+    def solve_all():
+        start.wait()
+        return [solve_exact(model) for model in models]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between nearly every bytecode
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(solve_all) for _ in range(workers)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == [expected] * workers
 
 
 @pytest.mark.parametrize(
