@@ -409,7 +409,9 @@ def _relaxation(model: LoadingModel) -> highs._Highs:
     of the last solve, options aside, so nothing carries over from one solve
     to the next. Within a solve, a B&B node differs from the last one solved
     only in column bounds, so each node is a warm-started dual simplex
-    re-solve of this model.
+    re-solve of this model. The instance keeps its simplex workspace after
+    ``clearModel``, so a thread that solved a large model holds that memory
+    until the thread ends.
     """
     lp = getattr(_solvers, "lp", None)
     if lp is None:
@@ -725,6 +727,11 @@ def loading_bound(
     numerator is an integer that a float holds exactly, since no plan leaves
     a station further from its target than it starts. Either way ``total``
     never exceeds the reoptimized total, to the bit.
+
+    ``run`` uses the bound twice. Routes whose bound cannot beat the
+    incumbent need no phase two. A constructed plan whose total is not
+    above the bound is optimal for its routes, as no plan over them scores
+    below it, so phase two could not lower its total.
     """
     imbalance = instance._imbalance
     visited: set[int] = set()

@@ -1,20 +1,18 @@
 """Multi-start driver: construct, reoptimize, keep the best.
 
-Each iteration builds a fresh randomized solution (phase one) and replaces
-its loading plans with exactly optimal ones (phase two), then folds the
-result into the incumbent. ``loading_bound`` spares phase two twice. It
-scores an optimistic loading of the new routes, which serves every visited
-station as far as the depot stock and the visited surplus reach. When
-even that loading could not beat the incumbent, the iteration counts as
-non-improving. When the constructed plan already meets the bound, no plan
-over its routes scores lower, so it is folded in, and returned, as
-constructed. The bound is exact, so the trace, the routes and the totals
-are those of a loop that reoptimizes every iteration; a certified best
-may keep another plan of the same total. The loop stops once a run of
-consecutive non-improving iterations reaches the configured limit. Every
-iteration derives its RNG stream from (master seed, iteration index), so
-any iteration can be replayed in isolation. Iterations run one after
-another on the calling thread.
+Each iteration builds a fresh randomized solution (phase one), replaces
+its loading plans with exactly optimal ones (phase two) and folds the
+result into the incumbent. ``loading_bound`` spares phase two twice: when
+the bound of the new routes cannot beat the incumbent, the iteration
+counts as non-improving, and when the constructed plan already meets the
+bound, it is folded in, and returned, as constructed. Its docstring proves
+that the bound never exceeds the reoptimized total, so the trace, the
+routes and the totals are those of a loop that reoptimizes every
+iteration; a certified best may keep another plan of the same total. The
+loop stops when ``run``'s non-improvement counter reaches ``max_iter``.
+Iteration ``i`` draws from ``default_rng([master_seed, i])``, so any
+iteration can be replayed in isolation. Iterations run one after another
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -35,9 +33,8 @@ _TOLERANCE = 1e-12
 class RunConfig:
     """Parameters of one run.
 
-    ``parallelism`` is validated (at least 1) but has no effect: iterations
-    are sequential, because a thread pool gave no speed-up under the GIL.
-    It stays because the benchmark passes it; no CLI flag sets it.
+    ``parallelism`` is validated (at least 1) and has no effect: iterations
+    run one after another. The benchmark passes it; no CLI flag sets it.
     """
 
     max_iter: int = 500

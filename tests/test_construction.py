@@ -58,22 +58,22 @@ def _move(station, capacity, stock, **vehicle_fields):
     return moves[0] if moves else (0, 0)
 
 
-def test_max_movable_surplus():
+def test_feasible_successors_move_at_surplus():
     station = (1, 30, 14, 4, 4)
     assert _move(station, 20, 0, onboard_operative=3, onboard_damaged=2) == (10, 4)
 
 
-def test_max_movable_deficit_with_retro_loading():
+def test_feasible_successors_move_at_deficit_with_retro_loading():
     station = (1, 30, 2, 2, 10)
     move = _move(station, 10, 5, onboard_operative=2, onboard_damaged=1, min_free_lockers=3)
     assert move == (5, 2)
 
 
-def test_max_movable_balanced_without_damaged():
+def test_feasible_successors_move_at_balanced_without_damaged():
     assert _move((1, 30, 5, 0, 5), 10, 5, onboard_operative=2) == (0, 0)
 
 
-def test_max_movable_deficit_damaged_capped_by_free_lockers():
+def test_feasible_successors_move_at_deficit_damaged_capped_by_free_lockers():
     # retro-loaded delivery must not let damaged pickups overfill the vehicle
     station = (1, 30, 4, 10, 10)
     beta, alpha = _move(station, 10, 10, onboard_damaged=4, min_free_lockers=6)
@@ -120,7 +120,7 @@ def test_feasible_successors_drops_immovable_stations():
     assert feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams()) == {}
 
 
-def test_candidate_ratio_examples():
+def test_feasible_successors_score_examples():
     # station 1 moves (3, 1) in 4 minutes at weight 2, station 2 moves (4, 5) in 3
     inst = make_instance(
         [(1, 10, 7, 1, 4, 2.0), (2, 16, 9, 5, 5, 1.0)],
@@ -164,7 +164,7 @@ def test_feasible_successors_score_moves_beyond_the_table():
     assert feasible_successors(inst, state, DEPOT, inst.fleet[0], params) == {(1, 9, 7): 1.0}
 
 
-def test_candidate_ratio_zero_travel_dominates():
+def test_feasible_successors_score_zero_travel_dominates():
     inst = make_instance(
         [(1, 10, 7, 0, 5)], travel=np.array([[0.0, 0.0], [0.0, 0.0]])
     )

@@ -693,6 +693,19 @@ def test_seeded_branching_cases_take_more_than_one_lp(monkeypatch):
     assert sum(n >= 3 for n in lps) >= 3
 
 
+# seeded branching cases whose optimum is not an integer: rounding a node's
+# bound up there prunes the optimal branch
+@pytest.mark.parametrize(
+    "seed, gamma_d, gamma_a",
+    [(6, 0.75, 0.75), (41, 0.75, 1.0), (53, 0.75, 0.75), (53, 0.75, 1.0), (53, 1.0, 1.5)],
+)
+def test_fractional_objective_bound_is_not_rounded(seed, gamma_d, gamma_a):
+    inst, routes, _ = _seeded_branching_cases(seed, 1)[0]
+    weights = ObjectiveWeights(gamma_d, gamma_a, 1.0)
+    assert not build_model(inst, routes, weights).integral
+    _check_case(inst, routes, weights)
+
+
 @contextmanager
 def _fresh_solver_per_solve():
     """Within: ``_relaxation`` makes a new HiGHS instance at every solve."""
