@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import (
     DEPOT,
+    FinalState,
     Instance,
     LoadingPlan,
     ObjectiveWeights,
     Route,
     Solution,
     Vehicle,
-    solution_from_plans,
+    evaluate_objective,
 )
 
 
@@ -54,7 +55,8 @@ class BuildState:
     of the stations the scan visits: ``fresh`` lists those with residual work
     left, and apply_visit drops a station once its work is done. A state
     built by hand passes its own list; it may also hold finished stations,
-    which never become candidates.
+    which never become candidates. ``route_times`` holds each routed
+    vehicle's ``elapsed``, recorded as build_route closes its route.
     """
 
     residual_imbalance: dict[int, int]
@@ -67,16 +69,18 @@ class BuildState:
     min_free_lockers: int = 0
     last_depot_index: int = 0
     depot_room: int | None = None
+    route_times: dict[int, float] = field(default_factory=dict)
 
     @classmethod
     def fresh(cls, instance: Instance) -> BuildState:
         capacity = instance.depot.capacity
+        imbalance, damaged, live = instance._residuals
         return cls(
-            residual_imbalance={s.id: s.imbalance for s in instance.stations},
-            residual_damaged={s.id: s.damaged for s in instance.stations},
+            residual_imbalance=imbalance.copy(),
+            residual_damaged=damaged.copy(),
             depot_remaining=instance.depot.operative,
             depot_room=None if capacity is None else capacity - instance.depot.operative,
-            live=[i for i, s in enumerate(instance.stations) if not _done(s.imbalance, s.damaged)],
+            live=live.copy(),
         )
 
     def start_vehicle(self, vehicle: Vehicle) -> None:
@@ -88,7 +92,8 @@ class BuildState:
 
 
 def _done(imbalance: int, damaged: int) -> bool:
-    """No residual work left. Residuals only move toward 0 within a construction."""
+    """No residual work left. Residuals only move toward 0 within a construction.
+    ``Instance._residuals`` lists the stations for which this is false at the start."""
     return imbalance == 0 and damaged <= 0
 
 
@@ -283,6 +288,7 @@ def build_route(
         apply_visit(instance, state, vehicle, visits, moves, v_star, beta, alpha)
     if len(visits) == 1:
         # never left the depot: an unused vehicle
+        state.route_times[vehicle.id] = 0.0
         return Route(vehicle.id), LoadingPlan(vehicle.id)
     if visits[-1] == DEPOT:
         dx, dy = moves[-1]
@@ -293,6 +299,7 @@ def build_route(
         moves.append((-state.onboard_operative, -state.onboard_damaged))
     state.onboard_operative = 0
     state.onboard_damaged = 0
+    state.route_times[vehicle.id] = state.elapsed
     return Route(vehicle.id, tuple(visits)), LoadingPlan(vehicle.id, tuple(moves))
 
 
@@ -302,7 +309,13 @@ def construct_solution(
     rng: np.random.Generator,
     weights: ObjectiveWeights = ObjectiveWeights(),
 ) -> Solution:
-    """Build one feasible solution: a route and provisional plan per vehicle."""
+    """Build one feasible solution: a route and provisional plan per vehicle.
+
+    The final inventories and route times are read off the build state, which
+    already holds them; no move is replayed. ``model.solution_from_plans``
+    replays moves once wherever plans come from elsewhere: phase two,
+    ``validate_solution``, ``parse_solution`` and the benchmark's checks.
+    """
     state = BuildState.fresh(instance)
     routes = []
     plans = []
@@ -310,4 +323,44 @@ def construct_solution(
         route, plan = build_route(instance, state, vehicle, params, rng)
         routes.append(route)
         plans.append(plan)
-    return solution_from_plans(instance, routes, plans, weights)
+    return solution_from_plans(instance, state, routes, plans, weights)
+
+
+# name kept from the model function it replaced: bench/tracing.py wraps it as
+# phase one's model.solution_from_plans span
+def solution_from_plans(
+    instance: Instance,
+    state: BuildState,
+    routes: list[Route],
+    plans: list[LoadingPlan],
+    weights: ObjectiveWeights,
+) -> Solution:
+    """The Solution of a construction, read off its finished build state.
+
+    A station ends at its target plus its residual imbalance, with its
+    residual damaged bikes, both in station order; route times come in fleet
+    order. Each is what a replay of the plans gives, to the bit: a route's
+    ``elapsed`` adds its legs in visit order from 0.0, as ``route_time`` does.
+    The depot's inventories are left 0, as the objective does not read them.
+    """
+    if len(state.route_times) != len(instance.fleet):
+        # a vehicle id listed twice, whose routes would share one time; run()
+        # never gets here, as check_instance rejects such a fleet
+        raise ValueError("vehicles: duplicate vehicle id")
+    residual = state.residual_imbalance
+    rows = instance._objective_rows
+    final = FinalState(
+        {sid: target + residual[sid] for sid, _, target in rows},
+        {sid: state.residual_damaged[sid] for sid, _, _ in rows},
+        0,
+        0,
+        {v.id: state.route_times[v.id] for v in instance.fleet},
+    )
+    return Solution(
+        routes=tuple(routes),
+        plans=tuple(plans),
+        final_operative=final.operative,
+        final_damaged=final.damaged,
+        route_times=final.route_times,
+        objective=evaluate_objective(instance, final, weights),
+    )

@@ -758,8 +758,11 @@ def loading_bound(
     stations = instance.stations
     supply = instance.depot.operative + min(matched, sum(imbalance[s] for s in useful))
     shortfall = -supply - sum(imbalance[n] for n in visited if imbalance[n] < 0)
-    operative = {s.id: s.target if s.id in visited else s.operative for s in stations}
-    damaged = {s.id: 0 if s.id in visited else s.damaged for s in stations}
+    operative, damaged = (inventory.copy() for inventory in instance._start)
+    visited.discard(DEPOT)
+    for sid in visited:
+        operative[sid] = instance._by_id[sid].target
+        damaged[sid] = 0
     if shortfall > 0 and instance._exact_sums:
         deficits = sorted(
             (s for s in stations if s.id in visited and s.imbalance < 0), key=lambda s: s.weight

@@ -8,6 +8,7 @@ instance or a solution can be passed around and reused without copying.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -134,6 +135,31 @@ class Instance:
         return {DEPOT: 0} | {s.id: s.imbalance for s in self.stations}
 
     @cached_property
+    def _nodes(self) -> frozenset[int]:
+        """The depot and every station id; cached as ``_lookup`` is."""
+        return frozenset(self.nodes)
+
+    @cached_property
+    def _start(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Initial operative and damaged inventories by node, the depot first,
+        then the stations in station order. Callers copy them; cached as
+        ``_lookup`` is."""
+        operative = {DEPOT: self.depot.operative} | {s.id: s.operative for s in self.stations}
+        return operative, {DEPOT: 0} | {s.id: s.damaged for s in self.stations}
+
+    @cached_property
+    def _residuals(self) -> tuple[dict[int, int], dict[int, int], list[int]]:
+        """Phase one's starting residuals: imbalance and damaged bikes by station
+        id in station order, and the station-order indices of the stations with
+        work left (imbalance not 0, or damaged bikes). ``BuildState.fresh``
+        copies them; cached as ``_lookup`` is."""
+        return (
+            {s.id: s.imbalance for s in self.stations},
+            {s.id: s.damaged for s in self.stations},
+            [i for i, s in enumerate(self.stations) if s.imbalance != 0 or s.damaged > 0],
+        )
+
+    @cached_property
     def _deviation(self) -> float:
         """The objective's normalizer ``D = sum(w * |dev| + damaged)``, summed in
         station order; cached as ``_lookup`` is."""
@@ -231,10 +257,19 @@ class Solution:
 
 
 def route_time(route: Route, instance: Instance) -> float:
-    """Total travel time of the visit sequence; an empty route takes 0."""
+    """Total travel time of the visit sequence; an empty route takes 0.
+
+    Reads ``Instance.travel_time``'s table directly, leg by leg in visit order."""
+    lookup = instance._lookup
+    rows, position = lookup.rows, lookup.position
+    visits = route.visits
     total = 0.0
-    for u, v in zip(route.visits, route.visits[1:]):
-        total += instance.travel_time(u, v)
+    try:
+        for u, v in zip(visits, visits[1:]):
+            row, to_depot = rows[u]
+            total += to_depot if v == DEPOT else row[position[v]]
+    except KeyError as exc:
+        raise ValueError(f"unknown node id {exc.args[0]}") from None
     return total
 
 
@@ -315,8 +350,8 @@ def apply_solution(
 
 def _inventories(instance: Instance) -> tuple[dict[int, int], dict[int, int]]:
     """Initial operative and damaged inventories by node, the depot first."""
-    operative = {DEPOT: instance.depot.operative} | {s.id: s.operative for s in instance.stations}
-    return operative, {DEPOT: 0} | {s.id: s.damaged for s in instance.stations}
+    operative, damaged = instance._start
+    return operative.copy(), damaged.copy()
 
 
 def _replay(route: Route, plan: LoadingPlan, operative: dict[int, int], damaged: dict[int, int]):
@@ -391,6 +426,7 @@ def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]
     in a row, unknown nodes. ``validate_solution`` reports them; ``apply_solution``
     and phase two raise the first."""
     fleet = {v.id for v in instance.fleet}
+    nodes = instance._nodes
     seen: set[int] = set()
     out: list[list[str]] = []
     for route in routes:
@@ -407,12 +443,13 @@ def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]
         seen.add(route.vehicle_id)
         if visits and (visits[0] != DEPOT or visits[-1] != DEPOT):
             faults.append(f"{tag}: route must start and end at the depot")
-        for i, (a, b) in enumerate(zip(visits, visits[1:])):
-            if a == b:
-                faults.append(f"{tag}: visit {i + 1} immediately repeats node {a}")
-        unknown = [n for n in visits if n != DEPOT and n not in instance._by_id]
-        if unknown:
-            faults.append(f"{tag}: unknown nodes {sorted(set(unknown))}")
+        # each walk that builds messages runs only for a route that fails its check
+        if any(map(operator.eq, visits, visits[1:])):
+            for i, (a, b) in enumerate(zip(visits, visits[1:])):
+                if a == b:
+                    faults.append(f"{tag}: visit {i + 1} immediately repeats node {a}")
+        if not nodes.issuperset(visits):
+            faults.append(f"{tag}: unknown nodes {sorted(set(visits) - nodes)}")
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -334,6 +335,12 @@ def test_construct_solution_zero_vehicles():
     assert sol.objective == empty_solution(inst, ObjectiveWeights()).objective
 
 
+def test_construct_solution_rejects_a_vehicle_id_listed_twice():
+    inst = make_instance([(1, 12, 9, 1, 4), (2, 12, 2, 2, 8)], fleet=((1, 3), (1, 3)), stock=4)
+    with pytest.raises(ValueError, match="duplicate vehicle id"):
+        construct_solution(inst, ConstructionParams(), np.random.default_rng(1))
+
+
 def test_construct_solution_deterministic_under_seed():
     inst = make_instance(
         [(1, 12, 9, 1, 4), (2, 12, 2, 2, 8), (3, 12, 6, 0, 6), (4, 12, 1, 1, 5)],
@@ -605,9 +612,12 @@ def _check_construction(instance, params, seed, key_order):
     want = _reference_construction(
         instance, params, want_rng, _hand_built_state(instance, key_order)
     )
-    assert got.routes == want.routes
-    assert got.plans == want.plans
-    assert got.objective.total.hex() == want.objective.total.hex()
+    # want replays the reference's routes and plans with model.solution_from_plans:
+    # phase one's read-off must equal it whole, to the bit and in key order
+    assert got == want
+    for name in ("final_operative", "final_damaged", "route_times"):
+        assert list(getattr(got, name).items()) == list(getattr(want, name).items())
+    assert [x.hex() for x in astuple(got.objective)] == [x.hex() for x in astuple(want.objective)]
     assert rng.random() == want_rng.random()  # the same number of draws
     # route by route: a fresh state's live list holds exactly the stations with
     # work left, and a hand-built state (listing every station) builds the same
