@@ -122,11 +122,13 @@ def feasible_successors(
 
     A station scores ``(beta + alpha) ** theta / t * w`` (bikes moved, travel
     minutes, station weight), the depot ``mu * onboard damaged / t``. Zero
-    travel time scores infinity and dominates all. A station of weight 0
-    scores 0, also where the quotient overflows (inf * 0 would be nan, which
-    no epsilon cut can compare). ``n ** theta`` comes from a table up to
-    2 * capacity, the largest move of a load that fits the vehicle; a larger
-    move, which only a hand-built state can yield, uses the same formula.
+    travel time scores infinity and dominates all; it wins over a zero
+    weight, so a station 0 minutes away scores infinity at weight 0 too. Any
+    other station of weight 0 scores 0, also where the quotient overflows
+    (inf * 0 would be nan, which no epsilon cut can compare). ``n ** theta``
+    comes from a table up to 2 * capacity, the largest move of a load that
+    fits the vehicle; a larger move, which only a hand-built state can
+    yield, uses the same formula.
     """
     lookup = instance._lookup
     try:

@@ -106,8 +106,7 @@ class LoadingModel:
     ``slots[j]`` places move column j in the routes' plans laid out flat:
     route by route, visit by visit, x then y, so visit i of a route whose
     plan starts at slot b holds slots ``b + 2(i - 1)`` and ``b + 2(i - 1) + 1``.
-    A w0 column has slot -1. ``integral`` tells whether every objective
-    coefficient and the constant is an integer.
+    A w0 column has slot -1.
     """
 
     routes: tuple[Route, ...]
@@ -120,7 +119,6 @@ class LoadingModel:
     b_ub: np.ndarray
     b_eq: np.ndarray
     slots: np.ndarray
-    integral: bool
 
     @property
     def a_ub(self) -> np.ndarray:
@@ -323,10 +321,9 @@ def build_model(
         sizes = list(map(len, row_cols))
         rows = np.arange(r, n_ub).repeat(sizes)
         a[rows, list(chain.from_iterable(row_cols))] = np.repeat(coefs, sizes)
-    integral = constant.is_integer() and all(map(float.is_integer, c))
     return LoadingModel(
         routes, columns, np.array(lower, dtype=float), np.array(upper, dtype=float),
-        np.array(c), constant, a, b_ub, b_eq, slot_of, integral,
+        np.array(c), constant, a, b_ub, b_eq, slot_of,
     )
 
 
@@ -466,7 +463,8 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
 
     Deterministic: branching follows (vehicle, visit, x before y) order,
     explores the larger-magnitude value first, and ties between equal
-    incumbents keep the first one found. Depot allotments are never branched
+    incumbents keep the first one found. A node is pruned on its LP bound
+    when that cannot beat the incumbent. Depot allotments are never branched
     on: each integral leaf keeps its station moves, and its depot moves and
     allotments follow from them by one rule, ``_canonical_depot_moves``,
     that draws the least stock. An LP that HiGHS proves infeasible prunes
@@ -501,10 +499,7 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
             continue
         if values is None:
             raise RuntimeError(f"LP relaxation not solved: HiGHS model status {status.name}")
-        bound = fun + model.constant
-        if model.integral:
-            bound = math.ceil(bound - _INT_TOL)
-        if bound >= best_val - 1e-9:
+        if fun + model.constant >= best_val - 1e-9:
             continue
         values = np.array(values)
         rounded = np.round(values)

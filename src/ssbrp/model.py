@@ -8,7 +8,6 @@ instance or a solution can be passed around and reused without copying.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -135,11 +134,6 @@ class Instance:
         return {DEPOT: 0} | {s.id: s.imbalance for s in self.stations}
 
     @cached_property
-    def _nodes(self) -> frozenset[int]:
-        """The depot and every station id; cached as ``_lookup`` is."""
-        return frozenset(self.nodes)
-
-    @cached_property
     def _start(self) -> tuple[dict[int, int], dict[int, int]]:
         """Initial operative and damaged inventories by node, the depot first,
         then the stations in station order. Callers copy them; cached as
@@ -259,17 +253,10 @@ class Solution:
 def route_time(route: Route, instance: Instance) -> float:
     """Total travel time of the visit sequence; an empty route takes 0.
 
-    Reads ``Instance.travel_time``'s table directly, leg by leg in visit order."""
-    lookup = instance._lookup
-    rows, position = lookup.rows, lookup.position
-    visits = route.visits
+    Adds ``Instance.travel_time`` leg by leg in visit order, from 0.0."""
     total = 0.0
-    try:
-        for u, v in zip(visits, visits[1:]):
-            row, to_depot = rows[u]
-            total += to_depot if v == DEPOT else row[position[v]]
-    except KeyError as exc:
-        raise ValueError(f"unknown node id {exc.args[0]}") from None
+    for u, v in zip(route.visits, route.visits[1:]):
+        total += instance.travel_time(u, v)
     return total
 
 
@@ -426,7 +413,6 @@ def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]
     in a row, unknown nodes. ``validate_solution`` reports them; ``apply_solution``
     and phase two raise the first."""
     fleet = {v.id for v in instance.fleet}
-    nodes = instance._nodes
     seen: set[int] = set()
     out: list[list[str]] = []
     for route in routes:
@@ -443,13 +429,12 @@ def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]
         seen.add(route.vehicle_id)
         if visits and (visits[0] != DEPOT or visits[-1] != DEPOT):
             faults.append(f"{tag}: route must start and end at the depot")
-        # each walk that builds messages runs only for a route that fails its check
-        if any(map(operator.eq, visits, visits[1:])):
-            for i, (a, b) in enumerate(zip(visits, visits[1:])):
-                if a == b:
-                    faults.append(f"{tag}: visit {i + 1} immediately repeats node {a}")
-        if not nodes.issuperset(visits):
-            faults.append(f"{tag}: unknown nodes {sorted(set(visits) - nodes)}")
+        for i, (a, b) in enumerate(zip(visits, visits[1:])):
+            if a == b:
+                faults.append(f"{tag}: visit {i + 1} immediately repeats node {a}")
+        unknown = set(visits).difference(instance._by_id, (DEPOT,))
+        if unknown:
+            faults.append(f"{tag}: unknown nodes {sorted(unknown)}")
     return out
 
 

@@ -194,6 +194,21 @@ def test_zero_weight_scores_zero_even_when_the_quotient_overflows():
         assert validate_solution(inst, sol.routes, sol.plans) == []
 
 
+def test_zero_travel_time_wins_over_zero_weight():
+    # station 1 is 0 minutes away at weight 0: the zero time scores inf, the
+    # zero weight does not make it 0; station 2, 1 minute away, scores 0
+    inst = make_instance(
+        [(1, 10, 7, 0, 5, 0.0), (2, 10, 7, 0, 5, 0.0), (3, 10, 7, 0, 5, 1.0)],
+        travel=np.array(
+            [[0.0, 0.0, 1.0, 4.0], [0.0, 0.0, 1.0, 4.0], [1.0, 1.0, 0.0, 4.0], [4.0, 4.0, 4.0, 0.0]]
+        ),
+    )
+    state = BuildState.fresh(inst)
+    ratios = feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams(1.0))
+    assert ratios == {(1, 2, 0): math.inf, (2, 2, 0): 0.0, (3, 2, 0): 0.5}
+    assert select_next(ratios, np.random.default_rng(0)) == (1, 2, 0)
+
+
 def test_select_next_singleton():
     rng = np.random.default_rng(0)
     assert select_next({7: 0.25}, rng) == 7

@@ -12,7 +12,7 @@ import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, negative_zeros, random_instances, reweighted
+from conftest import fleet_mixed, make_instance, negative_zeros, random_instances, reweighted
 from ssbrp import loading
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
@@ -693,17 +693,50 @@ def test_seeded_branching_cases_take_more_than_one_lp(monkeypatch):
     assert sum(n >= 3 for n in lps) >= 3
 
 
-# seeded branching cases whose optimum is not an integer: rounding a node's
-# bound up there prunes the optimal branch
+# seeded branching cases whose optimum is not an integer: a node bound
+# rounded up as if it were would prune the optimal branch
 @pytest.mark.parametrize(
     "seed, gamma_d, gamma_a",
     [(6, 0.75, 0.75), (41, 0.75, 1.0), (53, 0.75, 0.75), (53, 0.75, 1.0), (53, 1.0, 1.5)],
 )
-def test_fractional_objective_bound_is_not_rounded(seed, gamma_d, gamma_a):
+def test_fractional_optimum_cases_match_brute_force(seed, gamma_d, gamma_a):
     inst, routes, _ = _seeded_branching_cases(seed, 1)[0]
-    weights = ObjectiveWeights(gamma_d, gamma_a, 1.0)
-    assert not build_model(inst, routes, weights).integral
-    _check_case(inst, routes, weights)
+    _check_case(inst, routes, ObjectiveWeights(gamma_d, gamma_a, 1.0))
+
+
+def test_branching_cases_take_at_most_354_lps(monkeypatch):
+    # A cap on B&B work: 354 LPs over these 304 solves, counted by wrapping
+    # loading.linprog as _count_lps does. Code that also rounded each node
+    # bound up where the objective was integral took the same 354. The
+    # benchmark's workloads hardly branch, so this is the one check that
+    # B&B does no extra work. About 0.2-0.3 s.
+    cases = [
+        (make_instance(stations, fleet=fleet), [Route(vid, visits) for vid, visits in routes])
+        for stations, fleet, routes in _FRACTIONAL_ROOTS.values()
+    ]
+    cases += [(inst, routes) for inst, routes, _ in _seeded_branching_cases(16, 300)]
+    calls = _count_lps(monkeypatch)
+    for inst, routes in cases:
+        solve_exact(build_model(inst, routes))
+    assert len(cases) == 304
+    assert len(calls) <= 354
+
+
+def test_bound_prune_caps_fleet_mixed_lps(monkeypatch):
+    # None of the 304 solves above prunes a node on its LP bound. These five
+    # fleet-mixed constructions (instance seed, rng [seed, i]) do: they take
+    # 19 LPs, and 75 if nodes are pruned only when HiGHS proves them
+    # infeasible. Of the 800 with instance seeds 1-2, seeds 0-19 and i 1-20,
+    # 16 prune on the bound at all.
+    cases = []
+    for instance_seed, seed, i in [(1, 12, 18), (1, 13, 8), (2, 12, 4), (2, 17, 5), (2, 18, 5)]:
+        inst = fleet_mixed(instance_seed)
+        built = construct_solution(inst, ConstructionParams(), np.random.default_rng([seed, i]))
+        cases.append((inst, built.routes))
+    calls = _count_lps(monkeypatch)
+    for inst, routes in cases:
+        solve_exact(build_model(inst, routes))
+    assert len(calls) <= 19
 
 
 @contextmanager

@@ -1,10 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_instance
+from conftest import fleet_mixed, make_instance
 from ssbrp import search
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
@@ -13,7 +12,6 @@ from ssbrp.model import (
     LoadingPlan,
     ObjectiveWeights,
     Route,
-    Vehicle,
     solution_from_plans,
     validate_solution,
 )
@@ -173,18 +171,6 @@ def _always_reoptimized(instance, config):
     return best, tuple(trace), best_iter, iteration
 
 
-def _fleet_mixed(seed):
-    """fleet-mixed's shape: many visits per station, so many route sets
-    cannot win, and on instance seed 1 most constructed plans meet the bound."""
-    generated = generate_instance(
-        GeneratorConfig(
-            family=Family.WIEN, stations=15, damaged_fraction=0.3, depot_stock=10, seed=seed
-        )
-    )
-    fleet = tuple(Vehicle(i, k) for i, k in enumerate((5, 7, 9, 11, 13, 17), start=1))
-    return dataclasses.replace(generated, fleet=fleet)
-
-
 def _constructed_best(instance, config, report):
     """The best iteration's constructed solution, and whether it meets the bound."""
     rng = np.random.default_rng([config.master_seed, report.iteration_of_best])
@@ -210,7 +196,7 @@ def _check_against_always_reoptimized(instance, config, report):
 @pytest.mark.parametrize("max_iter, seeds", [(2, range(20)), (20, range(5))])
 def test_skipping_phase_two_keeps_results(max_iter, seeds):
     skipped = certified = certified_bests = 0
-    for inst in (_fleet_mixed(2), _fleet_mixed(1)):
+    for inst in (fleet_mixed(2), fleet_mixed(1)):
         for seed in seeds:
             config = RunConfig(max_iter=max_iter, master_seed=seed)
             report = run(inst, config)
@@ -257,7 +243,7 @@ def test_phase_two_runs_only_on_iterations_the_bound_neither_skips_nor_certifies
 
     monkeypatch.setattr(search, "reoptimize_solution", counted)
     certified_bests = 0
-    for inst in (_fleet_mixed(1), generate_instance(GeneratorConfig(family=Family.PALMA, seed=1))):
+    for inst in (fleet_mixed(1), generate_instance(GeneratorConfig(family=Family.PALMA, seed=1))):
         for master_seed in range(10):
             config = RunConfig(max_iter=2, master_seed=master_seed)
             calls.clear()

@@ -1,8 +1,10 @@
 """Source checks: every name a module of the package imports at top level is
 used in that module (``__init__.py`` is skipped, since its imports are the
-package's re-exports), no module holds an ``assert`` statement, no module
-imports SciPy (phase two loads SciPy's HiGHS extension module by file), and
-one call in the package makes a HiGHS instance (each thread keeps one)."""
+package's re-exports), every private module-level name and every ``Instance``
+cached property is read somewhere in the package, no module holds an
+``assert`` statement, no module imports SciPy (phase two loads SciPy's HiGHS
+extension module by file), and one call in the package makes a HiGHS
+instance (each thread keeps one)."""
 
 import ast
 from pathlib import Path
@@ -45,6 +47,83 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _definitions(source: str) -> list[str]:
+    """The module-level ``_name``s of a module (dunders aside), and the
+    ``cached_property`` names of its class ``Instance``, if it has one."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            targets = []
+        names += [name for name in targets if name.startswith("_") and not name.startswith("__")]
+        if isinstance(node, ast.ClassDef) and node.name == "Instance":
+            names += [
+                item.name
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and any(ast.unparse(d).endswith("cached_property") for d in item.decorator_list)
+            ]
+    return names
+
+
+def _dead_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each name of ``_definitions`` that no module reads,
+    as a name or as an attribute."""
+    reads = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return [
+        f"{module}:{name}"
+        for module, source in sources.items()
+        for name in _definitions(source)
+        if name not in reads
+    ]
+
+
+def test_dead_name_check_finds_unread_names():
+    sources = {
+        "a.py": (
+            "import functools\n"
+            "_USED = 1\n"
+            "_UNUSED: int = 2\n"
+            "__all__ = []\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "class Instance:\n"
+            "    @functools.cached_property\n"
+            "    def _read(self):\n"
+            "        return 1\n"
+            "    @cached_property\n"
+            "    def _orphan(self):\n"
+            "        return 2\n"
+            "    @property\n"
+            "    def _plain(self):\n"
+            "        return 3\n"
+        ),
+        "b.py": (
+            "from .a import _helper\n"
+            "def f(instance):\n"
+            "    return _helper() + instance._read\n"
+        ),
+    }
+    assert _dead_names(sources) == ["a.py:_UNUSED", "a.py:_orphan"]
+
+
+def test_no_dead_names():
+    # a fast path whose caller is gone leaves its table or helper behind unread
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _dead_names(sources) == []
 
 
 def _asserts(source: str) -> list[int]:
