@@ -100,8 +100,13 @@ class LoadingModel:
     route by route in the order of ``routes``, an empty route having none;
     within a route, visit by visit (visits count from 1), x before y, and
     the route's depot allotment ``("w0", vehicle, 0, -1)`` last. Only the
-    kind tells w0 from a move, as a station's id may be -1. ``a_ub`` and
-    ``a_eq`` are the row blocks of one column-major matrix ``a``.
+    kind tells w0 from a move, as a station's id may be -1.
+
+    The rows, inequalities then equalities, are row-compressed in the types
+    HiGHS takes: row r has columns ``row_index[row_start[r]:row_start[r + 1]]``
+    and coefficients ``row_value`` at the same places. A route row lists a
+    prefix of the route's moves, x moves, y moves or depot x moves (and its
+    w0). The dense ``a`` and its row blocks ``a_ub`` and ``a_eq`` are built when read.
 
     ``slots[j]`` places move column j in the routes' plans laid out flat:
     route by route, visit by visit, x then y, so visit i of a route whose
@@ -115,18 +120,32 @@ class LoadingModel:
     upper: np.ndarray
     c: np.ndarray
     constant: float
-    a: np.ndarray
+    row_start: np.ndarray
+    row_index: np.ndarray
+    row_value: np.ndarray
     b_ub: np.ndarray
     b_eq: np.ndarray
     slots: np.ndarray
 
     @property
+    def a(self) -> np.ndarray:
+        return self._dense(0, len(self.row_start) - 1)
+
+    @property
     def a_ub(self) -> np.ndarray:
-        return self.a[: len(self.b_ub)]
+        return self._dense(0, len(self.b_ub))
 
     @property
     def a_eq(self) -> np.ndarray:
-        return self.a[len(self.b_ub) :]
+        return self._dense(len(self.b_ub), len(self.row_start) - 1)
+
+    def _dense(self, first: int, end: int) -> np.ndarray:
+        """Rows ``first`` to ``end - 1`` as a dense array."""
+        starts = self.row_start[first : end + 1]
+        dense = np.zeros((end - first, self.n_vars))
+        rows = np.arange(end - first).repeat(np.diff(starts))
+        dense[rows, self.row_index[starts[0] : starts[-1]]] = self.row_value[starts[0] : starts[-1]]
+        return dense
 
     @property
     def n_vars(self) -> int:
@@ -194,13 +213,31 @@ def build_model(
     slots: list[int] = []
     w0_cols: list[int] = []
     station_cols: dict[int, tuple[list[int], list[int]]] = {}  # station -> its x and y columns
+    # the rows' columns, row after row (a list per row wakes the garbage collector), and
+    # their sizes, negative where a row's coefficients are -1; route rows copy growing lists
+    ub: list[int] = []
+    ub_sizes: list[int] = []
+    b_ub: list[int] = []
+    allotments: list[int] = []  # the allotment rows, whose first column, w0, is at -1
+    eq: list[int] = []
+    eq_sizes: list[int] = []  # all coefficients 1, all rhs 0
     slot = 0
     for route in routes:
         if not route.visits:
             continue
         lid = route.vehicle_id
         k = capacity[lid]
+        first = len(columns)
+        route_x, route_y, depot_x = [], [], []  # the route's x, y and depot x columns so far
+        depot_y: list[int] = []  # the route's count of y columns at each depot visit
         for i, node in enumerate(route.visits, start=1):
+            j = len(columns)
+            if i > 1:  # running load after visit i - 1: within capacity, nonnegative by component
+                ub += range(first, j)
+                ub += route_x
+                ub += route_y
+                ub_sizes += (j - first, -len(route_x), -len(route_y))
+                b_ub += (k, 0, 0)
             if node == DEPOT:
                 columns += (("x", lid, i, node), ("y", lid, i, node))
                 lower += (-k, -k)
@@ -208,12 +245,17 @@ def build_model(
                 c += (0.0, 0.0)
                 slots += (slot, slot + 1)
                 slot += 2
+                route_x.append(j)
+                route_y.append(j + 1)
+                depot_x.append(j)
+                depot_y.append(len(route_y))
                 continue
             d, damaged, weight, _ = stations[node]
             if d or damaged > 0:
                 xs, ys = station_cols.setdefault(node, ([], []))
             if d:  # balanced: x fixed to zero, not materialized
-                xs.append(len(columns))
+                xs.append(j)
+                route_x.append(j)
                 columns.append(("x", lid, i, node))
                 if d > 0:
                     lower.append(0)
@@ -226,18 +268,28 @@ def build_model(
                 slots.append(slot)
             if damaged > 0:
                 ys.append(len(columns))
+                route_y.append(len(columns))
                 columns.append(("y", lid, i, node))
                 lower.append(0)
                 upper.append(min(k, damaged))
                 c.append(0.0 - gamma_a * weight)
                 slots.append(slot + 1)
             slot += 2
-        w0_cols.append(len(columns))
+        w0 = len(columns)
+        w0_cols.append(w0)
         columns.append(("w0", lid, 0, -1))
         lower.append(0)
         upper.append(p_o)
         c.append(0.0)
         slots.append(-1)
+        # cumulative depot takes never exceed the vehicle's allotment
+        allotments += range(len(ub_sizes), len(ub_sizes) + len(depot_x))
+        ub += chain.from_iterable((w0, *depot_x[:m]) for m in range(1, len(depot_x) + 1))
+        ub_sizes += range(2, len(depot_x) + 2)
+        b_ub += [0] * len(depot_x)
+        # all on board is dropped by the route's end, and all damaged bikes at each depot stop
+        eq += chain(route_x, *(route_y[:m] for m in depot_y))
+        eq_sizes += (len(route_x), *depot_y)
 
     # rows of totals, after the route rows: the allotments share the depot
     # stock, and each visited station's moves across all vehicles, in station order
@@ -271,59 +323,19 @@ def build_model(
         removed = [col for xs, ys in station_cols.values() for col in xs + ys]
         if removed:
             total_rows.append((removed, 1, instance.depot.capacity - p_o))
+    for cols, coef, rhs in total_rows:
+        ub += cols
+        ub_sizes.append(coef * len(cols))
+        b_ub.append(rhs)
 
-    routed = [route for route in routes if route.visits]
-    n_ub = len(total_rows) + sum(
-        3 * (len(route.visits) - 1) + route.visits.count(DEPOT) for route in routed
-    )
-    n_eq = sum(1 + route.visits.count(DEPOT) for route in routed)
-    # one column-major matrix: its inequality rows, then its equality rows
-    a = np.zeros((n_ub + n_eq, len(columns)), order="F")
-    b_ub = np.zeros(n_ub)
-    b_eq = np.zeros(n_eq)
-    slot_of = np.array(slots, dtype=np.intp)
-    r, e = 0, n_ub  # next free inequality and equality row
-    first = 0  # the route's first column; its block ends at its w0 column
-    base = 0  # the route's first slot
-    for route, w0 in zip(routed, w0_cols):
-        nv, width = len(route.visits), w0 - first
-        depots = [i for i, node in enumerate(route.visits) if node == DEPOT]
-        # inc[i, t, j] = 1 where column first + j is the x (t = 0) or y (t = 1)
-        # move of visit i + 1; its prefix sums are the loads after each visit.
-        # Each column enters once, so every sum is 0 or 1: int8 sums are the
-        # fastest, and integers hold no -0.0 to write into ``a``
-        inc = np.zeros((nv, 2, width), dtype=np.int8)
-        # a view: flat index (2 * i + t) * width + j, and 2 * i + t is the slot in the route
-        inc.ravel()[(slot_of[first:w0] - base) * width + np.arange(width)] = 1
-        load = inc.cumsum(axis=0, dtype=np.int8)
-        x, y = load[:, 0], load[:, 1]
-        # running load: nonnegative by component, within capacity, on every proper
-        # prefix 1..j (j < nv), as rows r+3(j-1) (capacity), +1 (operative), +2 (damaged)
-        end = r + 3 * (nv - 1)
-        a[r:end:3, first:w0] = x[:-1] + y[:-1]
-        a[r + 1:end:3, first:w0] = -x[:-1]
-        a[r + 2:end:3, first:w0] = -y[:-1]
-        b_ub[r:end:3] = capacity[route.vehicle_id]
-        # cumulative depot takes never exceed the vehicle's allotment
-        a[end:end + len(depots), first:w0] = inc[depots, 0].cumsum(axis=0, dtype=np.int8)
-        a[end:end + len(depots), w0] = -1
-        # everything on board is dropped by the end of the route, and all
-        # damaged bikes on board are unloaded at each depot stop
-        a[e, first:w0] = x[-1]
-        a[e + 1:e + 1 + len(depots), first:w0] = y[depots]
-        r = end + len(depots)
-        e += 1 + len(depots)
-        first = w0 + 1
-        base += 2 * nv
-
-    if total_rows:  # the last inequality rows, written in one fancy assignment
-        row_cols, coefs, b_ub[r:] = zip(*total_rows)  # columns, coefficient, rhs
-        sizes = list(map(len, row_cols))
-        rows = np.arange(r, n_ub).repeat(sizes)
-        a[rows, list(chain.from_iterable(row_cols))] = np.repeat(coefs, sizes)
+    signed = np.array(ub_sizes + eq_sizes, dtype=np.int32)
+    row_start = np.append(0, np.abs(signed)).cumsum(dtype=np.int32)
+    row_value = np.sign(signed).repeat(np.abs(signed)).astype(float)
+    row_value[row_start[allotments]] = -1  # the w0 entries
     return LoadingModel(
         routes, columns, np.array(lower, dtype=float), np.array(upper, dtype=float),
-        np.array(c), constant, a, b_ub, b_eq, slot_of,
+        np.array(c), constant, row_start, np.fromiter(ub + eq, np.int32, row_start[-1]),
+        row_value, np.array(b_ub, dtype=float), np.zeros(len(eq_sizes)), np.array(slots, np.intp),
     )
 
 
@@ -400,6 +412,8 @@ _solvers = threading.local()  # the calling thread's HiGHS instance, made on its
 def _relaxation(model: LoadingModel) -> highs._Highs:
     """The model's LP relaxation, passed to the calling thread's HiGHS instance.
 
+    HiGHS takes the model's rows as it holds them, row-compressed, and
+    ``passModel`` transposes them into the column-compressed matrix it solves.
     Each thread keeps one HiGHS instance, made on its first solve with
     output off and presolve off: presolve is most of a HiGHS run on models
     this small. ``clearModel`` resets the model, the basis and the solution
@@ -416,27 +430,12 @@ def _relaxation(model: LoadingModel) -> highs._Highs:
         lp.setOptionValue("output_flag", False)
         lp.setOptionValue("presolve", "off")
     lp.clearModel()
-    rows, n = model.a.shape
-    # compressed sparse columns: nonzeros column by column, rows ascending
-    by_column = model.a.ravel(order="F")  # a view: the matrix is column-major
-    nonzero = np.flatnonzero(by_column != 0)
-    start = np.searchsorted(nonzero, np.arange(n + 1) * rows)
     lp.passModel(
-        n,
-        rows,
-        len(nonzero),
-        highs.MatrixFormat.kColwise,
-        highs.ObjSense.kMinimize,
-        0.0,
-        model.c,
-        model.lower,
-        model.upper,
+        model.n_vars, len(model.row_start) - 1, len(model.row_index), highs.MatrixFormat.kRowwise,
+        highs.ObjSense.kMinimize, 0.0, model.c, model.lower, model.upper,
         np.concatenate((np.full(len(model.b_ub), -highs.kHighsInf), model.b_eq)),
         np.concatenate((model.b_ub, model.b_eq)),
-        start.astype(np.int32),
-        (nonzero % rows).astype(np.int32),
-        by_column[nonzero],
-        np.zeros(n, dtype=np.int32),
+        model.row_start, model.row_index, model.row_value, np.zeros(model.n_vars, dtype=np.int32),
     )
     return lp
 
@@ -533,7 +532,8 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
 def _check_assignment(model: LoadingModel, values: np.ndarray) -> None:
     if np.any(values < model.lower - 1e-6) or np.any(values > model.upper + 1e-6):
         raise RuntimeError("rounded assignment violates a column bound")
-    lhs = model.a @ values
+    rows = np.arange(len(model.row_start) - 1).repeat(np.diff(model.row_start))
+    lhs = np.bincount(rows, model.row_value * values[model.row_index], len(model.row_start) - 1)
     n_ub = len(model.b_ub)
     if np.any(lhs[:n_ub] > model.b_ub + 1e-6):
         raise RuntimeError("rounded assignment violates an inequality")
