@@ -18,7 +18,6 @@ import numpy as np
 
 from .model import (
     DEPOT,
-    FinalState,
     Instance,
     LoadingPlan,
     ObjectiveWeights,
@@ -204,11 +203,10 @@ def select_next(
         # the same draw as rng.uniform(), which returns 0 + 1 * random()
         epsilon = rng.random()
     rho_max = max(ratios.values())
-    if math.isinf(rho_max):
-        eligible = [v for v, r in ratios.items() if math.isinf(r)]
-    else:
-        cut = epsilon * rho_max
-        eligible = [v for v, r in ratios.items() if r >= cut]
+    # ratios are >= 0, so an infinite cut keeps exactly the infinite ratios
+    # (and never forms 0 * inf = nan)
+    cut = rho_max if math.isinf(rho_max) else epsilon * rho_max
+    eligible = [v for v, r in ratios.items() if r >= cut]
     if len(eligible) == 1:
         # rng.integers(1) draws no bits, so skipping it leaves the stream as it was
         return eligible[0]
@@ -340,10 +338,10 @@ def solution_from_plans(
     """The Solution of a construction, read off its finished build state.
 
     A station ends at its target plus its residual imbalance, with its
-    residual damaged bikes, both in station order; route times come in fleet
-    order. Each is what a replay of the plans gives, to the bit: a route's
-    ``elapsed`` adds its legs in visit order from 0.0, as ``route_time`` does.
-    The depot's inventories are left 0, as the objective does not read them.
+    residual damaged bikes, both in station order; the route times are the
+    state's, which build_route wrote in fleet order. Each is what a replay of
+    the plans gives, to the bit: a route's ``elapsed`` adds its legs in visit
+    order from 0.0, as ``route_time`` does.
     """
     if len(state.route_times) != len(instance.fleet):
         # a vehicle id listed twice, whose routes would share one time; run()
@@ -351,18 +349,13 @@ def solution_from_plans(
         raise ValueError("vehicles: duplicate vehicle id")
     residual = state.residual_imbalance
     rows = instance._objective_rows
-    final = FinalState(
-        {sid: target + residual[sid] for sid, _, target in rows},
-        {sid: state.residual_damaged[sid] for sid, _, _ in rows},
-        0,
-        0,
-        {v.id: state.route_times[v.id] for v in instance.fleet},
-    )
+    operative = {sid: target + residual[sid] for sid, _, target in rows}
+    damaged = {sid: state.residual_damaged[sid] for sid, _, _ in rows}
     return Solution(
         routes=tuple(routes),
         plans=tuple(plans),
-        final_operative=final.operative,
-        final_damaged=final.damaged,
-        route_times=final.route_times,
-        objective=evaluate_objective(instance, final, weights),
+        final_operative=operative,
+        final_damaged=damaged,
+        route_times=state.route_times,
+        objective=evaluate_objective(instance, operative, damaged, state.route_times, weights),
     )

@@ -27,7 +27,6 @@ import numpy as np
 
 from .model import (
     DEPOT,
-    FinalState,
     Instance,
     LoadingPlan,
     ObjectiveBreakdown,
@@ -106,7 +105,7 @@ class LoadingModel:
     HiGHS takes: row r has columns ``row_index[row_start[r]:row_start[r + 1]]``
     and coefficients ``row_value`` at the same places. A route row lists a
     prefix of the route's moves, x moves, y moves or depot x moves (and its
-    w0). The dense ``a`` and its row blocks ``a_ub`` and ``a_eq`` are built when read.
+    w0). The dense row blocks ``a_ub`` and ``a_eq`` are built when read.
 
     ``slots[j]`` places move column j in the routes' plans laid out flat:
     route by route, visit by visit, x then y, so visit i of a route whose
@@ -126,10 +125,6 @@ class LoadingModel:
     b_ub: np.ndarray
     b_eq: np.ndarray
     slots: np.ndarray
-
-    @property
-    def a(self) -> np.ndarray:
-        return self._dense(0, len(self.row_start) - 1)
 
     @property
     def a_ub(self) -> np.ndarray:
@@ -768,5 +763,4 @@ def loading_bound(
             shortfall -= left
             if not shortfall:
                 break
-    state = FinalState(operative, damaged, 0, 0, solution.route_times)
-    return evaluate_objective(instance, state, weights)
+    return evaluate_objective(instance, operative, damaged, solution.route_times, weights)

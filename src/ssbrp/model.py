@@ -355,18 +355,20 @@ def _replay(route: Route, plan: LoadingPlan, operative: dict[int, int], damaged:
 
 def evaluate_objective(
     instance: Instance,
-    final_state: FinalState,
+    final_operative: dict[int, int],
+    final_damaged: dict[int, int],
+    route_times: dict[int, float],
     weights: ObjectiveWeights,
 ) -> ObjectiveBreakdown:
     """Weighted three-term objective: residual imbalance, residual damaged, fleet time.
 
-    The imbalance and damaged terms are station-weighted and normalized by
-    the initial total deviation ``D = sum(w * |dev| + damaged)``; when D is
-    zero both terms are defined as 0.
+    The inventories are read by station id, in station order; any other key,
+    such as the depot's, is ignored. The imbalance and damaged terms are
+    station-weighted and normalized by the initial total deviation
+    ``D = sum(w * |dev| + damaged)``; when D is zero both terms are defined as 0.
     """
     denom = instance._deviation
     imb_num = dam_num = 0.0
-    final_operative, final_damaged = final_state.operative, final_state.damaged
     for sid, weight, target in instance._objective_rows:
         p_hat, a_hat = final_operative[sid], final_damaged[sid]
         if p_hat < 0 or a_hat < 0:
@@ -376,7 +378,7 @@ def evaluate_objective(
     imbalance = imb_num / denom if denom > 0 else 0.0
     damaged = dam_num / denom if denom > 0 else 0.0
     fleet_size = len(instance.fleet)
-    total_time = sum(final_state.route_times.values())
+    total_time = sum(route_times.values())
     time_term = total_time / (instance.time_budget * fleet_size) if fleet_size else 0.0
     total = imbalance * weights.gamma_d + damaged * weights.gamma_a + time_term * weights.gamma_t
     return ObjectiveBreakdown(imbalance, damaged, time_term, total)
@@ -396,7 +398,9 @@ def solution_from_plans(
         final_operative=state.operative,
         final_damaged=state.damaged,
         route_times=state.route_times,
-        objective=evaluate_objective(instance, state, weights),
+        objective=evaluate_objective(
+            instance, state.operative, state.damaged, state.route_times, weights
+        ),
     )
 
 

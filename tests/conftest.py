@@ -65,7 +65,7 @@ def negative_zeros(model):
 
     They compare equal to 0.0 but change the bytes of the golden digest."""
     counts = {}
-    for name in ("a", "c", "b_ub", "b_eq", "lower", "upper"):
+    for name in ("row_value", "c", "b_ub", "b_eq", "lower", "upper"):
         array = getattr(model, name)
         count = int(np.count_nonzero(np.signbit(array[array == 0])))
         if count:

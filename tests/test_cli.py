@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from ssbrp import cli
 from ssbrp.cli import SWEEP_COLUMNS, main
 from ssbrp.instances import parse_instance, parse_solution
 
@@ -269,6 +270,46 @@ def test_sweep_checks_its_configuration_before_any_run(tmp_path, capsys, flags, 
     assert main(["sweep", "--family", "palma", *flags, "--out", str(csv_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not csv_path.exists()
+
+
+def test_sweep_reports_failed_runs_and_goes_on(tmp_path, capsys, monkeypatch):
+    # seed 1 fails in every cell and theta 0.8 in every seed; the rest run
+    inst_path = _generate(tmp_path)
+    real_run = cli.run
+    kept = []
+
+    def flaky(instance, config):
+        if config.master_seed == 1 or config.construction.theta == 0.8:
+            raise RuntimeError(f"boom at seed {config.master_seed}")
+        report = real_run(instance, config)
+        kept.append((config.master_seed, report))
+        return report
+
+    monkeypatch.setattr(cli, "run", flaky)
+    csv_path = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert main([
+        "sweep", "--instance", str(inst_path), "--max-iter", "2", "--seed", "0", "--seeds", "3",
+        "--theta", "0.3", "--theta", "0.8", "--mu", "1.5", "--out", str(csv_path),
+    ]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep cell (custom, 0.3, 1.5) seed 1 failed: boom at seed 1",
+        "sweep cell (custom, 0.8, 1.5) seed 0 failed: boom at seed 0",
+        "sweep cell (custom, 0.8, 1.5) seed 1 failed: boom at seed 1",
+        "sweep cell (custom, 0.8, 1.5) seed 2 failed: boom at seed 2",
+    ]
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+    assert [(row["theta"], row["n_seeds"]) for row in rows] == [("0.3", "3"), ("0.8", "3")]
+    # the first cell aggregates seeds 0 and 2
+    assert [seed for seed, _ in kept] == [0, 2]
+    totals = [report.best_objective.total for _, report in kept]
+    iters = [report.iteration_of_best for _, report in kept]
+    assert rows[0]["of_mean"] == f"{sum(totals) / 2:.6f}"
+    assert rows[0]["of_best"] == f"{min(totals):.6f}"
+    assert rows[0]["iter_mean"] == f"{sum(iters) / 2:.2f}"
+    assert [rows[1][key] for key in ("of_mean", "of_best", "iter_mean", "cpu_mean_s")] == [
+        "nan"
+    ] * 4
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep", "generate"])

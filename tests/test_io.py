@@ -88,6 +88,16 @@ def test_parse_rejects_bad_documents():
         parse_instance(doc)
 
     doc = _minimal_doc()
+    doc["travel_min"][2] = doc["travel_min"][2][:2]
+    with pytest.raises(DocumentError, match=r"^travel_min\[2\]: expected a row of 3 numbers$"):
+        parse_instance(doc)
+
+    doc = _minimal_doc()
+    doc["travel_min"][1] = 5
+    with pytest.raises(DocumentError, match=r"^travel_min\[1\]: expected a row of 3 numbers$"):
+        parse_instance(doc)
+
+    doc = _minimal_doc()
     doc["travel_min"][1][2] = True
     with pytest.raises(DocumentError, match=r"travel_min\[1\]\[2\]"):
         parse_instance(doc)
@@ -363,4 +373,8 @@ def test_parse_solution_rejects_infeasible_documents():
 
     doc["routes"][0]["moves"][1]["operative"] = "two"
     with pytest.raises(DocumentError, match=r"routes\[0\].moves\[1\].operative"):
+        parse_solution(doc, inst)
+
+    doc["routes"][0]["visits"][1] = "1"
+    with pytest.raises(DocumentError, match=r"^routes\[0\]\.visits\[1\]: wrong type$"):
         parse_solution(doc, inst)

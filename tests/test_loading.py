@@ -218,7 +218,6 @@ def _check_rows_against_reference(inst, routes, weights):
     # the types HiGHS takes, so that passing the rows copies nothing
     assert [model.row_start.dtype, model.row_index.dtype] == [np.int32, np.int32]
     assert model.row_value.dtype == np.float64
-    assert np.array_equal(model.a, reference)
     assert np.array_equal(model.a_ub, reference[:n_ub])
     assert np.array_equal(model.a_eq, reference[n_ub:])
     if model.n_vars:

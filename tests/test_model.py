@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -165,6 +166,13 @@ def test_apply_solution_rejects_a_vehicle_outside_the_fleet():
         apply_solution(inst, routes, plans)
 
 
+def _objective(instance, state):
+    """The objective at unit weights of a state ``apply_solution`` returned."""
+    return evaluate_objective(
+        instance, state.operative, state.damaged, state.route_times, ObjectiveWeights()
+    )
+
+
 def test_objective_zero_when_nothing_to_do():
     inst = make_instance([(1, 10, 3, 0, 3), (2, 8, 4, 0, 4)])
     sol = empty_solution(inst, ObjectiveWeights())
@@ -184,7 +192,7 @@ def test_objective_hand_evaluated_breakdown():
         inst, [Route(1, (0, 1, 0))], [LoadingPlan(1, ((0, 0), (2, 1), (-2, -1)))]
     )
     state.route_times[1] = 60.0
-    breakdown = evaluate_objective(inst, state, ObjectiveWeights())
+    breakdown = _objective(inst, state)
     assert breakdown.imbalance == 0.0
     assert breakdown.damaged == 0.0
     assert breakdown.time == 0.5
@@ -194,7 +202,7 @@ def test_objective_hand_evaluated_breakdown():
 def test_objective_denominator_is_plain_sum():
     inst = make_instance([(1, 10, 5, 1, 3, 2.0)])
     state = apply_solution(inst, [], [])
-    breakdown = evaluate_objective(inst, state, ObjectiveWeights())
+    breakdown = _objective(inst, state)
     # D = w*|dev| + damaged = 2*2 + 1 = 5; the damaged count is not weighted in D
     assert breakdown.imbalance == pytest.approx(4 / 5)
     assert breakdown.damaged == pytest.approx(2 / 5)
@@ -205,14 +213,14 @@ def test_objective_unused_vehicles_count_in_time_divisor():
     routes = [Route(1, (0, 1, 0)), Route(2)]
     plans = [LoadingPlan(1, ((0, 0), (2, 0), (-2, 0))), LoadingPlan(2)]
     state = apply_solution(inst, routes, plans)
-    breakdown = evaluate_objective(inst, state, ObjectiveWeights())
+    breakdown = _objective(inst, state)
     assert breakdown.time == pytest.approx(20 / (100.0 * 2))
 
 
 def test_objective_zero_fleet_time_term():
     inst = make_instance([(1, 10, 5, 0, 3)], fleet=())
     state = apply_solution(inst, [], [])
-    breakdown = evaluate_objective(inst, state, ObjectiveWeights())
+    breakdown = _objective(inst, state)
     assert breakdown.time == 0.0
 
 
@@ -222,7 +230,7 @@ def test_objective_negative_final_counts_rejected():
         inst, [Route(1, (0, 1, 0))], [LoadingPlan(1, ((0, 0), (6, 0), (-6, 0)))]
     )
     with pytest.raises(ValueError):
-        evaluate_objective(inst, state, ObjectiveWeights())
+        _objective(inst, state)
 
 
 def test_objective_weights_validated():
@@ -278,6 +286,27 @@ def test_check_instance_rejects_bad_data():
         check_instance(dataclasses.replace(good, time_budget=0.0))
     with pytest.raises(ValueError, match="vehicle"):
         check_instance(make_instance([(1, 10, 5, 0, 3)], fleet=((1, 5), (1, 5))))
+
+    # each field rule, with its message and field path
+    for instance, message in [
+        (make_instance([(1, 0, 0, 0, 0)]), "stations[0] (id=1): capacity must be positive"),
+        (make_instance([(1, 10, 5, 0, 3), (2, -1, 0, 0, 0)]),
+         "stations[1] (id=2): capacity must be positive"),
+        (make_instance([(1, 10, -1, 0, 3)]),
+         "stations[0] (id=1): inventories and target must be nonnegative"),
+        (make_instance([(1, 10, 5, -2, 3)]),
+         "stations[0] (id=1): inventories and target must be nonnegative"),
+        (make_instance([(1, 10, 5, 0, -1)]),
+         "stations[0] (id=1): inventories and target must be nonnegative"),
+        (make_instance([(1, 10, 5, 0, 3)], stock=-1),
+         "depot: operative stock must be nonnegative"),
+        (make_instance([(1, 10, 5, 0, 3)], stock=5, depot_capacity=4),
+         "depot: capacity below initial stock"),
+        (make_instance([(1, 10, 5, 0, 3)], fleet=((1, 5), (7, 0))),
+         "vehicles[1] (id=7): capacity must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_instance(instance)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -1,9 +1,11 @@
 """The README quotes the CLI as it is: each example that shows its output is
 re-run through ``ssbrp.cli.main`` and prints the quoted lines, every
-``ssbrp`` line of an ``sh`` block parses, and every quoted demo exists."""
+``ssbrp`` line of an ``sh`` block parses, and every quoted demo exists. It
+names the same Python floor as ``pyproject.toml`` and the CI workflow."""
 
 import re
 import shlex
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -117,3 +119,16 @@ def test_quoted_command_parses(argv):
 @pytest.mark.parametrize("path", DEMO_PATHS)
 def test_quoted_demo_exists(path):
     assert (ROOT / path).is_file()
+
+
+def test_python_floor_is_the_same_everywhere():
+    # the workflow tests on the floor, the lowest Python that the required
+    # SciPy (>= 1.17) and the NumPy it needs install on: 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    floors = {
+        "pyproject.toml": re.fullmatch(r">=(3\.\d+)", project["requires-python"]).group(1),
+        "README.md": re.search(r"Requires Python ≥ (3\.\d+)", README).group(1),
+        "tier1.yml": re.search(r'python-version: "(3\.\d+)"', workflow).group(1),
+    }
+    assert len(set(floors.values())) == 1, floors
