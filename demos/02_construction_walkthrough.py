@@ -16,7 +16,6 @@ from ssbrp import (
     Station,
     TravelMatrix,
     Vehicle,
-    apply_solution,
     construct_solution,
     validate_solution,
 )
@@ -90,6 +89,5 @@ print(f"objective  total={o.total:.6f}  imbalance={o.imbalance:.6f}  "
 
 violations = validate_solution(instance, solution.routes, solution.plans)
 assert not violations
-final = apply_solution(instance, solution.routes, solution.plans)
-print(f"final operative inventories: {final.operative}")
-print(f"final damaged inventories:   {final.damaged}")
+print(f"final operative inventories: {solution.final_operative}")
+print(f"final damaged inventories:   {solution.final_damaged}")

@@ -37,7 +37,6 @@ from .model import (
     Station,
     TravelMatrix,
     Vehicle,
-    apply_solution,
     check_instance,
     empty_solution,
     evaluate_objective,
@@ -70,7 +69,6 @@ __all__ = [
     "Station",
     "TravelMatrix",
     "Vehicle",
-    "apply_solution",
     "brute_force_loading",
     "build_model",
     "check_instance",

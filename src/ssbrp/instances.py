@@ -225,10 +225,16 @@ def parse_solution(document: dict, instance: Instance) -> Solution:
         plans.append(LoadingPlan(vehicle_id, tuple(moves)))
 
     params = _get(document, "params", "", dict) if "params" in document else {}
-    weights = ObjectiveWeights(*(
-        _number(params, key, "params.") if key in params else 1.0
+    gammas = {
+        key: _number(params, key, "params.") if key in params else 1.0
         for key in ("gamma_d", "gamma_a", "gamma_t")
-    ))
+    }
+    for key, gamma in gammas.items():
+        if gamma < 0:
+            raise DocumentError(f"params.{key}: must be nonnegative")
+    if not any(gammas.values()):
+        raise DocumentError("params: at least one objective weight must be positive")
+    weights = ObjectiveWeights(**gammas)
     violations = validate_solution(instance, routes, plans)
     if violations:
         raise DocumentError("infeasible solution document: " + "; ".join(violations))

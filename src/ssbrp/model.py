@@ -226,17 +226,6 @@ class ObjectiveBreakdown:
 
 
 @dataclass(frozen=True)
-class FinalState:
-    """Inventories after executing all routes, plus per-vehicle route times."""
-
-    operative: dict[int, int]
-    damaged: dict[int, int]
-    depot_operative: int
-    depot_damaged: int
-    route_times: dict[int, float]
-
-
-@dataclass(frozen=True)
 class Solution:
     routes: tuple[Route, ...]
     plans: tuple[LoadingPlan, ...]
@@ -302,37 +291,27 @@ def check_instance(instance: Instance) -> None:
     n = len(instance.nodes)
     if m.shape != (n, n):
         raise ValueError(f"travel_min: expected {n}x{n} matrix, got {m.shape}")
-    if not np.all(np.isfinite(m)) or np.any(m < 0):
-        raise ValueError("travel_min: entries must be finite and nonnegative")
+    bad = ~np.isfinite(m) | (m < 0)
+    if bad.any():
+        raise ValueError(f"{_first_cell(bad)}: must be finite and nonnegative")
     if np.any(np.diag(m) != 0):
-        raise ValueError("travel_min: diagonal must be zero")
+        k = np.flatnonzero(np.diag(m))[0]
+        raise ValueError(f"travel_min[{k}][{k}]: diagonal must be zero")
     if instance.metric:
         # t(u,w) <= t(u,v) + t(v,w), enforced only when declared; one v at a time: O(n^2) memory
         one_stop = m[:, :1] + m[:1, :]
         for v in range(1, n):
             np.minimum(one_stop, m[:, v : v + 1] + m[v : v + 1, :], out=one_stop)
-        if np.any(m > one_stop + 1e-9):
-            raise ValueError("travel_min: triangle inequality violated but metric=true")
+        bad = m > one_stop + 1e-9
+        if bad.any():
+            raise ValueError(f"{_first_cell(bad)}: triangle inequality violated but metric=true")
     object.__setattr__(instance, "_checked", True)
 
 
-def apply_solution(
-    instance: Instance,
-    routes: Sequence[Route],
-    plans: Sequence[LoadingPlan],
-) -> FinalState:
-    """Replay all moves and return the resulting inventories and route times;
-    raises ValueError with the first structural fault ``validate_solution`` reports."""
-    faults, sound = _plan_faults(instance, routes, plans)
-    if faults:
-        raise ValueError(faults[0])
-    operative, damaged = _inventories(instance)
-    times: dict[int, float] = {v.id: 0.0 for v in instance.fleet}
-    for route, plan, _ in sound:
-        for _ in _replay(route, plan, operative, damaged):
-            pass
-        times[route.vehicle_id] = route_time(route, instance)
-    return FinalState(operative, damaged, operative.pop(DEPOT), damaged.pop(DEPOT), times)
+def _first_cell(bad: np.ndarray) -> str:
+    """The document path of the first True cell of a travel-matrix mask, row-major."""
+    i, j = np.argwhere(bad)[0]
+    return f"travel_min[{i}][{j}]"
 
 
 def _inventories(instance: Instance) -> tuple[dict[int, int], dict[int, int]]:
@@ -390,17 +369,26 @@ def solution_from_plans(
     plans: Sequence[LoadingPlan],
     weights: ObjectiveWeights,
 ) -> Solution:
-    """Assemble a Solution with derived inventories, times, and objective."""
-    state = apply_solution(instance, routes, plans)
+    """Replay all moves into a Solution with its final station inventories, route
+    times and objective; raises ValueError with the first structural fault
+    ``validate_solution`` reports."""
+    faults, sound = _plan_faults(instance, routes, plans)
+    if faults:
+        raise ValueError(faults[0])
+    operative, damaged = _inventories(instance)
+    times: dict[int, float] = {v.id: 0.0 for v in instance.fleet}
+    for route, plan, _ in sound:
+        for _ in _replay(route, plan, operative, damaged):
+            pass
+        times[route.vehicle_id] = route_time(route, instance)
+    del operative[DEPOT], damaged[DEPOT]
     return Solution(
         routes=tuple(routes),
         plans=tuple(plans),
-        final_operative=state.operative,
-        final_damaged=state.damaged,
-        route_times=state.route_times,
-        objective=evaluate_objective(
-            instance, state.operative, state.damaged, state.route_times, weights
-        ),
+        final_operative=operative,
+        final_damaged=damaged,
+        route_times=times,
+        objective=evaluate_objective(instance, operative, damaged, times, weights),
     )
 
 
@@ -414,8 +402,8 @@ def empty_solution(instance: Instance, weights: ObjectiveWeights) -> Solution:
 def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]]:
     """Each route's shape faults: a vehicle outside the fleet or with an earlier
     route, a nonempty route not from and back to the depot, a node visited twice
-    in a row, unknown nodes. ``validate_solution`` reports them; ``apply_solution``
-    and phase two raise the first."""
+    in a row, unknown nodes. ``validate_solution`` reports them;
+    ``solution_from_plans`` and phase two raise the first."""
     fleet = {v.id for v in instance.fleet}
     seen: set[int] = set()
     out: list[list[str]] = []

@@ -138,6 +138,19 @@ def test_validate_reports_malformed_params(tmp_path, capsys):
     assert capsys.readouterr().out == "params: wrong type\n"
 
 
+def test_validate_reports_a_negative_gamma_by_path(tmp_path, capsys):
+    inst_path = _generate(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    argv = ["solve", "--instance", str(inst_path), "--out", str(sol_path), "--max-iter", "2"]
+    assert main(argv) == 0
+    doc = json.loads(sol_path.read_text())
+    doc["params"] = {"gamma_d": -1}
+    sol_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst_path), "--solution", str(sol_path)]) == 1
+    assert capsys.readouterr().out == "params.gamma_d: must be nonnegative\n"
+
+
 @pytest.mark.parametrize(
     "objective, out",
     [

@@ -314,8 +314,17 @@ def test_parse_solution_uses_stored_gammas():
         ({"gamma_a": True}, r"^params\.gamma_a: wrong type$"),
         ({"gamma_d": float("nan")}, r"^params\.gamma_d: must be a finite number$"),
         ({"gamma_t": 10**400}, r"^params\.gamma_t: must be a finite number$"),
+        ({"gamma_d": -1}, r"^params\.gamma_d: must be nonnegative$"),
+        ({"gamma_a": 2, "gamma_t": -0.5}, r"^params\.gamma_t: must be nonnegative$"),
+        (
+            {"gamma_d": 0, "gamma_a": 0.0, "gamma_t": 0},
+            r"^params: at least one objective weight must be positive$",
+        ),
     ],
-    ids=["list", "string", "string-gamma", "bool-gamma", "nan-gamma", "huge-gamma"],
+    ids=[
+        "list", "string", "string-gamma", "bool-gamma", "nan-gamma", "huge-gamma",
+        "negative-gamma", "later-negative-gamma", "all-zero-gammas",
+    ],
 )
 def test_parse_solution_rejects_malformed_params(params, message):
     inst = make_instance([(1, 10, 7, 0, 5)])

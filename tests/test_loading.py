@@ -30,7 +30,6 @@ from ssbrp.model import (
     LoadingPlan,
     ObjectiveWeights,
     Route,
-    apply_solution,
     empty_solution,
     solution_from_plans,
     validate_solution,
@@ -49,12 +48,12 @@ def _depot_draw(route, plan):
 
 def _residual_cost(instance, routes, result, weights=ObjectiveWeights()):
     """Re-derive the objective from the moves alone, bypassing the solver."""
-    state = apply_solution(instance, routes, result.plans)
+    sol = solution_from_plans(instance, routes, result.plans, weights)
     total = 0.0
     for s in instance.stations:
         total += s.weight * (
-            weights.gamma_d * abs(s.target - state.operative[s.id])
-            + weights.gamma_a * state.damaged[s.id]
+            weights.gamma_d * abs(s.target - sol.final_operative[s.id])
+            + weights.gamma_a * sol.final_damaged[s.id]
         )
     return total
 

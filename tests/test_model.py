@@ -13,7 +13,6 @@ from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.model import (
     DEPOT,
     Depot,
-    FinalState,
     Instance,
     LoadingPlan,
     ObjectiveWeights,
@@ -21,8 +20,8 @@ from ssbrp.model import (
     Station,
     TravelMatrix,
     Vehicle,
+    _plan_faults,
     _route_faults,
-    apply_solution,
     check_instance,
     empty_solution,
     evaluate_objective,
@@ -94,43 +93,44 @@ def test_route_time_additive_under_concatenation():
     )
 
 
+def _replayed(instance, routes, plans):
+    return solution_from_plans(instance, routes, plans, ObjectiveWeights())
+
+
 def test_apply_solution_identity_without_routes():
     inst = make_instance([(1, 10, 5, 1, 3)])
-    state = apply_solution(inst, [], [])
-    assert state.operative == {1: 5}
-    assert state.damaged == {1: 1}
-    assert state.depot_operative == inst.depot.operative
+    sol = _replayed(inst, [], [])
+    assert sol.final_operative == {1: 5}
+    assert sol.final_damaged == {1: 1}
 
 
 def test_apply_solution_bookkeeping():
     inst = make_instance([(1, 10, 5, 1, 3)], fleet=((1, 20),), stock=4)
     routes = [Route(1, (0, 1, 0))]
     plans = [LoadingPlan(1, ((0, 0), (2, 1), (-2, -1)))]
-    state = apply_solution(inst, routes, plans)
-    assert state.operative[1] == 3
-    assert state.damaged[1] == 0
-    assert state.depot_operative == 4 + 2
-    assert state.depot_damaged == 1
+    sol = _replayed(inst, routes, plans)
+    assert sol.final_operative == {1: 3}
+    assert sol.final_damaged == {1: 0}
 
 
 def test_apply_solution_multiple_visits_to_same_station():
     inst = make_instance([(1, 10, 5, 0, 3), (2, 10, 2, 0, 4)])
     routes = [Route(1, (0, 1, 2, 1, 0))]
     plans = [LoadingPlan(1, ((0, 0), (2, 0), (0, 0), (-1, 0), (-1, 0)))]
-    state = apply_solution(inst, routes, plans)
-    assert state.operative[1] == 5 - 2 + 1
+    sol = _replayed(inst, routes, plans)
+    assert sol.final_operative[1] == 5 - 2 + 1
 
 
 def test_apply_solution_misaligned_plan_rejected():
     inst = make_instance([(1, 10, 5, 0, 3)])
     with pytest.raises(ValueError, match="vehicle 1: 3 visits but 1 moves"):
-        apply_solution(inst, [Route(1, (0, 1, 0))], [LoadingPlan(1, ((0, 0),))])
+        _replayed(inst, [Route(1, (0, 1, 0))], [LoadingPlan(1, ((0, 0),))])
 
 
 def test_apply_solution_unknown_node():
     inst = make_instance([(1, 10, 5, 0, 3)])
     with pytest.raises(ValueError, match=r"vehicle 1: unknown nodes \[9\]"):
-        apply_solution(inst, [Route(1, (0, 9, 0))], [LoadingPlan(1, ((0, 0), (0, 0), (0, 0)))])
+        _replayed(inst, [Route(1, (0, 9, 0))], [LoadingPlan(1, ((0, 0), (0, 0), (0, 0)))])
 
 
 def _fleet_probe():
@@ -151,9 +151,7 @@ def test_apply_solution_rejects_a_second_route_of_a_vehicle():
     plans = [_idle(r) for r in routes]
     assert validate_solution(inst, routes, plans) == ["vehicle 1: multiple routes assigned"]
     with pytest.raises(ValueError, match="vehicle 1: multiple routes assigned"):
-        apply_solution(inst, routes, plans)
-    with pytest.raises(ValueError, match="vehicle 1: multiple routes assigned"):
-        solution_from_plans(inst, routes, plans, ObjectiveWeights())
+        _replayed(inst, routes, plans)
 
 
 def test_apply_solution_rejects_a_vehicle_outside_the_fleet():
@@ -163,14 +161,7 @@ def test_apply_solution_rejects_a_vehicle_outside_the_fleet():
     plans = [_idle(r) for r in routes]
     assert validate_solution(inst, routes, plans) == ["vehicle 7: not in fleet"]
     with pytest.raises(ValueError, match="vehicle 7: not in fleet"):
-        apply_solution(inst, routes, plans)
-
-
-def _objective(instance, state):
-    """The objective at unit weights of a state ``apply_solution`` returned."""
-    return evaluate_objective(
-        instance, state.operative, state.damaged, state.route_times, ObjectiveWeights()
-    )
+        _replayed(inst, routes, plans)
 
 
 def test_objective_zero_when_nothing_to_do():
@@ -188,11 +179,10 @@ def test_objective_do_nothing_is_exactly_one():
 def test_objective_hand_evaluated_breakdown():
     # one station w=2 fully fixed, route time 60 of T=120 with one vehicle
     inst = make_instance([(1, 10, 5, 1, 3, 2.0)], fleet=((1, 20),), time_budget=120.0)
-    state = apply_solution(
-        inst, [Route(1, (0, 1, 0))], [LoadingPlan(1, ((0, 0), (2, 1), (-2, -1)))]
+    sol = _replayed(inst, [Route(1, (0, 1, 0))], [LoadingPlan(1, ((0, 0), (2, 1), (-2, -1)))])
+    breakdown = evaluate_objective(
+        inst, sol.final_operative, sol.final_damaged, {1: 60.0}, ObjectiveWeights()
     )
-    state.route_times[1] = 60.0
-    breakdown = _objective(inst, state)
     assert breakdown.imbalance == 0.0
     assert breakdown.damaged == 0.0
     assert breakdown.time == 0.5
@@ -201,8 +191,7 @@ def test_objective_hand_evaluated_breakdown():
 
 def test_objective_denominator_is_plain_sum():
     inst = make_instance([(1, 10, 5, 1, 3, 2.0)])
-    state = apply_solution(inst, [], [])
-    breakdown = _objective(inst, state)
+    breakdown = _replayed(inst, [], []).objective
     # D = w*|dev| + damaged = 2*2 + 1 = 5; the damaged count is not weighted in D
     assert breakdown.imbalance == pytest.approx(4 / 5)
     assert breakdown.damaged == pytest.approx(2 / 5)
@@ -212,25 +201,20 @@ def test_objective_unused_vehicles_count_in_time_divisor():
     inst = make_instance([(1, 10, 5, 0, 3)], fleet=((1, 20), (2, 20)), time_budget=100.0)
     routes = [Route(1, (0, 1, 0)), Route(2)]
     plans = [LoadingPlan(1, ((0, 0), (2, 0), (-2, 0))), LoadingPlan(2)]
-    state = apply_solution(inst, routes, plans)
-    breakdown = _objective(inst, state)
+    breakdown = _replayed(inst, routes, plans).objective
     assert breakdown.time == pytest.approx(20 / (100.0 * 2))
 
 
 def test_objective_zero_fleet_time_term():
     inst = make_instance([(1, 10, 5, 0, 3)], fleet=())
-    state = apply_solution(inst, [], [])
-    breakdown = _objective(inst, state)
+    breakdown = _replayed(inst, [], []).objective
     assert breakdown.time == 0.0
 
 
 def test_objective_negative_final_counts_rejected():
     inst = make_instance([(1, 10, 5, 0, 3)])
-    state = apply_solution(
-        inst, [Route(1, (0, 1, 0))], [LoadingPlan(1, ((0, 0), (6, 0), (-6, 0)))]
-    )
-    with pytest.raises(ValueError):
-        _objective(inst, state)
+    with pytest.raises(ValueError, match="station 1: negative final inventory"):
+        _replayed(inst, [Route(1, (0, 1, 0))], [LoadingPlan(1, ((0, 0), (6, 0), (-6, 0)))])
 
 
 def test_objective_weights_validated():
@@ -324,6 +308,20 @@ def test_check_instance_rejects_bad_matrix():
     negative = make_instance([(1, 10, 5, 0, 3)], travel=np.array([[0.0, -1.0], [5.0, 0.0]]))
     with pytest.raises(ValueError, match="finite and nonnegative"):
         check_instance(negative)
+    # the first offending cell in row-major document order is named
+    stations = [(1, 10, 5, 0, 3), (2, 10, 5, 0, 3), (3, 10, 5, 0, 3)]
+    for cells, message in (
+        ({(2, 3): -1.0, (3, 0): -2.0}, r"^travel_min\[2\]\[3\]: must be finite and nonnegative$"),
+        ({(3, 1): np.inf, (1, 1): 4.0}, r"^travel_min\[3\]\[1\]: must be finite and nonnegative$"),
+        ({(0, 2): np.nan}, r"^travel_min\[0\]\[2\]: must be finite and nonnegative$"),
+        ({(3, 3): 2.0, (1, 1): 4.0}, r"^travel_min\[1\]\[1\]: diagonal must be zero$"),
+    ):
+        m = np.full((4, 4), 5.0)
+        np.fill_diagonal(m, 0.0)
+        for cell, value in cells.items():
+            m[cell] = value
+        with pytest.raises(ValueError, match=message):
+            check_instance(make_instance(stations, travel=m))
     wrong_shape = Instance(
         stations=(Station(1, 10, 5, 0, 3), Station(2, 10, 5, 0, 3)),
         depot=Depot(0),
@@ -346,6 +344,18 @@ def test_check_instance_metric_flag():
     m = np.array([[0, 9, 9, 1], [9, 0, 9, 1], [9, 9, 0, 9], [1, 1, 9, 0]], dtype=float)
     stations.append((3, 10, 5, 0, 3))
     with pytest.raises(ValueError, match="triangle"):
+        check_instance(make_instance(stations, travel=m, metric=True))
+    # the first violated cell in row-major document order is named
+    with pytest.raises(
+        ValueError, match=r"^travel_min\[0\]\[1\]: triangle inequality violated but metric=true$"
+    ):
+        check_instance(make_instance(stations, travel=m, metric=True))
+    m = np.full((4, 4), 5.0)
+    np.fill_diagonal(m, 0.0)
+    m[3, 0] = m[2, 3] = 20.0  # both longer than a stop at station 1
+    with pytest.raises(
+        ValueError, match=r"^travel_min\[2\]\[3\]: triangle inequality violated but metric=true$"
+    ):
         check_instance(make_instance(stations, travel=m, metric=True))
 
 
@@ -583,14 +593,13 @@ def _reference_validate(instance, routes, plans):
 
 
 def _reference_apply(instance, routes, plans):
-    """``apply_solution`` as it was before it shared ``validate_solution``'s
-    structural checks: it checked neither the fleet nor the route shape."""
+    """The replay of moves into final station inventories and route times as it
+    was before it shared ``validate_solution``'s structural checks: it checked
+    neither the fleet nor the route shape."""
     if len(routes) != len(plans):
         raise ValueError("routes and plans differ in length")
     operative = {s.id: s.operative for s in instance.stations}
     damaged = {s.id: s.damaged for s in instance.stations}
-    depot_op = instance.depot.operative
-    depot_dam = 0
     times = {v.id: 0.0 for v in instance.fleet}
     for route, plan in zip(routes, plans):
         if route.vehicle_id != plan.vehicle_id:
@@ -599,35 +608,44 @@ def _reference_apply(instance, routes, plans):
             raise ValueError(f"vehicle {route.vehicle_id}: plan length differs from route length")
         for node, (d_op, d_dam) in zip(route.visits, plan.moves):
             if node == DEPOT:
-                depot_op -= d_op
-                depot_dam -= d_dam
-            elif node in instance.nodes:
+                continue
+            if node in instance.nodes:
                 operative[node] -= d_op
                 damaged[node] -= d_dam
             else:
                 raise ValueError(f"vehicle {route.vehicle_id}: visit to unknown node {node}")
         times[route.vehicle_id] = route_time(route, instance)
-    return FinalState(operative, damaged, depot_op, depot_dam, times)
+    return operative, damaged, times
 
 
 def _check_against_reference(instance, routes, plans):
-    """The same messages in the same order as the reference; ``apply_solution``
+    """The same messages in the same order as the reference; ``solution_from_plans``
     raises wherever the reference does, with ``validate_solution``'s first
-    message, and otherwise returns the reference's state, in the same key order."""
+    message, and otherwise replays the reference's inventories and route times,
+    in the same key order. A sound replay that leaves a station below zero raises
+    the objective's message for the first such station."""
     violations = validate_solution(instance, routes, plans)
     assert violations == _reference_validate(instance, routes, plans)
     try:
         expected = _reference_apply(instance, routes, plans)
     except ValueError:
         expected = None
+    structural = _plan_faults(instance, routes, plans)[0]
+    negative = [
+        f"station {s.id}: negative final inventory"
+        for s in instance.stations
+        if expected and min(expected[0][s.id], expected[1][s.id]) < 0
+    ]
     try:
-        got = apply_solution(instance, routes, plans)
+        got = solution_from_plans(instance, routes, plans, ObjectiveWeights())
     except ValueError as exc:
-        assert str(exc) == violations[0]
+        assert str(exc) == (violations[0] if structural else negative[0])
         return
-    assert got == expected
-    for name in ("operative", "damaged", "route_times"):
-        assert list(getattr(got, name)) == list(getattr(expected, name))
+    assert not structural and not negative
+    replayed = (got.final_operative, got.final_damaged, got.route_times)
+    assert replayed == expected
+    for mine, theirs in zip(replayed, expected):
+        assert list(mine) == list(theirs)
 
 
 @settings(max_examples=300, deadline=None)
