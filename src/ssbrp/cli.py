@@ -53,7 +53,15 @@ def _load_instance(path: str) -> Instance:
 
 
 def _weights(args) -> ObjectiveWeights:
-    return ObjectiveWeights(args.gamma_d, args.gamma_a, args.gamma_t)
+    gammas = {"--gamma-d": args.gamma_d, "--gamma-a": args.gamma_a, "--gamma-t": args.gamma_t}
+    for flag, gamma in gammas.items():
+        if not math.isfinite(gamma):
+            raise ValueError(f"{flag} must be finite, got {gamma}")
+        if gamma < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {gamma}")
+    if not any(gammas.values()):
+        raise ValueError("--gamma-d, --gamma-a and --gamma-t are all 0; at least one must be positive")
+    return ObjectiveWeights(*gammas.values())
 
 
 def _solve_params(args) -> dict:

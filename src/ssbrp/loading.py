@@ -99,18 +99,14 @@ class LoadingModel:
     route by route in the order of ``routes``, an empty route having none;
     within a route, visit by visit (visits count from 1), x before y, and
     the route's depot allotment ``("w0", vehicle, 0, -1)`` last. Only the
-    kind tells w0 from a move, as a station's id may be -1.
+    kind tells w0 from a move, as a station's id may be -1. A move column's
+    vehicle, visit and kind alone place it in the plans.
 
     The rows, inequalities then equalities, are row-compressed in the types
     HiGHS takes: row r has columns ``row_index[row_start[r]:row_start[r + 1]]``
     and coefficients ``row_value`` at the same places. A route row lists a
     prefix of the route's moves, x moves, y moves or depot x moves (and its
     w0). The dense row blocks ``a_ub`` and ``a_eq`` are built when read.
-
-    ``slots[j]`` places move column j in the routes' plans laid out flat:
-    route by route, visit by visit, x then y, so visit i of a route whose
-    plan starts at slot b holds slots ``b + 2(i - 1)`` and ``b + 2(i - 1) + 1``.
-    A w0 column has slot -1.
     """
 
     routes: tuple[Route, ...]
@@ -124,7 +120,6 @@ class LoadingModel:
     row_value: np.ndarray
     b_ub: np.ndarray
     b_eq: np.ndarray
-    slots: np.ndarray
 
     @property
     def a_ub(self) -> np.ndarray:
@@ -205,7 +200,6 @@ def build_model(
     upper: list[int] = []
     # objective coefficients, each 0.0 - w or 0.0 + w as on a zeroed array: never -0.0
     c: list[float] = []
-    slots: list[int] = []
     w0_cols: list[int] = []
     station_cols: dict[int, tuple[list[int], list[int]]] = {}  # station -> its x and y columns
     # the rows' columns, row after row (a list per row wakes the garbage collector), and
@@ -216,7 +210,6 @@ def build_model(
     allotments: list[int] = []  # the allotment rows, whose first column, w0, is at -1
     eq: list[int] = []
     eq_sizes: list[int] = []  # all coefficients 1, all rhs 0
-    slot = 0
     for route in routes:
         if not route.visits:
             continue
@@ -238,8 +231,6 @@ def build_model(
                 lower += (-k, -k)
                 upper += (k, 0)
                 c += (0.0, 0.0)
-                slots += (slot, slot + 1)
-                slot += 2
                 route_x.append(j)
                 route_y.append(j + 1)
                 depot_x.append(j)
@@ -260,7 +251,6 @@ def build_model(
                     lower.append(max(-k, d))
                     upper.append(0)
                     c.append(0.0 + gamma_d * weight)
-                slots.append(slot)
             if damaged > 0:
                 ys.append(len(columns))
                 route_y.append(len(columns))
@@ -268,15 +258,12 @@ def build_model(
                 lower.append(0)
                 upper.append(min(k, damaged))
                 c.append(0.0 - gamma_a * weight)
-                slots.append(slot + 1)
-            slot += 2
         w0 = len(columns)
         w0_cols.append(w0)
         columns.append(("w0", lid, 0, -1))
         lower.append(0)
         upper.append(p_o)
         c.append(0.0)
-        slots.append(-1)
         # cumulative depot takes never exceed the vehicle's allotment
         allotments += range(len(ub_sizes), len(ub_sizes) + len(depot_x))
         ub += chain.from_iterable((w0, *depot_x[:m]) for m in range(1, len(depot_x) + 1))
@@ -330,24 +317,22 @@ def build_model(
     return LoadingModel(
         routes, columns, np.array(lower, dtype=float), np.array(upper, dtype=float),
         np.array(c), constant, row_start, np.fromiter(ub + eq, np.int32, row_start[-1]),
-        row_value, np.array(b_ub, dtype=float), np.zeros(len(eq_sizes)), np.array(slots, np.intp),
+        row_value, np.array(b_ub, dtype=float), np.zeros(len(eq_sizes)),
     )
 
 
 def _plans(model: LoadingModel, values: np.ndarray) -> tuple[LoadingPlan, ...]:
-    """One plan per route of the model, read from an integral assignment."""
-    # the flat plans, plus one last entry where the w0 columns (slot -1) land
-    flat = np.zeros(2 * sum(len(route.visits) for route in model.routes) + 1, dtype=np.int64)
-    flat[model.slots] = np.rint(values)
-    moves = flat.tolist()
-    plans = []
-    at = 0
-    for route in model.routes:
-        end = at + 2 * len(route.visits)
-        pairs = zip(moves[at:end:2], moves[at + 1:end:2])  # (x, y) of each visit
-        plans.append(LoadingPlan(route.vehicle_id, tuple(pairs)))
-        at = end
-    return tuple(plans)
+    """One plan per route of the model, read from an integral assignment: each
+    move column's value lands at its visit, x then y; a visit without one moves nothing."""
+    moves = {route.vehicle_id: [[0, 0] for _ in route.visits] for route in model.routes}
+    rounded = np.rint(values).astype(np.int64).tolist()
+    for (kind, vid, visit, _), value in zip(model.columns, rounded):
+        if kind != "w0":
+            moves[vid][visit - 1][kind == "y"] = value
+    return tuple(
+        LoadingPlan(route.vehicle_id, tuple(map(tuple, moves[route.vehicle_id])))
+        for route in model.routes
+    )
 
 
 def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarray:
@@ -476,7 +461,7 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
         return LoadingVariables(_plans(model, np.zeros(0)), model.constant)
 
     lp = _relaxation(model)
-    moves = model.slots >= 0  # the columns branched on, in column order
+    moves = np.array([kind != "w0" for kind, _, _, _ in model.columns])  # branched on
 
     best_val = math.inf
     best_values: np.ndarray | None = None

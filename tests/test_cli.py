@@ -115,7 +115,29 @@ def test_solve_rejects_non_finite_gamma(tmp_path, capsys):
     inst_path = _generate(tmp_path)
     argv = ["solve", "--instance", str(inst_path), "--max-iter", "3", "--gamma-d", "nan"]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: objective weights must be finite\n"
+    assert capsys.readouterr().err == "error: --gamma-d must be finite, got nan\n"
+
+
+_ALL_GAMMAS_ZERO = "--gamma-d, --gamma-a and --gamma-t are all 0; at least one must be positive"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--gamma-t", "-1"], "--gamma-t must be nonnegative, got -1.0"),
+        (["--gamma-a", "-0.5"], "--gamma-a must be nonnegative, got -0.5"),
+        (["--gamma-d", "0", "--gamma-a", "0", "--gamma-t", "0"], _ALL_GAMMAS_ZERO),
+    ],
+    ids=["negative-t", "negative-a", "all-zero"],
+)
+def test_solve_names_the_bad_gamma_flag(tmp_path, capsys, flags, message):
+    inst_path = _generate(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    argv = ["solve", "--instance", str(inst_path), "--max-iter", "3", "--out", str(sol_path)]
+    capsys.readouterr()
+    assert main(argv + flags) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not sol_path.exists()
 
 
 def test_solve_rejects_non_finite_mu(tmp_path, capsys):
@@ -273,10 +295,12 @@ def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys, seeds):
     "flags, message",
     [
         (["--max-iter", "1"], "max_iter must be at least 2"),
-        (["--gamma-d", "nan"], "objective weights must be finite"),
+        (["--gamma-d", "nan"], "--gamma-d must be finite, got nan"),
+        (["--gamma-t", "-1"], "--gamma-t must be nonnegative, got -1.0"),
+        (["--gamma-d", "0", "--gamma-a", "0", "--gamma-t", "0"], _ALL_GAMMAS_ZERO),
         (["--theta", "0.5", "--theta", "2"], "theta must lie in (0, 1]"),
     ],
-    ids=["max-iter", "gamma-d", "theta"],
+    ids=["max-iter", "gamma-d", "gamma-t-negative", "gammas-all-zero", "theta"],
 )
 def test_sweep_checks_its_configuration_before_any_run(tmp_path, capsys, flags, message):
     csv_path = tmp_path / "sweep.csv"

@@ -159,8 +159,8 @@ def _names(model):
 
 
 def _reference_matrix(inst, model):
-    """The dense constraint matrix, built from the model's columns and slots
-    alone, apart from its rows.
+    """The dense constraint matrix, built from the model's columns alone,
+    apart from its rows.
 
     Per route block, the loads after each visit are prefix sums of the x and
     y incidence of its visits: capacity, operative and damaged rows for every
@@ -174,12 +174,13 @@ def _reference_matrix(inst, model):
             station_cols.setdefault(node, ([], []))[kind == "y"].append(j)
     w0_cols = [j for j, (kind, *_) in enumerate(model.columns) if kind == "w0"]
     ub, eq = [], []
-    first = base = 0  # the route's first column and first slot
+    first = 0  # the route's first column
     for route, w0 in zip([r for r in model.routes if r.visits], w0_cols):
         nv, width = len(route.visits), w0 - first
         depots = [i for i, node in enumerate(route.visits) if node == DEPOT]
         inc = np.zeros((nv, 2, width), dtype=int)  # [visit, x or y, column]
-        inc.reshape(2 * nv, width)[model.slots[first:w0] - base, np.arange(width)] = 1
+        at = [2 * (visit - 1) + (kind == "y") for kind, _, visit, _ in model.columns[first:w0]]
+        inc.reshape(2 * nv, width)[at, np.arange(width)] = 1
         x, y = inc.cumsum(axis=0).transpose(1, 0, 2)
         block = np.zeros((3 * (nv - 1) + len(depots), n))
         block[0 : 3 * (nv - 1) : 3, first:w0] = x[:-1] + y[:-1]
@@ -192,7 +193,7 @@ def _reference_matrix(inst, model):
         block[0, first:w0] = x[-1]
         block[1:, first:w0] = y[depots]
         eq.append(block)
-        first, base = w0 + 1, base + 2 * nv
+        first = w0 + 1
     totals = [(w0_cols, 1)] if w0_cols else []  # (columns, coefficient)
     for s in inst.stations:
         if s.id in station_cols:
@@ -727,6 +728,16 @@ def test_root_integral_solve_takes_one_lp(monkeypatch):
     for solves in (1, 2, 3):
         assert solve_exact(model).objective_value == 0
         assert len(calls) == solves
+
+
+def test_node_limit_stops_only_a_solve_that_branches(monkeypatch):
+    monkeypatch.setattr(loading, "_NODE_LIMIT", 1)
+    for model in _fractional_root_models():
+        with pytest.raises(RuntimeError, match="^branch-and-bound node limit exceeded$"):
+            solve_exact(model)
+    # a root-integral solve takes one node, so the limit leaves it alone
+    inst = make_instance([(1, 10, 8, 0, 5), (2, 10, 2, 0, 5)], fleet=((1, 5),))
+    assert solve_exact(build_model(inst, [Route(1, (0, 1, 2, 0))])).objective_value == 0
 
 
 def _branching_case(draw_int):
