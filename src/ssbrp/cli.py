@@ -314,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", 0) < 0:  # checked before any command reads or writes a file
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.handler(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:  # RuntimeError: a phase-two solve failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,6 +33,7 @@ from .model import (
     ObjectiveWeights,
     Route,
     Solution,
+    _inventories,
     _route_faults,
     evaluate_objective,
     solution_from_plans,
@@ -322,25 +323,12 @@ def build_model(
 
 
 def _plans(model: LoadingModel, values: np.ndarray) -> tuple[LoadingPlan, ...]:
-    """One plan per route of the model, read from an integral assignment: each
-    move column's value lands at its visit, x then y; a visit without one moves nothing."""
-    moves = {route.vehicle_id: [[0, 0] for _ in route.visits] for route in model.routes}
-    rounded = np.rint(values).astype(np.int64).tolist()
-    for (kind, vid, visit, _), value in zip(model.columns, rounded):
-        if kind != "w0":
-            moves[vid][visit - 1][kind == "y"] = value
-    return tuple(
-        LoadingPlan(route.vehicle_id, tuple(map(tuple, moves[route.vehicle_id])))
-        for route in model.routes
-    )
+    """One plan per route of the model, from an integral assignment of its station moves.
 
-
-def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarray:
-    """Set the depot moves and allotments of an integral assignment from its station moves.
-
-    The objective has no depot or w0 terms, so this breaks ties; it reads no
-    depot column of ``values``. At each depot visit but the last, ``held``,
-    the net operative bikes drawn from the depot so far, becomes
+    The objective has no depot or w0 terms, so the depot moves and allotments
+    only break ties; they follow from the station moves by one rule, and no
+    depot column of ``values`` is read. At each depot visit but the last,
+    ``held``, the net operative bikes drawn from the depot so far, becomes
     ``min(max(held, need), room)``: up to the next depot visit, the vehicle
     needs ``need`` (minus the least station flow) on board and can carry
     ``room`` (the least ``k - damaged on board - station flow``). The last
@@ -349,41 +337,48 @@ def _canonical_depot_moves(model: LoadingModel, values: np.ndarray) -> np.ndarra
     The assignment's own ``held`` lies in ``[need, room]``, so the result is
     feasible; it is checked all the same.
 
-    One walk over the columns: a visit with no column moves nothing, so it
-    leaves ``need`` and ``room`` as they are.
+    One walk over the columns sets the depot moves and writes each move at
+    its visit, x then y; a visit with no column moves nothing, so it leaves
+    ``need`` and ``room`` as they are.
     """
-    leaf = values.tolist()  # Python floats: NumPy scalars cost more per step
-    flow = damaged = 0.0  # station moves on board so far
-    held = peak = 0.0
+    leaf = np.rint(values).astype(np.int64).tolist()  # Python ints, cheaper per step
+    moves = {route.vehicle_id: [[0, 0] for _ in route.visits] for route in model.routes}
+    flow = damaged = 0  # station moves on board so far
+    held = peak = 0
     open_at = None  # the x column of the depot visit whose segment is open
-    for j, (kind, _, _, node) in enumerate(model.columns):
+    for j, (kind, vid, visit, node) in enumerate(model.columns):
         if kind == "w0":  # the route's end: its last depot visit drops the rest
-            leaf[open_at] = -(flow + held)
+            leaf[open_at] = opened[0] = -(flow + held)
             leaf[j] = peak
-            flow = damaged = held = peak = 0.0
+            flow = damaged = held = peak = 0
             open_at = None
-        elif node != DEPOT:
+            continue
+        move = moves[vid][visit - 1]
+        if node != DEPOT:
             if kind == "x":
                 flow += leaf[j]
             else:
                 damaged += leaf[j]
+            move[kind == "y"] = leaf[j]
             need = max(need, -flow)
             room = min(room, k - damaged - flow)
         elif kind == "y":
-            leaf[j] = -damaged
-            damaged = 0.0
+            leaf[j] = move[1] = -damaged
+            damaged = 0
         else:
             if open_at is None:  # the route's first visit: x within ±k
-                k = float(model.upper[j])
+                k = int(model.upper[j])
             else:
                 drawn = min(max(held, need), room)
-                leaf[open_at] = drawn - held
+                leaf[open_at] = opened[0] = drawn - held
                 held = drawn
                 peak = max(peak, held)
-            open_at, need, room = j, -flow, k - flow
-    leaf = np.array(leaf)
-    _check_assignment(model, leaf)
-    return leaf
+            open_at, opened, need, room = j, move, -flow, k - flow
+    _check_assignment(model, np.array(leaf))
+    return tuple(
+        LoadingPlan(route.vehicle_id, tuple(map(tuple, moves[route.vehicle_id])))
+        for route in model.routes
+    )
 
 
 _solvers = threading.local()  # the calling thread's HiGHS instance, made on its first solve
@@ -444,12 +439,12 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
     explores the larger-magnitude value first, and ties between equal
     incumbents keep the first one found. A node is pruned on its LP bound
     when that cannot beat the incumbent. Depot allotments are never branched
-    on: each integral leaf keeps its station moves, and its depot moves and
-    allotments follow from them by one rule, ``_canonical_depot_moves``,
-    that draws the least stock. An LP that HiGHS proves infeasible prunes
-    its node; any other non-optimal LP status raises RuntimeError. Returns
-    one plan per route of the model, in order; an empty route gets an empty
-    plan.
+    on: an integral leaf is scored on its station moves, and the depot moves
+    and allotments of the leaf kept follow from them by one rule, in
+    ``_plans``, that draws the least stock. An LP that HiGHS proves
+    infeasible prunes its node; any other non-optimal LP status raises
+    RuntimeError. Returns one plan per route of the model, in order; an
+    empty route gets an empty plan.
 
     The LPs run on the calling thread's one HiGHS instance (``_relaxation``),
     whose ``clearModel`` at the start of each solve resets the model and the
@@ -483,12 +478,11 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
         values = np.array(values)
         rounded = np.round(values)
         fractional = (np.abs(values - rounded) > _INT_TOL) & moves
-        if not fractional.any():
-            leaf = _canonical_depot_moves(model, rounded)
-            val = float(model.c @ leaf + model.constant)
+        if not fractional.any():  # c is 0.0 on the depot and w0 columns, which _plans sets
+            val = float(model.c @ rounded + model.constant)
             if val < best_val - 1e-9:
                 best_val = val
-                best_values = leaf
+                best_values = rounded
             continue
         frac_col = int(fractional.argmax())  # the first fractional move
         f = float(values[frac_col])
@@ -708,7 +702,7 @@ def loading_bound(
     above the bound is optimal for its routes, as no plan over them scores
     below it, so phase two could not lower its total.
     """
-    imbalance = instance._imbalance
+    imbalance = instance._residuals[0]
     visited: set[int] = set()
     useful: set[int] = set()
     matched = 0
@@ -718,7 +712,7 @@ def loading_bound(
         seen: set[int] = set()  # surplus stations met so far on this route
         waiting: list[int] = []  # those met since the route's last deficit visit
         for node in route.visits:
-            d = imbalance[node]
+            d = imbalance.get(node, 0)  # the depot's is 0
             if d > 0:
                 if node not in seen:
                     seen.add(node)
@@ -731,10 +725,10 @@ def loading_bound(
                 useful.update(waiting)
                 waiting.clear()
     stations = instance.stations
+    visited.discard(DEPOT)
     supply = instance.depot.operative + min(matched, sum(imbalance[s] for s in useful))
     shortfall = -supply - sum(imbalance[n] for n in visited if imbalance[n] < 0)
-    operative, damaged = (inventory.copy() for inventory in instance._start)
-    visited.discard(DEPOT)
+    operative, damaged = _inventories(instance)
     for sid in visited:
         operative[sid] = instance._by_id[sid].target
         damaged[sid] = 0

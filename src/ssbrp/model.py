@@ -129,11 +129,6 @@ class Instance:
         )
 
     @cached_property
-    def _imbalance(self) -> dict[int, int]:
-        """Each node's imbalance, the depot's 0; cached as ``_lookup`` is."""
-        return {DEPOT: 0} | {s.id: s.imbalance for s in self.stations}
-
-    @cached_property
     def _start(self) -> tuple[dict[int, int], dict[int, int]]:
         """Initial operative and damaged inventories by node, the depot first,
         then the stations in station order. Callers copy them; cached as
@@ -146,7 +141,8 @@ class Instance:
         """Phase one's starting residuals: imbalance and damaged bikes by station
         id in station order, and the station-order indices of the stations with
         work left (imbalance not 0, or damaged bikes). ``BuildState.fresh``
-        copies them; cached as ``_lookup`` is."""
+        copies them and ``loading_bound`` reads the imbalances; cached as
+        ``_lookup`` is."""
         return (
             {s.id: s.imbalance for s in self.stations},
             {s.id: s.damaged for s in self.stations},

@@ -15,9 +15,14 @@ to the best of ``run()``.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Iterator
+from pathlib import Path
 
 import numpy as np
+
+if __name__ == "__main__":  # a script run imports the sources beside it, installed or not
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ssbrp import (
     DEPOT,

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from ssbrp import cli
+from ssbrp import cli, loading
 from ssbrp.cli import SWEEP_COLUMNS, main
 from ssbrp.instances import parse_instance, parse_solution
 
@@ -374,6 +374,20 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_failed_phase_two_solve_exits_one(tmp_path, capsys, monkeypatch):
+    # with no branch-and-bound node allowed, the first phase-two solve raises
+    inst_path = tmp_path / "wien.json"
+    argv = ["generate", "--family", "wien", "--stations", "90", "--seed", "1"]
+    assert main(argv + ["--out", str(inst_path)]) == 0
+    sol_path = tmp_path / "sol.json"
+    monkeypatch.setattr(loading, "_NODE_LIMIT", 0)
+    capsys.readouterr()
+    argv = ["solve", "--instance", str(inst_path), "--max-iter", "20", "--seed", "0"]
+    assert main(argv + ["--out", str(sol_path)]) == 1
+    assert capsys.readouterr() == ("", "error: branch-and-bound node limit exceeded\n")
+    assert not sol_path.exists()
 
 
 def test_io_failures_exit_one(tmp_path, capsys):

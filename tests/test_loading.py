@@ -292,15 +292,17 @@ def _assignment(model, entries):
     return values
 
 
-def test_canonical_depot_moves_draw_minimal_stock():
+def test_plans_draw_minimal_stock():
     # deficit station 1: take 3 at the depot, deliver 2, return 1; the rule
-    # takes only the 2 delivered, returns none and allots 2 of the stock of 3
+    # takes only the 2 delivered, returns none and draws 2 of the stock of 3
     inst = make_instance([(1, 10, 3, 0, 5)], fleet=((1, 5),), stock=3)
-    model = build_model(inst, [Route(1, (0, 1, 0))])
+    route = Route(1, (0, 1, 0))
+    model = build_model(inst, [route])
     given = _assignment(model, {"x[1,1]": 3, "x[1,2]": -2, "x[1,3]": -1, "w0[1]": 3})
     loading._check_assignment(model, given)
-    want = _assignment(model, {"x[1,1]": 2, "x[1,2]": -2, "x[1,3]": 0, "w0[1]": 2})
-    assert loading._canonical_depot_moves(model, given).tolist() == want.tolist()
+    (plan,) = loading._plans(model, given)
+    assert plan == LoadingPlan(1, ((2, 0), (-2, 0), (0, 0)))
+    assert _depot_draw(route, plan) == 2
 
 
 @pytest.mark.parametrize(
@@ -313,18 +315,19 @@ def test_canonical_depot_moves_draw_minimal_stock():
     ],
     ids=["bound", "load-row"],
 )
-def test_canonical_depot_moves_drop_mid_route_only_where_capacity_forces_it(stations, visits):
+def test_plans_drop_mid_route_only_where_capacity_forces_it(stations, visits):
     # surplus stations 1 and 2, capacity 2: the vehicle must drop its 2 bikes at
     # the mid-route depot visit to pick up at station 2
     inst = make_instance(stations, fleet=((1, 2),))
     model = build_model(inst, [Route(1, visits)])
     given = _assignment(model, {"x[1,2]": 2, "x[1,3]": -2, "x[1,4]": 2, "x[1,5]": -2})
     loading._check_assignment(model, given)
-    got = loading._canonical_depot_moves(model, given)
-    assert got.tolist() == given.tolist()  # the depot moves stay, w0 = 0
+    (plan,) = loading._plans(model, given)
+    moves = ((0, 0), (2, 0), (-2, 0), (2, 0), (-2, 0), (0, 0))[: len(visits)]
+    assert plan == LoadingPlan(1, moves)  # the depot moves stay, w0 = 0
 
 
-def test_canonical_depot_moves_drop_only_the_forced_bikes():
+def test_plans_drop_only_the_forced_bikes():
     # vehicle 3 of a wien-90 leaf (instance seed 1), shrunk: it picks up 14 at
     # station 73, and HiGHS's leaf drops 10 of them at the depot. Picking up 7
     # and 1 damaged at station 49 forces a drop of 2 only; the other 8 ride on,
@@ -332,12 +335,14 @@ def test_canonical_depot_moves_drop_only_the_forced_bikes():
     inst = make_instance(
         [(49, 16, 15, 1, 8), (73, 26, 20, 0, 6), (74, 20, 4, 0, 15)], fleet=((3, 20),)
     )
-    model = build_model(inst, [Route(3, (0, 73, 0, 49, 74, 0))])
+    route = Route(3, (0, 73, 0, 49, 74, 0))
+    model = build_model(inst, [route])
     station = {"x[3,2]": 14, "x[3,4]": 7, "y[3,4]": 1, "x[3,5]": -11, "y[3,6]": -1}
     given = _assignment(model, {**station, "x[3,3]": -10})
     loading._check_assignment(model, given)
-    want = _assignment(model, {**station, "x[3,3]": -2, "x[3,6]": -8})
-    assert loading._canonical_depot_moves(model, given).tolist() == want.tolist()
+    (plan,) = loading._plans(model, given)
+    assert plan == LoadingPlan(3, ((0, 0), (14, 0), (-2, 0), (7, 1), (-11, 0), (-8, -1)))
+    assert _depot_draw(route, plan) == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,35 +350,38 @@ def test_canonical_depot_moves_drop_only_the_forced_bikes():
 def test_depot_moves_follow_from_station_moves(case):
     inst, routes, weights = case
     model = build_model(inst, routes, weights)
-    rule = loading._canonical_depot_moves
-    leaves = []  # the rounded LP leaves solve_exact hands to the rule
+    rule = loading._plans
+    leaves = []  # the rounded LP leaf solve_exact keeps, as it hands it to the rule
 
     def recorded(model, values):
         leaves.append(values)
         return rule(model, values)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(loading, "_canonical_depot_moves", recorded)
-        solve_exact(model)
-    depot = [j for j, (kind, *_, node) in enumerate(model.columns) if kind == "w0" or node == DEPOT]
-    station = [j for j in range(model.n_vars) if j not in depot]
-    for values in leaves:
-        leaf = rule(model, values)
-        loading._check_assignment(model, leaf)
-        assert leaf[station].tolist() == values[station].tolist()
-        # the stock each route needs: its largest net delivery, read column by
-        # column up to the route's w0 (station moves precede the last visit)
+        patch.setattr(loading, "_plans", recorded)
+        result = solve_exact(model)
+    (values,) = leaves
+    plans = rule(model, values)
+    assert plans == result.plans
+    assert validate_solution(inst, routes, plans) == []
+    by_vehicle = {plan.vehicle_id: plan for plan in plans}
+    for (kind, vid, visit, node), value in zip(model.columns, values.tolist()):
+        if kind != "w0" and node != DEPOT:  # station moves stay as the leaf has them
+            assert by_vehicle[vid].moves[visit - 1][kind == "y"] == value
+    for route, plan in zip(model.routes, plans):
+        # w0, the stock a route draws, is the peak of its cumulative depot takes:
+        # its largest net delivery from the station moves
         flow = need = 0
-        for j, (kind, *_, node) in enumerate(model.columns):
-            if kind == "w0":
-                assert leaf[j] == need
-                flow = need = 0
-            elif kind == "x" and node != DEPOT:
-                flow += values[j]
+        for node, (x, _) in zip(route.visits, plan.moves):
+            if node != DEPOT:
+                flow += x
                 need = max(need, -flow)
-        zeroed = values.copy()
-        zeroed[depot] = 0
-        assert rule(model, zeroed).tolist() == leaf.tolist()
+        assert _depot_draw(route, plan) == need
+    # the rule reads no depot column of the leaf
+    depot = [j for j, (kind, *_, node) in enumerate(model.columns) if kind == "w0" or node == DEPOT]
+    zeroed = values.copy()
+    zeroed[depot] = 0
+    assert rule(model, zeroed) == plans
 
 
 def test_build_model_no_routes():
@@ -728,6 +736,23 @@ def test_root_integral_solve_takes_one_lp(monkeypatch):
     for solves in (1, 2, 3):
         assert solve_exact(model).objective_value == 0
         assert len(calls) == solves
+
+
+def test_a_solve_checks_only_the_leaf_it_keeps(monkeypatch):
+    # each of these solves branches, and some reach more than one integral
+    # leaf; only the one kept gets its depot moves set and its rows checked
+    check = loading._check_assignment
+    checked = []
+
+    def counted(model, values):
+        checked.append(values)
+        check(model, values)
+
+    monkeypatch.setattr(loading, "_check_assignment", counted)
+    for model in _fractional_root_models():
+        checked.clear()
+        solve_exact(model)
+        assert len(checked) == 1
 
 
 def test_node_limit_stops_only_a_solve_that_branches(monkeypatch):

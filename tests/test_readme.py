@@ -1,10 +1,14 @@
 """The README quotes the CLI as it is: each example that shows its output is
 re-run through ``ssbrp.cli.main`` and prints the quoted lines, every
 ``ssbrp`` line of an ``sh`` block parses, and every quoted demo exists. It
-names the same Python floor as ``pyproject.toml`` and the CI workflow."""
+names the same Python floor as ``pyproject.toml`` and the CI workflow, and
+quotes the gap table that ``tests/oracle.py`` prints."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -132,3 +136,17 @@ def test_python_floor_is_the_same_everywhere():
         "tier1.yml": re.search(r'python-version: "(3\.\d+)"', workflow).group(1),
     }
     assert len(set(floors.values())) == 1, floors
+
+
+def test_oracle_script_prints_the_quoted_gap_table(tmp_path):
+    # run as the README says, from a checkout without an install: no PYTHONPATH
+    (table,) = [
+        lines for _, lines, _ in _blocks(README) if lines and lines[0].startswith("instance  route")
+    ]
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "oracle.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == table
