@@ -5,7 +5,9 @@ build state that tracks residual station imbalances, residual damaged bikes,
 and the unclaimed depot stock. Successor choice is greedy-randomized: every
 candidate gets a ratio (moved bikes vs. detour time), a fresh threshold
 epsilon keeps only candidates close to the best ratio, and the winner is
-drawn uniformly among them.
+drawn uniformly among them. A construction from a PCG64 Generator, as
+``run()``'s are, reads the Generator's raw words itself (``_Draws``); the
+draws, and where the Generator is left, are those of its own methods.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class BuildState:
     take in of the bikes the routes remove from stations (every removed bike
     ends there); None is unbounded. ``live`` holds the station-order indices
     of the stations the scan visits: ``fresh`` lists those with residual work
-    left, and apply_visit drops a station once its work is done. A state
+    left, and a visit drops a station once its work is done. A state
     built by hand passes its own list; it may also hold finished stations,
     which never become candidates. ``route_times`` holds each routed
     vehicle's ``elapsed``, recorded as build_route closes its route.
@@ -191,12 +193,79 @@ def feasible_successors(
     return out
 
 
+_BLOCK = 64  # raw words per fetch: about one construction of a 15-station instance
+_UNIT = 2.0**-53
+
+
+class _Draws:
+    """``random()`` and ``integers(m)`` of a PCG64-backed Generator, equal to
+    the Generator's own to the bit, read off the bit generator's raw 64-bit
+    words without NumPy's per-call cost.
+
+    ``random()`` is a word's top 53 bits times 2**-53. ``integers(m)`` draws
+    as ``Generator.integers`` does for 1 <= m <= 2**32 (Lemire's method on
+    32-bit values): each word gives its low half first and keeps its high half
+    for the next 32-bit draw, as PCG64's ``next_uint32`` does, and a half the
+    Generator already kept is used first. ``integers(1)`` is 0 and draws
+    nothing. Words are fetched in blocks; ``close()`` rewinds the bit
+    generator over the unused ones and hands back a kept half, so the
+    Generator continues where its own calls would have left it.
+    """
+
+    __slots__ = ("_bits", "_words", "_half")
+
+    def __init__(self, bits: np.random.PCG64):
+        self._bits = bits
+        state = bits.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._words: list[int] = []  # fetched and unused, the next one last
+
+    def _fetch(self) -> list[int]:
+        self._words = self._bits.random_raw(_BLOCK)[::-1].tolist()
+        return self._words
+
+    def random(self) -> float:
+        words = self._words or self._fetch()
+        return (words.pop() >> 11) * _UNIT
+
+    def integers(self, m: int) -> int:
+        if m == 1:
+            return 0
+        while True:
+            half = self._half
+            if half is None:
+                words = self._words or self._fetch()
+                word = words.pop()
+                self._half = word >> 32
+                half = word & 0xFFFFFFFF
+            else:
+                self._half = None
+            product = half * m
+            low = product & 0xFFFFFFFF
+            # Lemire's rejection threshold, (2**32 - m) % m, is below m
+            if low >= m or low >= (0x100000000 - m) % m:
+                return product >> 32
+
+    def close(self) -> None:
+        bits = self._bits
+        # advance() also drops the bit generator's kept half
+        bits.advance(-len(self._words))
+        if self._half is not None:
+            state = bits.state
+            state["has_uint32"] = 1
+            state["uinteger"] = self._half
+            bits.state = state
+
+
 def select_next(
     ratios: dict[tuple[int, int, int], float],
-    rng: np.random.Generator,
+    rng: np.random.Generator | _Draws,
     epsilon: float | None = None,
 ) -> tuple[int, int, int]:
-    """Uniform draw among candidates whose ratio reaches epsilon * max ratio."""
+    """Uniform draw among candidates whose ratio reaches epsilon * max ratio.
+
+    ``rng`` is a Generator, or the ``_Draws`` that construct_solution reads
+    off a PCG64 Generator; both give the same draws."""
     if not ratios:
         raise ValueError("no candidates to select from")
     if epsilon is None:
@@ -274,32 +343,96 @@ def build_route(
     state: BuildState,
     vehicle: Vehicle,
     params: ConstructionParams,
-    rng: np.random.Generator,
+    rng: np.random.Generator | _Draws,
 ) -> tuple[Route, LoadingPlan]:
-    """Grow one route from the depot until no candidate remains, then close it."""
+    """Grow one route from the depot until no candidate remains, then close it.
+
+    The route's running quantities are kept in locals, and each drawn move is
+    applied here with apply_visit's arithmetic in its order, and its checks;
+    the fields that feasible_successors reads go back to ``state`` before
+    each scan. The residual dicts and the live list are updated in place."""
     state.start_vehicle(vehicle)
+    k = vehicle.capacity
+    lookup = instance._lookup
+    rows, position = lookup.rows, lookup.position
+    imbalance, damaged, live = state.residual_imbalance, state.residual_damaged, state.live
+    elapsed = 0.0
+    onboard_op = onboard_dam = 0
+    lockers = k
+    last_depot = 0
+    stock, room = state.depot_remaining, state.depot_room
+    u = DEPOT
     visits: list[int] = [DEPOT]
     moves: list[tuple[int, int]] = [(0, 0)]
     while True:
-        candidates = feasible_successors(instance, state, visits[-1], vehicle, params)
+        candidates = feasible_successors(instance, state, u, vehicle, params)
         if not candidates:
             break
-        v_star, beta, alpha = select_next(candidates, rng)
-        apply_visit(instance, state, vehicle, visits, moves, v_star, beta, alpha)
+        v, beta, alpha = select_next(candidates, rng)
+        row, to_depot = rows[u]
+        if v == DEPOT:
+            elapsed += to_depot
+            visits.append(DEPOT)
+            moves.append((0, -onboard_dam))
+            onboard_dam = 0
+            last_depot = len(visits) - 1
+            lockers = k - onboard_op
+        else:
+            elapsed += row[position[v]]
+            if imbalance[v] < 0:
+                retro = beta - onboard_op
+                if retro > 0:
+                    # claim the extra bikes at the most recent depot visit
+                    dx, dy = moves[last_depot]
+                    moves[last_depot] = (dx + retro, dy)
+                    stock -= retro
+                    lockers -= retro
+                    onboard_op += retro
+                onboard_op -= beta
+                imbalance[v] += beta
+                delta_op = -beta
+            else:
+                onboard_op += beta
+                imbalance[v] -= beta
+                delta_op = beta
+            onboard_dam += alpha
+            damaged[v] -= alpha
+            if room is not None:
+                room -= delta_op + alpha
+            if _done(imbalance[v], damaged[v]):
+                live.remove(position[v])
+            visits.append(v)
+            moves.append((delta_op, alpha))
+            load = onboard_op + onboard_dam
+            if k - load < lockers:
+                lockers = k - load
+            if not 0 <= load <= k:
+                raise ValueError(f"visit to {v}: vehicle {vehicle.id} load outside [0, {k}]")
+            if stock < 0 or lockers < 0:
+                raise ValueError(f"visit to {v}: depot stock or free lockers below zero")
+        u = v
+        state.elapsed = elapsed
+        state.onboard_operative = onboard_op
+        state.onboard_damaged = onboard_dam
+        state.min_free_lockers = lockers
+        state.depot_remaining = stock
+        state.depot_room = room
+    state.last_depot_index = last_depot
     if len(visits) == 1:
         # never left the depot: an unused vehicle
         state.route_times[vehicle.id] = 0.0
         return Route(vehicle.id), LoadingPlan(vehicle.id)
-    if visits[-1] == DEPOT:
+    if u == DEPOT:
         dx, dy = moves[-1]
-        moves[-1] = (dx - state.onboard_operative, dy - state.onboard_damaged)
+        moves[-1] = (dx - onboard_op, dy - onboard_dam)
     else:
-        state.elapsed += instance.travel_time(visits[-1], DEPOT)
+        elapsed += rows[u][1]
         visits.append(DEPOT)
-        moves.append((-state.onboard_operative, -state.onboard_damaged))
+        moves.append((-onboard_op, -onboard_dam))
+    state.elapsed = elapsed
     state.onboard_operative = 0
     state.onboard_damaged = 0
-    state.route_times[vehicle.id] = state.elapsed
+    state.route_times[vehicle.id] = elapsed
     return Route(vehicle.id, tuple(visits)), LoadingPlan(vehicle.id, tuple(moves))
 
 
@@ -315,14 +448,25 @@ def construct_solution(
     already holds them; no move is replayed. ``model.solution_from_plans``
     replays moves once wherever plans come from elsewhere: phase two,
     ``validate_solution``, ``parse_solution`` and the benchmark's checks.
+
+    From a PCG64 Generator the draws are read off its raw words (``_Draws``):
+    the same values, and the Generator is left where its own ``random()`` and
+    ``integers()`` calls would leave it. Any other bit generator is drawn
+    from through the Generator.
     """
     state = BuildState.fresh(instance)
     routes = []
     plans = []
-    for vehicle in instance.fleet:
-        route, plan = build_route(instance, state, vehicle, params, rng)
-        routes.append(route)
-        plans.append(plan)
+    bits = rng.bit_generator
+    draws = _Draws(bits) if type(bits) is np.random.PCG64 else rng
+    try:
+        for vehicle in instance.fleet:
+            route, plan = build_route(instance, state, vehicle, params, draws)
+            routes.append(route)
+            plans.append(plan)
+    finally:
+        if draws is not rng:
+            draws.close()
     return solution_from_plans(instance, state, routes, plans, weights)
 
 

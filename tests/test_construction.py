@@ -246,6 +246,53 @@ def test_select_next_argmax_always_eligible():
     assert "a" in seen
 
 
+_BOUNDS = (1, 2, 3, 17, 90, 2**31 + 7, 2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    kept=st.booleans(),
+    calls=st.lists(st.none() | st.sampled_from(_BOUNDS), max_size=150),
+)
+def test_draws_equal_the_generators(seed, kept, calls):
+    # None stands for random(), m for integers(m); 2**31 + 7 rejects about
+    # half of its 32-bit values, and a long sequence fetches more than one block
+    rng, want = (_kept_half(seed) if kept else np.random.default_rng(seed) for _ in range(2))
+    draws = construction._Draws(rng.bit_generator)
+    for m in calls:
+        if m is None:
+            assert draws.random() == want.random()
+        else:
+            assert draws.integers(m) == want.integers(m)
+    draws.close()
+    # NumPy leaves a stale uinteger when has_uint32 is 0, so the state dicts
+    # may differ where the draws cannot: compare the draws
+    assert rng.bit_generator.state["has_uint32"] == want.bit_generator.state["has_uint32"]
+    for _ in range(5):
+        assert rng.random() == want.random()
+        assert rng.integers(2**31) == want.integers(2**31)
+
+
+@pytest.mark.parametrize("offset", [-1, 0], ids=["rejected", "accepted"])
+@pytest.mark.parametrize("m", [3, 17, 2**31 + 7, 2**32 - 1])
+def test_draws_reject_at_lemires_threshold_as_the_generator_does(m, offset):
+    # a kept half whose product with m leaves exactly threshold - 1 (rejected)
+    # or threshold (accepted) in its low 32 bits, (2**32 - m) % m; random
+    # halves reach either value about once in 2**32 draws
+    low = (2**32 - m) % m + offset
+    half = low * pow(m, -1, 2**32) % 2**32
+    rng, want = np.random.default_rng(5), np.random.default_rng(5)
+    for generator in (rng, want):
+        state = generator.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, half
+        generator.bit_generator.state = state
+    draws = construction._Draws(rng.bit_generator)
+    assert draws.integers(m) == want.integers(m)
+    draws.close()
+    assert rng.integers(2**31) == want.integers(2**31)
+
+
 def test_apply_visit_retro_loading():
     inst = make_instance([(1, 20, 2, 0, 10)], fleet=((1, 10),), stock=5)
     state = BuildState.fresh(inst)
@@ -292,7 +339,7 @@ def test_apply_visit_surplus_updates_free_lockers():
     assert state.min_free_lockers == 1
 
 
-@pytest.mark.parametrize(
+_UNOFFERED_MOVES = pytest.mark.parametrize(
     "station, message",
     [
         # a pickup of 5 at a surplus station, onto a vehicle that holds 4
@@ -302,6 +349,9 @@ def test_apply_visit_surplus_updates_free_lockers():
     ],
     ids=["overload", "overdraw"],
 )
+
+
+@_UNOFFERED_MOVES
 def test_apply_visit_rejects_a_move_feasible_successors_would_not_offer(station, message):
     inst = make_instance([station], fleet=((1, 4),))
     state = BuildState.fresh(inst)
@@ -309,6 +359,20 @@ def test_apply_visit_rejects_a_move_feasible_successors_would_not_offer(station,
     state.start_vehicle(vehicle)
     with pytest.raises(ValueError, match=message):
         apply_visit(inst, state, vehicle, [DEPOT], [(0, 0)], 1, 5, 0)
+
+
+@_UNOFFERED_MOVES
+def test_build_route_rejects_a_move_feasible_successors_would_not_offer(
+    station, message, monkeypatch
+):
+    # build_route applies each move itself and keeps apply_visit's checks
+    inst = make_instance([station], fleet=((1, 4),))
+    monkeypatch.setattr(construction, "feasible_successors", lambda *args: {(1, 5, 0): 1.0})
+    with pytest.raises(ValueError, match=message):
+        build_route(
+            inst, BuildState.fresh(inst), inst.fleet[0], ConstructionParams(),
+            np.random.default_rng(0),
+        )
 
 
 def test_build_route_nothing_to_do():
@@ -620,30 +684,48 @@ def _live(instance, state):
     ]
 
 
-def _check_construction(instance, params, seed, key_order):
+def _kept_half(seed):
+    """A PCG64 Generator that holds the high half of a word for its next
+    32-bit draw, as an odd number of ``integers(m)`` draws leaves it."""
     rng = np.random.default_rng(seed)
-    got = construct_solution(instance, params, rng)
-    want_rng = np.random.default_rng(seed)
-    want = _reference_construction(
-        instance, params, want_rng, _hand_built_state(instance, key_order)
-    )
-    # want replays the reference's routes and plans with model.solution_from_plans:
-    # phase one's read-off must equal it whole, to the bit and in key order
-    assert got == want
-    for name in ("final_operative", "final_damaged", "route_times"):
-        assert list(getattr(got, name).items()) == list(getattr(want, name).items())
-    assert [x.hex() for x in astuple(got.objective)] == [x.hex() for x in astuple(want.objective)]
-    assert rng.random() == want_rng.random()  # the same number of draws
-    # route by route: a fresh state's live list holds exactly the stations with
-    # work left, and a hand-built state (listing every station) builds the same
-    fresh = BuildState.fresh(instance)
-    for state in (fresh, _hand_built_state(instance, key_order)):
-        route_rng = np.random.default_rng(seed)
-        for vehicle, route, plan in zip(instance.fleet, got.routes, got.plans):
-            assert build_route(instance, state, vehicle, params, route_rng) == (route, plan)
-            if state is fresh:
-                assert state.live == _live(instance, state)
-    assert validate_solution(instance, got.routes, got.plans) == []
+    rng.integers(3)
+    return rng
+
+
+def _philox(seed):
+    """A Generator on another bit generator, which construct_solution draws
+    from through the Generator's own methods."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def _check_construction(instance, params, seed, key_order):
+    for make_rng in (np.random.default_rng, _kept_half, _philox):
+        rng = make_rng(seed)
+        got = construct_solution(instance, params, rng)
+        want_rng = make_rng(seed)
+        want = _reference_construction(
+            instance, params, want_rng, _hand_built_state(instance, key_order)
+        )
+        # want replays the reference's routes and plans with model.solution_from_plans:
+        # phase one's read-off must equal it whole, to the bit and in key order
+        assert got == want
+        for name in ("final_operative", "final_damaged", "route_times"):
+            assert list(getattr(got, name).items()) == list(getattr(want, name).items())
+        assert [x.hex() for x in astuple(got.objective)] == [x.hex() for x in astuple(want.objective)]
+        # the Generator is left where the reference left it: the same number of
+        # draws, and the same half of a word kept for the next 32-bit draw
+        assert rng.random() == want_rng.random()
+        assert rng.integers(2**31) == want_rng.integers(2**31)
+        # route by route: a fresh state's live list holds exactly the stations with
+        # work left, and a hand-built state (listing every station) builds the same
+        fresh = BuildState.fresh(instance)
+        for state in (fresh, _hand_built_state(instance, key_order)):
+            route_rng = make_rng(seed)
+            for vehicle, route, plan in zip(instance.fleet, got.routes, got.plans):
+                assert build_route(instance, state, vehicle, params, route_rng) == (route, plan)
+                if state is fresh:
+                    assert state.live == _live(instance, state)
+        assert validate_solution(instance, got.routes, got.plans) == []
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """The README quotes the CLI as it is: each example that shows its output is
 re-run through ``ssbrp.cli.main`` and prints the quoted lines, every
 ``ssbrp`` line of an ``sh`` block parses, and every quoted demo exists. It
-names the same Python floor as ``pyproject.toml`` and the CI workflow, and
+names the same Python and NumPy floors as ``pyproject.toml`` and the CI
+workflow, and
 quotes the gap table that ``tests/oracle.py`` prints."""
 
 import os
@@ -134,6 +135,21 @@ def test_python_floor_is_the_same_everywhere():
         "pyproject.toml": re.fullmatch(r">=(3\.\d+)", project["requires-python"]).group(1),
         "README.md": re.search(r"Requires Python ≥ (3\.\d+)", README).group(1),
         "tier1.yml": re.search(r'python-version: "(3\.\d+)"', workflow).group(1),
+    }
+    assert len(set(floors.values())) == 1, floors
+
+
+def test_numpy_floor_is_the_same_everywhere():
+    # the lowest NumPy the required SciPy (1.17) installs with; the workflow
+    # runs phase one's tests on it, since phase one reads PCG64's raw words
+    # the way NumPy's Generator does
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    (numpy,) = [d for d in project["dependencies"] if d.startswith("numpy")]
+    floors = {
+        "pyproject.toml": re.fullmatch(r"numpy>=([\d.]+)", numpy).group(1),
+        "README.md": re.search(r"NumPy ≥ ([\d.]+)", README).group(1),
+        "tier1.yml": re.search(r"numpy==([\d.]+)", workflow).group(1),
     }
     assert len(set(floors.values())) == 1, floors
 
