@@ -19,7 +19,6 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import chain
 from types import ModuleType
 from typing import Sequence
 
@@ -203,13 +202,15 @@ def build_model(
     c: list[float] = []
     w0_cols: list[int] = []
     station_cols: dict[int, tuple[list[int], list[int]]] = {}  # station -> its x and y columns
-    # the rows' columns, row after row (a list per row wakes the garbage collector), and
-    # their sizes, negative where a row's coefficients are -1; route rows copy growing lists
-    ub: list[int] = []
+    # each row is a run of ``src``, the index lists laid end to end: where it starts in
+    # ``src``, and its size, negative where the row's coefficients are -1. A route row is
+    # a prefix of one of its route's lists, a total row one whole list
+    src: list[int] = []
+    ub_at: list[int] = []
     ub_sizes: list[int] = []
     b_ub: list[int] = []
     allotments: list[int] = []  # the allotment rows, whose first column, w0, is at -1
-    eq: list[int] = []
+    eq_at: list[int] = []
     eq_sizes: list[int] = []  # all coefficients 1, all rhs 0
     for route in routes:
         if not route.visits:
@@ -222,9 +223,6 @@ def build_model(
         for i, node in enumerate(route.visits, start=1):
             j = len(columns)
             if i > 1:  # running load after visit i - 1: within capacity, nonnegative by component
-                ub += range(first, j)
-                ub += route_x
-                ub += route_y
                 ub_sizes += (j - first, -len(route_x), -len(route_y))
                 b_ub += (k, 0, 0)
             if node == DEPOT:
@@ -265,20 +263,38 @@ def build_model(
         lower.append(0)
         upper.append(p_o)
         c.append(0.0)
+        # the route's lists in src: its moves, its x, its y, then w0 and its depot x
+        at_x = len(src) + w0 - first
+        at_y = at_x + len(route_x)
+        at_w = at_y + len(route_y)
+        ub_at += (len(src), at_x, at_y) * (len(route.visits) - 1)
+        src += range(first, w0)
+        src += route_x
+        src += route_y
+        src.append(w0)
+        src += depot_x
         # cumulative depot takes never exceed the vehicle's allotment
         allotments += range(len(ub_sizes), len(ub_sizes) + len(depot_x))
-        ub += chain.from_iterable((w0, *depot_x[:m]) for m in range(1, len(depot_x) + 1))
+        ub_at += [at_w] * len(depot_x)
         ub_sizes += range(2, len(depot_x) + 2)
         b_ub += [0] * len(depot_x)
         # all on board is dropped by the route's end, and all damaged bikes at each depot stop
-        eq += chain(route_x, *(route_y[:m] for m in depot_y))
+        eq_at += (at_x, *[at_y] * len(depot_y))
         eq_sizes += (len(route_x), *depot_y)
 
     # rows of totals, after the route rows: the allotments share the depot
     # stock, and each visited station's moves across all vehicles, in station order
-    total_rows: list[tuple[list[int], int, int]] = []  # (columns, coefficient, rhs)
+    total_rows: list[tuple[int, int, int]] = []  # (start in src, signed size, rhs)
     if w0_cols:
-        total_rows.append((w0_cols, 1, p_o))
+        total_rows.append((len(src), len(w0_cols), p_o))
+        src += w0_cols
+    # each station's x then y columns, the stations in order of first visit
+    removed = len(src)  # where the run of all station columns starts
+    at_station: dict[int, int] = {}
+    for node, (xs, ys) in station_cols.items():
+        at_station[node] = len(src)
+        src += xs
+        src += ys
     constant = 0.0
     for node, (d, damaged, weight, room) in stations.items():
         if d > 0:
@@ -290,34 +306,37 @@ def build_model(
         if node not in station_cols:
             continue
         xs, ys = station_cols[node]  # x columns exist where d != 0, y columns where damaged > 0
+        at = at_station[node]
         if d > 0:  # total pickups never exceed the surplus
-            total_rows.append((xs, 1, d))
+            total_rows.append((at, len(xs), d))
         elif d < 0:  # total deliveries never exceed the deficit
-            total_rows.append((xs, -1, -d))
+            total_rows.append((at, -len(xs), -d))
         if ys:
-            total_rows.append((ys, 1, damaged))
+            total_rows.append((at + len(xs), len(ys), damaged))
         if d < 0:
             # deliveries may not leave the station holding more than its docks:
             # p - sum(x) + a - sum(y) <= c  (binding only where bikes arrive)
-            total_rows.append((xs + ys, -1, room))
+            total_rows.append((at, -len(xs) - len(ys), room))
 
-    if instance.depot.capacity is not None:
+    if instance.depot.capacity is not None and station_cols:
         # every bike removed from a station ends at the depot
-        removed = [col for xs, ys in station_cols.values() for col in xs + ys]
-        if removed:
-            total_rows.append((removed, 1, instance.depot.capacity - p_o))
-    for cols, coef, rhs in total_rows:
-        ub += cols
-        ub_sizes.append(coef * len(cols))
+        total_rows.append((removed, len(src) - removed, instance.depot.capacity - p_o))
+    for at, size, rhs in total_rows:
+        ub_at.append(at)
+        ub_sizes.append(size)
         b_ub.append(rhs)
 
     signed = np.array(ub_sizes + eq_sizes, dtype=np.int32)
-    row_start = np.append(0, np.abs(signed)).cumsum(dtype=np.int32)
-    row_value = np.sign(signed).repeat(np.abs(signed)).astype(float)
+    sizes = np.abs(signed)
+    row_start = np.append(0, sizes).cumsum(dtype=np.int32)
+    row_value = np.sign(signed).repeat(sizes).astype(float)
     row_value[row_start[allotments]] = -1  # the w0 entries
+    # entry e of row r is src[at[r] + e - row_start[r]]: one gather, no per-entry Python
+    entry_at = np.array(ub_at + eq_at, dtype=np.intp).repeat(sizes)
+    entry_at += np.arange(row_start[-1]) - row_start[:-1].repeat(sizes)
     return LoadingModel(
         routes, columns, np.array(lower, dtype=float), np.array(upper, dtype=float),
-        np.array(c), constant, row_start, np.fromiter(ub + eq, np.int32, row_start[-1]),
+        np.array(c), constant, row_start, np.array(src, dtype=np.int32)[entry_at],
         row_value, np.array(b_ub, dtype=float), np.zeros(len(eq_sizes)),
     )
 
@@ -360,8 +379,9 @@ def _plans(model: LoadingModel, values: np.ndarray) -> tuple[LoadingPlan, ...]:
             else:
                 damaged += leaf[j]
             move[kind == "y"] = leaf[j]
-            need = max(need, -flow)
-            room = min(room, k - damaged - flow)
+            need = -flow if -flow > need else need
+            free = k - damaged - flow
+            room = free if free < room else room
         elif kind == "y":
             leaf[j] = move[1] = -damaged
             damaged = 0
@@ -369,10 +389,11 @@ def _plans(model: LoadingModel, values: np.ndarray) -> tuple[LoadingPlan, ...]:
             if open_at is None:  # the route's first visit: x within ±k
                 k = int(model.upper[j])
             else:
-                drawn = min(max(held, need), room)
+                drawn = held if held > need else need
+                drawn = drawn if drawn < room else room
                 leaf[open_at] = opened[0] = drawn - held
                 held = drawn
-                peak = max(peak, held)
+                peak = held if held > peak else peak
             open_at, opened, need, room = j, move, -flow, k - flow
     _check_assignment(model, np.array(leaf))
     return tuple(
@@ -429,7 +450,7 @@ def linprog(
     status = lp.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         return status, math.nan, None
-    return status, lp.getInfo().objective_function_value, lp.getSolution().col_value
+    return status, lp.getObjectiveValue(), lp.getSolution().col_value
 
 
 def solve_exact(model: LoadingModel) -> LoadingVariables:
@@ -506,8 +527,11 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
 def _check_assignment(model: LoadingModel, values: np.ndarray) -> None:
     if np.any(values < model.lower - 1e-6) or np.any(values > model.upper + 1e-6):
         raise RuntimeError("rounded assignment violates a column bound")
-    rows = np.arange(len(model.row_start) - 1).repeat(np.diff(model.row_start))
-    lhs = np.bincount(rows, model.row_value * values[model.row_index], len(model.row_start) - 1)
+    # row sums; for an empty row reduceat gives the entry at its start, the next row's
+    # first or the 0.0 appended past the end, so empty rows are set to 0
+    starts = model.row_start[:-1]
+    lhs = np.add.reduceat(np.append(model.row_value * values[model.row_index], 0.0), starts)
+    lhs[starts == model.row_start[1:]] = 0.0
     n_ub = len(model.b_ub)
     if np.any(lhs[:n_ub] > model.b_ub + 1e-6):
         raise RuntimeError("rounded assignment violates an inequality")
@@ -718,28 +742,25 @@ def loading_bound(
                     seen.add(node)
                     waiting.append(node)
                     pool += d
-            elif d < 0:
-                take = min(pool, -d)
+            elif d < 0 and pool:  # an empty pool takes nothing, and nothing waits
+                take = pool if pool < -d else -d
                 pool -= take
                 matched += take
                 useful.update(waiting)
                 waiting.clear()
-    stations = instance.stations
     visited.discard(DEPOT)
     supply = instance.depot.operative + min(matched, sum(imbalance[s] for s in useful))
     shortfall = -supply - sum(imbalance[n] for n in visited if imbalance[n] < 0)
     operative, damaged = _inventories(instance)
     for sid in visited:
-        operative[sid] = instance._by_id[sid].target
+        operative[sid] -= imbalance[sid]  # its target
         damaged[sid] = 0
     if shortfall > 0 and instance._exact_sums:
-        deficits = sorted(
-            (s for s in stations if s.id in visited and s.imbalance < 0), key=lambda s: s.weight
-        )
-        for s in deficits:
-            left = min(shortfall, -s.imbalance)
-            operative[s.id] -= left
-            shortfall -= left
-            if not shortfall:
-                break
+        for sid, deficit in instance._deficits_by_weight:
+            if sid in visited:
+                left = shortfall if shortfall < deficit else deficit
+                operative[sid] -= left
+                shortfall -= left
+                if not shortfall:
+                    break
     return evaluate_objective(instance, operative, damaged, solution.route_times, weights)

@@ -174,6 +174,14 @@ class Instance:
         }
 
     @cached_property
+    def _deficits_by_weight(self) -> list[tuple[int, int]]:
+        """``(id, deficit)`` of each station below its target, lowest weight first
+        and in station order among equal weights: the order in which
+        ``loading_bound`` places a shortfall. Cached as ``_lookup`` is."""
+        by_weight = sorted(self.stations, key=lambda s: s.weight)
+        return [(s.id, -s.imbalance) for s in by_weight if s.imbalance < 0]
+
+    @cached_property
     def _exact_sums(self) -> bool:
         """Whether floats add station-weighted imbalances exactly: integer weights
         and ``sum w * |imbalance|`` below 2**53. Cached as ``_lookup`` is."""

@@ -2,11 +2,12 @@
 
 Speed work on phase one and on ``build_model`` must not change one random
 draw, one ratio or one matrix entry. These pins hold the incumbent traces,
-the best routes and a digest of the loading program's arrays for the
-generated ``palma`` (28 stations) and ``wien`` (90 stations) instances of
-instance seed 1. Floats are pinned as ``float.hex()``, so any change in the
-last bit fails. After a change that alters results on purpose, regenerate
-the pins with ``python tests/test_golden.py`` and say why in the change.
+the best routes and digests of the loading program's arrays, dense and
+row-compressed, for the generated ``palma`` (28 stations) and ``wien`` (90
+stations) instances of instance seed 1. Floats are pinned as
+``float.hex()``, so any change in the last bit fails. After a change that
+alters results on purpose, regenerate the pins with ``python
+tests/test_golden.py`` and say why in the change.
 """
 
 from __future__ import annotations
@@ -58,6 +59,20 @@ def model_digest(instance) -> str:
             h.update(f"{name}{array.shape}".encode())
             h.update(array.tobytes())
         h.update(float(model.constant).hex().encode())
+    return h.hexdigest()
+
+
+def rows_digest(instance) -> str:
+    """SHA-256 over the row-compressed arrays of build_model, dtypes included.
+
+    ``model_digest`` hashes dense views, which cannot see the order of the
+    entries within a row; HiGHS takes the arrays as they are."""
+    h = hashlib.sha256()
+    for model in skeleton_models(instance):
+        for name in ("row_start", "row_index", "row_value"):
+            array = getattr(model, name)
+            h.update(f"{name}{array.dtype.str}{array.shape}".encode())
+            h.update(np.ascontiguousarray(array).tobytes())
     return h.hexdigest()
 
 
@@ -119,6 +134,9 @@ GOLDEN_RUNS = {('palma', 0): {'iteration_of_best': 2,
 GOLDEN_MODELS = {'palma': 'bf1b9d2459db198ab693c1d4303bf571a72e38c6096224d19f57514239f2413d',
  'wien': '37f98e1c1403f19ea1e95dddd981690882468383551a547ace24e9a1025dcc7d'}
 
+GOLDEN_ROWS = {'palma': 'fc0c00e509e43ee38900ece01569ececd1d86326d809b10c75feee0b5e8394e9',
+ 'wien': '896f1600aee3333d4bc09e96ddb3e9b67486dbccdd1170fdd951a125ca79a1ba'}
+
 
 @pytest.fixture(scope="module", params=["palma", "wien"])
 def family(request):
@@ -139,6 +157,9 @@ def test_build_model_matches_golden_digest(family, instance):
     assert model_digest(reweighted(instance)) == GOLDEN_MODELS[family]
 
 
+def test_build_model_matches_golden_rows(family, instance):
+    assert rows_digest(reweighted(instance)) == GOLDEN_ROWS[family]
+
 
 def test_build_model_writes_no_negative_zero(family, instance):
     # the digest hashes bytes, so a -0.0 for a 0.0 fails it without saying why
@@ -151,11 +172,15 @@ if __name__ == "__main__":
 
     runs = {}
     models = {}
+    rows = {}
     for fam in ("palma", "wien"):
         inst = _instance(fam)
         for s in MASTER_SEEDS:
             runs[fam, s] = run_record(inst, s)
         models[fam] = model_digest(reweighted(inst))
+        rows[fam] = rows_digest(reweighted(inst))
     print("GOLDEN_RUNS = " + pprint.pformat(runs, width=96, compact=True))
     print()
     print("GOLDEN_MODELS = " + pprint.pformat(models, width=96))
+    print()
+    print("GOLDEN_ROWS = " + pprint.pformat(rows, width=96))

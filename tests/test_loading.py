@@ -31,6 +31,7 @@ from ssbrp.model import (
     ObjectiveWeights,
     Route,
     empty_solution,
+    evaluate_objective,
     solution_from_plans,
     validate_solution,
 )
@@ -281,6 +282,32 @@ def test_check_assignment_checks_every_row():
     assert np.count_nonzero(model.a_eq @ kept_on_board != model.b_eq) == 1
     with pytest.raises(RuntimeError, match="equality"):
         loading._check_assignment(model, kept_on_board)
+
+
+def _hand_built(b_ub, b_eq):
+    """Two columns x, y in [0, 5] and five rows: x + y <= b_ub[0], an empty row
+    <= b_ub[1], y <= b_ub[2]; x - y = b_eq[0], and an empty row = b_eq[1] last."""
+    return LoadingModel(
+        (), [("x", 1, 1, 1), ("y", 1, 1, 1)], np.zeros(2), np.full(2, 5.0), np.zeros(2), 0.0,
+        np.array([0, 2, 2, 3, 5, 5], dtype=np.int32), np.array([0, 1, 1, 0, 1], dtype=np.int32),
+        np.array([1.0, 1.0, 1.0, 1.0, -1.0]), np.array(b_ub, dtype=float),
+        np.array(b_eq, dtype=float),
+    )
+
+
+def test_check_assignment_sums_empty_rows_to_zero():
+    # build_model makes no empty row, but the check holds on any model: an
+    # empty row sums to 0, not to the next row's first entry
+    model = _hand_built([3, 0, 2], [0, 0])
+    loading._check_assignment(model, np.array([1.0, 1.0]))
+    with pytest.raises(RuntimeError, match="inequality"):
+        loading._check_assignment(model, np.array([2.0, 2.0]))  # x + y = 4 > 3
+    with pytest.raises(RuntimeError, match="equality"):
+        loading._check_assignment(model, np.array([1.0, 0.0]))  # x - y = 1
+    with pytest.raises(RuntimeError, match="inequality"):
+        loading._check_assignment(_hand_built([3, -1, 2], [0, 0]), np.array([1.0, 1.0]))
+    with pytest.raises(RuntimeError, match="equality"):
+        loading._check_assignment(_hand_built([3, 0, 2], [0, 1]), np.array([1.0, 1.0]))
 
 
 def _assignment(model, entries):
@@ -1213,6 +1240,92 @@ def test_loading_bound_places_no_shortfall_unless_sums_are_exact(monkeypatch):
     # integer weights, but a weighted imbalance sum of 2**53
     inst, routes = _short_supply((1.0, 1.0, 2.0**52))
     assert loading_bound(inst, _oracle_solution(inst, routes)).imbalance == 0
+
+
+def _sorting_bound(instance, solution, weights=ObjectiveWeights()):
+    """``loading_bound`` as first written: ``min`` on every deficit visit, and a
+    shortfall placed by sorting every station by weight on each call."""
+    imbalance = {s.id: s.imbalance for s in instance.stations}
+    visited, useful, matched = set(), set(), 0
+    for route in solution.routes:
+        visited.update(route.visits)
+        pool, seen, waiting = 0, set(), []
+        for node in route.visits:
+            d = imbalance.get(node, 0)
+            if d > 0:
+                if node not in seen:
+                    seen.add(node)
+                    waiting.append(node)
+                    pool += d
+            elif d < 0:
+                take = min(pool, -d)
+                pool -= take
+                matched += take
+                useful.update(waiting)
+                waiting.clear()
+    visited.discard(DEPOT)
+    supply = instance.depot.operative + min(matched, sum(imbalance[s] for s in useful))
+    shortfall = -supply - sum(imbalance[n] for n in visited if imbalance[n] < 0)
+    operative = {s.id: s.operative for s in instance.stations}
+    damaged = {s.id: s.damaged for s in instance.stations}
+    for sid in visited:
+        operative[sid] = instance.station(sid).target
+        damaged[sid] = 0
+    if shortfall > 0 and instance._exact_sums:
+        deficits = sorted(
+            (s for s in instance.stations if s.id in visited and s.imbalance < 0),
+            key=lambda s: s.weight,
+        )
+        for s in deficits:
+            left = min(shortfall, -s.imbalance)
+            operative[s.id] -= left
+            shortfall -= left
+            if not shortfall:
+                break
+    return evaluate_objective(instance, operative, damaged, solution.route_times, weights)
+
+
+def _hex(breakdown):
+    return [getattr(breakdown, f).hex() for f in ("imbalance", "damaged", "time", "total")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bound_cases())
+def test_loading_bound_matches_the_sorting_bound(case):
+    inst, weights, seed = case
+    built = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed), weights)
+    assert _hex(loading_bound(inst, built, weights)) == _hex(_sorting_bound(inst, built, weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_short_supply_cases())
+def test_loading_bound_matches_the_sorting_bound_when_supply_binds(case):
+    inst, routes, weights = case
+    idle = [LoadingPlan(r.vehicle_id, ((0, 0),) * len(r.visits)) for r in routes]
+    built = solution_from_plans(inst, routes, idle, weights)
+    assert _hex(loading_bound(inst, built, weights)) == _hex(_sorting_bound(inst, built, weights))
+
+
+def test_loading_bound_splits_a_shortfall_in_station_order_among_equal_weights(monkeypatch):
+    # deficits 1 (weight 1), then 2 and 3 (weight 2) at stations 5 and 3, which
+    # come in that station order and the other visit order; stock 1 leaves a
+    # shortfall of 5: 1 at station 4, 2 at station 5 and the last 2 at station 3
+    stations = [(5, 10, 0, 0, 2, 2.0), (3, 10, 0, 0, 3, 2.0), (4, 10, 0, 0, 1, 1.0)]
+    inst = make_instance(stations, fleet=((1, 6),), stock=1)
+    routes = [Route(1, (0, 3, 4, 5, 0))]
+    optimum = _oracle_solution(inst, routes)
+    finals = []
+    real = loading.evaluate_objective
+
+    def spy(instance, operative, damaged, times, weights):
+        finals.append({sid: operative[sid] for sid in (5, 3, 4)})
+        return real(instance, operative, damaged, times, weights)
+
+    monkeypatch.setattr(loading, "evaluate_objective", spy)
+    bound = loading_bound(inst, optimum)
+    assert finals == [{5: 0, 3: 1, 4: 0}]
+    assert _hex(bound) == _hex(_sorting_bound(inst, optimum))
+    assert bound.total <= optimum.objective.total
 
 
 @st.composite
