@@ -19,7 +19,7 @@ from ssbrp import (
     construct_solution,
     validate_solution,
 )
-from ssbrp.construction import apply_visit, feasible_successors, select_next
+from ssbrp.construction import apply_visit, feasible_successors, route_context, select_next
 
 # three stations: 1 has three bikes too many, 2 is three short, 3 holds
 # two damaged bikes; a single vehicle with four lockers, two spares at depot
@@ -50,23 +50,28 @@ rng = np.random.default_rng(3)
 
 state = BuildState.fresh(instance)
 state.start_vehicle(vehicle)
+# what the scan reads that no step changes; build_route collects it once per route
+context = route_context(instance, state, vehicle, params)
 visits, moves = [0], [(0, 0)]
 
 for step in range(1, 4):
-    # each candidate move (node, beta, alpha) with its ratio, in station
-    # order, the depot last
-    ratios = feasible_successors(instance, state, visits[-1], vehicle, params)
-    if not ratios:
+    # the candidate moves (node, beta, alpha) in station order, the depot
+    # last, with their ratios in the same order and the top ratio
+    candidates = feasible_successors(
+        context, visits[-1], state.elapsed, state.onboard_operative, state.onboard_damaged,
+        state.min_free_lockers, state.depot_remaining, state.depot_room,
+    )
+    if not candidates:
         break
     print(f"step {step}: at node {visits[-1]}, elapsed {state.elapsed:g} min")
-    for (v, beta, alpha), ratio in ratios.items():
+    for (v, beta, alpha), ratio in zip(candidates, candidates.ratios):
         print(f"  node {v}: move ({beta} operative, {alpha} damaged)"
               f"  ratio {ratio:.4f}")
     # a fresh epsilon is drawn per choice; pin it here to make the cut visible
     epsilon = 0.8
-    cutoff = epsilon * max(ratios.values())
-    eligible = sorted(v for (v, _, _), r in ratios.items() if r >= cutoff)
-    v_star, beta, alpha = select_next(ratios, rng, epsilon=epsilon)
+    cutoff = epsilon * candidates.top
+    eligible = sorted(v for (v, _, _), r in zip(candidates, candidates.ratios) if r >= cutoff)
+    v_star, beta, alpha = select_next(candidates, rng, epsilon=epsilon)
     print(f"  epsilon {epsilon} keeps {eligible}, drew {v_star}")
     apply_visit(instance, state, vehicle, visits, moves, v_star, beta, alpha)
     print(f"  onboard now {state.onboard_operative} operative,"

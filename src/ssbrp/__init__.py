@@ -8,7 +8,6 @@ document serialization, and a benchmark CLI.
 
 from .construction import BuildState, ConstructionParams, construct_solution
 from .instances import (
-    DocumentError,
     Family,
     GeneratorConfig,
     generate_instance,
@@ -26,7 +25,7 @@ from .loading import (
     solve_exact,
 )
 from .model import (
-    DEPOT,
+    DEPOT,  # not in __all__; tests/oracle.py imports it from ssbrp
     Depot,
     Instance,
     LoadingPlan,
@@ -39,21 +38,17 @@ from .model import (
     Vehicle,
     check_instance,
     empty_solution,
-    evaluate_objective,
-    route_time,
     solution_from_plans,
     validate_solution,
 )
-from .search import RunConfig, RunReport, is_better, run
+from .search import RunConfig, RunReport, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BuildState",
     "ConstructionParams",
-    "DEPOT",
     "Depot",
-    "DocumentError",
     "Family",
     "GeneratorConfig",
     "Instance",
@@ -74,13 +69,10 @@ __all__ = [
     "check_instance",
     "construct_solution",
     "empty_solution",
-    "evaluate_objective",
     "generate_instance",
-    "is_better",
     "parse_instance",
     "parse_solution",
     "reoptimize_solution",
-    "route_time",
     "run",
     "solution_from_plans",
     "solve_exact",

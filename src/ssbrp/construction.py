@@ -49,10 +49,13 @@ class BuildState:
     """Mutable construction state shared across the fleet.
 
     Residuals and the remaining depot stock persist between routes; the
-    onboard/elapsed fields describe the vehicle currently being routed and
-    are reset by start_vehicle. ``depot_room`` is what the depot can still
-    take in of the bikes the routes remove from stations (every removed bike
-    ends there); None is unbounded. ``live`` holds the station-order indices
+    onboard, elapsed, lockers and last-depot fields describe one vehicle's
+    route and are reset by start_vehicle. build_route keeps a route's running
+    values in locals and writes these fields and the depot's stock and room
+    once, when the route closes; apply_visit writes them at every visit of a
+    walk by hand. ``depot_room`` is what the depot can still take in of the
+    bikes the routes remove from stations (every removed bike ends there);
+    None is unbounded. ``live`` holds the station-order indices
     of the stations the scan visits: ``fresh`` lists those with residual work
     left, and a visit drops a station once its work is done. A state
     built by hand passes its own list; it may also hold finished stations,
@@ -105,11 +108,57 @@ def _powers(theta: float, capacity: int) -> tuple[float, ...]:
     return tuple(n**theta for n in range(2 * capacity + 1))
 
 
+class Candidates(list):
+    """One scan step's moves ``(node, beta, alpha)``, in ``Instance.stations``
+    order with the depot last; ``ratios`` holds their ratios in the same
+    order and ``top`` the largest of them (0.0 when there is no move)."""
+
+    __slots__ = ("ratios", "top")
+
+
+def route_context(
+    instance: Instance, state: BuildState, vehicle: Vehicle, params: ConstructionParams
+) -> tuple:
+    """What feasible_successors reads that no step of a route changes: the
+    lookup tables, the time budget, the vehicle's capacity and ``n ** theta``
+    table, theta, mu, and the state's live list and residual dicts, which the
+    steps update in place."""
+    lookup = instance._lookup
+    k = vehicle.capacity
+    return (
+        lookup.rows,
+        lookup.ids,
+        lookup.back,
+        lookup.weight,
+        instance.time_budget,
+        k,
+        _powers(params.theta, k),
+        params.theta,
+        params.mu,
+        state.live,
+        state.residual_imbalance,
+        state.residual_damaged,
+    )
+
+
 def feasible_successors(
-    instance: Instance, state: BuildState, u: int, vehicle: Vehicle, params: ConstructionParams
-) -> dict[tuple[int, int, int], float]:
-    """Candidate next visits from u, as moves ``(node, beta, alpha)`` mapped
-    to their ratios.
+    context: tuple,
+    u: int,
+    elapsed: float,
+    onboard_op: int,
+    onboard_dam: int,
+    lockers: int,
+    stock: int,
+    room: int | None,
+) -> Candidates:
+    """Candidate next visits from node u, as the moves ``(node, beta,
+    alpha)`` with their ratios.
+
+    ``context`` is route_context's; the other arguments are the route's
+    running values: minutes elapsed, operative and damaged bikes on board,
+    the fewest lockers free since the last depot visit, the unclaimed depot
+    stock and the depot's room (None is unbounded). An unknown u raises
+    KeyError.
 
     A station qualifies if it is live, the route can visit it and return to
     the depot in time, and the vehicle can actually move at least one bike
@@ -131,36 +180,21 @@ def feasible_successors(
     fits the vehicle; a larger move, which only a hand-built state can
     yield, uses the same formula.
     """
-    lookup = instance._lookup
-    try:
-        row, t_u0 = lookup.rows[u]
-    except KeyError:
-        raise ValueError(f"unknown node id {u}") from None
-    budget = instance.time_budget
-    elapsed = state.elapsed
-    imbalance = state.residual_imbalance
-    damaged = state.residual_damaged
-    ids = lookup.ids
-    back = lookup.back
-    weight = lookup.weight
+    rows, ids, back, weight, budget, k, powered, theta, mu, live, imbalance, damaged = context
+    row, t_u0 = rows[u]
+    size = len(powered)
     # conditional expressions, not min()/max(): this runs for every live
     # station at every step, and the builtin calls would cost twice the rest
     # of the body. A finished station (imbalance 0, damaged <= 0) always gets
     # beta + alpha <= 0.
-    k = vehicle.capacity
-    theta = params.theta
-    powered = _powers(theta, k)
-    size = len(powered)
-    onboard_op = state.onboard_operative
-    onboard_dam = state.onboard_damaged
     free = k - onboard_op - onboard_dam
-    depot_room = state.depot_room
-    pick = free if depot_room is None or free < depot_room else depot_room
-    stock, lockers = state.depot_remaining, state.min_free_lockers
+    pick = free if room is None or free < room else room
     reach = onboard_op + (stock if stock < lockers else lockers)
     undamaged = k - onboard_dam
-    out: dict[tuple[int, int, int], float] = {}
-    for i in state.live:
+    out = Candidates()
+    out.ratios = ratios = []
+    top = 0.0
+    for i in live:
         v = ids[i]
         if v == u:
             continue
@@ -172,10 +206,10 @@ def feasible_successors(
         if d < 0:
             beta = reach if reach < -d else -d
             # free space after the delivery, never beyond the lockers damaged bikes leave open
-            room = pick + beta
-            if room > undamaged:
-                room = undamaged
-            alpha = room if room < avail_damaged else avail_damaged
+            space = pick + beta
+            if space > undamaged:
+                space = undamaged
+            alpha = space if space < avail_damaged else avail_damaged
         else:
             beta = pick if pick < d else d
             if beta < 0:
@@ -185,11 +219,20 @@ def feasible_successors(
         if n > 0:
             w = weight[i]
             if t and w:
-                out[v, beta, alpha] = (powered[n] if n < size else n**theta) / t * w
+                r = (powered[n] if n < size else n**theta) / t * w
             else:
-                out[v, beta, alpha] = math.inf if t == 0 else 0.0
+                r = math.inf if t == 0 else 0.0
+            out.append((v, beta, alpha))
+            ratios.append(r)
+            if r > top:
+                top = r
     if u != DEPOT and onboard_dam > 0 and elapsed + t_u0 <= budget:
-        out[DEPOT, 0, 0] = math.inf if t_u0 == 0 else params.mu * onboard_dam / t_u0
+        r = math.inf if t_u0 == 0 else mu * onboard_dam / t_u0
+        out.append((DEPOT, 0, 0))
+        ratios.append(r)
+        if r > top:
+            top = r
+    out.top = top
     return out
 
 
@@ -258,28 +301,30 @@ class _Draws:
 
 
 def select_next(
-    ratios: dict[tuple[int, int, int], float],
+    candidates: Candidates,
     rng: np.random.Generator | _Draws,
     epsilon: float | None = None,
 ) -> tuple[int, int, int]:
-    """Uniform draw among candidates whose ratio reaches epsilon * max ratio.
+    """Uniform draw among the candidate moves whose ratio reaches epsilon
+    times the top ratio.
 
     ``rng`` is a Generator, or the ``_Draws`` that construct_solution reads
     off a PCG64 Generator; both give the same draws."""
-    if not ratios:
+    if not candidates:
         raise ValueError("no candidates to select from")
     if epsilon is None:
         # the same draw as rng.uniform(), which returns 0 + 1 * random()
         epsilon = rng.random()
-    rho_max = max(ratios.values())
+    top = candidates.top
     # ratios are >= 0, so an infinite cut keeps exactly the infinite ratios
     # (and never forms 0 * inf = nan)
-    cut = rho_max if math.isinf(rho_max) else epsilon * rho_max
-    eligible = [v for v, r in ratios.items() if r >= cut]
+    cut = top if top == math.inf else epsilon * top
+    eligible = [move for move, r in zip(candidates, candidates.ratios) if r >= cut]
     if len(eligible) == 1:
         # rng.integers(1) draws no bits, so skipping it leaves the stream as it was
         return eligible[0]
-    return eligible[int(rng.integers(len(eligible)))]
+    # a Generator's integers() is a NumPy integer, which indexes a list as is
+    return eligible[rng.integers(len(eligible))]
 
 
 def apply_visit(
@@ -347,12 +392,16 @@ def build_route(
 ) -> tuple[Route, LoadingPlan]:
     """Grow one route from the depot until no candidate remains, then close it.
 
-    The route's running quantities are kept in locals, and each drawn move is
-    applied here with apply_visit's arithmetic in its order, and its checks;
-    the fields that feasible_successors reads go back to ``state`` before
-    each scan. The residual dicts and the live list are updated in place."""
+    The route's running values are kept in locals and passed to
+    feasible_successors with the route's context, which is collected once.
+    Each drawn move is applied here with apply_visit's arithmetic in its
+    order, and its checks. The residual dicts and the live list are updated
+    in place; the onboard, elapsed, lockers and depot fields of ``state``
+    are written once, as the route closes, and not at all when a check
+    raises."""
     state.start_vehicle(vehicle)
     k = vehicle.capacity
+    context = route_context(instance, state, vehicle, params)
     lookup = instance._lookup
     rows, position = lookup.rows, lookup.position
     imbalance, damaged, live = state.residual_imbalance, state.residual_damaged, state.live
@@ -365,7 +414,9 @@ def build_route(
     visits: list[int] = [DEPOT]
     moves: list[tuple[int, int]] = [(0, 0)]
     while True:
-        candidates = feasible_successors(instance, state, u, vehicle, params)
+        candidates = feasible_successors(
+            context, u, elapsed, onboard_op, onboard_dam, lockers, stock, room
+        )
         if not candidates:
             break
         v, beta, alpha = select_next(candidates, rng)
@@ -411,12 +462,9 @@ def build_route(
             if stock < 0 or lockers < 0:
                 raise ValueError(f"visit to {v}: depot stock or free lockers below zero")
         u = v
-        state.elapsed = elapsed
-        state.onboard_operative = onboard_op
-        state.onboard_damaged = onboard_dam
-        state.min_free_lockers = lockers
-        state.depot_remaining = stock
-        state.depot_room = room
+    state.min_free_lockers = lockers
+    state.depot_remaining = stock
+    state.depot_room = room
     state.last_depot_index = last_depot
     if len(visits) == 1:
         # never left the depot: an unused vehicle

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 from hypothesis import strategies as st
 
+from ssbrp.construction import Candidates
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.model import Depot, Instance, Station, TravelMatrix, Vehicle
 
@@ -22,6 +23,15 @@ def fleet_mixed(seed):
     )
     fleet = tuple(Vehicle(i, k) for i, k in enumerate((5, 7, 9, 11, 13, 17), start=1))
     return dataclasses.replace(generated, fleet=fleet)
+
+
+def as_candidates(ratios):
+    """A scan result for select_next: the keys of ``ratios`` as the moves, its
+    values as their ratios, and the largest value as the top ratio."""
+    out = Candidates(ratios)
+    out.ratios = list(ratios.values())
+    out.top = max(out.ratios)
+    return out
 
 
 def make_instance(

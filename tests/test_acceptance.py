@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import make_instance
+from conftest import as_candidates, make_instance
 from ssbrp.cli import SWEEP_COLUMNS, main
 from ssbrp.construction import ConstructionParams, construct_solution, select_next
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
@@ -241,8 +241,9 @@ def test_criterion_7_scale_smoke():
 def test_criterion_8_selection_statistics():
     rng = np.random.default_rng(123)
     counts = {"a": 0, "b": 0, "c": 0}
+    three = as_candidates({"a": 10.0, "b": 6.0, "c": 2.0})
     for _ in range(10_000):
-        counts[select_next({"a": 10.0, "b": 6.0, "c": 2.0}, rng, epsilon=0.5)] += 1
+        counts[select_next(three, rng, epsilon=0.5)] += 1
     shares = {k: v / 10_000 for k, v in counts.items()}
     split_ok = (
         abs(shares["a"] - 0.5) <= 0.02
@@ -251,8 +252,9 @@ def test_criterion_8_selection_statistics():
     )
 
     uniform_counts = {"a": 0, "b": 0, "c": 0}
+    tied = as_candidates({"a": 3.0, "b": 3.0, "c": 3.0})
     for _ in range(10_000):
-        uniform_counts[select_next({"a": 3.0, "b": 3.0, "c": 3.0}, rng)] += 1
+        uniform_counts[select_next(tied, rng)] += 1
     p_value = stats.chisquare(list(uniform_counts.values())).pvalue
     uniform_ok = p_value > 0.01
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import as_candidates, make_instance
 from ssbrp import construction
 from ssbrp.construction import (
     BuildState,
@@ -15,6 +15,7 @@ from ssbrp.construction import (
     build_route,
     construct_solution,
     feasible_successors,
+    route_context,
     select_next,
 )
 from ssbrp.model import (
@@ -44,6 +45,21 @@ def test_params_validated():
             ConstructionParams(mu=mu)
 
 
+def _scan(instance, state, u, vehicle, params):
+    """feasible_successors at node u, given the route context and the
+    running values that ``state`` holds."""
+    return feasible_successors(
+        route_context(instance, state, vehicle, params),
+        u,
+        state.elapsed,
+        state.onboard_operative,
+        state.onboard_damaged,
+        state.min_free_lockers,
+        state.depot_remaining,
+        state.depot_room,
+    )
+
+
 def _move(station, capacity, stock, **vehicle_fields):
     """The move feasible_successors offers at the only station of a
     one-station instance, from the depot; (0, 0) when it offers none."""
@@ -53,7 +69,7 @@ def _move(station, capacity, stock, **vehicle_fields):
     state = BuildState({s.id: s.imbalance}, {s.id: s.damaged}, stock, [0])
     for key, value in vehicle_fields.items():
         setattr(state, key, value)
-    successors = feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams())
+    successors = _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams())
     moves = [(beta, alpha) for v, beta, alpha in successors if v == s.id]
     assert len(moves) == len(successors) <= 1
     return moves[0] if moves else (0, 0)
@@ -91,15 +107,15 @@ def test_feasible_successors_time_window():
     state = BuildState.fresh(inst)
     params = ConstructionParams()
     state.elapsed = 180.0
-    assert list(feasible_successors(inst, state, DEPOT, inst.fleet[0], params)) == [(1, 2, 0)]
+    assert _scan(inst, state, DEPOT, inst.fleet[0], params) == [(1, 2, 0)]
     state.elapsed = 190.0
-    assert feasible_successors(inst, state, DEPOT, inst.fleet[0], params) == {}
+    assert _scan(inst, state, DEPOT, inst.fleet[0], params) == []
 
 
 def test_feasible_successors_nothing_to_do():
     inst = make_instance([(1, 10, 5, 0, 5), (2, 10, 3, 0, 3)])
     state = BuildState.fresh(inst)
-    assert feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams()) == {}
+    assert _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams()) == []
 
 
 def test_feasible_successors_depot_only_with_damaged_on_board():
@@ -107,10 +123,10 @@ def test_feasible_successors_depot_only_with_damaged_on_board():
     state = BuildState.fresh(inst)
     params = ConstructionParams()
     state.onboard_damaged = 2
-    successors = feasible_successors(inst, state, 1, inst.fleet[0], params)
-    assert list(successors) == [(DEPOT, 0, 0)]
+    successors = _scan(inst, state, 1, inst.fleet[0], params)
+    assert successors == [(DEPOT, 0, 0)]
     state.onboard_damaged = 0
-    assert feasible_successors(inst, state, 1, inst.fleet[0], params) == {}
+    assert _scan(inst, state, 1, inst.fleet[0], params) == []
 
 
 def test_feasible_successors_drops_immovable_stations():
@@ -118,7 +134,7 @@ def test_feasible_successors_drops_immovable_stations():
     inst = make_instance([(1, 10, 8, 0, 2)], fleet=((1, 4),))
     state = BuildState.fresh(inst)
     state.onboard_operative = 4
-    assert feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams()) == {}
+    assert _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams()) == []
 
 
 def test_feasible_successors_score_examples():
@@ -129,13 +145,16 @@ def test_feasible_successors_score_examples():
     )
     state = BuildState.fresh(inst)
     vehicle = inst.fleet[0]
-    ratios = feasible_successors(inst, state, DEPOT, vehicle, ConstructionParams(0.5, 1.5))
-    assert ratios == {(1, 3, 1): 1.0, (2, 4, 5): 1.0}
-    ratios = feasible_successors(inst, state, DEPOT, vehicle, ConstructionParams(1.0, 1.5))
-    assert ratios == {(1, 3, 1): 2.0, (2, 4, 5): 3.0}
+    got = _scan(inst, state, DEPOT, vehicle, ConstructionParams(0.5, 1.5))
+    assert got == [(1, 3, 1), (2, 4, 5)]
+    assert (got.ratios, got.top) == ([1.0, 1.0], 1.0)
+    got = _scan(inst, state, DEPOT, vehicle, ConstructionParams(1.0, 1.5))
+    assert got == [(1, 3, 1), (2, 4, 5)]
+    assert (got.ratios, got.top) == ([2.0, 3.0], 3.0)
     state.onboard_damaged = 4
-    ratios = feasible_successors(inst, state, 1, vehicle, ConstructionParams(0.5, 1.5))
-    assert ratios[DEPOT, 0, 0] == 3.0
+    got = _scan(inst, state, 1, vehicle, ConstructionParams(0.5, 1.5))
+    assert got[-1] == (DEPOT, 0, 0)
+    assert got.ratios[-1] == 3.0
 
 
 def test_feasible_successors_keep_station_order():
@@ -143,11 +162,12 @@ def test_feasible_successors_keep_station_order():
     # a hand-built state whose dict keys run against station order
     state = BuildState({3: -3, 2: 6, 1: 2}, {3: 0, 2: 0, 1: 0}, 0, [0, 1, 2])
     state.onboard_damaged = 1
-    ratios = feasible_successors(inst, state, 1, inst.fleet[0], ConstructionParams())
-    assert [v for v, _, _ in ratios] == [2, DEPOT]
+    got = _scan(inst, state, 1, inst.fleet[0], ConstructionParams())
+    assert [v for v, _, _ in got] == [2, DEPOT]
     state.onboard_operative = 3
-    ratios = feasible_successors(inst, state, 1, inst.fleet[0], ConstructionParams())
-    assert [v for v, _, _ in ratios] == [2, 3, DEPOT]
+    got = _scan(inst, state, 1, inst.fleet[0], ConstructionParams())
+    assert [v for v, _, _ in got] == [2, 3, DEPOT]
+    assert len(got.ratios) == 3
 
 
 def test_feasible_successors_score_moves_beyond_the_table():
@@ -160,9 +180,11 @@ def test_feasible_successors_score_moves_beyond_the_table():
     params = ConstructionParams(0.5, 1.5)
     state = BuildState.fresh(inst)
     state.onboard_operative = -2
-    assert feasible_successors(inst, state, DEPOT, inst.fleet[0], params) == {(1, 4, 0): 0.5}
+    got = _scan(inst, state, DEPOT, inst.fleet[0], params)
+    assert (got, got.ratios, got.top) == ([(1, 4, 0)], [0.5], 0.5)
     state.onboard_operative = -14
-    assert feasible_successors(inst, state, DEPOT, inst.fleet[0], params) == {(1, 9, 7): 1.0}
+    got = _scan(inst, state, DEPOT, inst.fleet[0], params)
+    assert (got, got.ratios, got.top) == ([(1, 9, 7)], [1.0], 1.0)
 
 
 def test_feasible_successors_score_zero_travel_dominates():
@@ -170,12 +192,12 @@ def test_feasible_successors_score_zero_travel_dominates():
         [(1, 10, 7, 0, 5)], travel=np.array([[0.0, 0.0], [0.0, 0.0]])
     )
     state = BuildState.fresh(inst)
-    ratios = feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams())
-    assert list(ratios) == [(1, 2, 0)]
-    ratio = ratios[1, 2, 0]
-    assert math.isinf(ratio)
+    got = _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams())
+    assert got == [(1, 2, 0)]
+    ratio = got.ratios[0]
+    assert math.isinf(ratio) and got.top == ratio
     rng = np.random.default_rng(0)
-    assert select_next({(1, 2, 0): ratio, (2, 1, 0): 5.0}, rng) == (1, 2, 0)
+    assert select_next(as_candidates({(1, 2, 0): ratio, (2, 1, 0): 5.0}), rng) == (1, 2, 0)
 
 
 def test_zero_weight_scores_zero_even_when_the_quotient_overflows():
@@ -187,8 +209,8 @@ def test_zero_weight_scores_zero_even_when_the_quotient_overflows():
     )
     state = BuildState.fresh(inst)
     params = ConstructionParams()
-    ratios = feasible_successors(inst, state, DEPOT, inst.fleet[0], params)
-    assert ratios == {(1, 2, 0): 0.0, (2, 2, 0): math.inf}
+    got = _scan(inst, state, DEPOT, inst.fleet[0], params)
+    assert (got, got.ratios, got.top) == ([(1, 2, 0), (2, 2, 0)], [0.0, math.inf], math.inf)
     for seed in range(10):
         sol = construct_solution(inst, params, np.random.default_rng(seed))
         assert validate_solution(inst, sol.routes, sol.plans) == []
@@ -204,14 +226,15 @@ def test_zero_travel_time_wins_over_zero_weight():
         ),
     )
     state = BuildState.fresh(inst)
-    ratios = feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams(1.0))
-    assert ratios == {(1, 2, 0): math.inf, (2, 2, 0): 0.0, (3, 2, 0): 0.5}
-    assert select_next(ratios, np.random.default_rng(0)) == (1, 2, 0)
+    got = _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams(1.0))
+    assert got == [(1, 2, 0), (2, 2, 0), (3, 2, 0)]
+    assert (got.ratios, got.top) == ([math.inf, 0.0, 0.5], math.inf)
+    assert select_next(got, np.random.default_rng(0)) == (1, 2, 0)
 
 
 def test_select_next_singleton():
     rng = np.random.default_rng(0)
-    assert select_next({7: 0.25}, rng) == 7
+    assert select_next(as_candidates({7: 0.25}), rng) == 7
 
 
 def test_a_single_eligible_candidate_draws_nothing():
@@ -226,23 +249,25 @@ def test_a_single_eligible_candidate_draws_nothing():
         def integers(self, n):
             raise AssertionError(f"drew among {n}")
 
-    assert select_next({"a": 10.0, "b": 1.0}, NoDraw(), epsilon=0.5) == "a"
-    assert select_next({"a": math.inf, "b": 1.0}, NoDraw(), epsilon=0.0) == "a"
+    assert select_next(as_candidates({"a": 10.0, "b": 1.0}), NoDraw(), epsilon=0.5) == "a"
+    assert select_next(as_candidates({"a": math.inf, "b": 1.0}), NoDraw(), epsilon=0.0) == "a"
 
 
 def test_select_next_respects_forced_epsilon():
     rng = np.random.default_rng(1)
     seen = set()
+    three = as_candidates({"a": 10.0, "b": 6.0, "c": 2.0})
     for _ in range(200):
-        seen.add(select_next({"a": 10.0, "b": 6.0, "c": 2.0}, rng, epsilon=0.5))
+        seen.add(select_next(three, rng, epsilon=0.5))
     assert seen == {"a", "b"}
 
 
 def test_select_next_argmax_always_eligible():
     rng = np.random.default_rng(2)
     seen = set()
+    two = as_candidates({"a": 10.0, "b": 1.0})
     for _ in range(400):
-        seen.add(select_next({"a": 10.0, "b": 1.0}, rng))
+        seen.add(select_next(two, rng))
     assert "a" in seen
 
 
@@ -367,7 +392,9 @@ def test_build_route_rejects_a_move_feasible_successors_would_not_offer(
 ):
     # build_route applies each move itself and keeps apply_visit's checks
     inst = make_instance([station], fleet=((1, 4),))
-    monkeypatch.setattr(construction, "feasible_successors", lambda *args: {(1, 5, 0): 1.0})
+    monkeypatch.setattr(
+        construction, "feasible_successors", lambda *args: as_candidates({(1, 5, 0): 1.0})
+    )
     with pytest.raises(ValueError, match=message):
         build_route(
             inst, BuildState.fresh(inst), inst.fleet[0], ConstructionParams(),
@@ -478,9 +505,9 @@ def test_ratio_monotone_in_moved_bikes():
     for beta in (1, 2, 5, 8):
         # free lockers cap the pickup at beta
         state.onboard_operative = 8 - beta
-        ratios = feasible_successors(inst, state, DEPOT, inst.fleet[0], params)
-        assert list(ratios) == [(1, beta, 0)]
-        values.extend(ratios.values())
+        got = _scan(inst, state, DEPOT, inst.fleet[0], params)
+        assert got == [(1, beta, 0)]
+        values.extend(got.ratios)
     assert values == sorted(values)
 
 
@@ -592,7 +619,9 @@ def _phase_one_cases(draw):
         residual_damaged={sid: draw(st.integers(-1, 6)) for sid in draw(st.permutations(ids))},
         depot_remaining=draw(st.integers(0, 10)),
         live=list(range(len(ids))),
-        onboard_operative=draw(st.integers(0, 12)),
+        # a negative load, which only a hand-built state holds, moves more
+        # than the n ** theta table covers
+        onboard_operative=draw(st.integers(-14, 12)),
         onboard_damaged=draw(st.integers(0, 12)),
         elapsed=draw(st.sampled_from([0.0, 3.5, 10.0, 25.25])),
         min_free_lockers=draw(st.integers(0, 12)),
@@ -610,13 +639,14 @@ def _phase_one_cases(draw):
 @given(_phase_one_cases())
 def test_phase_one_matches_reference_loop(case):
     instance, state, vehicle, params, u = case
-    got = feasible_successors(instance, state, u, vehicle, params)
-    want = {
-        (v, beta, alpha): _reference_ratio(instance, state, params, u, v, beta, alpha)
-        for v, (beta, alpha) in _reference_successors(instance, state, u, vehicle).items()
-    }
-    assert got == want
-    assert list(got) == list(want)  # the same key order
+    got = _scan(instance, state, u, vehicle, params)
+    successors = _reference_successors(instance, state, u, vehicle)
+    want = [(v, beta, alpha) for v, (beta, alpha) in successors.items()]
+    assert got == want  # the same moves in the same order
+    assert [r.hex() for r in got.ratios] == [
+        _reference_ratio(instance, state, params, u, *move).hex() for move in want
+    ]
+    assert got.top.hex() == max(got.ratios, default=0.0).hex()
 
 
 def test_phase_one_rejects_unknown_nodes():
@@ -624,8 +654,8 @@ def test_phase_one_rejects_unknown_nodes():
     state = BuildState.fresh(inst)
     vehicle = Vehicle(1, 20)
     state.start_vehicle(vehicle)
-    with pytest.raises(ValueError, match="unknown node id 9"):
-        feasible_successors(inst, state, 9, vehicle, ConstructionParams())
+    with pytest.raises(KeyError, match="9"):
+        _scan(inst, state, 9, vehicle, ConstructionParams())
 
 
 # --- reference equivalence: the whole construction -----------------------------
@@ -646,7 +676,8 @@ def _reference_construction(instance, params, rng, state):
                 (v, beta, alpha): _reference_ratio(instance, state, params, u, v, beta, alpha)
                 for v, (beta, alpha) in candidates.items()
             }
-            apply_visit(instance, state, vehicle, visits, moves, *select_next(ratios, rng))
+            move = select_next(as_candidates(ratios), rng)
+            apply_visit(instance, state, vehicle, visits, moves, *move)
         if len(visits) == 1:
             routes.append(Route(vehicle.id))
             plans.append(LoadingPlan(vehicle.id))
@@ -772,7 +803,7 @@ def test_construction_moves_twice_the_capacity():
     inst = make_instance([(1, 20, 2, 6, 10), (2, 20, 9, 0, 5)], fleet=((1, 3), (2, 2)), stock=5)
     state = BuildState.fresh(inst)
     state.start_vehicle(inst.fleet[0])
-    successors = feasible_successors(inst, state, DEPOT, inst.fleet[0], ConstructionParams())
+    successors = _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams())
     assert [key for key in successors if key[0] == 1] == [(1, 3, 3)]
     for seed in range(20):
         _check_construction(inst, ConstructionParams(), seed, [2, 1])

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the current public API, and
-the README's table of entry points names that API."""
+"""Every demo script runs to completion against the current public API, the
+construction walkthrough prints what it printed when it was pinned, and the
+README's table of entry points names that API."""
 
 import inspect
 import re
@@ -22,6 +23,45 @@ def test_demos_are_found():
 def test_demo_runs_cleanly(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+# the stdout of demos/02_construction_walkthrough.py: each step's candidates,
+# ratios, epsilon cut and draw, then the full construction
+WALKTHROUGH = """\
+step 1: at node 0, elapsed 0 min
+  node 1: move (3 operative, 0 damaged)  ratio 0.1732
+  node 2: move (2 operative, 0 damaged)  ratio 0.1414
+  node 3: move (0 operative, 2 damaged)  ratio 0.2828
+  epsilon 0.8 keeps [3], drew 3
+  onboard now 0 operative, 2 damaged
+
+step 2: at node 3, elapsed 5 min
+  node 1: move (2 operative, 0 damaged)  ratio 0.1414
+  node 2: move (2 operative, 0 damaged)  ratio 0.1414
+  node 0: move (0 operative, 0 damaged)  ratio 0.6000
+  epsilon 0.8 keeps [0], drew 0
+  onboard now 0 operative, 0 damaged
+
+step 3: at node 0, elapsed 10 min
+  node 1: move (3 operative, 0 damaged)  ratio 0.1732
+  node 2: move (2 operative, 0 damaged)  ratio 0.1414
+  epsilon 0.8 keeps [1, 2], drew 2
+  onboard now 0 operative, 0 damaged
+
+partial route after manual steps: [0, 3, 0, 2]  moves [(0, 0), (0, 2), (2, -2), (-2, 0)]
+depot stock left unclaimed: 0
+
+full construction, vehicle 1: (0, 1, 2, 3, 0)
+  moves ((0, 0), (3, 0), (-3, 0), (0, 2), (0, -2))
+objective  total=0.350000  imbalance=0.000000  damaged=0.000000  time=0.350000
+final operative inventories: {1: 5, 2: 5, 3: 5}
+final damaged inventories:   {1: 0, 2: 0, 3: 0}
+"""
+
+
+def test_construction_walkthrough_output_is_pinned(capsys):
+    runpy.run_path(str(ROOT / "demos" / "02_construction_walkthrough.py"), run_name="__main__")
+    assert capsys.readouterr().out == WALKTHROUGH
 
 
 def _api_table():
