@@ -3,8 +3,8 @@
 Phase two takes routes as given and treats only the per-visit moves as
 decisions: an integer program with one operative and one damaged variable
 per visit, solved by LP-based branch-and-bound. This script builds the
-program for a single route, prints it, solves it, and cross-checks the
-result against an exhaustive enumeration.
+program for a single route, prints it, solves it, and certifies the
+result with a lower bound that no plan over the route can beat.
 """
 
 import numpy as np
@@ -18,12 +18,12 @@ from ssbrp import (
     Station,
     TravelMatrix,
     Vehicle,
-    brute_force_loading,
     build_model,
     reoptimize_solution,
     solution_from_plans,
     solve_exact,
 )
+from ssbrp.loading import loading_bound
 
 # station 1 needs two bikes, station 2 has two too many, station 3 holds one
 # damaged bike; the route visits the deficit FIRST, so only a depot pickup
@@ -60,15 +60,17 @@ print(f"\noptimal residual count: {result.objective_value:g}")
 for node, move in zip(route.visits, plan.moves):
     print(f"  node {node}: move {move}")
 
-# the exhaustive oracle explores every integral choice move by move
-oracle = brute_force_loading(instance, (route,))
-assert oracle.objective_value == result.objective_value
-print("\nexhaustive enumeration agrees")
+# loading_bound: no plan over the route scores below it, so a plan that
+# reaches it is optimal; run() certifies constructed plans the same way
+weights = ObjectiveWeights()
+solved = solution_from_plans(instance, [route], result.plans, weights)
+bound = loading_bound(instance, solved, weights)
+assert bound.total == solved.objective.total
+print(f"\nsolved total {solved.objective.total:.4f} equals its lower bound {bound.total:.4f}")
 
 # reoptimize_solution applies the same program to a whole solution: here the
 # same route with a deliberately myopic plan that ignored the depot stock
 myopic = LoadingPlan(1, ((0, 0), (0, 0), (0, 1), (2, 0), (-2, -1)))
-weights = ObjectiveWeights()
 before = solution_from_plans(instance, [route], [myopic], weights)
 after = reoptimize_solution(instance, before, weights)
 print(f"\nmyopic plan:     imbalance {before.objective.imbalance:.4f}"

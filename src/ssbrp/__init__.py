@@ -19,7 +19,6 @@ from .instances import (
 from .loading import (
     LoadingModel,
     LoadingVariables,
-    brute_force_loading,
     build_model,
     reoptimize_solution,
     solve_exact,
@@ -64,7 +63,6 @@ __all__ = [
     "Station",
     "TravelMatrix",
     "Vehicle",
-    "brute_force_loading",
     "build_model",
     "check_instance",
     "construct_solution",

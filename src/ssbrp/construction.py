@@ -48,19 +48,19 @@ class ConstructionParams:
 class BuildState:
     """Mutable construction state shared across the fleet.
 
-    Residuals and the remaining depot stock persist between routes; the
-    onboard, elapsed, lockers and last-depot fields describe one vehicle's
-    route and are reset by start_vehicle. build_route keeps a route's running
-    values in locals and writes these fields and the depot's stock and room
-    once, when the route closes; apply_visit writes them at every visit of a
-    walk by hand. ``depot_room`` is what the depot can still take in of the
+    Residuals and the remaining depot stock persist between routes. The
+    onboard, elapsed, lockers and last-depot fields belong to a walk by hand:
+    start_vehicle resets them and apply_visit writes them at every visit.
+    build_route keeps a route's running values in locals, writes the depot's
+    stock and room once, when the route closes, and leaves those five fields
+    as they were. ``depot_room`` is what the depot can still take in of the
     bikes the routes remove from stations (every removed bike ends there);
     None is unbounded. ``live`` holds the station-order indices
     of the stations the scan visits: ``fresh`` lists those with residual work
     left, and a visit drops a station once its work is done. A state
     built by hand passes its own list; it may also hold finished stations,
     which never become candidates. ``route_times`` holds each routed
-    vehicle's ``elapsed``, recorded as build_route closes its route.
+    vehicle's route time, recorded as build_route closes its route.
     """
 
     residual_imbalance: dict[int, int]
@@ -396,10 +396,10 @@ def build_route(
     feasible_successors with the route's context, which is collected once.
     Each drawn move is applied here with apply_visit's arithmetic in its
     order, and its checks. The residual dicts and the live list are updated
-    in place; the onboard, elapsed, lockers and depot fields of ``state``
-    are written once, as the route closes, and not at all when a check
-    raises."""
-    state.start_vehicle(vehicle)
+    in place; the depot's stock and room and the route's time are written
+    once, as the route closes, and not at all when a check raises. The
+    onboard, elapsed, lockers and last-depot fields of ``state`` belong to
+    a walk by hand with apply_visit; build_route leaves them as they were."""
     k = vehicle.capacity
     context = route_context(instance, state, vehicle, params)
     lookup = instance._lookup
@@ -462,10 +462,8 @@ def build_route(
             if stock < 0 or lockers < 0:
                 raise ValueError(f"visit to {v}: depot stock or free lockers below zero")
         u = v
-    state.min_free_lockers = lockers
     state.depot_remaining = stock
     state.depot_room = room
-    state.last_depot_index = last_depot
     if len(visits) == 1:
         # never left the depot: an unused vehicle
         state.route_times[vehicle.id] = 0.0
@@ -477,9 +475,6 @@ def build_route(
         elapsed += rows[u][1]
         visits.append(DEPOT)
         moves.append((-onboard_op, -onboard_dam))
-    state.elapsed = elapsed
-    state.onboard_operative = 0
-    state.onboard_damaged = 0
     state.route_times[vehicle.id] = elapsed
     return Route(vehicle.id, tuple(visits)), LoadingPlan(vehicle.id, tuple(moves))
 

@@ -6,8 +6,7 @@ allotment w0 per vehicle. The objective counts the residual station
 imbalance and the damaged bikes left uncollected, each times its
 station's weight and its gamma (``gamma_d`` or ``gamma_a``). The program
 is solved exactly by depth-first branch-and-bound with LP-relaxation
-bounds; an independent brute-force enumerator over the same constraint
-semantics serves as a verification oracle for small cases.
+bounds.
 """
 
 from __future__ import annotations
@@ -537,127 +536,6 @@ def _check_assignment(model: LoadingModel, values: np.ndarray) -> None:
         raise RuntimeError("rounded assignment violates an inequality")
     if np.any(np.abs(lhs[n_ub:] - model.b_eq) > 1e-6):
         raise RuntimeError("rounded assignment violates an equality")
-
-
-_GUARD_VISITS = 12
-_GUARD_CAPACITY = 6
-_GUARD_RESIDUAL = 6
-
-
-def brute_force_loading(
-    instance: Instance,
-    routes: Sequence[Route],
-    weights: ObjectiveWeights = ObjectiveWeights(),
-) -> LoadingVariables:
-    """Exhaustively enumerate feasible loadings; oracle for solve_exact.
-
-    Shares only the route check with the matrix model: simulates vehicle
-    and station state move by move and explores every integral choice.
-    Guard rails keep the search space small; breaching them raises
-    ValueError.
-    """
-    routes = tuple(routes)
-    for faults in _route_faults(instance, routes):
-        if faults:
-            raise ValueError(faults[0])
-    capacity = {v.id: v.capacity for v in instance.fleet}
-    total_visits = sum(len(route.visits) for route in routes)
-    if total_visits > _GUARD_VISITS:
-        raise ValueError(f"guard rail: {total_visits} visits exceed {_GUARD_VISITS}")
-    for route in routes:
-        if route.visits and capacity[route.vehicle_id] > _GUARD_CAPACITY:
-            raise ValueError(f"guard rail: vehicle capacity exceeds {_GUARD_CAPACITY}")
-    for s in instance.stations:
-        if abs(s.imbalance) > _GUARD_RESIDUAL or s.damaged > _GUARD_RESIDUAL:
-            raise ValueError(f"guard rail: station {s.id} residuals exceed {_GUARD_RESIDUAL}")
-
-    rem_imb = {s.id: s.imbalance for s in instance.stations}
-    rem_dam = {s.id: s.damaged for s in instance.stations}
-    stock = instance.depot.operative
-    best = {"val": math.inf, "moves": None}
-    moves_now: list[list[tuple[int, int]]] = [[] for _ in routes]
-
-    def leaf_value() -> float:
-        total = 0.0
-        for s in instance.stations:
-            total += s.weight * (
-                weights.gamma_d * abs(rem_imb[s.id]) + weights.gamma_a * rem_dam[s.id]
-            )
-        return total
-
-    def occupancy_ok() -> bool:
-        removed = 0
-        for s in instance.stations:
-            p_hat = s.target + rem_imb[s.id]
-            if p_hat + rem_dam[s.id] > s.capacity:
-                return False
-            removed += s.operative - p_hat + s.damaged - rem_dam[s.id]
-        depot_capacity = instance.depot.capacity
-        return depot_capacity is None or instance.depot.operative + removed <= depot_capacity
-
-    def visit(si: int, vi: int, op: int, dam: int, take_run: int, take_peak: int) -> None:
-        nonlocal stock
-        if si == len(routes):
-            if occupancy_ok():
-                val = leaf_value()
-                if val < best["val"] - 1e-12:
-                    best["val"] = val
-                    best["moves"] = [tuple(seq) for seq in moves_now]
-            return
-        route = routes[si]
-        if vi == len(route.visits):
-            # the route draws the largest running depot take from the stock
-            claimed = max(0, take_peak)
-            if claimed <= stock:
-                stock -= claimed
-                visit(si + 1, 0, 0, 0, 0, 0)
-                stock += claimed
-            return
-        node = route.visits[vi]
-        k = capacity[route.vehicle_id]
-        last = vi == len(route.visits) - 1
-        if node == DEPOT:
-            y = -dam  # every damaged bike on board is dropped here
-            if last:
-                x_choices = [-op]
-            else:
-                x_choices = range(-op, k - op + 1)
-            for x in x_choices:
-                run = take_run + x
-                peak = max(take_peak, run)
-                if peak > stock:
-                    continue
-                moves_now[si].append((x, y))
-                visit(si, vi + 1, op + x, 0, run, peak)
-                moves_now[si].pop()
-            return
-        s = instance.station(node)
-        d0 = s.imbalance
-        free = k - op - dam
-        if d0 > 0:
-            x_lo, x_hi = 0, min(free, rem_imb[node])
-        elif d0 < 0:
-            x_lo, x_hi = max(-op, rem_imb[node]), 0
-        else:
-            x_lo = x_hi = 0
-        for x in range(x_lo, x_hi + 1):
-            y_hi = min(free - x, rem_dam[node])
-            for y in range(0, y_hi + 1):
-                rem_imb[node] -= x
-                rem_dam[node] -= y
-                moves_now[si].append((x, y))
-                visit(si, vi + 1, op + x, dam + y, take_run, take_peak)
-                moves_now[si].pop()
-                rem_imb[node] += x
-                rem_dam[node] += y
-
-    visit(0, 0, 0, 0, 0, 0)
-    if best["moves"] is None:
-        # every branch pruned: only possible via occupancy on all leaves,
-        # which the all-zero assignment rules out for valid instances
-        raise RuntimeError("enumeration found no feasible assignment")
-    plans = tuple(LoadingPlan(r.vehicle_id, moves) for r, moves in zip(routes, best["moves"]))
-    return LoadingVariables(plans, best["val"])
 
 
 def reoptimize_solution(

@@ -1,5 +1,12 @@
-"""The exact optimum of a tiny instance, by enumerating every route set.
+"""Two exhaustive oracles: the optimal loading of given routes, and the
+exact optimum of a tiny instance.
 
+``brute_force_loading`` checks phase two. It shares only the route check
+with ``build_model``: it simulates vehicle and station state move by move
+and tries every integral choice, within guard rails that keep the search
+small.
+
+``optimum`` checks both phases together, by enumerating every route set.
 Each vehicle may take any route that starts and ends at the depot, never
 repeats a node back to back, may revisit stations and the depot, and fits
 the time budget; the empty route counts too. Every combination of one route
@@ -7,7 +14,7 @@ per vehicle, in fleet order, gets its exactly optimal loading from phase two
 (``build_model`` and ``solve_exact``), and the least total wins. A route set
 whose ``loading_bound`` is not below the incumbent cannot win and is skipped.
 
-This module is a helper for ``test_oracle.py``, not a test file. Run
+This module is a helper for the tests, not a test file. Run
 ``python tests/oracle.py`` to print, for its seeded corpus, the optimum next
 to the best of ``run()``.
 """
@@ -15,8 +22,9 @@ to the best of ``run()``.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +37,7 @@ from ssbrp import (
     Depot,
     Instance,
     LoadingPlan,
+    LoadingVariables,
     ObjectiveWeights,
     Route,
     Solution,
@@ -40,6 +49,127 @@ from ssbrp import (
     solve_exact,
 )
 from ssbrp.loading import loading_bound
+from ssbrp.model import _route_faults
+
+_GUARD_VISITS = 12
+_GUARD_CAPACITY = 6
+_GUARD_RESIDUAL = 6
+
+
+def brute_force_loading(
+    instance: Instance,
+    routes: Sequence[Route],
+    weights: ObjectiveWeights = ObjectiveWeights(),
+) -> LoadingVariables:
+    """Exhaustively enumerate feasible loadings; oracle for solve_exact.
+
+    Shares only the route check with the matrix model: simulates vehicle
+    and station state move by move and explores every integral choice.
+    Guard rails keep the search space small; breaching them raises
+    ValueError.
+    """
+    routes = tuple(routes)
+    for faults in _route_faults(instance, routes):
+        if faults:
+            raise ValueError(faults[0])
+    capacity = {v.id: v.capacity for v in instance.fleet}
+    total_visits = sum(len(route.visits) for route in routes)
+    if total_visits > _GUARD_VISITS:
+        raise ValueError(f"guard rail: {total_visits} visits exceed {_GUARD_VISITS}")
+    for route in routes:
+        if route.visits and capacity[route.vehicle_id] > _GUARD_CAPACITY:
+            raise ValueError(f"guard rail: vehicle capacity exceeds {_GUARD_CAPACITY}")
+    for s in instance.stations:
+        if abs(s.imbalance) > _GUARD_RESIDUAL or s.damaged > _GUARD_RESIDUAL:
+            raise ValueError(f"guard rail: station {s.id} residuals exceed {_GUARD_RESIDUAL}")
+
+    rem_imb = {s.id: s.imbalance for s in instance.stations}
+    rem_dam = {s.id: s.damaged for s in instance.stations}
+    stock = instance.depot.operative
+    best = {"val": math.inf, "moves": None}
+    moves_now: list[list[tuple[int, int]]] = [[] for _ in routes]
+
+    def leaf_value() -> float:
+        total = 0.0
+        for s in instance.stations:
+            total += s.weight * (
+                weights.gamma_d * abs(rem_imb[s.id]) + weights.gamma_a * rem_dam[s.id]
+            )
+        return total
+
+    def occupancy_ok() -> bool:
+        removed = 0
+        for s in instance.stations:
+            p_hat = s.target + rem_imb[s.id]
+            if p_hat + rem_dam[s.id] > s.capacity:
+                return False
+            removed += s.operative - p_hat + s.damaged - rem_dam[s.id]
+        depot_capacity = instance.depot.capacity
+        return depot_capacity is None or instance.depot.operative + removed <= depot_capacity
+
+    def visit(si: int, vi: int, op: int, dam: int, take_run: int, take_peak: int) -> None:
+        nonlocal stock
+        if si == len(routes):
+            if occupancy_ok():
+                val = leaf_value()
+                if val < best["val"] - 1e-12:
+                    best["val"] = val
+                    best["moves"] = [tuple(seq) for seq in moves_now]
+            return
+        route = routes[si]
+        if vi == len(route.visits):
+            # the route draws the largest running depot take from the stock
+            claimed = max(0, take_peak)
+            if claimed <= stock:
+                stock -= claimed
+                visit(si + 1, 0, 0, 0, 0, 0)
+                stock += claimed
+            return
+        node = route.visits[vi]
+        k = capacity[route.vehicle_id]
+        last = vi == len(route.visits) - 1
+        if node == DEPOT:
+            y = -dam  # every damaged bike on board is dropped here
+            if last:
+                x_choices = [-op]
+            else:
+                x_choices = range(-op, k - op + 1)
+            for x in x_choices:
+                run = take_run + x
+                peak = max(take_peak, run)
+                if peak > stock:
+                    continue
+                moves_now[si].append((x, y))
+                visit(si, vi + 1, op + x, 0, run, peak)
+                moves_now[si].pop()
+            return
+        s = instance.station(node)
+        d0 = s.imbalance
+        free = k - op - dam
+        if d0 > 0:
+            x_lo, x_hi = 0, min(free, rem_imb[node])
+        elif d0 < 0:
+            x_lo, x_hi = max(-op, rem_imb[node]), 0
+        else:
+            x_lo = x_hi = 0
+        for x in range(x_lo, x_hi + 1):
+            y_hi = min(free - x, rem_dam[node])
+            for y in range(0, y_hi + 1):
+                rem_imb[node] -= x
+                rem_dam[node] -= y
+                moves_now[si].append((x, y))
+                visit(si, vi + 1, op + x, dam + y, take_run, take_peak)
+                moves_now[si].pop()
+                rem_imb[node] += x
+                rem_dam[node] += y
+
+    visit(0, 0, 0, 0, 0, 0)
+    if best["moves"] is None:
+        # every branch pruned: only possible via occupancy on all leaves,
+        # which the all-zero assignment rules out for valid instances
+        raise RuntimeError("enumeration found no feasible assignment")
+    plans = tuple(LoadingPlan(r.vehicle_id, moves) for r, moves in zip(routes, best["moves"]))
+    return LoadingVariables(plans, best["val"])
 
 
 def routes_of(instance: Instance, vehicle: Vehicle) -> list[Route]:

@@ -11,10 +11,11 @@ import pytest
 from scipy import stats
 
 from conftest import as_candidates, make_instance
+from oracle import brute_force_loading
 from ssbrp.cli import SWEEP_COLUMNS, main
 from ssbrp.construction import ConstructionParams, construct_solution, select_next
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
-from ssbrp.loading import brute_force_loading, build_model, reoptimize_solution, solve_exact
+from ssbrp.loading import build_model, reoptimize_solution, solve_exact
 from ssbrp.model import ObjectiveWeights, Route, empty_solution, validate_solution
 from ssbrp.search import RunConfig, run
 

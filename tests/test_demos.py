@@ -1,6 +1,6 @@
 """Every demo script runs to completion against the current public API, the
-construction walkthrough prints what it printed when it was pinned, and the
-README's table of entry points names that API."""
+construction walkthrough and the loading optimizer print what they printed
+when they were pinned, and the README's table of entry points names that API."""
 
 import inspect
 import re
@@ -62,6 +62,67 @@ final damaged inventories:   {1: 0, 2: 0, 3: 0}
 def test_construction_walkthrough_output_is_pinned(capsys):
     runpy.run_path(str(ROOT / "demos" / "02_construction_walkthrough.py"), run_name="__main__")
     assert capsys.readouterr().out == WALKTHROUGH
+
+
+# the stdout of demos/03_loading_optimizer.py: the program, its optimal plan,
+# the bound that certifies it, and a myopic plan reoptimized
+LOADING_OPTIMIZER = """\
+the loading program (zero-fixed variables are left out):
+
+min 5 + x[1,2] - y[1,3] - x[1,4]
+s.t.
+x[1,1] + y[1,1] <= 3
+- x[1,1] <= 0
+- y[1,1] <= 0
+x[1,1] + y[1,1] + x[1,2] <= 3
+- x[1,1] - x[1,2] <= 0
+- y[1,1] <= 0
+x[1,1] + y[1,1] + x[1,2] + y[1,3] <= 3
+- x[1,1] - x[1,2] <= 0
+- y[1,1] - y[1,3] <= 0
+x[1,1] + y[1,1] + x[1,2] + y[1,3] + x[1,4] <= 3
+- x[1,1] - x[1,2] - x[1,4] <= 0
+- y[1,1] - y[1,3] <= 0
+x[1,1] - w0[1] <= 0
+x[1,1] + x[1,5] - w0[1] <= 0
+w0[1] <= 2
+- x[1,2] <= 2
+- x[1,2] <= 7
+x[1,4] <= 2
+y[1,3] <= 1
+x[1,1] + x[1,2] + x[1,4] + x[1,5] = 0
+y[1,1] = 0
+y[1,1] + y[1,3] + y[1,5] = 0
+bounds
+-3 <= x[1,1] <= 3
+-3 <= y[1,1] <= 0
+-2 <= x[1,2] <= 0
+0 <= y[1,3] <= 1
+0 <= x[1,4] <= 2
+-3 <= x[1,5] <= 3
+-3 <= y[1,5] <= 0
+0 <= w0[1] <= 2
+
+
+optimal residual count: 0
+  node 0: move (2, 0)
+  node 1: move (-2, 0)
+  node 3: move (0, 1)
+  node 2: move (2, 0)
+  node 0: move (-2, -1)
+
+solved total 0.1600 equals its lower bound 0.1600
+
+myopic plan:     imbalance 0.4000  damaged 0.0000
+reoptimized:     imbalance 0.0000  damaged 0.0000
+route time untouched: True
+new moves: ((2, 0), (-2, 0), (0, 1), (2, 0), (-2, -1))
+"""
+
+
+def test_loading_optimizer_output_is_pinned(capsys):
+    runpy.run_path(str(ROOT / "demos" / "03_loading_optimizer.py"), run_name="__main__")
+    assert capsys.readouterr().out == LOADING_OPTIMIZER
 
 
 def _api_table():

@@ -14,12 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fleet_mixed, make_instance, negative_zeros, random_instances, reweighted
+from oracle import brute_force_loading
 from ssbrp import loading
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import (
     LoadingModel,
-    brute_force_loading,
     build_model,
     loading_bound,
     reoptimize_solution,

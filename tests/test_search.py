@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import fleet_mixed, make_instance
+from oracle import brute_force_loading
 from ssbrp import search
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
-from ssbrp.loading import brute_force_loading, loading_bound, reoptimize_solution
+from ssbrp.loading import loading_bound, reoptimize_solution
 from ssbrp.model import (
     LoadingPlan,
     ObjectiveWeights,
