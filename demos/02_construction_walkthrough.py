@@ -1,15 +1,21 @@
-"""Step through the randomized greedy route construction by hand.
+"""Watch the randomized greedy route construction choose, one visit at a time.
 
 Phase one grows a route one visit at a time: one scan finds the feasible
 successors and scores each with a moved-bikes-per-minute ratio, then the
-next stop is drawn among those close to the best ratio. This script replays the first choices of a
-tiny instance manually, then lets the full builder finish the job.
+next stop is drawn among those close to the best ratio. This script wraps
+the draw, ``construction.select_next``, which ``build_route`` looks up by
+module name at every step, and prints what each step of the real builder
+sees: the candidates and ratios, the top ratio, the epsilon cut, the
+eligible moves and the draw. The wrapper draws epsilon as ``select_next``
+would and hands it on, so the random stream, and the route, are the ones
+an unwrapped construction gets.
 """
+
+import math
 
 import numpy as np
 
 from ssbrp import (
-    BuildState,
     ConstructionParams,
     Depot,
     Instance,
@@ -19,7 +25,7 @@ from ssbrp import (
     construct_solution,
     validate_solution,
 )
-from ssbrp.construction import apply_visit, feasible_successors, route_context, select_next
+from ssbrp import construction
 
 # three stations: 1 has three bikes too many, 2 is three short, 3 holds
 # two damaged bikes; a single vehicle with four lockers, two spares at depot
@@ -43,50 +49,41 @@ instance = Instance(
     time_budget=100.0,
     metric=True,
 )
-
 params = ConstructionParams(theta=0.5, mu=1.5)
-vehicle = instance.fleet[0]
-rng = np.random.default_rng(3)
 
-state = BuildState.fresh(instance)
-state.start_vehicle(vehicle)
-# what the scan reads that no step changes; build_route collects it once per route
-context = route_context(instance, state, vehicle, params)
-visits, moves = [0], [(0, 0)]
+select_next = construction.select_next
+steps = []  # the moves drawn so far; one vehicle, so each step starts at the last
 
-for step in range(1, 4):
-    # the candidate moves (node, beta, alpha) in station order, the depot
-    # last, with their ratios in the same order and the top ratio
-    candidates = feasible_successors(
-        context, visits[-1], state.elapsed, state.onboard_operative, state.onboard_damaged,
-        state.min_free_lockers, state.depot_remaining, state.depot_room,
-    )
-    if not candidates:
-        break
-    print(f"step {step}: at node {visits[-1]}, elapsed {state.elapsed:g} min")
+
+def traced_select_next(candidates, rng, epsilon=None):
+    # the candidate moves (node, beta, alpha) come in station order, the
+    # depot last, with their ratios in the same order and the top ratio
+    at = steps[-1][0] if steps else 0
+    print(f"step {len(steps) + 1}: at node {at}")
     for (v, beta, alpha), ratio in zip(candidates, candidates.ratios):
-        print(f"  node {v}: move ({beta} operative, {alpha} damaged)"
-              f"  ratio {ratio:.4f}")
-    # a fresh epsilon is drawn per choice; pin it here to make the cut visible
-    epsilon = 0.8
-    cutoff = epsilon * candidates.top
-    eligible = sorted(v for (v, _, _), r in zip(candidates, candidates.ratios) if r >= cutoff)
-    v_star, beta, alpha = select_next(candidates, rng, epsilon=epsilon)
-    print(f"  epsilon {epsilon} keeps {eligible}, drew {v_star}")
-    apply_visit(instance, state, vehicle, visits, moves, v_star, beta, alpha)
-    print(f"  onboard now {state.onboard_operative} operative,"
-          f" {state.onboard_damaged} damaged\n")
+        print(f"  node {v}: move ({beta} operative, {alpha} damaged)  ratio {ratio:.4f}")
+    # the same draw select_next makes for epsilon; infinite ratios keep only themselves
+    epsilon = rng.random()
+    top = candidates.top
+    cut = top if top == math.inf else epsilon * top
+    eligible = [v for (v, _, _), r in zip(candidates, candidates.ratios) if r >= cut]
+    print(f"  top {top:.4f}, epsilon {epsilon:.4f}, cut {cut:.4f} keeps {eligible}")
+    move = select_next(candidates, rng, epsilon)
+    print(f"  drew {move}\n")
+    steps.append(move)
+    return move
 
-print(f"partial route after manual steps: {visits}  moves {moves}")
 
-# deficit visits may retroactively charge the last depot visit: delivering
-# more than was onboard claims depot stock at index state.last_depot_index
-print(f"depot stock left unclaimed: {state.depot_remaining}")
+construction.select_next = traced_select_next
+try:
+    solution = construct_solution(instance, params, np.random.default_rng(3))
+finally:
+    construction.select_next = select_next
 
-# the full builder runs the same loop for every vehicle in fleet order
-solution = construct_solution(instance, params, np.random.default_rng(3))
+# the builder ends the route at the depot once no candidate is left, and a
+# delivery beyond the bikes on board claims the rest at the last depot visit
 for route, plan in zip(solution.routes, solution.plans):
-    print(f"\nfull construction, vehicle {route.vehicle_id}: {route.visits}")
+    print(f"vehicle {route.vehicle_id}: {route.visits}")
     print(f"  moves {plan.moves}")
 o = solution.objective
 print(f"objective  total={o.total:.6f}  imbalance={o.imbalance:.6f}  "
@@ -94,5 +91,7 @@ print(f"objective  total={o.total:.6f}  imbalance={o.imbalance:.6f}  "
 
 violations = validate_solution(instance, solution.routes, solution.plans)
 assert not violations
+# the unwrapped builder draws the same route from the same seed
+assert construct_solution(instance, params, np.random.default_rng(3)) == solution
 print(f"final operative inventories: {solution.final_operative}")
 print(f"final damaged inventories:   {solution.final_damaged}")

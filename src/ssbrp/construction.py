@@ -44,34 +44,27 @@ class ConstructionParams:
             raise ValueError("mu must be positive and finite")
 
 
-@dataclass
+@dataclass(slots=True)
 class BuildState:
     """Mutable construction state shared across the fleet.
 
-    Residuals and the remaining depot stock persist between routes. The
-    onboard, elapsed, lockers and last-depot fields belong to a walk by hand:
-    start_vehicle resets them and apply_visit writes them at every visit.
-    build_route keeps a route's running values in locals, writes the depot's
-    stock and room once, when the route closes, and leaves those five fields
-    as they were. ``depot_room`` is what the depot can still take in of the
-    bikes the routes remove from stations (every removed bike ends there);
-    None is unbounded. ``live`` holds the station-order indices
-    of the stations the scan visits: ``fresh`` lists those with residual work
-    left, and a visit drops a station once its work is done. A state
-    built by hand passes its own list; it may also hold finished stations,
-    which never become candidates. ``route_times`` holds each routed
-    vehicle's route time, recorded as build_route closes its route.
+    The residual imbalances and damaged bikes are lists in
+    ``Instance.stations`` order. They, the live list and the depot's stock
+    and room persist between routes. ``depot_room`` is what the depot can
+    still take in of the bikes the routes remove from stations (every
+    removed bike ends there); None is unbounded. ``live`` holds the station positions the scan
+    visits: ``fresh`` lists those with residual work left, and a visit drops
+    a station once its work is done. A state built by hand passes its own
+    list; it may also hold finished stations, which never become candidates.
+    ``route_times`` holds each routed vehicle's route time, recorded as
+    build_route closes its route. A route's running values live in
+    build_route's locals; the slots make any other attribute an error.
     """
 
-    residual_imbalance: dict[int, int]
-    residual_damaged: dict[int, int]
+    residual_imbalance: list[int]
+    residual_damaged: list[int]
     depot_remaining: int
     live: list[int]
-    onboard_operative: int = 0
-    onboard_damaged: int = 0
-    elapsed: float = 0.0
-    min_free_lockers: int = 0
-    last_depot_index: int = 0
     depot_room: int | None = None
     route_times: dict[int, float] = field(default_factory=dict)
 
@@ -87,17 +80,11 @@ class BuildState:
             live=live.copy(),
         )
 
-    def start_vehicle(self, vehicle: Vehicle) -> None:
-        self.onboard_operative = 0
-        self.onboard_damaged = 0
-        self.elapsed = 0.0
-        self.min_free_lockers = vehicle.capacity
-        self.last_depot_index = 0
-
 
 def _done(imbalance: int, damaged: int) -> bool:
-    """No residual work left. Residuals only move toward 0 within a construction.
-    ``Instance._residuals`` lists the stations for which this is false at the start."""
+    """No residual work left at a station. Residuals only move toward 0 within
+    a construction; ``Instance._residuals`` lists the positions of the
+    stations for which this is false at the start."""
     return imbalance == 0 and damaged <= 0
 
 
@@ -121,7 +108,7 @@ def route_context(
 ) -> tuple:
     """What feasible_successors reads that no step of a route changes: the
     lookup tables, the time budget, the vehicle's capacity and ``n ** theta``
-    table, theta, mu, and the state's live list and residual dicts, which the
+    table, theta, mu, and the state's live list and residual lists, which the
     steps update in place."""
     lookup = instance._lookup
     k = vehicle.capacity
@@ -201,8 +188,8 @@ def feasible_successors(
         t = row[i]
         if elapsed + t + back[i] > budget:
             continue
-        d = imbalance[v]
-        avail_damaged = damaged[v]
+        d = imbalance[i]
+        avail_damaged = damaged[i]
         if d < 0:
             beta = reach if reach < -d else -d
             # free space after the delivery, never beyond the lockers damaged bikes leave open
@@ -327,62 +314,6 @@ def select_next(
     return eligible[rng.integers(len(eligible))]
 
 
-def apply_visit(
-    instance: Instance,
-    state: BuildState,
-    vehicle: Vehicle,
-    visits: list[int],
-    moves: list[tuple[int, int]],
-    v_star: int,
-    beta: int,
-    alpha: int,
-) -> None:
-    """Commit one visit: extend route and plan, update loads and residuals.
-
-    A move that overloads the vehicle or overdraws the depot stock or the free
-    lockers raises ValueError, with the state already updated."""
-    k = vehicle.capacity
-    state.elapsed += instance.travel_time(visits[-1], v_star)
-    if v_star == DEPOT:
-        visits.append(DEPOT)
-        moves.append((0, -state.onboard_damaged))
-        state.onboard_damaged = 0
-        state.last_depot_index = len(visits) - 1
-        state.min_free_lockers = k - state.onboard_operative
-        return
-    if state.residual_imbalance[v_star] < 0:
-        retro = max(0, beta - state.onboard_operative)
-        if retro:
-            # claim the extra bikes at the most recent depot visit
-            dx, dy = moves[state.last_depot_index]
-            moves[state.last_depot_index] = (dx + retro, dy)
-            state.depot_remaining -= retro
-            state.min_free_lockers -= retro
-            state.onboard_operative += retro
-        state.onboard_operative -= beta
-        state.residual_imbalance[v_star] += beta
-        delta_op = -beta
-    else:
-        state.onboard_operative += beta
-        state.residual_imbalance[v_star] -= beta
-        delta_op = beta
-    state.onboard_damaged += alpha
-    state.residual_damaged[v_star] -= alpha
-    if state.depot_room is not None:
-        state.depot_room -= delta_op + alpha
-    if _done(state.residual_imbalance[v_star], state.residual_damaged[v_star]):
-        state.live.remove(instance._lookup.position[v_star])
-    visits.append(v_star)
-    moves.append((delta_op, alpha))
-    state.min_free_lockers = min(
-        state.min_free_lockers, k - state.onboard_operative - state.onboard_damaged
-    )
-    if not 0 <= state.onboard_operative + state.onboard_damaged <= k:
-        raise ValueError(f"visit to {v_star}: vehicle {vehicle.id} load outside [0, {k}]")
-    if state.depot_remaining < 0 or state.min_free_lockers < 0:
-        raise ValueError(f"visit to {v_star}: depot stock or free lockers below zero")
-
-
 def build_route(
     instance: Instance,
     state: BuildState,
@@ -392,14 +323,16 @@ def build_route(
 ) -> tuple[Route, LoadingPlan]:
     """Grow one route from the depot until no candidate remains, then close it.
 
-    The route's running values are kept in locals and passed to
-    feasible_successors with the route's context, which is collected once.
-    Each drawn move is applied here with apply_visit's arithmetic in its
-    order, and its checks. The residual dicts and the live list are updated
-    in place; the depot's stock and room and the route's time are written
-    once, as the route closes, and not at all when a check raises. The
-    onboard, elapsed, lockers and last-depot fields of ``state`` belong to
-    a walk by hand with apply_visit; build_route leaves them as they were."""
+    The route's running values (minutes elapsed, bikes on board, the fewest
+    lockers free since the last depot visit and that visit's index) are
+    kept in locals and passed to feasible_successors with the route's
+    context, which is collected once. Each drawn move is applied here: a
+    delivery beyond the operative bikes on board claims the rest at the last
+    depot visit. A move that overloads the vehicle or overdraws the depot
+    stock or the free lockers raises ValueError. The residual lists and the
+    live list are updated in place, at the drawn station's position; the
+    depot's stock and room and the route's time are written once, as the
+    route closes, and not at all when a check raises."""
     k = vehicle.capacity
     context = route_context(instance, state, vehicle, params)
     lookup = instance._lookup
@@ -429,8 +362,9 @@ def build_route(
             last_depot = len(visits) - 1
             lockers = k - onboard_op
         else:
-            elapsed += row[position[v]]
-            if imbalance[v] < 0:
+            i = position[v]
+            elapsed += row[i]
+            if imbalance[i] < 0:
                 retro = beta - onboard_op
                 if retro > 0:
                     # claim the extra bikes at the most recent depot visit
@@ -440,18 +374,18 @@ def build_route(
                     lockers -= retro
                     onboard_op += retro
                 onboard_op -= beta
-                imbalance[v] += beta
+                imbalance[i] += beta
                 delta_op = -beta
             else:
                 onboard_op += beta
-                imbalance[v] -= beta
+                imbalance[i] -= beta
                 delta_op = beta
             onboard_dam += alpha
-            damaged[v] -= alpha
+            damaged[i] -= alpha
             if room is not None:
                 room -= delta_op + alpha
-            if _done(imbalance[v], damaged[v]):
-                live.remove(position[v])
+            if _done(imbalance[i], damaged[i]):
+                live.remove(i)
             visits.append(v)
             moves.append((delta_op, alpha))
             load = onboard_op + onboard_dam
@@ -525,8 +459,10 @@ def solution_from_plans(
     """The Solution of a construction, read off its finished build state.
 
     A station ends at its target plus its residual imbalance, with its
-    residual damaged bikes, both in station order; the route times are the
-    state's, which build_route wrote in fleet order. Each is what a replay of
+    residual damaged bikes; the state's lists are read beside
+    ``Instance._objective_rows`` into dicts by station id, in station order.
+    The route times are the state's, which build_route wrote in fleet order.
+    Each is what a replay of
     the plans gives, to the bit: a route's ``elapsed`` adds its legs in visit
     order from 0.0, as ``route_time`` does.
     """
@@ -534,10 +470,9 @@ def solution_from_plans(
         # a vehicle id listed twice, whose routes would share one time; run()
         # never gets here, as check_instance rejects such a fleet
         raise ValueError("vehicles: duplicate vehicle id")
-    residual = state.residual_imbalance
     rows = instance._objective_rows
-    operative = {sid: target + residual[sid] for sid, _, target in rows}
-    damaged = {sid: state.residual_damaged[sid] for sid, _, _ in rows}
+    operative = {sid: target + r for (sid, _, target), r in zip(rows, state.residual_imbalance)}
+    damaged = {sid: r for (sid, _, _), r in zip(rows, state.residual_damaged)}
     return Solution(
         routes=tuple(routes),
         plans=tuple(plans),

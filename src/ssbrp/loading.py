@@ -604,7 +604,7 @@ def loading_bound(
     above the bound is optimal for its routes, as no plan over them scores
     below it, so phase two could not lower its total.
     """
-    imbalance = instance._residuals[0]
+    rows = instance._loading_rows  # each station's imbalance first
     visited: set[int] = set()
     useful: set[int] = set()
     matched = 0
@@ -614,7 +614,7 @@ def loading_bound(
         seen: set[int] = set()  # surplus stations met so far on this route
         waiting: list[int] = []  # those met since the route's last deficit visit
         for node in route.visits:
-            d = imbalance.get(node, 0)  # the depot's is 0
+            d = 0 if node == DEPOT else rows[node][0]
             if d > 0:
                 if node not in seen:
                     seen.add(node)
@@ -627,8 +627,9 @@ def loading_bound(
                 useful.update(waiting)
                 waiting.clear()
     visited.discard(DEPOT)
+    imbalance = {sid: rows[sid][0] for sid in visited}
     supply = instance.depot.operative + min(matched, sum(imbalance[s] for s in useful))
-    shortfall = -supply - sum(imbalance[n] for n in visited if imbalance[n] < 0)
+    shortfall = -supply - sum(d for d in imbalance.values() if d < 0)
     operative, damaged = _inventories(instance)
     for sid in visited:
         operative[sid] -= imbalance[sid]  # its target

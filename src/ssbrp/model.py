@@ -137,15 +137,14 @@ class Instance:
         return operative, {DEPOT: 0} | {s.id: s.damaged for s in self.stations}
 
     @cached_property
-    def _residuals(self) -> tuple[dict[int, int], dict[int, int], list[int]]:
-        """Phase one's starting residuals: imbalance and damaged bikes by station
-        id in station order, and the station-order indices of the stations with
-        work left (imbalance not 0, or damaged bikes). ``BuildState.fresh``
-        copies them and ``loading_bound`` reads the imbalances; cached as
-        ``_lookup`` is."""
+    def _residuals(self) -> tuple[list[int], list[int], list[int]]:
+        """Phase one's starting residuals by station position: imbalance and
+        damaged bikes in station order, and the positions of the stations
+        with work left (imbalance not 0, or damaged bikes). ``BuildState.fresh``
+        copies them; cached as ``_lookup`` is."""
         return (
-            {s.id: s.imbalance for s in self.stations},
-            {s.id: s.damaged for s in self.stations},
+            [s.imbalance for s in self.stations],
+            [s.damaged for s in self.stations],
             [i for i, s in enumerate(self.stations) if s.imbalance != 0 or s.damaged > 0],
         )
 

@@ -25,33 +25,34 @@ def test_demo_runs_cleanly(path, capsys):
     assert capsys.readouterr().out
 
 
-# the stdout of demos/02_construction_walkthrough.py: each step's candidates,
-# ratios, epsilon cut and draw, then the full construction
+# the stdout of demos/02_construction_walkthrough.py: each step build_route
+# takes (candidates, ratios, top, epsilon cut, eligible nodes and draw),
+# then the finished route
 WALKTHROUGH = """\
-step 1: at node 0, elapsed 0 min
+step 1: at node 0
   node 1: move (3 operative, 0 damaged)  ratio 0.1732
   node 2: move (2 operative, 0 damaged)  ratio 0.1414
   node 3: move (0 operative, 2 damaged)  ratio 0.2828
-  epsilon 0.8 keeps [3], drew 3
-  onboard now 0 operative, 2 damaged
+  top 0.2828, epsilon 0.0856, cut 0.0242 keeps [1, 2, 3]
+  drew (1, 3, 0)
 
-step 2: at node 3, elapsed 5 min
-  node 1: move (2 operative, 0 damaged)  ratio 0.1414
-  node 2: move (2 operative, 0 damaged)  ratio 0.1414
+step 2: at node 1
+  node 2: move (3 operative, 0 damaged)  ratio 0.1732
+  node 3: move (0 operative, 1 damaged)  ratio 0.1000
+  top 0.1732, epsilon 0.8013, cut 0.1388 keeps [2]
+  drew (2, 3, 0)
+
+step 3: at node 2
+  node 3: move (0 operative, 2 damaged)  ratio 0.1414
+  top 0.1414, epsilon 0.5822, cut 0.0823 keeps [3]
+  drew (3, 0, 2)
+
+step 4: at node 3
   node 0: move (0 operative, 0 damaged)  ratio 0.6000
-  epsilon 0.8 keeps [0], drew 0
-  onboard now 0 operative, 0 damaged
+  top 0.6000, epsilon 0.0941, cut 0.0565 keeps [0]
+  drew (0, 0, 0)
 
-step 3: at node 0, elapsed 10 min
-  node 1: move (3 operative, 0 damaged)  ratio 0.1732
-  node 2: move (2 operative, 0 damaged)  ratio 0.1414
-  epsilon 0.8 keeps [1, 2], drew 2
-  onboard now 0 operative, 0 damaged
-
-partial route after manual steps: [0, 3, 0, 2]  moves [(0, 0), (0, 2), (2, -2), (-2, 0)]
-depot stock left unclaimed: 0
-
-full construction, vehicle 1: (0, 1, 2, 3, 0)
+vehicle 1: (0, 1, 2, 3, 0)
   moves ((0, 0), (3, 0), (-3, 0), (0, 2), (0, -2))
 objective  total=0.350000  imbalance=0.000000  damaged=0.000000  time=0.350000
 final operative inventories: {1: 5, 2: 5, 3: 5}
