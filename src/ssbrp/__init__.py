@@ -24,7 +24,6 @@ from .loading import (
     solve_exact,
 )
 from .model import (
-    DEPOT,  # not in __all__; tests/oracle.py imports it from ssbrp
     Depot,
     Instance,
     LoadingPlan,

@@ -1,23 +1,26 @@
 """Multi-start driver: construct, reoptimize, keep the best.
 
-Each iteration builds a fresh randomized solution (phase one), replaces
-its loading plans with exactly optimal ones (phase two) and folds the
-result into the incumbent. ``loading_bound`` spares phase two twice: when
-the bound of the new routes cannot beat the incumbent, the iteration
-counts as non-improving, and when the constructed plan already meets the
-bound, it is folded in, and returned, as constructed. Its docstring proves
-that the bound never exceeds the reoptimized total, so the trace, the
-routes and the totals are those of a loop that reoptimizes every
+``run`` folds one iteration source, ``_iterations``, which builds a fresh
+randomized solution (phase one) per iteration on the calling thread;
+iteration ``i`` seeds its own ``default_rng`` with ``[master_seed, i]``, so
+any iteration can be replayed in isolation. The fold replaces the loading
+plans with exactly optimal ones (phase two) under one incumbent rule: a
+total improves when it is below ``beat``, the best total less a tolerance
+(infinite at first). ``loading_bound`` spares phase two twice: when the
+bound of the new routes is not below ``beat``, the iteration counts as
+non-improving, and when the constructed plan meets the bound (so it
+improves), it is folded in, and returned, as constructed. Its docstring
+proves that the bound never exceeds the reoptimized total, so the trace,
+the routes and the totals are those of a loop that reoptimizes every
 iteration; a certified best may keep another plan of the same total. The
 loop stops when ``run``'s non-improvement counter reaches ``max_iter``.
-Iteration ``i`` draws from ``default_rng([master_seed, i])``, so any
-iteration can be replayed in isolation. Iterations run one after another
-on the calling thread.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import count
 from time import perf_counter
 
 import numpy as np
@@ -69,14 +72,13 @@ class RunReport:
     loading_certified: int  # other iterations whose constructed plan met the bound, kept as built
 
 
-def is_better(a: Solution, b: Solution | None) -> bool:
-    """Strict improvement on the objective total; a missing incumbent loses.
-
-    Both solutions must have been evaluated under the same weights.
-    """
-    if b is None:
-        return True
-    return a.objective.total < b.objective.total - _TOLERANCE
+def _iterations(instance: Instance, config: RunConfig):
+    """Yield ``(iteration, built, construction seconds)`` for i = 1, 2, ..., one at a time."""
+    for iteration in count(1):
+        rng = np.random.default_rng([config.master_seed, iteration])
+        t0 = perf_counter()
+        built = construct_solution(instance, config.construction, rng, config.weights)
+        yield iteration, built, perf_counter() - t0
 
 
 def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
@@ -91,22 +93,18 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
     check_instance(instance)
     start = perf_counter()
     best: Solution | None = None
+    beat = math.inf
     best_iter = 0
     counter = 1
-    iteration = 0
     t_construct = 0.0
     t_load = 0.0
     skipped = 0
     certified = 0
     trace: list[tuple[int, float]] = []
-    while True:
-        iteration += 1
-        rng = np.random.default_rng([config.master_seed, iteration])
+    for iteration, built, seconds in _iterations(instance, config):
         t0 = perf_counter()
-        built = construct_solution(instance, config.construction, rng, config.weights)
-        t1 = perf_counter()
         bound = loading_bound(instance, built, config.weights).total
-        if best is not None and bound >= best.objective.total - _TOLERANCE:
+        if bound >= beat:
             # even the bound's optimistic loading of these routes cannot win
             solution = None
             skipped += 1
@@ -117,11 +115,11 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
             certified += 1
         else:
             solution = reoptimize_solution(instance, built, config.weights)
-        t2 = perf_counter()
-        t_construct += t1 - t0
-        t_load += t2 - t1
-        if solution is not None and is_better(solution, best):
+        t_construct += seconds
+        t_load += perf_counter() - t0
+        if solution is not None and solution.objective.total < beat:
             best = solution
+            beat = solution.objective.total - _TOLERANCE
             best_iter = iteration
             counter = 1
             trace.append((iteration, solution.objective.total))
@@ -143,3 +141,4 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
         loading_skipped=skipped,
         loading_certified=certified,
     )
+

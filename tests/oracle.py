@@ -33,7 +33,6 @@ if __name__ == "__main__":  # a script run imports the sources beside it, instal
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ssbrp import (
-    DEPOT,
     Depot,
     Instance,
     LoadingPlan,
@@ -49,7 +48,7 @@ from ssbrp import (
     solve_exact,
 )
 from ssbrp.loading import loading_bound
-from ssbrp.model import _route_faults
+from ssbrp.model import DEPOT, _route_faults
 
 _GUARD_VISITS = 12
 _GUARD_CAPACITY = 6

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import loading_bound, reoptimize_solution
 from ssbrp.model import (
-    LoadingPlan,
     ObjectiveWeights,
     Route,
     solution_from_plans,
     validate_solution,
 )
-from ssbrp.search import RunConfig, is_better, run
+from ssbrp.search import RunConfig, run
 
 
 def _toy(damaged=True):
@@ -42,22 +42,49 @@ def test_config_validation():
             RunConfig(wall_clock_cap=cap)
 
 
-def test_is_better_strict_and_none():
-    inst = make_instance([(1, 10, 7, 0, 5), (2, 10, 3, 0, 5)], fleet=((1, 4),))
-    weights = ObjectiveWeights()
-    idle = solution_from_plans(
-        inst, [Route(1)], [LoadingPlan(1)], weights
+def _tied():
+    """One station in reach, whose surplus outruns the one vehicle: every
+    iteration builds the route (0, 1, 0), its bound stays below its
+    reoptimized total, and that total ties the incumbent's."""
+    return make_instance(
+        [(1, 20, 16, 4, 6), (2, 20, 2, 0, 10)], fleet=((1, 4),), time_budget=20.0
     )
-    busy = solution_from_plans(
-        inst,
-        [Route(1, (0, 1, 2, 0))],
-        [LoadingPlan(1, ((0, 0), (2, 0), (-2, 0), (0, 0)))],
-        weights,
-    )
-    assert is_better(busy, None)
-    assert is_better(busy, idle)
-    assert not is_better(idle, busy)
-    assert not is_better(idle, idle)
+
+
+def test_a_tie_does_not_replace_the_incumbent():
+    # were a tie an improvement, every iteration would reset the counter and
+    # only the wall clock cap would stop the run
+    report = run(_tied(), RunConfig(max_iter=4, wall_clock_cap=5.0))
+    assert (report.total_iterations, len(report.incumbent_trace)) == (4, 1)
+    assert (report.loading_skipped, report.loading_certified) == (0, 0)
+
+
+def test_elapsed_phases_fit_in_the_total():
+    report = run(_tied(), RunConfig(max_iter=3))
+    assert report.loading_skipped + report.loading_certified < report.total_iterations
+    assert report.elapsed_construction >= 0
+    assert report.elapsed_loading >= 0
+    assert report.elapsed_construction + report.elapsed_loading <= report.elapsed_total
+
+
+def test_each_iteration_is_built_once_and_replays_in_isolation(monkeypatch):
+    # the run folds every construction it builds, and each equals phase one
+    # drawn from a fresh generator seeded as the README says
+    built = []
+
+    def counted(instance, params, rng, weights):
+        built.append(construct_solution(instance, params, rng, weights))
+        return built[-1]
+
+    monkeypatch.setattr(search, "construct_solution", counted)
+    for inst in (fleet_mixed(1), generate_instance(GeneratorConfig(family=Family.PALMA, seed=1))):
+        for master_seed in range(4):
+            built.clear()
+            report = run(inst, RunConfig(max_iter=3, master_seed=master_seed))
+            assert len(built) == report.total_iterations, master_seed
+            for i, solution in enumerate(built, start=1):
+                rng = np.random.default_rng([master_seed, i])
+                assert solution == construct_solution(inst, ConstructionParams(), rng), (master_seed, i)
 
 
 def test_run_is_deterministic():
@@ -157,25 +184,22 @@ def _always_reoptimized(instance, config):
     best = None
     best_iter = 0
     counter = 1
-    iteration = 0
     trace = []
-    while counter < config.max_iter:
-        iteration += 1
-        rng = np.random.default_rng([config.master_seed, iteration])
-        built = construct_solution(instance, config.construction, rng, config.weights)
+    for iteration, built, _ in search._iterations(instance, config):
         solution = reoptimize_solution(instance, built, config.weights)
-        if is_better(solution, best):
+        if best is None or solution.objective.total < best.objective.total - 1e-12:
             best, best_iter, counter = solution, iteration, 1
             trace.append((iteration, solution.objective.total))
         else:
             counter += 1
-    return best, tuple(trace), best_iter, iteration
+        if counter >= config.max_iter:
+            return best, tuple(trace), best_iter, iteration
 
 
 def _constructed_best(instance, config, report):
     """The best iteration's constructed solution, and whether it meets the bound."""
-    rng = np.random.default_rng([config.master_seed, report.iteration_of_best])
-    built = construct_solution(instance, config.construction, rng, config.weights)
+    iterations = search._iterations(instance, config)
+    _, built, _ = next(islice(iterations, report.iteration_of_best - 1, None))
     return built, built.objective.total <= loading_bound(instance, built, config.weights).total
 
 
