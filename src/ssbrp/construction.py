@@ -5,9 +5,9 @@ build state that tracks residual station imbalances, residual damaged bikes,
 and the unclaimed depot stock. Successor choice is greedy-randomized: every
 candidate gets a ratio (moved bikes vs. detour time), a fresh threshold
 epsilon keeps only candidates close to the best ratio, and the winner is
-drawn uniformly among them. A construction from a PCG64 Generator, as
-``run()``'s are, reads the Generator's raw words itself (``_Draws``); the
-draws, and where the Generator is left, are those of its own methods.
+drawn uniformly among them. A construction from a fresh PCG64 Generator, as
+``run()``'s are, reads the Generator's raw words itself (``_Draws``); its
+draws are those of the Generator's own methods.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .model import (
     Route,
     Solution,
     Vehicle,
+    _done,
     evaluate_objective,
 )
 
@@ -79,13 +80,6 @@ class BuildState:
             depot_room=None if capacity is None else capacity - instance.depot.operative,
             live=live.copy(),
         )
-
-
-def _done(imbalance: int, damaged: int) -> bool:
-    """No residual work left at a station. Residuals only move toward 0 within
-    a construction; ``Instance._residuals`` lists the positions of the
-    stations for which this is false at the start."""
-    return imbalance == 0 and damaged <= 0
 
 
 @functools.cache
@@ -228,26 +222,24 @@ _UNIT = 2.0**-53
 
 
 class _Draws:
-    """``random()`` and ``integers(m)`` of a PCG64-backed Generator, equal to
-    the Generator's own to the bit, read off the bit generator's raw 64-bit
-    words without NumPy's per-call cost.
+    """``random()`` and ``integers(m)`` of a fresh PCG64-backed Generator,
+    equal to the Generator's own to the bit, read off the bit generator's raw
+    64-bit words without NumPy's per-call cost.
 
     ``random()`` is a word's top 53 bits times 2**-53. ``integers(m)`` draws
     as ``Generator.integers`` does for 1 <= m <= 2**32 (Lemire's method on
     32-bit values): each word gives its low half first and keeps its high half
-    for the next 32-bit draw, as PCG64's ``next_uint32`` does, and a half the
-    Generator already kept is used first. ``integers(1)`` is 0 and draws
-    nothing. Words are fetched in blocks; ``close()`` rewinds the bit
-    generator over the unused ones and hands back a kept half, so the
-    Generator continues where its own calls would have left it.
+    for the next 32-bit draw, as PCG64's ``next_uint32`` does. ``integers(1)``
+    is 0 and draws nothing. Words are fetched in blocks with ``random_raw``,
+    the only call made on the bit generator: it is left past the last block
+    read, and a half it already kept goes unused.
     """
 
     __slots__ = ("_bits", "_words", "_half")
 
     def __init__(self, bits: np.random.PCG64):
         self._bits = bits
-        state = bits.state
-        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._half: int | None = None
         self._words: list[int] = []  # fetched and unused, the next one last
 
     def _fetch(self) -> list[int]:
@@ -275,16 +267,6 @@ class _Draws:
             # Lemire's rejection threshold, (2**32 - m) % m, is below m
             if low >= m or low >= (0x100000000 - m) % m:
                 return product >> 32
-
-    def close(self) -> None:
-        bits = self._bits
-        # advance() also drops the bit generator's kept half
-        bits.advance(-len(self._words))
-        if self._half is not None:
-            state = bits.state
-            state["has_uint32"] = 1
-            state["uinteger"] = self._half
-            bits.state = state
 
 
 def select_next(
@@ -426,24 +408,20 @@ def construct_solution(
     replays moves once wherever plans come from elsewhere: phase two,
     ``validate_solution``, ``parse_solution`` and the benchmark's checks.
 
-    From a PCG64 Generator the draws are read off its raw words (``_Draws``):
-    the same values, and the Generator is left where its own ``random()`` and
-    ``integers()`` calls would leave it. Any other bit generator is drawn
-    from through the Generator.
+    From a PCG64 Generator the draws are read off its raw words (``_Draws``),
+    the same values as its own ``random()`` and ``integers()`` when it is
+    fresh, as ``run()``'s are. It is left past the words read, for no further
+    draws. Any other bit generator is drawn from through the Generator.
     """
     state = BuildState.fresh(instance)
     routes = []
     plans = []
     bits = rng.bit_generator
     draws = _Draws(bits) if type(bits) is np.random.PCG64 else rng
-    try:
-        for vehicle in instance.fleet:
-            route, plan = build_route(instance, state, vehicle, params, draws)
-            routes.append(route)
-            plans.append(plan)
-    finally:
-        if draws is not rng:
-            draws.close()
+    for vehicle in instance.fleet:
+        route, plan = build_route(instance, state, vehicle, params, draws)
+        routes.append(route)
+        plans.append(plan)
     return solution_from_plans(instance, state, routes, plans, weights)
 
 

@@ -44,14 +44,12 @@ _HIGHS = "scipy.optimize._highspy._core"
 
 def _highs_path(scipy_dirs: Sequence[str]) -> str:
     """The file of SciPy's HiGHS extension module under the given ``scipy`` package directories."""
-    for root in scipy_dirs:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
-            if os.path.isfile(path):
-                return path
+    dirs = [os.path.join(root, "optimize", "_highspy") for root in scipy_dirs]
+    spec = importlib.machinery.PathFinder.find_spec("_core", dirs)
+    if spec is not None:
+        return spec.origin
     version = importlib.import_module("scipy").__version__
-    searched = ", ".join(os.path.join(root, "optimize", "_highspy") for root in scipy_dirs)
-    raise ImportError(f"SciPy {version} has no HiGHS extension module _core in {searched}")
+    raise ImportError(f"SciPy {version} has no HiGHS extension module _core in {', '.join(dirs)}")
 
 
 def _load_highs() -> ModuleType:

@@ -71,7 +71,8 @@ class TravelMatrix:
 
 class _Lookup(NamedTuple):
     """Travel minutes as Python floats, laid out for phase one's station scans;
-    ``Instance.travel_time`` reads them too.
+    ``Instance.travel_time`` reads them too, and ``position`` is the one index
+    of the stations by id.
 
     Station-ordered lists follow ``Instance.stations``.
     """
@@ -81,6 +82,13 @@ class _Lookup(NamedTuple):
     ids: list[int]  # station id at each index in station order
     position: dict[int, int]  # station id -> index in station order
     weight: list[float]
+
+
+def _done(imbalance: int, damaged: int) -> bool:
+    """No residual work left at a station. Residuals only move toward 0 within
+    a construction; ``Instance._residuals`` lists the positions of the
+    stations for which this is false at the start."""
+    return imbalance == 0 and damaged <= 0
 
 
 @dataclass(frozen=True)
@@ -96,7 +104,7 @@ class Instance:
 
     def station(self, node: int) -> Station:
         try:
-            return self._by_id[node]
+            return self.stations[self._lookup.position[node]]
         except KeyError:
             raise ValueError(f"unknown station id {node}")
 
@@ -112,9 +120,6 @@ class Instance:
             return to_depot if v == DEPOT else row[lookup.position[v]]
         except KeyError as exc:
             raise ValueError(f"unknown node id {exc.args[0]}") from None
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_id", {s.id: s for s in self.stations})
 
     @cached_property
     def _lookup(self) -> _Lookup:
@@ -140,12 +145,12 @@ class Instance:
     def _residuals(self) -> tuple[list[int], list[int], list[int]]:
         """Phase one's starting residuals by station position: imbalance and
         damaged bikes in station order, and the positions of the stations
-        with work left (imbalance not 0, or damaged bikes). ``BuildState.fresh``
-        copies them; cached as ``_lookup`` is."""
+        with work left (not ``_done``). ``BuildState.fresh`` copies them;
+        cached as ``_lookup`` is."""
         return (
             [s.imbalance for s in self.stations],
             [s.damaged for s in self.stations],
-            [i for i, s in enumerate(self.stations) if s.imbalance != 0 or s.damaged > 0],
+            [i for i, s in enumerate(self.stations) if not _done(s.imbalance, s.damaged)],
         )
 
     @cached_property
@@ -427,7 +432,7 @@ def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]
         for i, (a, b) in enumerate(zip(visits, visits[1:])):
             if a == b:
                 faults.append(f"{tag}: visit {i + 1} immediately repeats node {a}")
-        unknown = set(visits).difference(instance._by_id, (DEPOT,))
+        unknown = set(visits).difference(instance._lookup.position, (DEPOT,))
         if unknown:
             faults.append(f"{tag}: unknown nodes {sorted(unknown)}")
     return out

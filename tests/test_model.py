@@ -52,6 +52,15 @@ def test_travel_time_reads_the_matrix_in_node_order():
             inst.travel_time(u, v)
 
 
+def test_station_looks_up_by_id():
+    inst = make_instance([(9, 10, 5, 0, 3), (5, 12, 4, 1, 6)])
+    assert inst.station(9) is inst.stations[0]
+    assert inst.station(5) is inst.stations[1]
+    for node in (7, DEPOT):
+        with pytest.raises(ValueError, match=f"^unknown station id {node}$"):
+            inst.station(node)
+
+
 def test_travel_matrix_equality_is_array_equality():
     minutes = np.array([[0.0, 4.0, 7.5], [3.0, 0.0, 1.0], [2.0, 6.0, 0.0]])
     travel = TravelMatrix(minutes)

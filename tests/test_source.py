@@ -4,8 +4,9 @@ package's re-exports), every private module-level name and every ``Instance``
 cached property is read somewhere in the package, no module holds an
 ``assert`` statement, no module imports SciPy (phase two loads SciPy's HiGHS
 extension module by file), one call in the package makes a HiGHS instance
-(each thread keeps one), and phase one's ``BuildState`` takes no attribute
-outside its fields."""
+(each thread keeps one), phase one's ``BuildState`` takes no attribute
+outside its fields, and no module reads, writes or rewinds a bit generator's
+state."""
 
 import ast
 from pathlib import Path
@@ -216,3 +217,34 @@ def test_build_state_rejects_undeclared_attributes():
     state = BuildState.fresh(make_instance([(1, 10, 7, 0, 5)]))
     with pytest.raises(AttributeError):
         state.draws = None
+
+
+def _generator_state_uses(source: str) -> list[int]:
+    """Line numbers of the reads and writes of a ``.state`` attribute and the
+    calls of an ``.advance(...)`` method."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "state":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "advance":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_generator_state_check_finds_uses():
+    source = (
+        "def f(rng, bits, state):\n"
+        "    saved = rng.bit_generator.state\n"
+        "    bits.advance(-3)\n"
+        "    bits.state = saved\n"
+        "    advance = state.depot_remaining\n"
+        "    return bits.random_raw(64), advance\n"
+    )
+    assert _generator_state_uses(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_generator_state_handling(path):
+    # phase one reads a fresh Generator's raw words with random_raw and nothing
+    # else: a rewind or a state rewrite per construction is a second way to draw
+    assert _generator_state_uses(path.read_text()) == []
