@@ -223,7 +223,7 @@ def cmd_validate(args) -> int:
 
 def cmd_generate(args) -> int:
     config = GeneratorConfig(
-        family=Family(args.family or "palma"),
+        family=Family(args.family),
         stations=args.stations,
         vehicles=args.vehicles,
         vehicle_capacity=args.capacity,

@@ -440,9 +440,8 @@ def solution_from_plans(
     residual damaged bikes; the state's lists are read beside
     ``Instance._objective_rows`` into dicts by station id, in station order.
     The route times are the state's, which build_route wrote in fleet order.
-    Each is what a replay of
-    the plans gives, to the bit: a route's ``elapsed`` adds its legs in visit
-    order from 0.0, as ``route_time`` does.
+    Each is what ``model._replay`` gives, to the bit: both add a route's legs
+    in visit order from 0.0.
     """
     if len(state.route_times) != len(instance.fleet):
         # a vehicle id listed twice, whose routes would share one time; run()

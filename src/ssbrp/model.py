@@ -247,16 +247,6 @@ class Solution:
         return all(not r.visits for r in self.routes)
 
 
-def route_time(route: Route, instance: Instance) -> float:
-    """Total travel time of the visit sequence; an empty route takes 0.
-
-    Adds ``Instance.travel_time`` leg by leg in visit order, from 0.0."""
-    total = 0.0
-    for u, v in zip(route.visits, route.visits[1:]):
-        total += instance.travel_time(u, v)
-    return total
-
-
 def check_instance(instance: Instance) -> None:
     """Raise ValueError on the first violated instance invariant.
 
@@ -328,16 +318,26 @@ def _inventories(instance: Instance) -> tuple[dict[int, int], dict[int, int]]:
     return operative.copy(), damaged.copy()
 
 
-def _replay(route: Route, plan: LoadingPlan, operative: dict[int, int], damaged: dict[int, int]):
+def _replay(
+    instance: Instance,
+    route: Route,
+    plan: LoadingPlan,
+    operative: dict[int, int],
+    damaged: dict[int, int],
+):
     """Carry out one route's moves in order on inventories keyed by node (the depot under
-    ``DEPOT``); after each yield ``(visit, node, d_op, d_dam, op, dam)``, op and dam the load."""
+    ``DEPOT``); after each yield ``(visit, node, d_op, d_dam, op, dam, minutes)``: the load,
+    and the arrival minute, which adds each leg's ``Instance.travel_time`` from 0.0."""
     op = dam = 0
+    minutes = 0.0
     for i, (node, (d_op, d_dam)) in enumerate(zip(route.visits, plan.moves)):
+        if i:
+            minutes += instance.travel_time(route.visits[i - 1], node)
         operative[node] -= d_op
         damaged[node] -= d_dam
         op += d_op
         dam += d_dam
-        yield i, node, d_op, d_dam, op, dam
+        yield i, node, d_op, d_dam, op, dam, minutes
 
 
 def evaluate_objective(
@@ -386,9 +386,8 @@ def solution_from_plans(
     operative, damaged = _inventories(instance)
     times: dict[int, float] = {v.id: 0.0 for v in instance.fleet}
     for route, plan, _ in sound:
-        for _ in _replay(route, plan, operative, damaged):
-            pass
-        times[route.vehicle_id] = route_time(route, instance)
+        for *_, minutes in _replay(instance, route, plan, operative, damaged):
+            times[route.vehicle_id] = minutes
     del operative[DEPOT], damaged[DEPOT]
     return Solution(
         routes=tuple(routes),
@@ -480,7 +479,8 @@ def validate_solution(
     for route, plan, veh in sound:
         tag = f"vehicle {veh.id}"
         op = dam = 0
-        for i, node, d_op, d_dam, op, dam in _replay(route, plan, p_hat, a_hat):
+        t = 0.0
+        for i, node, d_op, d_dam, op, dam, t in _replay(instance, route, plan, p_hat, a_hat):
             if node == DEPOT and d_dam > 0:
                 out.append(f"{tag}: visit {i}: damaged bikes loaded at the depot")
             if node != DEPOT and d_dam < 0:
@@ -502,7 +502,6 @@ def validate_solution(
                     stock.append(f"{tag}: visit {i}: station {node} damaged pickups exceed stock")
         if route.visits and (op != 0 or dam != 0):
             out.append(f"{tag}: not empty at route end (operative={op}, damaged={dam})")
-        t = route_time(route, instance)
         if t > instance.time_budget:
             out.append(f"{tag}: route time {t:g} exceeds budget {instance.time_budget:g}")
     out += stock

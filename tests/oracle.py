@@ -175,7 +175,7 @@ def routes_of(instance: Instance, vehicle: Vehicle) -> list[Route]:
     """Every route of the vehicle within the time budget, the empty route first.
 
     The depot-only route ``(0,)`` moves nothing, so the empty route stands for
-    it. Partial times add legs in visit order from 0.0, as ``route_time`` does.
+    it. Partial times add legs in visit order from 0.0, as ``model._replay`` does.
     Every leg between two nodes must take positive time, or the walk would
     not end.
     """

@@ -25,7 +25,6 @@ from ssbrp.model import (
     check_instance,
     empty_solution,
     evaluate_objective,
-    route_time,
     solution_from_plans,
     validate_solution,
 )
@@ -71,22 +70,28 @@ def test_travel_matrix_equality_is_array_equality():
         travel.minutes[0, 1] = 5.0
 
 
+def _timed(instance, visits):
+    """The time ``solution_from_plans`` records for vehicle 1's route, moving nothing."""
+    plans = [LoadingPlan(1, ((0, 0),) * len(visits))]
+    return _replayed(instance, [Route(1, visits)], plans).route_times[1]
+
+
 def test_route_time_empty_route_is_zero():
-    assert route_time(Route(1), _instance([[0, 10], [12, 0]])) == 0
+    assert _timed(_instance([[0, 10], [12, 0]]), ()) == 0
 
 
 def test_route_time_sums_arcs():
-    assert route_time(Route(1, (0, 1, 0)), _instance([[0, 10], [12, 0]])) == 22
+    assert _timed(_instance([[0, 10], [12, 0]]), (0, 1, 0)) == 22
 
 
 def test_route_time_two_stations():
     inst = _instance([[0, 10, 99], [99, 0, 5], [12, 99, 0]])
-    assert route_time(Route(1, (0, 1, 2, 0)), inst) == 27
+    assert _timed(inst, (0, 1, 2, 0)) == 27
 
 
 def test_route_time_unknown_node():
-    with pytest.raises(ValueError, match="unknown node id 7"):
-        route_time(Route(1, (0, 7, 0)), _instance([[0, 10], [12, 0]]))
+    with pytest.raises(ValueError, match=re.escape("vehicle 1: unknown nodes [7]")):
+        _timed(_instance([[0, 10], [12, 0]]), (0, 7, 0))
 
 
 def test_route_time_additive_under_concatenation():
@@ -94,12 +99,9 @@ def test_route_time_additive_under_concatenation():
     m = rng.integers(1, 30, size=(4, 4)).astype(float)
     np.fill_diagonal(m, 0)
     inst = _instance(m)
-    left = (0, 1, 2)
-    right = (2, 3, 0)
-    whole = Route(1, left + right[1:])
-    assert route_time(whole, inst) == route_time(Route(1, left), inst) + route_time(
-        Route(1, right), inst
-    )
+    left = (0, 1, 0)
+    right = (0, 2, 3, 0)
+    assert _timed(inst, left + right[1:]) == _timed(inst, left) + _timed(inst, right)
 
 
 def _replayed(instance, routes, plans):
@@ -519,6 +521,17 @@ def test_validate_never_raises_on_random_routes_and_plans(data):
     assert all(isinstance(v, str) for v in violations)
 
 
+def _reference_time(instance, route):
+    """A route's minutes: its legs read off the travel matrix by ``Instance.nodes``
+    position, added in visit order from 0.0."""
+    at = {node: k for k, node in enumerate(instance.nodes)}
+    minutes = instance.travel.minutes.tolist()
+    total = 0.0
+    for u, v in zip(route.visits, route.visits[1:]):
+        total += minutes[at[u]][at[v]]
+    return total
+
+
 def _reference_validate(instance, routes, plans):
     """``validate_solution`` as it was before the one replay: a load loop, then
     an inventory loop, each over the moves."""
@@ -558,7 +571,7 @@ def _reference_validate(instance, routes, plans):
                 out.append(f"{tag}: visit {i}: load {op + dam} exceeds capacity {veh.capacity}")
         if route.visits and (op != 0 or dam != 0):
             out.append(f"{tag}: not empty at route end (operative={op}, damaged={dam})")
-        t = route_time(route, instance)
+        t = _reference_time(instance, route)
         if t > instance.time_budget:
             out.append(f"{tag}: route time {t:g} exceeds budget {instance.time_budget:g}")
 
@@ -623,7 +636,7 @@ def _reference_apply(instance, routes, plans):
                 damaged[node] -= d_dam
             else:
                 raise ValueError(f"vehicle {route.vehicle_id}: visit to unknown node {node}")
-        times[route.vehicle_id] = route_time(route, instance)
+        times[route.vehicle_id] = _reference_time(instance, route)
     return operative, damaged, times
 
 
