@@ -3,7 +3,8 @@
 theta dampens the moved-bikes count in the greedy ratio (low theta favors
 short detours, high theta favors big moves); mu scales the pull of the
 depot when damaged bikes are onboard. This script runs a small grid on a
-few generated instances and reports mean and best objective per cell.
+few generated instances and reports mean and best objective per cell, and
+the mean iteration at which the best was found, as the CLI's iter_mean.
 
 The CLI does the same at scale:  python3 -m ssbrp sweep --family palma
 """
@@ -32,7 +33,7 @@ for theta in (0.3, 0.5, 0.8):
                 )
                 report = run(inst, config)
                 totals.append(report.best_objective.total)
-                iters.append(report.total_iterations)
+                iters.append(report.iteration_of_best)
         print(f"{theta:>6} {mu:>5} {statistics.mean(totals):>9.5f} "
               f"{min(totals):>9.5f} {statistics.mean(iters):>9.1f}")
 

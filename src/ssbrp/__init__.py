@@ -3,7 +3,7 @@
 Phase one builds vehicle routes with a randomized greedy heuristic; phase
 two computes exactly optimal per-visit loading instructions for those
 routes by integer programming. The package also ships instance generators,
-document serialization, and a benchmark CLI.
+document serialization, and a command-line interface.
 """
 
 from .construction import BuildState, ConstructionParams, construct_solution

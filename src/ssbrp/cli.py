@@ -1,4 +1,4 @@
-"""Command-line benchmark harness: solve, sweep, validate, generate."""
+"""Command-line interface: solve, sweep, validate, generate."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from time import perf_counter
 
 from .construction import ConstructionParams
@@ -198,15 +198,8 @@ def cmd_validate(args) -> int:
     if not isinstance(stored, dict):
         print("objective: wrong type")
         return 1
-    labels = ("imbalance", "damaged", "time", "total")
-    recomputed_values = (
-        recomputed.objective.imbalance,
-        recomputed.objective.damaged,
-        recomputed.objective.time,
-        recomputed.objective.total,
-    )
     status = 0
-    for label, value in zip(labels, recomputed_values):
+    for label, value in asdict(recomputed.objective).items():
         try:
             number = _number(stored, label, "objective.")
         except DocumentError as exc:  # missing, not a number, or not finite
@@ -260,7 +253,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssbrp",
-        description="Bike-sharing repositioning: two-phase matheuristic benchmark harness",
+        description="Bike-sharing repositioning: two-phase matheuristic solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -27,6 +27,7 @@ from .model import (
     Solution,
     Vehicle,
     _done,
+    check_instance,
     evaluate_objective,
 )
 
@@ -53,10 +54,11 @@ class BuildState:
     ``Instance.stations`` order. They, the live list and the depot's stock
     and room persist between routes. ``depot_room`` is what the depot can
     still take in of the bikes the routes remove from stations (every
-    removed bike ends there); None is unbounded. ``live`` holds the station positions the scan
-    visits: ``fresh`` lists those with residual work left, and a visit drops
-    a station once its work is done. A state built by hand passes its own
-    list; it may also hold finished stations, which never become candidates.
+    removed bike ends there), ``math.inf`` for a depot without a capacity.
+    ``live`` holds the station positions the scan visits: ``fresh`` lists
+    those with residual work left, and a visit drops a station once its work
+    is done. A state built by hand passes its own list; it may also hold
+    finished stations, which never become candidates.
     ``route_times`` holds each routed vehicle's route time, recorded as
     build_route closes its route. A route's running values live in
     build_route's locals; the slots make any other attribute an error.
@@ -66,7 +68,7 @@ class BuildState:
     residual_damaged: list[int]
     depot_remaining: int
     live: list[int]
-    depot_room: int | None = None
+    depot_room: float = math.inf
     route_times: dict[int, float] = field(default_factory=dict)
 
     @classmethod
@@ -77,7 +79,7 @@ class BuildState:
             residual_imbalance=imbalance.copy(),
             residual_damaged=damaged.copy(),
             depot_remaining=instance.depot.operative,
-            depot_room=None if capacity is None else capacity - instance.depot.operative,
+            depot_room=math.inf if capacity is None else capacity - instance.depot.operative,
             live=live.copy(),
         )
 
@@ -130,7 +132,7 @@ def feasible_successors(
     onboard_dam: int,
     lockers: int,
     stock: int,
-    room: int | None,
+    room: float,
 ) -> Candidates:
     """Candidate next visits from node u, as the moves ``(node, beta,
     alpha)`` with their ratios.
@@ -138,8 +140,8 @@ def feasible_successors(
     ``context`` is route_context's; the other arguments are the route's
     running values: minutes elapsed, operative and damaged bikes on board,
     the fewest lockers free since the last depot visit, the unclaimed depot
-    stock and the depot's room (None is unbounded). An unknown u raises
-    KeyError.
+    stock and the depot's room (``math.inf`` is unbounded). An unknown u
+    raises KeyError.
 
     A station qualifies if it is live, the route can visit it and return to
     the depot in time, and the vehicle can actually move at least one bike
@@ -169,7 +171,7 @@ def feasible_successors(
     # of the body. A finished station (imbalance 0, damaged <= 0) always gets
     # beta + alpha <= 0.
     free = k - onboard_op - onboard_dam
-    pick = free if room is None or free < room else room
+    pick = free if free < room else room
     reach = onboard_op + (stock if stock < lockers else lockers)
     undamaged = k - onboard_dam
     out = Candidates()
@@ -289,10 +291,8 @@ def select_next(
     # (and never forms 0 * inf = nan)
     cut = top if top == math.inf else epsilon * top
     eligible = [move for move, r in zip(candidates, candidates.ratios) if r >= cut]
-    if len(eligible) == 1:
-        # rng.integers(1) draws no bits, so skipping it leaves the stream as it was
-        return eligible[0]
-    # a Generator's integers() is a NumPy integer, which indexes a list as is
+    # integers(1) is 0 and draws nothing, from a Generator as from _Draws; a
+    # Generator's integers() is a NumPy integer, which indexes a list as is
     return eligible[rng.integers(len(eligible))]
 
 
@@ -364,8 +364,7 @@ def build_route(
                 delta_op = beta
             onboard_dam += alpha
             damaged[i] -= alpha
-            if room is not None:
-                room -= delta_op + alpha
+            room -= delta_op + alpha
             if _done(imbalance[i], damaged[i]):
                 live.remove(i)
             visits.append(v)
@@ -403,8 +402,10 @@ def construct_solution(
 ) -> Solution:
     """Build one feasible solution: a route and provisional plan per vehicle.
 
-    The final inventories and route times are read off the build state, which
-    already holds them; no move is replayed. ``model.solution_from_plans``
+    The instance is checked first, as ``run()`` checks it: check_instance
+    raises on an invalid one and remembers a pass. The final inventories and
+    route times are read off the build state, which already holds them; no
+    move is replayed. ``model.solution_from_plans``
     replays moves once wherever plans come from elsewhere: phase two,
     ``validate_solution``, ``parse_solution`` and the benchmark's checks.
 
@@ -413,6 +414,7 @@ def construct_solution(
     fresh, as ``run()``'s are. It is left past the words read, for no further
     draws. Any other bit generator is drawn from through the Generator.
     """
+    check_instance(instance)
     state = BuildState.fresh(instance)
     routes = []
     plans = []
@@ -441,12 +443,9 @@ def solution_from_plans(
     ``Instance._objective_rows`` into dicts by station id, in station order.
     The route times are the state's, which build_route wrote in fleet order.
     Each is what ``model._replay`` gives, to the bit: both add a route's legs
-    in visit order from 0.0.
+    in visit order from 0.0. They are keyed by vehicle id, which
+    check_instance keeps distinct.
     """
-    if len(state.route_times) != len(instance.fleet):
-        # a vehicle id listed twice, whose routes would share one time; run()
-        # never gets here, as check_instance rejects such a fleet
-        raise ValueError("vehicles: duplicate vehicle id")
     rows = instance._objective_rows
     operative = {sid: target + r for (sid, _, target), r in zip(rows, state.residual_imbalance)}
     damaged = {sid: r for (sid, _, _), r in zip(rows, state.residual_damaged)}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -186,12 +186,7 @@ def write_solution(
             }
             for route, plan in zip(solution.routes, solution.plans)
         ],
-        "objective": {
-            "imbalance": solution.objective.imbalance,
-            "damaged": solution.objective.damaged,
-            "time": solution.objective.time,
-            "total": solution.objective.total,
-        },
+        "objective": asdict(solution.objective),
     }
     if seed is not None:
         doc["seed"] = seed

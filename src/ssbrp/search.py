@@ -45,7 +45,7 @@ class RunConfig:
     weights: ObjectiveWeights = ObjectiveWeights()
     construction: ConstructionParams = ConstructionParams()
     parallelism: int = 1
-    wall_clock_cap: float | None = None
+    wall_clock_cap: float = math.inf
 
     def __post_init__(self):
         if self.max_iter < 2:
@@ -54,7 +54,7 @@ class RunConfig:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-        if self.wall_clock_cap is not None and not self.wall_clock_cap > 0:
+        if not self.wall_clock_cap > 0:
             raise ValueError("wall_clock_cap must be positive")
 
 
@@ -85,10 +85,10 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
     """Run the two-phase loop until max_iter consecutive iterations fail to improve.
 
     The non-improvement counter starts at 1, resets to 1 on improvement,
-    and the loop stops when it reaches max_iter (or when the optional wall
-    clock cap expires). Reports the best solution, where it was found, and
-    per-phase elapsed time. ``elapsed_loading`` includes the bound. A
-    certified best is returned with its constructed plans.
+    and the loop stops when it reaches max_iter (or when the wall clock cap,
+    infinite by default, expires). Reports the best solution, where it was
+    found, and per-phase elapsed time. ``elapsed_loading`` includes the
+    bound. A certified best is returned with its constructed plans.
     """
     check_instance(instance)
     start = perf_counter()
@@ -127,7 +127,7 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
             counter += 1
         if counter >= config.max_iter:
             break
-        if config.wall_clock_cap is not None and perf_counter() - start >= config.wall_clock_cap:
+        if perf_counter() - start >= config.wall_clock_cap:
             break
     return RunReport(
         best_solution=best,

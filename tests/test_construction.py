@@ -243,19 +243,18 @@ def test_select_next_singleton():
 
 
 def test_a_single_eligible_candidate_draws_nothing():
-    # select_next returns a lone eligible candidate without rng.integers; the
-    # stream stays bit-identical to a draw because NumPy's integers(1) uses no bits
-    rng = np.random.default_rng(3)
-    before = rng.bit_generator.state
-    assert rng.integers(1) == 0
-    assert rng.bit_generator.state == before
-
-    class NoDraw:
-        def integers(self, n):
-            raise AssertionError(f"drew among {n}")
-
-    assert select_next(as_candidates({"a": 10.0, "b": 1.0}), NoDraw(), epsilon=0.5) == "a"
-    assert select_next(as_candidates({"a": math.inf, "b": 1.0}), NoDraw(), epsilon=0.0) == "a"
+    # select_next draws integers(1) for a lone eligible candidate: it is 0 and
+    # uses no bits, so the next random() is that of an untouched twin
+    sources = {
+        "Generator": lambda: np.random.default_rng(3),
+        "_Draws": lambda: construction._Draws(np.random.PCG64(3)),
+    }
+    lone = [({"a": 10.0, "b": 1.0}, 0.5), ({"a": math.inf, "b": 1.0}, 0.0)]
+    for name, make in sources.items():
+        for ratios, epsilon in lone:
+            rng, twin = make(), make()
+            assert select_next(as_candidates(ratios), rng, epsilon=epsilon) == "a"
+            assert rng.random() == twin.random(), (name, ratios)
 
 
 def test_select_next_respects_forced_epsilon():
@@ -435,6 +434,15 @@ def test_construct_solution_rejects_a_vehicle_id_listed_twice():
         construct_solution(inst, ConstructionParams(), np.random.default_rng(1))
 
 
+def test_construct_solution_rejects_an_invalid_instance_with_check_instances_message():
+    travel = np.full((3, 3), 10.0)
+    np.fill_diagonal(travel, 0.0)
+    travel[2, 1] = -1.0
+    inst = make_instance([(1, 12, 9, 1, 4), (2, 12, 2, 2, 8)], travel=travel)
+    with pytest.raises(ValueError, match=r"^travel_min\[2\]\[1\]: must be finite and nonnegative$"):
+        construct_solution(inst, ConstructionParams(), np.random.default_rng(1))
+
+
 def test_construct_solution_deterministic_under_seed():
     inst = make_instance(
         [(1, 12, 9, 1, 4), (2, 12, 2, 2, 8), (3, 12, 6, 0, 6), (4, 12, 1, 1, 5)],
@@ -532,15 +540,14 @@ def _reference_max_movable(state, walk, i, vehicle):
     the same formula written with min()/max()."""
     k = vehicle.capacity
     free = k - walk.onboard_operative - walk.onboard_damaged
-    depot_room = math.inf if state.depot_room is None else state.depot_room
     d = state.residual_imbalance[i]
     avail_damaged = state.residual_damaged[i]
     if d < 0:
         beta = min(walk.onboard_operative + min(state.depot_remaining, walk.min_free_lockers), -d)
-        alpha = min(free + beta, k - walk.onboard_damaged, depot_room + beta, avail_damaged)
+        alpha = min(free + beta, k - walk.onboard_damaged, state.depot_room + beta, avail_damaged)
     else:
-        beta = max(0, min(free, depot_room, d))
-        alpha = min(free - beta, depot_room - beta, avail_damaged)
+        beta = max(0, min(free, state.depot_room, d))
+        alpha = min(free - beta, state.depot_room - beta, avail_damaged)
     return beta, alpha
 
 
@@ -606,7 +613,7 @@ def _phase_one_cases(draw):
         residual_damaged=[draw(st.integers(-1, 6)) for _ in ids],
         depot_remaining=draw(st.integers(0, 10)),
         live=list(range(len(ids))),
-        depot_room=draw(st.none() | st.integers(0, 15)),
+        depot_room=draw(st.just(math.inf) | st.integers(0, 15)),
     )
     walk = _Walk(
         elapsed=draw(st.sampled_from([0.0, 3.5, 10.0, 25.25])),
@@ -684,8 +691,7 @@ def _apply_visit(instance, state, walk, vehicle, visits, moves, v_star, beta, al
         delta_op = beta
     walk.onboard_damaged += alpha
     state.residual_damaged[i] -= alpha
-    if state.depot_room is not None:
-        state.depot_room -= delta_op + alpha
+    state.depot_room -= delta_op + alpha
     if state.residual_imbalance[i] == 0 and state.residual_damaged[i] <= 0:
         state.live.remove(i)
     visits.append(v_star)
@@ -741,7 +747,7 @@ def _hand_built_state(instance):
         residual_damaged=[s.damaged for s in instance.stations],
         depot_remaining=depot.operative,
         live=list(range(len(instance.stations))),
-        depot_room=None if depot.capacity is None else depot.capacity - depot.operative,
+        depot_room=math.inf if depot.capacity is None else depot.capacity - depot.operative,
     )
 
 
