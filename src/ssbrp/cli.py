@@ -242,12 +242,14 @@ def cmd_generate(args) -> int:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument("--max-iter", type=int, default=500,
+    config, gammas = RunConfig(), ObjectiveWeights()  # the library's defaults
+    parser.add_argument("--seed", type=int, default=config.master_seed, help="master random seed")
+    parser.add_argument("--max-iter", type=int, default=config.max_iter,
                         help="consecutive non-improving iterations before stopping")
-    parser.add_argument("--gamma-d", type=float, default=1.0, help="imbalance term weight")
-    parser.add_argument("--gamma-a", type=float, default=1.0, help="damaged term weight")
-    parser.add_argument("--gamma-t", type=float, default=1.0, help="time term weight")
+    parser.add_argument("--gamma-d", type=float, default=gammas.gamma_d,
+                        help="imbalance term weight")
+    parser.add_argument("--gamma-a", type=float, default=gammas.gamma_a, help="damaged term weight")
+    parser.add_argument("--gamma-t", type=float, default=gammas.gamma_t, help="time term weight")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,12 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bike-sharing repositioning: two-phase matheuristic solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    params, generated = ConstructionParams(), GeneratorConfig()  # the library's defaults
 
     p_solve = sub.add_parser("solve", help="solve one instance and report the best solution")
     p_solve.add_argument("--instance", required=True, help="instance document path")
     p_solve.add_argument("--out", help="write the best solution document here")
-    p_solve.add_argument("--theta", type=float, default=0.5, help="greediness exponent")
-    p_solve.add_argument("--mu", type=float, default=1.5, help="depot-return multiplier")
+    p_solve.add_argument("--theta", type=float, default=params.theta, help="greediness exponent")
+    p_solve.add_argument("--mu", type=float, default=params.mu, help="depot-return multiplier")
     _add_run_flags(p_solve)
     p_solve.set_defaults(handler=cmd_solve)
 
@@ -272,11 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict generated instances to one family")
     p_sweep.add_argument("--out", help="CSV output path (default: stdout)")
     p_sweep.add_argument("--theta", action="append", type=float,
-                         help="theta grid value (repeatable; default 0.3 0.5 0.8)")
+                         help="theta grid value (repeatable; default "
+                         f"{' '.join(map(str, DEFAULT_THETA_GRID))})")
     p_sweep.add_argument("--mu", action="append", type=float,
-                         help="mu grid value (repeatable; default 1.0 1.5 2.0)")
+                         help="mu grid value (repeatable; default "
+                         f"{' '.join(map(str, DEFAULT_MU_GRID))})")
     p_sweep.add_argument("--seeds", type=int, default=1, help="seeds per grid cell")
-    p_sweep.add_argument("--damaged-fraction", type=float, default=0.1,
+    p_sweep.add_argument("--damaged-fraction", type=float, default=generated.damaged_fraction,
                          help="damaged fraction for generated default instances")
     _add_run_flags(p_sweep)
     p_sweep.set_defaults(handler=cmd_sweep)
@@ -287,15 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.set_defaults(handler=cmd_validate)
 
     p_generate = sub.add_parser("generate", help="generate a reproducible instance")
-    p_generate.add_argument("--family", choices=[f.value for f in Family], default="palma")
+    p_generate.add_argument("--family", choices=[f.value for f in Family],
+                            default=generated.family.value)
     p_generate.add_argument("--out", help="instance output path (default: stdout)")
     p_generate.add_argument("--stations", type=int, help="station count (family default otherwise)")
     p_generate.add_argument("--vehicles", type=int, help="fleet size")
     p_generate.add_argument("--capacity", type=int, help="vehicle capacity")
     p_generate.add_argument("--time-budget-min", type=float, help="route time budget in minutes")
     p_generate.add_argument("--depot-stock", type=int, help="initial operative bikes at the depot")
-    p_generate.add_argument("--damaged-fraction", type=float, default=0.1)
-    p_generate.add_argument("--seed", type=int, default=0)
+    p_generate.add_argument("--damaged-fraction", type=float, default=generated.damaged_fraction)
+    p_generate.add_argument("--seed", type=int, default=generated.seed)
     p_generate.set_defaults(handler=cmd_generate)
     return parser
 

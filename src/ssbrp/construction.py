@@ -74,13 +74,13 @@ class BuildState:
     @classmethod
     def fresh(cls, instance: Instance) -> BuildState:
         capacity = instance.depot.capacity
-        imbalance, damaged, live = instance._residuals
+        lookup = instance._lookup
         return cls(
-            residual_imbalance=imbalance.copy(),
-            residual_damaged=damaged.copy(),
+            residual_imbalance=lookup.imbalance.copy(),
+            residual_damaged=lookup.damaged.copy(),
             depot_remaining=instance.depot.operative,
             depot_room=math.inf if capacity is None else capacity - instance.depot.operative,
-            live=live.copy(),
+            live=lookup.live.copy(),
         )
 
 
@@ -195,8 +195,6 @@ def feasible_successors(
             alpha = space if space < avail_damaged else avail_damaged
         else:
             beta = pick if pick < d else d
-            if beta < 0:
-                beta = 0
             alpha = pick - beta if pick - beta < avail_damaged else avail_damaged
         n = beta + alpha
         if n > 0:
@@ -439,14 +437,15 @@ def solution_from_plans(
     """The Solution of a construction, read off its finished build state.
 
     A station ends at its target plus its residual imbalance, with its
-    residual damaged bikes; the state's lists are read beside
-    ``Instance._objective_rows`` into dicts by station id, in station order.
+    residual damaged bikes; the state's lists are read beside the
+    ``objective_rows`` of ``Instance._lookup`` into dicts by station id, in
+    station order.
     The route times are the state's, which build_route wrote in fleet order.
     Each is what ``model._replay`` gives, to the bit: both add a route's legs
     in visit order from 0.0. They are keyed by vehicle id, which
     check_instance keeps distinct.
     """
-    rows = instance._objective_rows
+    rows = instance._lookup.objective_rows
     operative = {sid: target + r for (sid, _, target), r in zip(rows, state.residual_imbalance)}
     damaged = {sid: r for (sid, _, _), r in zip(rows, state.residual_damaged)}
     return Solution(

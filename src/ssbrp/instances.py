@@ -199,7 +199,7 @@ def parse_solution(document: dict, instance: Instance) -> Solution:
     """Rebuild a Solution from a document, revalidating against the instance.
 
     The objective is recomputed, not trusted, with the gammas stored in the
-    document's params (1.0 each when absent).
+    document's params (``ObjectiveWeights``' defaults when absent).
     """
     routes_doc = _get(document, "routes", "", list)
     routes = []
@@ -221,8 +221,8 @@ def parse_solution(document: dict, instance: Instance) -> Solution:
 
     params = _get(document, "params", "", dict) if "params" in document else {}
     gammas = {
-        key: _number(params, key, "params.") if key in params else 1.0
-        for key in ("gamma_d", "gamma_a", "gamma_t")
+        key: _number(params, key, "params.") if key in params else default
+        for key, default in asdict(ObjectiveWeights()).items()
     }
     for key, gamma in gammas.items():
         if gamma < 0:

@@ -187,9 +187,10 @@ def build_model(
     for faults in _route_faults(instance, routes):
         if faults:
             raise ValueError(faults[0])
-    capacity = {v.id: v.capacity for v in instance.fleet}
+    lookup = instance._lookup
+    position, weight_at = lookup.position, lookup.weight
+    imbalance_at, damaged_at = lookup.imbalance, lookup.damaged
     p_o = instance.depot.operative
-    stations = instance._loading_rows
     gamma_d, gamma_a = weights.gamma_d, weights.gamma_a
 
     columns: list[tuple[str, int, int, int]] = []  # (kind, vehicle_id, visit, node)
@@ -213,7 +214,7 @@ def build_model(
         if not route.visits:
             continue
         lid = route.vehicle_id
-        k = capacity[lid]
+        k = lookup.fleet[lid].capacity
         first = len(columns)
         route_x, route_y, depot_x = [], [], []  # the route's x, y and depot x columns so far
         depot_y: list[int] = []  # the route's count of y columns at each depot visit
@@ -232,7 +233,8 @@ def build_model(
                 depot_x.append(j)
                 depot_y.append(len(route_y))
                 continue
-            d, damaged, weight, _ = stations[node]
+            at = position[node]
+            d, damaged, weight = imbalance_at[at], damaged_at[at], weight_at[at]
             if d or damaged > 0:
                 xs, ys = station_cols.setdefault(node, ([], []))
             if d:  # balanced: x fixed to zero, not materialized
@@ -293,7 +295,9 @@ def build_model(
         src += xs
         src += ys
     constant = 0.0
-    for node, (d, damaged, weight, room) in stations.items():
+    for node, d, damaged, weight, room in zip(
+        lookup.ids, imbalance_at, damaged_at, weight_at, lookup.docks
+    ):
         if d > 0:
             constant += gamma_d * weight * d
         elif d < 0:
@@ -592,9 +596,9 @@ def loading_bound(
     breaks that term-by-term order: at weight 0.1, residuals 3 and 3 sum to
     0.6000000000000001 but 1 and 5 to 0.6. So it is placed only when every
     station weight is an integer and ``sum w * |imbalance|`` is below 2**53
-    (``Instance._exact_sums``). Then each term and partial sum of either
-    numerator is an integer that a float holds exactly, since no plan leaves
-    a station further from its target than it starts. Either way ``total``
+    (``Instance._lookup.exact_sums``). Then each term and partial sum of
+    either numerator is an integer that a float holds exactly, since no plan
+    leaves a station further from its target than it starts. Either way ``total``
     never exceeds the reoptimized total, to the bit.
 
     ``run`` uses the bound twice. Routes whose bound cannot beat the
@@ -602,7 +606,8 @@ def loading_bound(
     above the bound is optimal for its routes, as no plan over them scores
     below it, so phase two could not lower its total.
     """
-    rows = instance._loading_rows  # each station's imbalance first
+    lookup = instance._lookup
+    position, imbalance_at = lookup.position, lookup.imbalance
     visited: set[int] = set()
     useful: set[int] = set()
     matched = 0
@@ -612,7 +617,7 @@ def loading_bound(
         seen: set[int] = set()  # surplus stations met so far on this route
         waiting: list[int] = []  # those met since the route's last deficit visit
         for node in route.visits:
-            d = 0 if node == DEPOT else rows[node][0]
+            d = 0 if node == DEPOT else imbalance_at[position[node]]
             if d > 0:
                 if node not in seen:
                     seen.add(node)
@@ -625,15 +630,15 @@ def loading_bound(
                 useful.update(waiting)
                 waiting.clear()
     visited.discard(DEPOT)
-    imbalance = {sid: rows[sid][0] for sid in visited}
+    imbalance = {sid: imbalance_at[position[sid]] for sid in visited}
     supply = instance.depot.operative + min(matched, sum(imbalance[s] for s in useful))
     shortfall = -supply - sum(d for d in imbalance.values() if d < 0)
     operative, damaged = _inventories(instance)
     for sid in visited:
         operative[sid] -= imbalance[sid]  # its target
         damaged[sid] = 0
-    if shortfall > 0 and instance._exact_sums:
-        for sid, deficit in instance._deficits_by_weight:
+    if shortfall > 0 and lookup.exact_sums:
+        for sid, deficit in lookup.shortfall_order:
             if sid in visited:
                 left = shortfall if shortfall < deficit else deficit
                 operative[sid] -= left

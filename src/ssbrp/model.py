@@ -68,25 +68,40 @@ class TravelMatrix:
             return NotImplemented
         return np.array_equal(self.minutes, other.minutes)
 
+    def __hash__(self) -> int:
+        # the cells as Python floats, not bytes: hash(-0.0) == hash(0.0), as __eq__ has it
+        return hash((self.minutes.shape, tuple(self.minutes.ravel().tolist())))
+
 
 class _Lookup(NamedTuple):
-    """Travel minutes as Python floats, laid out for phase one's station scans;
-    ``Instance.travel_time`` reads them too, and ``position`` is the one index
-    of the stations by id.
+    """What an ``Instance`` derives from its fields, built once on first use.
 
-    Station-ordered lists follow ``Instance.stations``.
+    Lists by position follow ``Instance.stations``, and ``position`` is the
+    one index of the stations by id. The travel minutes are Python floats,
+    laid out for phase one's station scans; ``Instance.travel_time`` reads
+    them too. Callers copy the lists and dicts they change.
     """
 
     rows: dict[int, tuple[list[float], float]]  # node -> (minutes to each station, to the depot)
     back: list[float]  # minutes from each station to the depot
-    ids: list[int]  # station id at each index in station order
-    position: dict[int, int]  # station id -> index in station order
+    ids: list[int]  # station id at each position
+    position: dict[int, int]  # station id -> position
     weight: list[float]
+    imbalance: list[int]  # operative bikes above (+) or below (-) the target
+    damaged: list[int]
+    docks: list[int]  # free docks: capacity - operative - damaged
+    live: list[int]  # positions of the stations with work left (not ``_done``)
+    objective_rows: list[tuple[int, float, int]]  # (id, weight, target): what the objective sums
+    deviation: float  # the objective's normalizer D = sum(w * |dev| + damaged), in station order
+    start: tuple[dict[int, int], dict[int, int]]  # operative and damaged inventories by node
+    shortfall_order: list[tuple[int, int]]  # (id, deficit), lightest first; ties in station order
+    exact_sums: bool  # integer weights, sum w * |imbalance| < 2**53: float sums are exact
+    fleet: dict[int, Vehicle]  # vehicle id -> vehicle
 
 
 def _done(imbalance: int, damaged: int) -> bool:
     """No residual work left at a station. Residuals only move toward 0 within
-    a construction; ``Instance._residuals`` lists the positions of the
+    a construction; ``Instance._lookup.live`` lists the positions of the
     stations for which this is false at the start."""
     return imbalance == 0 and damaged <= 0
 
@@ -125,72 +140,35 @@ class Instance:
     def _lookup(self) -> _Lookup:
         """Built on first use, not at parse; not a field, so outside ``==``."""
         minutes = self.travel.minutes.tolist()
+        ids = [s.id for s in self.stations]
+        weight = [s.weight for s in self.stations]
+        imbalance = [s.imbalance for s in self.stations]
+        damaged = [s.damaged for s in self.stations]
+        deviation = 0.0
+        for s in self.stations:
+            deviation += s.weight * abs(s.target - s.operative) + s.damaged
+        by_weight = sorted(self.stations, key=lambda s: s.weight)
         return _Lookup(
             rows={n: (row[1:], row[0]) for n, row in zip(self.nodes, minutes)},
             back=[row[0] for row in minutes[1:]],
-            ids=[s.id for s in self.stations],
-            position={s.id: i for i, s in enumerate(self.stations)},
-            weight=[s.weight for s in self.stations],
+            ids=ids,
+            position={sid: i for i, sid in enumerate(ids)},
+            weight=weight,
+            imbalance=imbalance,
+            damaged=damaged,
+            docks=[s.capacity - s.operative - s.damaged for s in self.stations],
+            live=[i for i, (d, a) in enumerate(zip(imbalance, damaged)) if not _done(d, a)],
+            objective_rows=[(s.id, s.weight, s.target) for s in self.stations],
+            deviation=deviation,
+            start=(
+                {DEPOT: self.depot.operative} | {s.id: s.operative for s in self.stations},
+                {DEPOT: 0} | dict(zip(ids, damaged)),
+            ),
+            shortfall_order=[(s.id, -s.imbalance) for s in by_weight if s.imbalance < 0],
+            exact_sums=all(float(w).is_integer() for w in weight)
+            and sum(int(w) * abs(d) for w, d in zip(weight, imbalance)) < 2**53,
+            fleet={v.id: v for v in self.fleet},
         )
-
-    @cached_property
-    def _start(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Initial operative and damaged inventories by node, the depot first,
-        then the stations in station order. Callers copy them; cached as
-        ``_lookup`` is."""
-        operative = {DEPOT: self.depot.operative} | {s.id: s.operative for s in self.stations}
-        return operative, {DEPOT: 0} | {s.id: s.damaged for s in self.stations}
-
-    @cached_property
-    def _residuals(self) -> tuple[list[int], list[int], list[int]]:
-        """Phase one's starting residuals by station position: imbalance and
-        damaged bikes in station order, and the positions of the stations
-        with work left (not ``_done``). ``BuildState.fresh`` copies them;
-        cached as ``_lookup`` is."""
-        return (
-            [s.imbalance for s in self.stations],
-            [s.damaged for s in self.stations],
-            [i for i, s in enumerate(self.stations) if not _done(s.imbalance, s.damaged)],
-        )
-
-    @cached_property
-    def _deviation(self) -> float:
-        """The objective's normalizer ``D = sum(w * |dev| + damaged)``, summed in
-        station order; cached as ``_lookup`` is."""
-        total = 0.0
-        for s in self.stations:
-            total += s.weight * abs(s.target - s.operative) + s.damaged
-        return total
-
-    @cached_property
-    def _objective_rows(self) -> list[tuple[int, float, int]]:
-        """``(id, weight, target)`` of each station in station order, the rows
-        ``evaluate_objective`` sums; cached as ``_lookup`` is."""
-        return [(s.id, s.weight, s.target) for s in self.stations]
-
-    @cached_property
-    def _loading_rows(self) -> dict[int, tuple[int, int, float, int]]:
-        """Station id -> ``(imbalance, damaged, weight, free docks)`` in station
-        order: what ``build_model`` reads of each station. Cached as ``_lookup`` is."""
-        return {
-            s.id: (s.imbalance, s.damaged, s.weight, s.capacity - s.operative - s.damaged)
-            for s in self.stations
-        }
-
-    @cached_property
-    def _deficits_by_weight(self) -> list[tuple[int, int]]:
-        """``(id, deficit)`` of each station below its target, lowest weight first
-        and in station order among equal weights: the order in which
-        ``loading_bound`` places a shortfall. Cached as ``_lookup`` is."""
-        by_weight = sorted(self.stations, key=lambda s: s.weight)
-        return [(s.id, -s.imbalance) for s in by_weight if s.imbalance < 0]
-
-    @cached_property
-    def _exact_sums(self) -> bool:
-        """Whether floats add station-weighted imbalances exactly: integer weights
-        and ``sum w * |imbalance|`` below 2**53. Cached as ``_lookup`` is."""
-        exact = all(float(s.weight).is_integer() for s in self.stations)
-        return exact and sum(int(s.weight) * abs(s.imbalance) for s in self.stations) < 2**53
 
 
 @dataclass(frozen=True)
@@ -314,7 +292,7 @@ def _first_cell(bad: np.ndarray) -> str:
 
 def _inventories(instance: Instance) -> tuple[dict[int, int], dict[int, int]]:
     """Initial operative and damaged inventories by node, the depot first."""
-    operative, damaged = instance._start
+    operative, damaged = instance._lookup.start
     return operative.copy(), damaged.copy()
 
 
@@ -354,9 +332,10 @@ def evaluate_objective(
     station-weighted and normalized by the initial total deviation
     ``D = sum(w * |dev| + damaged)``; when D is zero both terms are defined as 0.
     """
-    denom = instance._deviation
+    lookup = instance._lookup
+    denom = lookup.deviation
     imb_num = dam_num = 0.0
-    for sid, weight, target in instance._objective_rows:
+    for sid, weight, target in lookup.objective_rows:
         p_hat, a_hat = final_operative[sid], final_damaged[sid]
         if p_hat < 0 or a_hat < 0:
             raise ValueError(f"station {sid}: negative final inventory")
@@ -411,7 +390,7 @@ def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]
     route, a nonempty route not from and back to the depot, a node visited twice
     in a row, unknown nodes. ``validate_solution`` reports them;
     ``solution_from_plans`` and phase two raise the first."""
-    fleet = {v.id for v in instance.fleet}
+    lookup = instance._lookup
     seen: set[int] = set()
     out: list[list[str]] = []
     for route in routes:
@@ -419,7 +398,7 @@ def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]
         visits = route.visits
         faults: list[str] = []
         out.append(faults)
-        if route.vehicle_id not in fleet:
+        if route.vehicle_id not in lookup.fleet:
             faults.append(f"{tag}: not in fleet")
             continue
         if route.vehicle_id in seen:
@@ -431,7 +410,7 @@ def _route_faults(instance: Instance, routes: Sequence[Route]) -> list[list[str]
         for i, (a, b) in enumerate(zip(visits, visits[1:])):
             if a == b:
                 faults.append(f"{tag}: visit {i + 1} immediately repeats node {a}")
-        unknown = set(visits).difference(instance._lookup.position, (DEPOT,))
+        unknown = set(visits).difference(lookup.position, (DEPOT,))
         if unknown:
             faults.append(f"{tag}: unknown nodes {sorted(unknown)}")
     return out
@@ -445,7 +424,7 @@ def _plan_faults(
     out: list[str] = []
     if len(routes) != len(plans):
         out.append(f"structure: {len(routes)} routes but {len(plans)} plans")
-    fleet = {v.id: v for v in instance.fleet}
+    fleet = instance._lookup.fleet
     sound: list[tuple[Route, LoadingPlan, Vehicle]] = []
     for route, plan, faults in zip(routes, plans, _route_faults(instance, routes)):
         rid = route.vehicle_id

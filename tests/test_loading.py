@@ -1234,7 +1234,7 @@ def test_loading_bound_places_no_shortfall_unless_sums_are_exact(monkeypatch):
     bound = loading_bound(inst, optimum)
     assert bound.imbalance == 0
     assert bound.total < optimum.objective.total
-    monkeypatch.setitem(inst.__dict__, "_exact_sums", True)
+    monkeypatch.setitem(inst.__dict__, "_lookup", inst._lookup._replace(exact_sums=True))
     assert loading_bound(inst, optimum).total > optimum.objective.total
     monkeypatch.undo()
     # integer weights, but a weighted imbalance sum of 2**53
@@ -1271,7 +1271,7 @@ def _sorting_bound(instance, solution, weights=ObjectiveWeights()):
     for sid in visited:
         operative[sid] = instance.station(sid).target
         damaged[sid] = 0
-    if shortfall > 0 and instance._exact_sums:
+    if shortfall > 0 and instance._lookup.exact_sums:
         deficits = sorted(
             (s for s in instance.stations if s.id in visited and s.imbalance < 0),
             key=lambda s: s.weight,

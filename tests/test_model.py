@@ -70,6 +70,17 @@ def test_travel_matrix_equality_is_array_equality():
         travel.minutes[0, 1] = 5.0
 
 
+def test_equal_travel_matrices_hash_equal():
+    minutes = np.array([[0.0, 4.0], [3.0, 0.0]])
+    signed = TravelMatrix(minutes * np.array([[1.0, 1.0], [1.0, -1.0]]))  # a -0.0 cell
+    assert signed.minutes[1, 1] == 0.0 and np.signbit(signed.minutes[1, 1])
+    assert signed == TravelMatrix(minutes)
+    assert hash(signed) == hash(TravelMatrix(minutes))
+    # so a frozen Instance, which holds one, hashes as its fields do
+    instance = generate_instance(GeneratorConfig(seed=1))
+    assert {instance: 1}[generate_instance(GeneratorConfig(seed=1))] == 1
+
+
 def _timed(instance, visits):
     """The time ``solution_from_plans`` records for vehicle 1's route, moving nothing."""
     plans = [LoadingPlan(1, ((0, 0),) * len(visits))]

@@ -253,7 +253,7 @@ def test_supply_shortfall_skips_keep_results(monkeypatch, stock, seed):
         return skipped, certified
 
     with_shortfall = decisions(check=True)
-    monkeypatch.setitem(inst.__dict__, "_exact_sums", False)
+    monkeypatch.setitem(inst.__dict__, "_lookup", inst._lookup._replace(exact_sums=False))
     assert decisions(check=False) != with_shortfall
 
 

@@ -1,7 +1,9 @@
 """Source checks: every name a module of the package imports at top level is
 used in that module (``__init__.py`` is skipped, since its imports are the
 package's re-exports), every private module-level name and every ``Instance``
-cached property is read somewhere in the package, no module holds an
+cached property is read somewhere in the package, every field of
+``Instance._lookup``, the one table an instance derives from its fields, is
+read off that table somewhere in the package, no module holds an
 ``assert`` statement, no module imports SciPy (phase two loads SciPy's HiGHS
 extension module by file), one call in the package makes a HiGHS instance
 (each thread keeps one), phase one's ``BuildState`` takes no attribute
@@ -129,6 +131,56 @@ def test_no_dead_names():
     # a fast path whose caller is gone leaves its table or helper behind unread
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert _dead_names(sources) == []
+
+
+def _table_fields(source: str) -> list[str]:
+    """The fields of a module's class ``_Lookup``, if it has one."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == "_Lookup":
+            return [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+    return []
+
+
+def _unread_fields(sources: dict[str, str]) -> list[str]:
+    """The ``_Lookup`` fields that no module reads as ``lookup.<field>`` or
+    ``<expr>._lookup.<field>``."""
+    reads = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                table = node.value
+                if (isinstance(table, ast.Name) and table.id == "lookup") or (
+                    isinstance(table, ast.Attribute) and table.attr == "_lookup"
+                ):
+                    reads.add(node.attr)
+    fields = [name for source in sources.values() for name in _table_fields(source)]
+    return [name for name in fields if name not in reads]
+
+
+def test_unread_field_check_finds_unread_fields():
+    sources = {
+        "a.py": (
+            "class _Lookup(NamedTuple):\n"
+            "    rows: dict\n"
+            "    ids: list\n"
+            "    back: list\n"
+            "    weight: list\n"
+            "    live: list\n"
+            "def f(instance, lookup, other):\n"
+            "    lookup.live = []\n"
+            "    return lookup.rows, instance._lookup.ids, other.back, weight\n"
+        ),
+        "b.py": "def g(lookup):\n    return lookup.position\n",
+    }
+    assert _unread_fields(sources) == ["back", "weight", "live"]
+
+
+def test_no_unread_table_fields():
+    # a column whose reader is gone is still built for every instance, and
+    # test_no_dead_names cannot see it: the table itself is read
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _table_fields(sources["model.py"]) != []
+    assert _unread_fields(sources) == []
 
 
 def _asserts(source: str) -> list[int]:
