@@ -2,12 +2,19 @@
 
 Routes are built sequentially, one vehicle after the other, against a shared
 build state that tracks residual station imbalances, residual damaged bikes,
-and the unclaimed depot stock. Successor choice is greedy-randomized: every
-candidate gets a ratio (moved bikes vs. detour time), a fresh threshold
-epsilon keeps only candidates close to the best ratio, and the winner is
-drawn uniformly among them. A construction from a fresh PCG64 Generator, as
-``run()``'s are, reads the Generator's raw words itself (``_Draws``); its
-draws are those of the Generator's own methods.
+and the unclaimed depot stock. The largest vehicle goes first: the build
+order is the fleet by descending capacity, ties in fleet order, so a fleet of
+one capacity is built as listed. The paper's abstract names a heterogeneous
+fleet but gives no build order; the README gives this rule's effect on the
+benchmark's fleet-mixed, whose capacities are listed ascending. The solution
+keeps its routes, plans and route times in fleet order.
+
+Successor choice is greedy-randomized: every candidate gets a ratio (moved
+bikes vs. detour time), a fresh threshold epsilon keeps only candidates
+close to the best ratio, and the winner is drawn uniformly among them. A
+construction from a fresh PCG64 Generator, as ``run()``'s are, reads the
+Generator's raw words itself (``_Draws``); its draws are those of the
+Generator's own methods.
 """
 
 from __future__ import annotations
@@ -400,6 +407,13 @@ def construct_solution(
 ) -> Solution:
     """Build one feasible solution: a route and provisional plan per vehicle.
 
+    The vehicles are built in ``Instance._lookup.build_order``, largest
+    capacity first, and the routes and plans are returned in fleet order.
+    That order is sound for the replay, which runs the routes in fleet order:
+    a route never draws on bikes another route returns to the depot, and a
+    station's operative stock, moved in any order, stays between its start and
+    its target.
+
     The instance is checked first, as ``run()`` checks it: check_instance
     raises on an invalid one and remembers a pass. The final inventories and
     route times are read off the build state, which already holds them; no
@@ -414,14 +428,13 @@ def construct_solution(
     """
     check_instance(instance)
     state = BuildState.fresh(instance)
-    routes = []
-    plans = []
+    fleet = instance.fleet
+    routes: list = [None] * len(fleet)
+    plans: list = [None] * len(fleet)
     bits = rng.bit_generator
     draws = _Draws(bits) if type(bits) is np.random.PCG64 else rng
-    for vehicle in instance.fleet:
-        route, plan = build_route(instance, state, vehicle, params, draws)
-        routes.append(route)
-        plans.append(plan)
+    for j in instance._lookup.build_order:
+        routes[j], plans[j] = build_route(instance, state, fleet[j], params, draws)
     return solution_from_plans(instance, state, routes, plans, weights)
 
 
@@ -440,19 +453,21 @@ def solution_from_plans(
     residual damaged bikes; the state's lists are read beside the
     ``objective_rows`` of ``Instance._lookup`` into dicts by station id, in
     station order.
-    The route times are the state's, which build_route wrote in fleet order.
+    The route times are the state's, which build_route wrote in build order,
+    keyed by vehicle id (check_instance keeps ids distinct) in the order of
+    ``routes``, fleet order, so the objective adds them as the replay does.
     Each is what ``model._replay`` gives, to the bit: both add a route's legs
-    in visit order from 0.0. They are keyed by vehicle id, which
-    check_instance keeps distinct.
+    in visit order from 0.0.
     """
     rows = instance._lookup.objective_rows
     operative = {sid: target + r for (sid, _, target), r in zip(rows, state.residual_imbalance)}
     damaged = {sid: r for (sid, _, _), r in zip(rows, state.residual_damaged)}
+    times = {r.vehicle_id: state.route_times[r.vehicle_id] for r in routes}
     return Solution(
         routes=tuple(routes),
         plans=tuple(plans),
         final_operative=operative,
         final_damaged=damaged,
-        route_times=state.route_times,
-        objective=evaluate_objective(instance, operative, damaged, state.route_times, weights),
+        route_times=times,
+        objective=evaluate_objective(instance, operative, damaged, times, weights),
     )

@@ -97,6 +97,7 @@ class _Lookup(NamedTuple):
     shortfall_order: list[tuple[int, int]]  # (id, deficit), lightest first; ties in station order
     exact_sums: bool  # integer weights, sum w * |imbalance| < 2**53: float sums are exact
     fleet: dict[int, Vehicle]  # vehicle id -> vehicle
+    build_order: list[int]  # fleet positions, largest capacity first; ties in fleet order
 
 
 def _done(imbalance: int, damaged: int) -> bool:
@@ -168,6 +169,7 @@ class Instance:
             exact_sums=all(float(w).is_integer() for w in weight)
             and sum(int(w) * abs(d) for w, d in zip(weight, imbalance)) < 2**53,
             fleet={v.id: v for v in self.fleet},
+            build_order=sorted(range(len(self.fleet)), key=lambda j: -self.fleet[j].capacity),
         )
 
 

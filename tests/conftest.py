@@ -8,21 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ssbrp.construction import Candidates
-from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.model import Depot, Instance, Station, TravelMatrix, Vehicle
-
-
-def fleet_mixed(seed):
-    """The benchmark's fleet-mixed shape: 15 wien stations, six vehicles of
-    capacity 5 to 17, so many visits per station; many route sets cannot
-    win, and on instance seed 1 most constructed plans meet the bound."""
-    generated = generate_instance(
-        GeneratorConfig(
-            family=Family.WIEN, stations=15, damaged_fraction=0.3, depot_stock=10, seed=seed
-        )
-    )
-    fleet = tuple(Vehicle(i, k) for i, k in enumerate((5, 7, 9, 11, 13, 17), start=1))
-    return dataclasses.replace(generated, fleet=fleet)
 
 
 def as_candidates(ratios):

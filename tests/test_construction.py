@@ -17,6 +17,7 @@ from ssbrp.construction import (
     route_context,
     select_next,
 )
+from ssbrp.loading import reoptimize_solution
 from ssbrp.model import (
     DEPOT,
     Depot,
@@ -533,6 +534,82 @@ def test_constructed_solutions_always_validate():
         assert violations == [], (trial, violations)
 
 
+# --- build order: the largest vehicle first ------------------------------------
+
+def _largest_first(fleet):
+    """The build order, sorted here without ``Instance._lookup``: descending
+    capacity, ties in fleet order."""
+    return sorted(fleet, key=lambda vehicle: -vehicle.capacity)
+
+
+def test_build_order_is_descending_capacity_with_ties_in_fleet_order():
+    mixed = make_instance([(1, 10, 7, 1, 5)], fleet=((4, 5), (8, 9), (2, 5), (6, 9), (1, 7)))
+    assert mixed._lookup.build_order == [1, 3, 4, 0, 2]
+    same = make_instance([(1, 10, 7, 1, 5)], fleet=((3, 6), (1, 6), (2, 6)))
+    assert same._lookup.build_order == [0, 1, 2]
+
+
+@st.composite
+def _mixed_fleet_cases(draw):
+    """A small instance with a mixed fleet of 2-5 vehicles (ids in any order),
+    a finite depot capacity and fractional travel minutes, and a seed."""
+    ids = draw(st.lists(st.integers(1, 40), min_size=2, max_size=8, unique=True))
+    n = len(ids) + 1
+    minutes = st.floats(0.05, 25.0, allow_nan=False, allow_infinity=False)
+    matrix = np.array([[0.0 if a == b else draw(minutes) for b in range(n)] for a in range(n)])
+    stations = []
+    for sid in ids:
+        capacity = draw(st.integers(1, 30))
+        operative = draw(st.integers(0, capacity))
+        damaged = draw(st.integers(0, capacity - operative))
+        target = draw(st.integers(0, capacity))
+        weight = draw(st.sampled_from([0.5, 1.0, 2.25]))
+        stations.append(Station(sid, capacity, operative, damaged, target, weight))
+    capacities = draw(
+        st.lists(st.integers(1, 6), min_size=2, max_size=5).filter(lambda ks: len(set(ks)) > 1)
+    )
+    vehicle_ids = draw(
+        st.lists(st.integers(1, 99), min_size=len(capacities), max_size=len(capacities), unique=True)
+    )
+    stock = draw(st.integers(0, 15))
+    instance = Instance(
+        stations=tuple(stations),
+        depot=Depot(stock, draw(st.integers(stock, stock + 15))),
+        travel=TravelMatrix(matrix),
+        fleet=tuple(Vehicle(vid, k) for vid, k in zip(vehicle_ids, capacities)),
+        time_budget=draw(st.floats(10.0, 80.0)),
+    )
+    return instance, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_fleet_cases())
+def test_a_mixed_fleet_is_built_largest_first_and_replays_in_fleet_order(case):
+    instance, seed = case
+    weights = ObjectiveWeights()
+    built = []
+
+    def recording(instance, state, vehicle, params, rng):
+        built.append(vehicle)
+        return build_route(instance, state, vehicle, params, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construction, "build_route", recording)
+        got = construct_solution(instance, ConstructionParams(), np.random.default_rng(seed), weights)
+    assert built[0].capacity == max(v.capacity for v in instance.fleet)
+    assert built == _largest_first(instance.fleet)
+    fleet_ids = [v.id for v in instance.fleet]
+    assert [r.vehicle_id for r in got.routes] == [p.vehicle_id for p in got.plans] == fleet_ids
+    assert list(got.route_times) == fleet_ids
+    # the replay runs the routes in fleet order and adds the route times in it
+    replayed = solution_from_plans(instance, got.routes, got.plans, weights)
+    assert got.route_times == replayed.route_times
+    assert [x.hex() for x in astuple(got.objective)] == [x.hex() for x in astuple(replayed.objective)]
+    assert validate_solution(instance, got.routes, got.plans) == []
+    reoptimized = reoptimize_solution(instance, got, weights)
+    assert validate_solution(instance, reoptimized.routes, reoptimized.plans) == []
+
+
 # --- reference equivalence: phase one against the per-station loop -------------
 
 def _reference_max_movable(state, walk, i, vehicle):
@@ -708,9 +785,10 @@ def _apply_visit(instance, state, walk, vehicle, visits, moves, v_star, beta, al
 def _reference_construction(instance, params, rng, state):
     """construct_solution without the live list: every station is scanned at
     every step, each candidate's ratio is one call, and each visit is
-    applied by ``_apply_visit``."""
+    applied by ``_apply_visit``. The vehicles are built largest first and
+    replayed in fleet order."""
     routes, plans = [], []
-    for vehicle in instance.fleet:
+    for vehicle in _largest_first(instance.fleet):
         walk = _Walk(min_free_lockers=vehicle.capacity)
         visits, moves = [DEPOT], [(0, 0)]
         while True:
@@ -736,6 +814,9 @@ def _reference_construction(instance, params, rng, state):
             moves.append((-walk.onboard_operative, -walk.onboard_damaged))
         routes.append(Route(vehicle.id, tuple(visits)))
         plans.append(LoadingPlan(vehicle.id, tuple(moves)))
+    order = [v.id for v in instance.fleet]
+    routes.sort(key=lambda route: order.index(route.vehicle_id))
+    plans.sort(key=lambda plan: order.index(plan.vehicle_id))
     return solution_from_plans(instance, routes, plans, ObjectiveWeights())
 
 
@@ -781,8 +862,9 @@ def _check_construction(instance, params, seed):
         fresh = BuildState.fresh(instance)
         for state in (fresh, _hand_built_state(instance)):
             route_rng = make_rng(seed)
-            for vehicle, route, plan in zip(instance.fleet, got.routes, got.plans):
-                assert build_route(instance, state, vehicle, params, route_rng) == (route, plan)
+            built = dict(zip(instance.fleet, zip(got.routes, got.plans)))
+            for vehicle in _largest_first(instance.fleet):
+                assert build_route(instance, state, vehicle, params, route_rng) == built[vehicle]
                 if state is fresh:
                     assert state.live == _live(state)
         assert validate_solution(instance, got.routes, got.plans) == []

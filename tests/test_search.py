@@ -4,8 +4,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from conftest import fleet_mixed, make_instance
+from conftest import make_instance
 from oracle import brute_force_loading
+from quality import fleet_mixed
 from ssbrp import search
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
