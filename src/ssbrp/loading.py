@@ -6,7 +6,9 @@ allotment w0 per vehicle. The objective counts the residual station
 imbalance and the damaged bikes left uncollected, each times its
 station's weight and its gamma (``gamma_d`` or ``gamma_a``). The program
 is solved exactly by depth-first branch-and-bound with LP-relaxation
-bounds.
+bounds. ``loading_bound`` bounds the program's optimum from below without
+solving it, and ``_reload`` finds a plan without an LP that ``search.run``
+keeps where it meets that bound.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class LoadingModel:
     within a route, visit by visit (visits count from 1), x before y, and
     the route's depot allotment ``("w0", vehicle, 0, -1)`` last. Only the
     kind tells w0 from a move, as a station's id may be -1. A move column's
-    vehicle, visit and kind alone place it in the plans.
+    vehicle, visit and kind alone place it in the plans. ``branched`` is True
+    on the move columns, those ``solve_exact`` branches on, and False on w0.
 
     The rows, inequalities then equalities, are row-compressed in the types
     HiGHS takes: row r has columns ``row_index[row_start[r]:row_start[r + 1]]``
@@ -110,6 +113,7 @@ class LoadingModel:
     columns: list[tuple[str, int, int, int]]
     lower: np.ndarray
     upper: np.ndarray
+    branched: np.ndarray
     c: np.ndarray
     constant: float
     row_start: np.ndarray
@@ -332,11 +336,13 @@ def build_model(
     row_start = np.append(0, sizes).cumsum(dtype=np.int32)
     row_value = np.sign(signed).repeat(sizes).astype(float)
     row_value[row_start[allotments]] = -1  # the w0 entries
+    branched = np.ones(len(columns), dtype=bool)
+    branched[w0_cols] = False
     # entry e of row r is src[at[r] + e - row_start[r]]: one gather, no per-entry Python
     entry_at = np.array(ub_at + eq_at, dtype=np.intp).repeat(sizes)
     entry_at += np.arange(row_start[-1]) - row_start[:-1].repeat(sizes)
     return LoadingModel(
-        routes, columns, np.array(lower, dtype=float), np.array(upper, dtype=float),
+        routes, columns, np.array(lower, dtype=float), np.array(upper, dtype=float), branched,
         np.array(c), constant, row_start, np.array(src, dtype=np.int32)[entry_at],
         row_value, np.array(b_ub, dtype=float), np.zeros(len(eq_sizes)),
     )
@@ -478,7 +484,6 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
         return LoadingVariables(_plans(model, np.zeros(0)), model.constant)
 
     lp = _relaxation(model)
-    moves = np.array([kind != "w0" for kind, _, _, _ in model.columns])  # branched on
 
     best_val = math.inf
     best_values: np.ndarray | None = None
@@ -499,7 +504,7 @@ def solve_exact(model: LoadingModel) -> LoadingVariables:
             continue
         values = np.array(values)
         rounded = np.round(values)
-        fractional = (np.abs(values - rounded) > _INT_TOL) & moves
+        fractional = (np.abs(values - rounded) > _INT_TOL) & model.branched
         if not fractional.any():  # c is 0.0 on the depot and w0 columns, which _plans sets
             val = float(model.c @ rounded + model.constant)
             if val < best_val - 1e-9:
@@ -602,9 +607,10 @@ def loading_bound(
     never exceeds the reoptimized total, to the bit.
 
     ``run`` uses the bound twice. Routes whose bound cannot beat the
-    incumbent need no phase two. A constructed plan whose total is not
-    above the bound is optimal for its routes, as no plan over them scores
-    below it, so phase two could not lower its total.
+    incumbent need no phase two. A feasible plan whose total is not above
+    the bound, as constructed or as ``_reload`` finds it, is optimal for its
+    routes, as no plan over them scores below it, so phase two could not
+    lower its total.
     """
     lookup = instance._lookup
     position, imbalance_at = lookup.position, lookup.imbalance
@@ -646,3 +652,131 @@ def loading_bound(
                 if not shortfall:
                     break
     return evaluate_objective(instance, operative, damaged, solution.route_times, weights)
+
+
+def _reload_pass(
+    instance: Instance,
+    routes: Sequence[Route],
+    stock: int,
+    quota: list[int] | None = None,
+) -> tuple[tuple[LoadingPlan, ...], list[int], list[int]]:
+    """One walk of fixed routes, in the order given, under phase one's move rule.
+
+    Each visit moves what ``construction.feasible_successors`` offers there,
+    and applies it as ``construction.build_route`` does: a delivery beyond
+    the operative bikes on board claims the rest from ``stock`` at the last
+    depot visit, within the fewest lockers free since then; a depot visit
+    drops the damaged bikes, and the route's last visit everything on
+    board. ``quota``, by station position, caps the bikes each station gets
+    from the depot stock in all and is used up in place; None is no cap.
+    The routes are phase one's, so their times fit the budget; the moves
+    pass ``validate_solution`` for the reasons phase one's do, and a quota
+    only lowers a delivery. Returns the plans and the residual imbalance
+    and damaged bikes by station position.
+    """
+    lookup = instance._lookup
+    position, fleet = lookup.position, lookup.fleet
+    imbalance, damaged = lookup.imbalance.copy(), lookup.damaged.copy()
+    capacity = instance.depot.capacity
+    room = math.inf if capacity is None else capacity - instance.depot.operative
+    plans: list[LoadingPlan] = []
+    for route in routes:
+        visits = route.visits
+        if not visits:
+            plans.append(LoadingPlan(route.vehicle_id))
+            continue
+        k = fleet[route.vehicle_id].capacity
+        moves = [(0, 0)] * len(visits)
+        op = dam = 0
+        lockers = k
+        last_depot = 0
+        for i in range(1, len(visits) - 1):
+            node = visits[i]
+            if node == DEPOT:
+                moves[i] = (0, -dam)
+                dam = 0
+                last_depot = i
+                lockers = k - op
+                continue
+            at = position[node]
+            d, avail = imbalance[at], damaged[at]
+            free = k - op - dam
+            pick = free if free < room else room
+            if d < 0:
+                depot = stock if stock < lockers else lockers
+                if quota is not None and quota[at] < depot:
+                    depot = quota[at]
+                reach = op + depot
+                beta = reach if reach < -d else -d
+                space = pick + beta
+                if space > k - dam:
+                    space = k - dam
+                alpha = space if space < avail else avail
+                retro = beta - op
+                if retro > 0:
+                    dx, dy = moves[last_depot]
+                    moves[last_depot] = (dx + retro, dy)
+                    stock -= retro
+                    lockers -= retro
+                    op += retro
+                    if quota is not None:
+                        quota[at] -= retro
+                op -= beta
+                imbalance[at] += beta
+                delta = -beta
+            else:
+                beta = pick if pick < d else d
+                alpha = pick - beta if pick - beta < avail else avail
+                op += beta
+                imbalance[at] -= beta
+                delta = beta
+            dam += alpha
+            damaged[at] -= alpha
+            room -= delta + alpha
+            moves[i] = (delta, alpha)
+            if k - op - dam < lockers:
+                lockers = k - op - dam
+        moves[-1] = (-op, -dam)
+        plans.append(LoadingPlan(route.vehicle_id, tuple(moves)))
+    return tuple(plans), imbalance, damaged
+
+
+def _reload(
+    instance: Instance,
+    solution: Solution,
+    weights: ObjectiveWeights = ObjectiveWeights(),
+) -> Solution | None:
+    """Another feasible loading of a solution's routes, found without an LP, or None.
+
+    Two walks of ``_reload_pass`` over the routes, in fleet order. The first
+    draws no depot stock, so each route serves deficits from its own
+    pickups. If it leaves surplus or damaged bikes at a visited station,
+    None is returned: ``loading_bound``'s optimistic state has none there,
+    so a reload seldom meets it then. The second draws on the stock, but
+    gives each station from it at most the deficit that the first walk
+    left, so the stock goes where the pickups fall short; without stock or
+    such a deficit it would repeat the first, which is kept. The plans are
+    replayed by ``solution_from_plans``. Without depot stock, on a fleet
+    that phase one builds in fleet order, the first walk is phase one's own
+    (``tests/test_loading.py`` pins that), so the reload would return the
+    constructed plan, which ``run`` reloads only when it misses the bound;
+    None is returned at once.
+
+    ``run`` keeps the result when its total is not above the bound, as it
+    keeps a constructed plan that meets the bound: no plan over the routes
+    scores below the bound, so this one is optimal for them.
+    """
+    lookup = instance._lookup
+    stock = instance.depot.operative
+    if not stock and lookup.build_order == sorted(lookup.build_order):
+        return None
+    routes = solution.routes
+    plans, imbalance, damaged = _reload_pass(instance, routes, 0)
+    position = lookup.position
+    visited = {position[node] for route in routes for node in route.visits if node != DEPOT}
+    if any(imbalance[at] > 0 or damaged[at] > 0 for at in visited):
+        return None
+    quota = [-d if d < 0 else 0 for d in imbalance]
+    if stock and any(quota):
+        plans = _reload_pass(instance, routes, stock, quota)[0]
+    return solution_from_plans(instance, routes, plans, weights)

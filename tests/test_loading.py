@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import make_instance, negative_zeros, random_instances, reweighted
 from oracle import brute_force_loading
-from quality import fleet_mixed
+from quality import fleet_mixed, workloads
 from ssbrp import loading
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
@@ -130,6 +130,8 @@ def test_model_columns_and_highs_input(case):
     assert model.columns == [col[1:5] for col in expected]
     assert model.lower.tolist() == [col[5] for col in expected]
     assert model.upper.tolist() == [col[6] for col in expected]
+    assert model.branched.dtype == bool
+    assert model.branched.tolist() == [col[1] != "w0" for col in expected]
     assert _bounds(model) == [f"{lo} <= {name} <= {hi}" for name, *_, lo, hi in expected]
     if model.n_vars == 0:
         return
@@ -289,7 +291,8 @@ def _hand_built(b_ub, b_eq):
     """Two columns x, y in [0, 5] and five rows: x + y <= b_ub[0], an empty row
     <= b_ub[1], y <= b_ub[2]; x - y = b_eq[0], and an empty row = b_eq[1] last."""
     return LoadingModel(
-        (), [("x", 1, 1, 1), ("y", 1, 1, 1)], np.zeros(2), np.full(2, 5.0), np.zeros(2), 0.0,
+        (), [("x", 1, 1, 1), ("y", 1, 1, 1)], np.zeros(2), np.full(2, 5.0),
+        np.ones(2, dtype=bool), np.zeros(2), 0.0,
         np.array([0, 2, 2, 3, 5, 5], dtype=np.int32), np.array([0, 1, 1, 0, 1], dtype=np.int32),
         np.array([1.0, 1.0, 1.0, 1.0, -1.0]), np.array(b_ub, dtype=float),
         np.array(b_eq, dtype=float),
@@ -1162,6 +1165,91 @@ def test_constructed_plan_meeting_the_bound_is_optimal(case):
     costs = [g * s.weight for s in inst.stations for g in (weights.gamma_d, weights.gamma_a)]
     if all(c == 0 or c >= 1e-6 for c in costs):
         assert after.objective.total == built.objective.total
+
+
+def _homogeneous(inst):
+    """The instance with every vehicle at the first one's capacity: phase one
+    then builds the routes in fleet order, as ``_reload_pass`` walks them."""
+    if not inst.fleet:
+        return inst
+    fleet = tuple(dataclasses.replace(v, capacity=inst.fleet[0].capacity) for v in inst.fleet)
+    return dataclasses.replace(inst, fleet=fleet)
+
+
+def _check_pass_repeats_phase_one(inst, built):
+    plans, imbalance, damaged = loading._reload_pass(inst, built.routes, inst.depot.operative)
+    assert plans == built.plans
+    operative = [s.target + d for s, d in zip(inst.stations, imbalance)]
+    assert operative == list(built.final_operative.values())
+    assert damaged == list(built.final_damaged.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_instances(), st.integers(0, 2**32 - 1))
+def test_reload_pass_without_quota_repeats_phase_one(inst, seed):
+    # _reload_pass states phase one's move rule a second time; on a fleet of
+    # one capacity, with the whole depot stock and no quota, it must move
+    # what phase one moved at every visit
+    inst = _homogeneous(inst)
+    built = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed))
+    _check_pass_repeats_phase_one(inst, built)
+
+
+@pytest.mark.parametrize("name, seeds", [("palma-28", range(1, 41)), ("wien-90", range(1, 11))])
+def test_reload_pass_without_quota_repeats_phase_one_on_the_workloads(name, seeds):
+    inst = workloads()[name]
+    for i in seeds:
+        _check_pass_repeats_phase_one(
+            inst, construct_solution(inst, ConstructionParams(), np.random.default_rng([5, i]))
+        )
+
+
+@st.composite
+def _reload_cases(draw):
+    """A bound case (random instance, zero station weights, gammas, seed),
+    or fleet-mixed at an instance seed of 1-20 under unit weights."""
+    if draw(st.booleans()):
+        return draw(_bound_cases())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return fleet_mixed(draw(st.integers(1, 20))), ObjectiveWeights(), seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reload_cases())
+def test_reload_is_feasible_and_optimal_where_it_meets_the_bound(case):
+    # run() keeps a reload that meets the bound without phase two; phase two
+    # would reach the same total to the bit, under the tolerance caveat of
+    # test_constructed_plan_meeting_the_bound_is_optimal
+    inst, weights, seed = case
+    built = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed), weights)
+    reloaded = loading._reload(inst, built, weights)
+    if reloaded is None:
+        return
+    assert validate_solution(inst, reloaded.routes, reloaded.plans) == []
+    assert (reloaded.routes, reloaded.route_times) == (built.routes, built.route_times)
+    if reloaded.objective.total > loading_bound(inst, built, weights).total:
+        return
+    after = reoptimize_solution(inst, built, weights)
+    costs = [g * s.weight for s in inst.stations for g in (weights.gamma_d, weights.gamma_a)]
+    if all(c == 0 or c >= 1e-6 for c in costs):
+        assert after.objective.total.hex() == reloaded.objective.total.hex()
+
+
+def test_reload_meets_the_bound_on_palma_route_sets_that_need_phase_two():
+    inst = workloads()["palma-28"]
+    need = met = 0
+    for i in range(1, 106):
+        built = construct_solution(inst, ConstructionParams(), np.random.default_rng([5, i]))
+        bound = loading_bound(inst, built).total
+        if built.objective.total <= bound:
+            continue
+        need += 1
+        reloaded = loading._reload(inst, built)
+        if reloaded is not None and reloaded.objective.total <= bound:
+            met += 1
+            after = reoptimize_solution(inst, built)
+            assert reloaded.objective.total.hex() == after.objective.total.hex(), i
+    assert (need, met) == (35, 16)
 
 
 @st.composite

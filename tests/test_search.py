@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import islice
 
 import numpy as np
@@ -10,7 +11,7 @@ from quality import fleet_mixed
 from ssbrp import search
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
-from ssbrp.loading import loading_bound, reoptimize_solution
+from ssbrp.loading import _reload, loading_bound, reoptimize_solution
 from ssbrp.model import (
     ObjectiveWeights,
     Route,
@@ -197,41 +198,51 @@ def _always_reoptimized(instance, config):
             return best, tuple(trace), best_iter, iteration
 
 
-def _constructed_best(instance, config, report):
-    """The best iteration's constructed solution, and whether it meets the bound."""
+def _certified_best(instance, config, report):
+    """The best iteration's constructed solution, the solution that met the
+    bound there, and which one that is: the constructed one ("built"), else
+    its reload ("reload"), else None (and None)."""
     iterations = search._iterations(instance, config)
     _, built, _ = next(islice(iterations, report.iteration_of_best - 1, None))
-    return built, built.objective.total <= loading_bound(instance, built, config.weights).total
+    bound = loading_bound(instance, built, config.weights).total
+    if built.objective.total <= bound:
+        return built, built, "built"
+    reloaded = _reload(instance, built, config.weights)
+    if reloaded is not None and reloaded.objective.total <= bound:
+        return built, reloaded, "reload"
+    return built, None, None
 
 
 def _check_against_always_reoptimized(instance, config, report):
     """The report's trace, iterations, routes and objective are those of the
     loop that reoptimizes every iteration. A certified best (its constructed
-    plan meets the bound) is returned as constructed; any other best equals
-    that loop's, plans included. Returns whether the best is certified."""
+    plan or its reload meets the bound) is returned as that solution; any
+    other best equals that loop's, plans included. Returns how the best was
+    certified: "built", "reload" or None."""
     best, trace, best_iter, iterations = _always_reoptimized(instance, config)
     got = (report.incumbent_trace, report.iteration_of_best, report.total_iterations)
     assert got == (trace, best_iter, iterations), config.master_seed
     assert report.best_solution.routes == best.routes, config.master_seed
     assert report.best_objective == best.objective, config.master_seed
-    built, certified = _constructed_best(instance, config, report)
-    assert report.best_solution == (built if certified else best), config.master_seed
-    return certified
+    _, certified, how = _certified_best(instance, config, report)
+    assert report.best_solution == (best if certified is None else certified), config.master_seed
+    return how
 
 
 @pytest.mark.parametrize("max_iter, seeds", [(2, range(20)), (20, range(5))])
 def test_skipping_phase_two_keeps_results(max_iter, seeds):
-    skipped = certified = certified_bests = 0
+    skipped = certified = 0
+    certified_bests = Counter()
     for inst in (fleet_mixed(2), fleet_mixed(1)):
         for seed in seeds:
             config = RunConfig(max_iter=max_iter, master_seed=seed)
             report = run(inst, config)
-            certified_bests += _check_against_always_reoptimized(inst, config, report)
+            certified_bests[_check_against_always_reoptimized(inst, config, report)] += 1
             skipped += report.loading_skipped
             certified += report.loading_certified
     assert skipped > 0
     assert certified > 0
-    assert certified_bests > 0
+    assert certified_bests["built"] > 0
 
 
 @pytest.mark.parametrize("stock, seed", [(10, 1), (5, 3)])
@@ -241,16 +252,17 @@ def test_supply_shortfall_skips_keep_results(monkeypatch, stock, seed):
     inst = generate_instance(GeneratorConfig(family=Family.PALMA, depot_stock=stock, seed=seed))
 
     def decisions(check):
-        skipped = certified = certified_bests = 0
+        skipped = certified = 0
+        certified_bests = Counter()
         for master_seed in range(20):
             config = RunConfig(max_iter=2, master_seed=master_seed)
             report = run(inst, config)
             if check:
-                certified_bests += _check_against_always_reoptimized(inst, config, report)
+                certified_bests[_check_against_always_reoptimized(inst, config, report)] += 1
             skipped += report.loading_skipped
             certified += report.loading_certified
         if check:
-            assert certified_bests > 0
+            assert certified_bests["built"] > 0
         return skipped, certified
 
     with_shortfall = decisions(check=True)
@@ -263,12 +275,15 @@ def test_phase_two_runs_only_on_iterations_the_bound_neither_skips_nor_certifies
     calls = []
 
     def counted(instance, solution, weights):
-        assert solution.objective.total > loading_bound(instance, solution, weights).total
+        bound = loading_bound(instance, solution, weights).total
+        assert solution.objective.total > bound
+        reloaded = _reload(instance, solution, weights)
+        assert reloaded is None or reloaded.objective.total > bound
         calls.append(solution)
         return solve(instance, solution, weights)
 
     monkeypatch.setattr(search, "reoptimize_solution", counted)
-    certified_bests = 0
+    certified_bests = Counter()
     for inst in (fleet_mixed(1), generate_instance(GeneratorConfig(family=Family.PALMA, seed=1))):
         for master_seed in range(10):
             config = RunConfig(max_iter=2, master_seed=master_seed)
@@ -276,8 +291,9 @@ def test_phase_two_runs_only_on_iterations_the_bound_neither_skips_nor_certifies
             report = run(inst, config)
             expected = report.total_iterations - report.loading_skipped - report.loading_certified
             assert len(calls) == expected, master_seed
-            certified_bests += _constructed_best(inst, config, report)[1]
-    assert certified_bests > 0
+            certified_bests[_certified_best(inst, config, report)[2]] += 1
+    assert certified_bests["built"] > 0
+    assert certified_bests["reload"] > 0
 
 
 def test_a_surplus_met_after_the_last_deficit_certifies_the_constructed_plan():
@@ -315,18 +331,23 @@ def _tiny_instance(rng):
 
 
 def test_certified_best_is_optimal_for_its_routes():
-    # a certified best skips phase two, so the oracle checks it instead
-    certified_bests = 0
+    # a certified best, constructed or reloaded, skips phase two, so the
+    # oracle checks it instead
+    certified_bests = Counter()
     for case in range(200):
         inst = _tiny_instance(np.random.default_rng(case))
         config = RunConfig(max_iter=3, master_seed=case)
         report = run(inst, config)
-        built, certified = _constructed_best(inst, config, report)
-        if report.best_solution == built:
-            plans = brute_force_loading(inst, built.routes, config.weights).plans
-            optimum = solution_from_plans(inst, built.routes, plans, config.weights)
-            assert built.objective.total == optimum.objective.total, case
-        else:
-            assert not certified, case
-        certified_bests += certified
-    assert certified_bests >= 80
+        built, certified, how = _certified_best(inst, config, report)
+        best = report.best_solution
+        certified_bests[how] += 1
+        if certified is None:
+            assert best == reoptimize_solution(inst, built, config.weights), case
+            continue
+        assert best == certified, case
+        assert validate_solution(inst, best.routes, best.plans) == [], case
+        plans = brute_force_loading(inst, best.routes, config.weights).plans
+        optimum = solution_from_plans(inst, best.routes, plans, config.weights)
+        assert best.objective.total == optimum.objective.total, case
+    assert certified_bests["built"] >= 80
+    assert certified_bests["reload"] >= 1
