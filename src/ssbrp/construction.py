@@ -15,6 +15,10 @@ close to the best ratio, and the winner is drawn uniformly among them. A
 construction from a fresh PCG64 Generator, as ``run()``'s are, reads the
 Generator's raw words itself (``_Draws``); its draws are those of the
 Generator's own methods.
+
+``_reload`` walks a built solution's routes again under the same move rule,
+for a plan that ``search.run`` keeps without phase two where it meets
+``loading_bound``; solution_from_plans reads either walk's build state.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -67,7 +72,8 @@ class BuildState:
     is done. A state built by hand passes its own list; it may also hold
     finished stations, which never become candidates.
     ``route_times`` holds each routed vehicle's route time, recorded as
-    build_route closes its route. A route's running values live in
+    build_route closes its route; a reload, whose walks keep the routes,
+    sets it to the built solution's. A route's running values live in
     build_route's locals; the slots make any other attribute an error.
     """
 
@@ -443,21 +449,22 @@ def construct_solution(
 def solution_from_plans(
     instance: Instance,
     state: BuildState,
-    routes: list[Route],
-    plans: list[LoadingPlan],
+    routes: Sequence[Route],
+    plans: Sequence[LoadingPlan],
     weights: ObjectiveWeights,
 ) -> Solution:
-    """The Solution of a construction, read off its finished build state.
+    """The Solution of a construction or a reload, read off its finished build state.
 
     A station ends at its target plus its residual imbalance, with its
     residual damaged bikes; the state's lists are read beside the
     ``objective_rows`` of ``Instance._lookup`` into dicts by station id, in
     station order.
-    The route times are the state's, which build_route wrote in build order,
-    keyed by vehicle id (check_instance keeps ids distinct) in the order of
-    ``routes``, fleet order, so the objective adds them as the replay does.
-    Each is what ``model._replay`` gives, to the bit: both add a route's legs
-    in visit order from 0.0.
+    The route times are the state's, which build_route wrote in build order
+    (a reload gives the state the built solution's), keyed by vehicle id
+    (check_instance keeps ids distinct) in the order of ``routes``, fleet
+    order, so the objective adds them as the replay does. Each is what
+    ``model._replay`` gives, to the bit: both add a route's legs in visit
+    order from 0.0.
     """
     rows = instance._lookup.objective_rows
     operative = {sid: target + r for (sid, _, target), r in zip(rows, state.residual_imbalance)}
@@ -471,3 +478,121 @@ def solution_from_plans(
         route_times=times,
         objective=evaluate_objective(instance, operative, damaged, times, weights),
     )
+
+
+def _reload_pass(
+    instance: Instance,
+    routes: Sequence[Route],
+    stock: int,
+    quota: list[int] | None = None,
+) -> tuple[tuple[LoadingPlan, ...], BuildState]:
+    """One walk of fixed routes, in the order given, under phase one's move rule.
+
+    The walk starts from ``BuildState.fresh`` with ``stock`` as the depot's
+    stock. Each visit moves what feasible_successors offers there and
+    applies it as build_route does, stock and room included; a depot visit
+    drops the damaged bikes, and the route's last visit everything on board.
+    ``quota``, by station position, caps the bikes each station gets from
+    the depot stock in all and is used up in place; None is no cap. The
+    moves pass ``validate_solution`` for the reasons phase one's do, and a
+    quota only lowers a delivery. Returns the plans and the state, whose
+    ``route_times`` stay empty.
+    """
+    position, fleet = instance._lookup.position, instance._lookup.fleet
+    state = BuildState.fresh(instance)
+    state.depot_remaining = stock
+    imbalance, damaged = state.residual_imbalance, state.residual_damaged
+    plans: list[LoadingPlan] = []
+    for route in routes:
+        visits = route.visits
+        if not visits:
+            plans.append(LoadingPlan(route.vehicle_id))
+            continue
+        k = fleet[route.vehicle_id].capacity
+        moves = [(0, 0)] * len(visits)
+        op = dam = 0
+        lockers = k
+        last_depot = 0
+        stock, room = state.depot_remaining, state.depot_room
+        for i in range(1, len(visits) - 1):
+            node = visits[i]
+            if node == DEPOT:
+                moves[i] = (0, -dam)
+                dam = 0
+                last_depot = i
+                lockers = k - op
+                continue
+            at = position[node]
+            d, avail = imbalance[at], damaged[at]
+            free = k - op - dam
+            pick = free if free < room else room
+            if d < 0:
+                depot = stock if stock < lockers else lockers
+                if quota is not None and quota[at] < depot:
+                    depot = quota[at]
+                reach = op + depot
+                beta = reach if reach < -d else -d
+                space = pick + beta
+                if space > k - dam:
+                    space = k - dam
+                alpha = space if space < avail else avail
+                retro = beta - op
+                if retro > 0:
+                    dx, dy = moves[last_depot]
+                    moves[last_depot] = (dx + retro, dy)
+                    stock -= retro
+                    lockers -= retro
+                    op += retro
+                    if quota is not None:
+                        quota[at] -= retro
+                op -= beta
+                imbalance[at] += beta
+                delta = -beta
+            else:
+                beta = pick if pick < d else d
+                alpha = pick - beta if pick - beta < avail else avail
+                op += beta
+                imbalance[at] -= beta
+                delta = beta
+            dam += alpha
+            damaged[at] -= alpha
+            room -= delta + alpha
+            moves[i] = (delta, alpha)
+            if k - op - dam < lockers:
+                lockers = k - op - dam
+        state.depot_remaining, state.depot_room = stock, room
+        moves[-1] = (-op, -dam)
+        plans.append(LoadingPlan(route.vehicle_id, tuple(moves)))
+    return tuple(plans), state
+
+
+def _reload(
+    instance: Instance,
+    solution: Solution,
+    weights: ObjectiveWeights = ObjectiveWeights(),
+) -> Solution | None:
+    """Another feasible loading of a solution's routes, found without an LP, or None.
+
+    Two walks of ``_reload_pass`` over the routes, in fleet order. The first
+    draws no depot stock, so each route serves deficits from its own
+    pickups. The second draws on the stock, but gives each station from it
+    at most the deficit that the first walk left; without stock or such a
+    deficit it would repeat the first, which is kept. The kept walk's state
+    gets the solution's route times, and solution_from_plans reads the
+    Solution off it; no move is replayed. Without depot stock, on a fleet
+    that phase one builds in fleet order, the first walk is phase one's own
+    (``tests/test_loading.py`` pins that) and returns the constructed plan,
+    which ``run`` reloads only when it misses the bound: None is returned.
+    ``run`` keeps a result that meets the bound, as it is optimal then.
+    """
+    order = instance._lookup.build_order
+    stock = instance.depot.operative
+    if not stock and order == sorted(order):
+        return None
+    routes = solution.routes
+    plans, state = _reload_pass(instance, routes, 0)
+    quota = [-d if d < 0 else 0 for d in state.residual_imbalance]
+    if stock and any(quota):
+        plans, state = _reload_pass(instance, routes, stock, quota)
+    state.route_times = solution.route_times
+    return solution_from_plans(instance, state, routes, plans, weights)

@@ -7,8 +7,8 @@ imbalance and the damaged bikes left uncollected, each times its
 station's weight and its gamma (``gamma_d`` or ``gamma_a``). The program
 is solved exactly by depth-first branch-and-bound with LP-relaxation
 bounds. ``loading_bound`` bounds the program's optimum from below without
-solving it, and ``_reload`` finds a plan without an LP that ``search.run``
-keeps where it meets that bound.
+solving it; ``search.run`` keeps a plan that meets it, built or reloaded by
+phase one's code, without solving.
 """
 
 from __future__ import annotations
@@ -608,9 +608,9 @@ def loading_bound(
 
     ``run`` uses the bound twice. Routes whose bound cannot beat the
     incumbent need no phase two. A feasible plan whose total is not above
-    the bound, as constructed or as ``_reload`` finds it, is optimal for its
-    routes, as no plan over them scores below it, so phase two could not
-    lower its total.
+    the bound, as constructed or as ``construction._reload`` finds it, is
+    optimal for its routes, as no plan over them scores below it, so phase
+    two could not lower its total.
     """
     lookup = instance._lookup
     position, imbalance_at = lookup.position, lookup.imbalance
@@ -652,131 +652,3 @@ def loading_bound(
                 if not shortfall:
                     break
     return evaluate_objective(instance, operative, damaged, solution.route_times, weights)
-
-
-def _reload_pass(
-    instance: Instance,
-    routes: Sequence[Route],
-    stock: int,
-    quota: list[int] | None = None,
-) -> tuple[tuple[LoadingPlan, ...], list[int], list[int]]:
-    """One walk of fixed routes, in the order given, under phase one's move rule.
-
-    Each visit moves what ``construction.feasible_successors`` offers there,
-    and applies it as ``construction.build_route`` does: a delivery beyond
-    the operative bikes on board claims the rest from ``stock`` at the last
-    depot visit, within the fewest lockers free since then; a depot visit
-    drops the damaged bikes, and the route's last visit everything on
-    board. ``quota``, by station position, caps the bikes each station gets
-    from the depot stock in all and is used up in place; None is no cap.
-    The routes are phase one's, so their times fit the budget; the moves
-    pass ``validate_solution`` for the reasons phase one's do, and a quota
-    only lowers a delivery. Returns the plans and the residual imbalance
-    and damaged bikes by station position.
-    """
-    lookup = instance._lookup
-    position, fleet = lookup.position, lookup.fleet
-    imbalance, damaged = lookup.imbalance.copy(), lookup.damaged.copy()
-    capacity = instance.depot.capacity
-    room = math.inf if capacity is None else capacity - instance.depot.operative
-    plans: list[LoadingPlan] = []
-    for route in routes:
-        visits = route.visits
-        if not visits:
-            plans.append(LoadingPlan(route.vehicle_id))
-            continue
-        k = fleet[route.vehicle_id].capacity
-        moves = [(0, 0)] * len(visits)
-        op = dam = 0
-        lockers = k
-        last_depot = 0
-        for i in range(1, len(visits) - 1):
-            node = visits[i]
-            if node == DEPOT:
-                moves[i] = (0, -dam)
-                dam = 0
-                last_depot = i
-                lockers = k - op
-                continue
-            at = position[node]
-            d, avail = imbalance[at], damaged[at]
-            free = k - op - dam
-            pick = free if free < room else room
-            if d < 0:
-                depot = stock if stock < lockers else lockers
-                if quota is not None and quota[at] < depot:
-                    depot = quota[at]
-                reach = op + depot
-                beta = reach if reach < -d else -d
-                space = pick + beta
-                if space > k - dam:
-                    space = k - dam
-                alpha = space if space < avail else avail
-                retro = beta - op
-                if retro > 0:
-                    dx, dy = moves[last_depot]
-                    moves[last_depot] = (dx + retro, dy)
-                    stock -= retro
-                    lockers -= retro
-                    op += retro
-                    if quota is not None:
-                        quota[at] -= retro
-                op -= beta
-                imbalance[at] += beta
-                delta = -beta
-            else:
-                beta = pick if pick < d else d
-                alpha = pick - beta if pick - beta < avail else avail
-                op += beta
-                imbalance[at] -= beta
-                delta = beta
-            dam += alpha
-            damaged[at] -= alpha
-            room -= delta + alpha
-            moves[i] = (delta, alpha)
-            if k - op - dam < lockers:
-                lockers = k - op - dam
-        moves[-1] = (-op, -dam)
-        plans.append(LoadingPlan(route.vehicle_id, tuple(moves)))
-    return tuple(plans), imbalance, damaged
-
-
-def _reload(
-    instance: Instance,
-    solution: Solution,
-    weights: ObjectiveWeights = ObjectiveWeights(),
-) -> Solution | None:
-    """Another feasible loading of a solution's routes, found without an LP, or None.
-
-    Two walks of ``_reload_pass`` over the routes, in fleet order. The first
-    draws no depot stock, so each route serves deficits from its own
-    pickups. If it leaves surplus or damaged bikes at a visited station,
-    None is returned: ``loading_bound``'s optimistic state has none there,
-    so a reload seldom meets it then. The second draws on the stock, but
-    gives each station from it at most the deficit that the first walk
-    left, so the stock goes where the pickups fall short; without stock or
-    such a deficit it would repeat the first, which is kept. The plans are
-    replayed by ``solution_from_plans``. Without depot stock, on a fleet
-    that phase one builds in fleet order, the first walk is phase one's own
-    (``tests/test_loading.py`` pins that), so the reload would return the
-    constructed plan, which ``run`` reloads only when it misses the bound;
-    None is returned at once.
-
-    ``run`` keeps the result when its total is not above the bound, as it
-    keeps a constructed plan that meets the bound: no plan over the routes
-    scores below the bound, so this one is optimal for them.
-    """
-    lookup = instance._lookup
-    stock = instance.depot.operative
-    if not stock and lookup.build_order == sorted(lookup.build_order):
-        return None
-    routes = solution.routes
-    plans, imbalance, damaged = _reload_pass(instance, routes, 0)
-    position = lookup.position
-    visited = {position[node] for route in routes for node in route.visits if node != DEPOT}
-    if any(imbalance[at] > 0 or damaged[at] > 0 for at in visited):
-        return None
-    quota = [-d if d < 0 else 0 for d in imbalance]
-    if stock and any(quota):
-        plans = _reload_pass(instance, routes, stock, quota)[0]
-    return solution_from_plans(instance, routes, plans, weights)

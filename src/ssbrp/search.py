@@ -9,9 +9,9 @@ total improves when it is below ``beat``, the best total less a tolerance
 (infinite at first). ``loading_bound`` spares phase two three times: when
 the bound of the new routes is not below ``beat``, the iteration counts as
 non-improving; when the constructed plan meets the bound (so it improves),
-it is folded in, and returned, as constructed; and when ``_reload``, two
-walks of phase one's move rule over the routes, finds a plan that meets
-the bound, that plan is. The bound's docstring proves that it never
+it is folded in, and returned, as constructed; and when phase one's
+``_reload``, two walks of its move rule over the routes, finds a plan that
+meets the bound, that plan is. The bound's docstring proves that it never
 exceeds the reoptimized total, so the trace, the routes and the totals
 are those of a loop that reoptimizes every iteration; a certified best
 may keep another plan of the same total. The loop stops when ``run``'s
@@ -27,8 +27,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .construction import ConstructionParams, construct_solution
-from .loading import _reload, loading_bound, reoptimize_solution
+from .construction import ConstructionParams, _reload, construct_solution
+from .loading import loading_bound, reoptimize_solution
 from .model import Instance, ObjectiveBreakdown, ObjectiveWeights, Solution, check_instance
 
 _TOLERANCE = 1e-12

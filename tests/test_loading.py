@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from conftest import make_instance, negative_zeros, random_instances, reweighted
 from oracle import brute_force_loading
 from quality import fleet_mixed, workloads
-from ssbrp import loading
-from ssbrp.construction import ConstructionParams, construct_solution
+from ssbrp import construction, loading
+from ssbrp.construction import ConstructionParams, _reload, _reload_pass, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import (
     LoadingModel,
@@ -1169,7 +1169,8 @@ def test_constructed_plan_meeting_the_bound_is_optimal(case):
 
 def _homogeneous(inst):
     """The instance with every vehicle at the first one's capacity: phase one
-    then builds the routes in fleet order, as ``_reload_pass`` walks them."""
+    then builds the routes in fleet order, as ``construction._reload_pass``
+    walks them."""
     if not inst.fleet:
         return inst
     fleet = tuple(dataclasses.replace(v, capacity=inst.fleet[0].capacity) for v in inst.fleet)
@@ -1177,19 +1178,19 @@ def _homogeneous(inst):
 
 
 def _check_pass_repeats_phase_one(inst, built):
-    plans, imbalance, damaged = loading._reload_pass(inst, built.routes, inst.depot.operative)
-    assert plans == built.plans
-    operative = [s.target + d for s, d in zip(inst.stations, imbalance)]
-    assert operative == list(built.final_operative.values())
-    assert damaged == list(built.final_damaged.values())
+    plans, state = _reload_pass(inst, built.routes, inst.depot.operative)
+    state.route_times = built.route_times
+    walked = construction.solution_from_plans(inst, state, built.routes, plans, ObjectiveWeights())
+    assert walked == built
+    assert walked.objective.total.hex() == built.objective.total.hex()
 
 
 @settings(max_examples=150, deadline=None)
 @given(random_instances(), st.integers(0, 2**32 - 1))
 def test_reload_pass_without_quota_repeats_phase_one(inst, seed):
-    # _reload_pass states phase one's move rule a second time; on a fleet of
-    # one capacity, with the whole depot stock and no quota, it must move
-    # what phase one moved at every visit
+    # _reload_pass walks fixed routes with build_route's move rule inline;
+    # on a fleet of one capacity, with the whole depot stock and no quota,
+    # it must move what phase one moved at every visit
     inst = _homogeneous(inst)
     built = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed))
     _check_pass_repeats_phase_one(inst, built)
@@ -1222,11 +1223,18 @@ def test_reload_is_feasible_and_optimal_where_it_meets_the_bound(case):
     # test_constructed_plan_meeting_the_bound_is_optimal
     inst, weights, seed = case
     built = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed), weights)
-    reloaded = loading._reload(inst, built, weights)
+    reloaded = _reload(inst, built, weights)
     if reloaded is None:
         return
     assert validate_solution(inst, reloaded.routes, reloaded.plans) == []
     assert (reloaded.routes, reloaded.route_times) == (built.routes, built.route_times)
+    # the reload reads its Solution off the walk's state; a replay of its
+    # plans gives the same inventories and route times, in the same key order
+    replayed = solution_from_plans(inst, reloaded.routes, reloaded.plans, weights)
+    for name in ("final_operative", "final_damaged", "route_times"):
+        got, want = getattr(reloaded, name), getattr(replayed, name)
+        assert list(got.items()) == list(want.items()), name
+    assert reloaded.objective.total.hex() == replayed.objective.total.hex()
     if reloaded.objective.total > loading_bound(inst, built, weights).total:
         return
     after = reoptimize_solution(inst, built, weights)
@@ -1244,7 +1252,7 @@ def test_reload_meets_the_bound_on_palma_route_sets_that_need_phase_two():
         if built.objective.total <= bound:
             continue
         need += 1
-        reloaded = loading._reload(inst, built)
+        reloaded = _reload(inst, built)
         if reloaded is not None and reloaded.objective.total <= bound:
             met += 1
             after = reoptimize_solution(inst, built)

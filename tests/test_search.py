@@ -9,9 +9,9 @@ from conftest import make_instance
 from oracle import brute_force_loading
 from quality import fleet_mixed
 from ssbrp import search
-from ssbrp.construction import ConstructionParams, construct_solution
+from ssbrp.construction import ConstructionParams, _reload, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
-from ssbrp.loading import _reload, loading_bound, reoptimize_solution
+from ssbrp.loading import loading_bound, reoptimize_solution
 from ssbrp.model import (
     ObjectiveWeights,
     Route,

@@ -7,8 +7,9 @@ read off that table somewhere in the package, no module holds an
 ``assert`` statement, no module imports SciPy (phase two loads SciPy's HiGHS
 extension module by file), one call in the package makes a HiGHS instance
 (each thread keeps one), phase one's ``BuildState`` takes no attribute
-outside its fields, and no module reads, writes or rewinds a bit generator's
-state."""
+outside its fields, no module reads, writes or rewinds a bit generator's
+state, only ``construction.py`` states phase one's delivery rule, and
+``loading.py`` imports nothing from ``construction``."""
 
 import ast
 from pathlib import Path
@@ -300,3 +301,70 @@ def test_no_generator_state_handling(path):
     # phase one reads a fresh Generator's raw words with random_raw and nothing
     # else: a rewind or a state rewrite per construction is a second way to draw
     assert _generator_state_uses(path.read_text()) == []
+
+
+DELIVERY = "beta = reach if reach < -d else -d"  # phase one's delivery at a deficit station
+
+
+def _holders(sources: dict[str, str], statement: str) -> list[str]:
+    """The modules with an assignment that unparses to ``statement``."""
+    return [
+        module
+        for module, source in sources.items()
+        if any(
+            isinstance(node, ast.Assign) and ast.unparse(node) == statement
+            for node in ast.walk(ast.parse(source))
+        )
+    ]
+
+
+def test_holder_check_finds_the_statement():
+    sources = {
+        "a.py": "def f(reach, d):\n    beta = (reach if reach < - d else -d)\n    return beta\n",
+        "b.py": "def g(reach, d):\n    beta = reach if reach < d else d\n    return beta\n",
+        "c.py": "def h(reach, d):\n    # beta = reach if reach < -d else -d\n    return 0\n",
+    }
+    assert _holders(sources, DELIVERY) == ["a.py"]
+
+
+def test_phase_one_move_rule_lives_in_construction():
+    # a walk that restates phase one's rule outside construction.py drifts
+    # from it without importing anything that a check could see
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _holders(sources, DELIVERY) == ["construction.py"]
+
+
+def _construction_imports(source: str) -> list[int]:
+    """Line numbers of the statements that import a ``construction`` module or from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            modules = [f"{module}.{alias.name}" for alias in node.names] + [module]
+        else:
+            continue
+        if any(m == "construction" or m.endswith(".construction") for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_construction_import_check_finds_imports():
+    source = (
+        "from .construction import BuildState\n"
+        "from . import construction\n"
+        "import ssbrp.construction\n"
+        "from ssbrp.construction import _reload\n"
+        "from .model import construction_time\n"
+        "import constructions\n"
+        "def f():\n"
+        "    from .construction import build_route\n"
+        "    return build_route\n"
+    )
+    assert _construction_imports(source) == [1, 2, 3, 4, 8]
+
+
+def test_loading_imports_nothing_from_construction():
+    # phase two takes the routes as given; phase one's rule stays out of it
+    assert _construction_imports((SRC / "loading.py").read_text()) == []
