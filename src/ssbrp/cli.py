@@ -9,7 +9,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
-from time import perf_counter
 
 from .construction import ConstructionParams
 from .instances import (
@@ -64,26 +63,14 @@ def _weights(args) -> ObjectiveWeights:
     return ObjectiveWeights(*gammas.values())
 
 
-def _solve_params(args) -> dict:
-    return {
-        "theta": args.theta,
-        "mu": args.mu,
-        "max_iter": args.max_iter,
-        "gamma_d": args.gamma_d,
-        "gamma_a": args.gamma_a,
-        "gamma_t": args.gamma_t,
-    }
-
-
 def cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
     config = RunConfig(
         max_iter=args.max_iter,
         master_seed=args.seed,
         weights=_weights(args),
         construction=ConstructionParams(args.theta, args.mu),
     )
-    report = run(instance, config)
+    report = run(_load_instance(args.instance), config)
     obj = report.best_objective
     print(
         f"objective total {obj.total:.6f} "
@@ -98,17 +85,12 @@ def cmd_solve(args) -> int:
         f"{report.loading_certified} certified by it)"
     )
     if args.out:
-        doc = write_solution(report.best_solution, seed=args.seed, params=_solve_params(args))
+        construction, weights = asdict(config.construction), asdict(config.weights)
+        params = construction | {"max_iter": config.max_iter} | weights
+        doc = write_solution(report.best_solution, seed=config.master_seed, params=params)
         _dump_json(doc, args.out)
         print(f"solution written to {args.out}")
     return 0
-
-
-def _sweep_run(instance: Instance, config: RunConfig, seed: int):
-    config = replace(config, master_seed=seed)
-    t0 = perf_counter()
-    report = run(instance, config)
-    return report.best_objective.total, report.iteration_of_best, perf_counter() - t0
 
 
 def cmd_sweep(args) -> int:
@@ -144,19 +126,19 @@ def cmd_sweep(args) -> int:
     for label, instances in corpora:
         for theta in thetas:
             for mu in mus:
-                results = []
+                cell, results = configs[theta, mu], []
                 for instance in instances:
                     for seed in range(args.seed, args.seed + args.seeds):
                         try:
-                            results.append(_sweep_run(instance, configs[theta, mu], seed))
+                            results.append(run(instance, replace(cell, master_seed=seed)))
                         except Exception as exc:  # reported per run; the sweep goes on
                             print(f"sweep cell ({label}, {theta}, {mu}) seed {seed} failed: {exc}",
                                   file=sys.stderr)
                             failed = True
                 if results:
-                    totals = [r[0] for r in results]
-                    iters = [r[1] for r in results]
-                    cpus = [r[2] for r in results]
+                    totals = [r.best_objective.total for r in results]
+                    iters = [r.iteration_of_best for r in results]
+                    cpus = [r.elapsed_total for r in results]
                     of_mean = sum(totals) / len(totals)
                     of_best = min(totals)
                     iter_mean = sum(iters) / len(iters)

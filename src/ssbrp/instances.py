@@ -23,6 +23,7 @@ from .model import (
     Station,
     TravelMatrix,
     Vehicle,
+    _require_integers,
     check_instance,
     solution_from_plans,
     validate_solution,
@@ -271,6 +272,14 @@ class GeneratorConfig:
             self.depot_stock if self.depot_stock is not None else d_stock,
         )
         stations, vehicles, capacity, budget, stock = values
+        _require_integers(
+            "",
+            stations=stations,
+            vehicles=vehicles,
+            vehicle_capacity=capacity,
+            depot_stock=stock,
+            seed=self.seed,
+        )
         if stations < 1:
             raise ValueError("stations must be at least 1")
         if vehicles < 1:

@@ -8,6 +8,7 @@ instance or a solution can be passed around and reused without copying.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -227,6 +228,14 @@ class Solution:
         return all(not r.visits for r in self.routes)
 
 
+def _require_integers(prefix: str, **counts) -> None:
+    """Raise ValueError, as ``{prefix}{name} must be an integer, got {value!r}``, on the
+    first count that is not a Python or NumPy integer; a bool, though an int, is no count."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
+
+
 def check_instance(instance: Instance) -> None:
     """Raise ValueError on the first violated instance invariant.
 
@@ -238,6 +247,10 @@ def check_instance(instance: Instance) -> None:
     seen: set[int] = set()
     for i, s in enumerate(instance.stations):
         path = f"stations[{i}] (id={s.id})"
+        _require_integers(
+            f"{path}: ",
+            id=s.id, capacity=s.capacity, operative=s.operative, damaged=s.damaged, target=s.target,
+        )
         if s.id == DEPOT:
             raise ValueError(f"{path}: station id 0 is reserved for the depot")
         if s.id in seen:
@@ -253,11 +266,15 @@ def check_instance(instance: Instance) -> None:
             raise ValueError(f"{path}: target exceeds capacity")
         if not math.isfinite(s.weight) or s.weight < 0:
             raise ValueError(f"{path}: weight must be finite and nonnegative")
+    _require_integers("depot: ", operative=instance.depot.operative)
+    if instance.depot.capacity is not None:
+        _require_integers("depot: ", capacity=instance.depot.capacity)
     if instance.depot.operative < 0:
         raise ValueError("depot: operative stock must be nonnegative")
     if instance.depot.capacity is not None and instance.depot.capacity < instance.depot.operative:
         raise ValueError("depot: capacity below initial stock")
     for j, veh in enumerate(instance.fleet):
+        _require_integers(f"vehicles[{j}] (id={veh.id}): ", id=veh.id, capacity=veh.capacity)
         if veh.capacity <= 0:
             raise ValueError(f"vehicles[{j}] (id={veh.id}): capacity must be positive")
     if len({v.id for v in instance.fleet}) != len(instance.fleet):

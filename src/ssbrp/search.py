@@ -29,7 +29,14 @@ import numpy as np
 
 from .construction import ConstructionParams, _reload, construct_solution
 from .loading import loading_bound, reoptimize_solution
-from .model import Instance, ObjectiveBreakdown, ObjectiveWeights, Solution, check_instance
+from .model import (
+    Instance,
+    ObjectiveBreakdown,
+    ObjectiveWeights,
+    Solution,
+    _require_integers,
+    check_instance,
+)
 
 _TOLERANCE = 1e-12
 
@@ -50,6 +57,9 @@ class RunConfig:
     wall_clock_cap: float = math.inf
 
     def __post_init__(self):
+        _require_integers(
+            "", max_iter=self.max_iter, master_seed=self.master_seed, parallelism=self.parallelism
+        )
         if self.max_iter < 2:
             raise ValueError("max_iter must be at least 2")
         if self.master_seed < 0:

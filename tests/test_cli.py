@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -74,7 +75,11 @@ def test_solve_writes_feasible_solution(tmp_path, capsys):
     inst = parse_instance(json.loads(inst_path.read_text()))
     doc = json.loads(sol_path.read_text())
     assert doc["seed"] == 1
-    assert doc["params"]["theta"] == 0.5
+    # the run's parameters, in RunConfig's field order
+    assert list(doc["params"].items()) == [
+        ("theta", 0.5), ("mu", 1.5), ("max_iter", 4),
+        ("gamma_d", 1.0), ("gamma_a", 1.0), ("gamma_t", 1.0),
+    ]
     parse_solution(doc, inst)  # raises if infeasible
     assert main(["validate", "--instance", str(inst_path), "--solution", str(sol_path)]) == 0
     assert "feasible" in capsys.readouterr().out
@@ -347,6 +352,25 @@ def test_sweep_reports_failed_runs_and_goes_on(tmp_path, capsys, monkeypatch):
     assert [rows[1][key] for key in ("of_mean", "of_best", "iter_mean", "cpu_mean_s")] == [
         "nan"
     ] * 4
+
+
+def test_sweep_reports_the_runs_own_elapsed_seconds(tmp_path, monkeypatch):
+    # cpu_mean_s is the mean of RunReport.elapsed_total, not a second clock around run()
+    inst_path = _generate(tmp_path)
+    real_run = cli.run
+
+    def timed(instance, config):
+        report = real_run(instance, config)
+        return dataclasses.replace(report, elapsed_total=40.0 + config.master_seed)
+
+    monkeypatch.setattr(cli, "run", timed)
+    csv_path = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--instance", str(inst_path), "--max-iter", "2", "--seed", "0", "--seeds", "2",
+        "--theta", "0.5", "--mu", "1.5", "--out", str(csv_path),
+    ]) == 0
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+    assert [row["cpu_mean_s"] for row in rows] == ["40.500"]
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep", "generate"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -210,6 +211,30 @@ def test_generator_overrides_and_validation():
             generate_instance(bad)
     with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
         generate_instance(GeneratorConfig(seed=-1))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("stations", 6.0),
+        ("vehicles", True),
+        ("vehicle_capacity", 2.5),
+        ("depot_stock", 1.5),
+        ("seed", 1.5),
+    ],
+)
+def test_generator_rejects_counts_that_are_not_integers(field, value):
+    # unchecked, vehicles=True built one vehicle, vehicle_capacity=2.5 an
+    # instance run() could not solve, and seed=1.5 failed inside SeedSequence
+    config = dataclasses.replace(GeneratorConfig(stations=6, seed=1), **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+        generate_instance(config)
+
+
+def test_generator_accepts_numpy_integer_counts():
+    config = GeneratorConfig(stations=np.int64(6), vehicles=np.int32(2), seed=np.int64(1))
+    plain = GeneratorConfig(stations=6, vehicles=2, seed=1)
+    assert generate_instance(config) == generate_instance(plain)
 
 
 def test_generator_is_deterministic_and_seed_sensitive():

@@ -310,9 +310,38 @@ def test_check_instance_rejects_bad_data():
          "depot: capacity below initial stock"),
         (make_instance([(1, 10, 5, 0, 3)], fleet=((1, 5), (7, 0))),
          "vehicles[1] (id=7): capacity must be positive"),
+        # a count that is not an integer once passed, and run() died in phase one
+        (make_instance([(1.5, 10, 5, 0, 3)]),
+         "stations[0] (id=1.5): id must be an integer, got 1.5"),
+        (make_instance([(1, 10.0, 5, 0, 3)]),
+         "stations[0] (id=1): capacity must be an integer, got 10.0"),
+        (make_instance([(1, 10, 5, 0, 3), (2, 10, True, 0, 3)]),
+         "stations[1] (id=2): operative must be an integer, got True"),
+        (make_instance([(1, 10, 5, 0.5, 3)]),
+         "stations[0] (id=1): damaged must be an integer, got 0.5"),
+        (make_instance([(1, 10, 5, 0, 2.5)]),
+         "stations[0] (id=1): target must be an integer, got 2.5"),
+        (make_instance([(1, 10, 5, 0, 3)], stock=2.5),
+         "depot: operative must be an integer, got 2.5"),
+        (make_instance([(1, 10, 5, 0, 3)], stock=2, depot_capacity=4.0),
+         "depot: capacity must be an integer, got 4.0"),
+        (make_instance([(1, 10, 5, 0, 3)], fleet=((1, 5), (2.0, 5))),
+         "vehicles[1] (id=2.0): id must be an integer, got 2.0"),
+        (make_instance([(1, 10, 5, 0, 3)], fleet=((1, 2.5),)),
+         "vehicles[0] (id=1): capacity must be an integer, got 2.5"),
+        (make_instance([(1, 10, 5, 0, 3)], fleet=((1, False),)),
+         "vehicles[0] (id=1): capacity must be an integer, got False"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_instance(instance)
+
+
+def test_check_instance_accepts_numpy_integer_counts():
+    i = np.int64
+    stations = [(i(1), i(10), i(5), i(1), i(3))]
+    fleet = ((np.int32(1), i(5)),)
+    instance = make_instance(stations, fleet=fleet, stock=i(2), depot_capacity=i(9))
+    check_instance(instance)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

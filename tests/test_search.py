@@ -44,6 +44,21 @@ def test_config_validation():
             RunConfig(wall_clock_cap=cap)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iter", 2.5), ("master_seed", 1.5), ("parallelism", True), ("max_iter", "3")],
+)
+def test_config_rejects_counts_that_are_not_integers(field, value):
+    # unchecked, max_iter=2.5 ran as 3 and master_seed=1.5 failed inside run()
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        RunConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    config = RunConfig(max_iter=np.int64(3), master_seed=np.int32(4), parallelism=np.int64(1))
+    assert config == RunConfig(max_iter=3, master_seed=4)
+
+
 def _tied():
     """One station in reach, whose surplus outruns the one vehicle: every
     iteration builds the route (0, 1, 0), its bound stays below its
