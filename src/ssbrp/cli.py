@@ -124,40 +124,40 @@ def cmd_sweep(args) -> int:
     writer.writerow(SWEEP_COLUMNS)
     failed = False
     for label, instances in corpora:
-        for theta in thetas:
-            for mu in mus:
-                cell, results = configs[theta, mu], []
-                for instance in instances:
-                    for seed in range(args.seed, args.seed + args.seeds):
-                        try:
-                            results.append(run(instance, replace(cell, master_seed=seed)))
-                        except Exception as exc:  # reported per run; the sweep goes on
-                            print(f"sweep cell ({label}, {theta}, {mu}) seed {seed} failed: {exc}",
-                                  file=sys.stderr)
-                            failed = True
-                if results:
-                    totals = [r.best_objective.total for r in results]
-                    iters = [r.iteration_of_best for r in results]
-                    cpus = [r.elapsed_total for r in results]
-                    of_mean = sum(totals) / len(totals)
-                    of_best = min(totals)
-                    iter_mean = sum(iters) / len(iters)
-                    cpu_mean = sum(cpus) / len(cpus)
-                else:
-                    of_mean = of_best = iter_mean = cpu_mean = math.nan
-                writer.writerow(
-                    [
-                        label,
-                        f"{theta:g}",
-                        f"{mu:g}",
-                        f"{of_mean:.6f}",
-                        f"{of_best:.6f}",
-                        f"{iter_mean:.2f}",
-                        f"{cpu_mean:.3f}",
-                        len(instances),
-                        args.seeds,
-                    ]
-                )
+        # one entry per distinct (theta, mu) cell, first seen first: a repeated value runs once
+        for (theta, mu), cell in configs.items():
+            results = []
+            for instance in instances:
+                for seed in range(args.seed, args.seed + args.seeds):
+                    try:
+                        results.append(run(instance, replace(cell, master_seed=seed)))
+                    except Exception as exc:  # reported per run; the sweep goes on
+                        print(f"sweep cell ({label}, {theta}, {mu}) seed {seed} failed: {exc}",
+                              file=sys.stderr)
+                        failed = True
+            if results:
+                totals = [r.best_objective.total for r in results]
+                iters = [r.iteration_of_best for r in results]
+                cpus = [r.elapsed_total for r in results]
+                of_mean = sum(totals) / len(totals)
+                of_best = min(totals)
+                iter_mean = sum(iters) / len(iters)
+                cpu_mean = sum(cpus) / len(cpus)
+            else:
+                of_mean = of_best = iter_mean = cpu_mean = math.nan
+            writer.writerow(
+                [
+                    label,
+                    f"{theta:g}",
+                    f"{mu:g}",
+                    f"{of_mean:.6f}",
+                    f"{of_best:.6f}",
+                    f"{iter_mean:.2f}",
+                    f"{cpu_mean:.3f}",
+                    len(instances),
+                    args.seeds,
+                ]
+            )
     text = buffer.getvalue()
     if args.out:
         with open(args.out, "w", newline="") as handle:

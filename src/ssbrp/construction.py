@@ -16,15 +16,17 @@ construction from a fresh PCG64 Generator, as ``run()``'s are, reads the
 Generator's raw words itself (``_Draws``); its draws are those of the
 Generator's own methods.
 
-``_reload`` walks a built solution's routes again under the same move rule,
-for a plan that ``search.run`` keeps without phase two where it meets
-``loading_bound``; solution_from_plans reads either walk's build state.
+``_walk`` carries fixed routes into a Solution under the same move rule,
+timing each route as build_route does. ``_reload`` makes two such walks of a
+built solution's routes, for a plan that ``search.run`` keeps without phase
+two where it meets ``loading_bound``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,6 +41,7 @@ from .model import (
     Solution,
     Vehicle,
     _done,
+    _require_numbers,
     check_instance,
     evaluate_objective,
 )
@@ -52,6 +55,7 @@ class ConstructionParams:
     mu: float = 1.5
 
     def __post_init__(self):
+        _require_numbers("", numbers.Real, theta=self.theta, mu=self.mu)
         if not 0 < self.theta <= 1:
             raise ValueError("theta must lie in (0, 1]")
         if not 0 < self.mu < math.inf:
@@ -72,8 +76,7 @@ class BuildState:
     is done. A state built by hand passes its own list; it may also hold
     finished stations, which never become candidates.
     ``route_times`` holds each routed vehicle's route time, recorded as
-    build_route closes its route; a reload, whose walks keep the routes,
-    sets it to the built solution's. A route's running values live in
+    build_route or _walk closes its route. A route's running values live in
     build_route's locals; the slots make any other attribute an error.
     """
 
@@ -453,16 +456,16 @@ def solution_from_plans(
     plans: Sequence[LoadingPlan],
     weights: ObjectiveWeights,
 ) -> Solution:
-    """The Solution of a construction or a reload, read off its finished build state.
+    """The Solution of a construction or a walk, read off its finished build state.
 
     A station ends at its target plus its residual imbalance, with its
     residual damaged bikes; the state's lists are read beside the
     ``objective_rows`` of ``Instance._lookup`` into dicts by station id, in
     station order.
-    The route times are the state's, which build_route wrote in build order
-    (a reload gives the state the built solution's), keyed by vehicle id
-    (check_instance keeps ids distinct) in the order of ``routes``, fleet
-    order, so the objective adds them as the replay does. Each is what
+    The route times are the state's, which build_route or _walk wrote as
+    each route closed, keyed by vehicle id (check_instance keeps ids
+    distinct) in the order of ``routes``, so the objective adds them as the
+    replay of those routes does. Each is what
     ``model._replay`` gives, to the bit: both add a route's legs in visit
     order from 0.0.
     """
@@ -480,12 +483,13 @@ def solution_from_plans(
     )
 
 
-def _reload_pass(
+def _walk(
     instance: Instance,
     routes: Sequence[Route],
+    weights: ObjectiveWeights,
     stock: int,
     quota: list[int] | None = None,
-) -> tuple[tuple[LoadingPlan, ...], BuildState]:
+) -> Solution:
     """One walk of fixed routes, in the order given, under phase one's move rule.
 
     The walk starts from ``BuildState.fresh`` with ``stock`` as the depot's
@@ -495,10 +499,13 @@ def _reload_pass(
     ``quota``, by station position, caps the bikes each station gets from
     the depot stock in all and is used up in place; None is no cap. The
     moves pass ``validate_solution`` for the reasons phase one's do, and a
-    quota only lowers a delivery. Returns the plans and the state, whose
-    ``route_times`` stay empty.
+    quota only lowers a delivery. Each leg's minutes are added as
+    build_route adds them, and a route's time is recorded on the state as
+    the route closes (0.0 for an empty route); solution_from_plans reads
+    the Solution off the state.
     """
-    position, fleet = instance._lookup.position, instance._lookup.fleet
+    lookup = instance._lookup
+    rows, position, fleet = lookup.rows, lookup.position, lookup.fleet
     state = BuildState.fresh(instance)
     state.depot_remaining = stock
     imbalance, damaged = state.residual_imbalance, state.residual_damaged
@@ -506,6 +513,7 @@ def _reload_pass(
     for route in routes:
         visits = route.visits
         if not visits:
+            state.route_times[route.vehicle_id] = 0.0
             plans.append(LoadingPlan(route.vehicle_id))
             continue
         k = fleet[route.vehicle_id].capacity
@@ -513,16 +521,20 @@ def _reload_pass(
         op = dam = 0
         lockers = k
         last_depot = 0
+        elapsed = 0.0
         stock, room = state.depot_remaining, state.depot_room
         for i in range(1, len(visits) - 1):
             node = visits[i]
+            row, to_depot = rows[visits[i - 1]]
             if node == DEPOT:
+                elapsed += to_depot
                 moves[i] = (0, -dam)
                 dam = 0
                 last_depot = i
                 lockers = k - op
                 continue
             at = position[node]
+            elapsed += row[at]
             d, avail = imbalance[at], damaged[at]
             free = k - op - dam
             pick = free if free < room else room
@@ -561,9 +573,10 @@ def _reload_pass(
             if k - op - dam < lockers:
                 lockers = k - op - dam
         state.depot_remaining, state.depot_room = stock, room
+        state.route_times[route.vehicle_id] = elapsed + rows[visits[-2]][1]
         moves[-1] = (-op, -dam)
         plans.append(LoadingPlan(route.vehicle_id, tuple(moves)))
-    return tuple(plans), state
+    return solution_from_plans(instance, state, routes, plans, weights)
 
 
 def _reload(
@@ -573,14 +586,12 @@ def _reload(
 ) -> Solution | None:
     """Another feasible loading of a solution's routes, found without an LP, or None.
 
-    Two walks of ``_reload_pass`` over the routes, in fleet order. The first
-    draws no depot stock, so each route serves deficits from its own
-    pickups. The second draws on the stock, but gives each station from it
-    at most the deficit that the first walk left; without stock or such a
-    deficit it would repeat the first, which is kept. The kept walk's state
-    gets the solution's route times, and solution_from_plans reads the
-    Solution off it; no move is replayed. Without depot stock, on a fleet
-    that phase one builds in fleet order, the first walk is phase one's own
+    Two ``_walk``s over the routes, in fleet order. The first draws no depot
+    stock, so each route serves deficits from its own pickups. The second
+    draws on the stock, but gives each station from it at most the deficit
+    that the first walk left; without stock or such a deficit it would
+    repeat the first, which is kept. Without depot stock, on a fleet that
+    phase one builds in fleet order, the first walk is phase one's own
     (``tests/test_loading.py`` pins that) and returns the constructed plan,
     which ``run`` reloads only when it misses the bound: None is returned.
     ``run`` keeps a result that meets the bound, as it is optimal then.
@@ -590,9 +601,11 @@ def _reload(
     if not stock and order == sorted(order):
         return None
     routes = solution.routes
-    plans, state = _reload_pass(instance, routes, 0)
-    quota = [-d if d < 0 else 0 for d in state.residual_imbalance]
+    first = _walk(instance, routes, weights, 0)
+    quota = [
+        max(target - first.final_operative[sid], 0)
+        for sid, _, target in instance._lookup.objective_rows
+    ]
     if stock and any(quota):
-        plans, state = _reload_pass(instance, routes, stock, quota)
-    state.route_times = solution.route_times
-    return solution_from_plans(instance, state, routes, plans, weights)
+        return _walk(instance, routes, weights, stock, quota)
+    return first

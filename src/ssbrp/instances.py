@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .model import (
     Station,
     TravelMatrix,
     Vehicle,
-    _require_integers,
+    _require_numbers,
     check_instance,
     solution_from_plans,
     validate_solution,
@@ -272,13 +273,17 @@ class GeneratorConfig:
             self.depot_stock if self.depot_stock is not None else d_stock,
         )
         stations, vehicles, capacity, budget, stock = values
-        _require_integers(
+        _require_numbers(
             "",
+            numbers.Integral,
             stations=stations,
             vehicles=vehicles,
             vehicle_capacity=capacity,
             depot_stock=stock,
             seed=self.seed,
+        )
+        _require_numbers(
+            "", numbers.Real, time_budget_min=budget, damaged_fraction=self.damaged_fraction
         )
         if stations < 1:
             raise ValueError("stations must be at least 1")

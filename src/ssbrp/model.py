@@ -197,6 +197,9 @@ class ObjectiveWeights:
     gamma_t: float = 1.0
 
     def __post_init__(self):
+        _require_numbers(
+            "", numbers.Real, gamma_d=self.gamma_d, gamma_a=self.gamma_a, gamma_t=self.gamma_t
+        )
         gammas = (self.gamma_d, self.gamma_a, self.gamma_t)
         if not all(math.isfinite(g) for g in gammas):
             raise ValueError("objective weights must be finite")
@@ -228,12 +231,15 @@ class Solution:
         return all(not r.visits for r in self.routes)
 
 
-def _require_integers(prefix: str, **counts) -> None:
-    """Raise ValueError, as ``{prefix}{name} must be an integer, got {value!r}``, on the
-    first count that is not a Python or NumPy integer; a bool, though an int, is no count."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
+def _require_numbers(prefix: str, kind: type, **values) -> None:
+    """Raise ValueError, as ``{prefix}{name} must be an integer, got {value!r}`` (``a real
+    number`` where ``kind`` is ``numbers.Real``, not ``numbers.Integral``), on the first
+    value that is not a Python or NumPy number of ``kind``; a bool, though an int, is
+    neither a count nor a setting."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is numbers.Integral else "a real number"
+            raise ValueError(f"{prefix}{name} must be {noun}, got {value!r}")
 
 
 def check_instance(instance: Instance) -> None:
@@ -247,10 +253,12 @@ def check_instance(instance: Instance) -> None:
     seen: set[int] = set()
     for i, s in enumerate(instance.stations):
         path = f"stations[{i}] (id={s.id})"
-        _require_integers(
+        _require_numbers(
             f"{path}: ",
+            numbers.Integral,
             id=s.id, capacity=s.capacity, operative=s.operative, damaged=s.damaged, target=s.target,
         )
+        _require_numbers(f"{path}: ", numbers.Real, weight=s.weight)
         if s.id == DEPOT:
             raise ValueError(f"{path}: station id 0 is reserved for the depot")
         if s.id in seen:
@@ -266,19 +274,22 @@ def check_instance(instance: Instance) -> None:
             raise ValueError(f"{path}: target exceeds capacity")
         if not math.isfinite(s.weight) or s.weight < 0:
             raise ValueError(f"{path}: weight must be finite and nonnegative")
-    _require_integers("depot: ", operative=instance.depot.operative)
+    _require_numbers("depot: ", numbers.Integral, operative=instance.depot.operative)
     if instance.depot.capacity is not None:
-        _require_integers("depot: ", capacity=instance.depot.capacity)
+        _require_numbers("depot: ", numbers.Integral, capacity=instance.depot.capacity)
     if instance.depot.operative < 0:
         raise ValueError("depot: operative stock must be nonnegative")
     if instance.depot.capacity is not None and instance.depot.capacity < instance.depot.operative:
         raise ValueError("depot: capacity below initial stock")
     for j, veh in enumerate(instance.fleet):
-        _require_integers(f"vehicles[{j}] (id={veh.id}): ", id=veh.id, capacity=veh.capacity)
+        _require_numbers(
+            f"vehicles[{j}] (id={veh.id}): ", numbers.Integral, id=veh.id, capacity=veh.capacity
+        )
         if veh.capacity <= 0:
             raise ValueError(f"vehicles[{j}] (id={veh.id}): capacity must be positive")
     if len({v.id for v in instance.fleet}) != len(instance.fleet):
         raise ValueError("vehicles: duplicate vehicle id")
+    _require_numbers("", numbers.Real, time_budget_min=instance.time_budget)
     if not math.isfinite(instance.time_budget) or instance.time_budget <= 0:
         raise ValueError("time_budget_min: must be finite and positive")
 

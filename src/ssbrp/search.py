@@ -10,8 +10,9 @@ total improves when it is below ``beat``, the best total less a tolerance
 the bound of the new routes is not below ``beat``, the iteration counts as
 non-improving; when the constructed plan meets the bound (so it improves),
 it is folded in, and returned, as constructed; and when phase one's
-``_reload``, two walks of its move rule over the routes, finds a plan that
-meets the bound, that plan is. The bound's docstring proves that it never
+``_reload``, two ``construction._walk``s of its move rule over the routes,
+each of which times the routes itself, finds a plan that meets the bound,
+that plan is. The bound's docstring proves that it never
 exceeds the reoptimized total, so the trace, the routes and the totals
 are those of a loop that reoptimizes every iteration; a certified best
 may keep another plan of the same total. The loop stops when ``run``'s
@@ -21,6 +22,7 @@ non-improvement counter reaches ``max_iter``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import count
 from time import perf_counter
@@ -34,7 +36,7 @@ from .model import (
     ObjectiveBreakdown,
     ObjectiveWeights,
     Solution,
-    _require_integers,
+    _require_numbers,
     check_instance,
 )
 
@@ -57,9 +59,14 @@ class RunConfig:
     wall_clock_cap: float = math.inf
 
     def __post_init__(self):
-        _require_integers(
-            "", max_iter=self.max_iter, master_seed=self.master_seed, parallelism=self.parallelism
+        _require_numbers(
+            "",
+            numbers.Integral,
+            max_iter=self.max_iter,
+            master_seed=self.master_seed,
+            parallelism=self.parallelism,
         )
+        _require_numbers("", numbers.Real, wall_clock_cap=self.wall_clock_cap)
         if self.max_iter < 2:
             raise ValueError("max_iter must be at least 2")
         if self.master_seed < 0:

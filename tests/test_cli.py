@@ -287,6 +287,27 @@ def test_sweep_multiple_seeds_aggregates(tmp_path):
     assert float(rows[0]["of_best"]) <= float(rows[0]["of_mean"]) + 1e-12
 
 
+def test_sweep_runs_a_repeated_grid_value_once(tmp_path, monkeypatch):
+    # a cell named twice once wrote two identical rows, each from its own runs
+    inst_path = _generate(tmp_path)
+    real_run, cells = cli.run, []
+
+    def counted(instance, config):
+        cells.append((config.construction.theta, config.construction.mu))
+        return real_run(instance, config)
+
+    monkeypatch.setattr(cli, "run", counted)
+    csv_path = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--instance", str(inst_path), "--max-iter", "2", "--seeds", "2",
+        "--theta", "0.5", "--theta", "0.3", "--theta", "0.5", "--mu", "1", "--mu", "1",
+        "--out", str(csv_path),
+    ]) == 0
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+    assert [(row["theta"], row["mu"]) for row in rows] == [("0.5", "1"), ("0.3", "1")]
+    assert cells == [(0.5, 1.0)] * 2 + [(0.3, 1.0)] * 2
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys, seeds):
     csv_path = tmp_path / "sweep.csv"

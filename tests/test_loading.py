@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from conftest import make_instance, negative_zeros, random_instances, reweighted
 from oracle import brute_force_loading
 from quality import fleet_mixed, workloads
-from ssbrp import construction, loading
-from ssbrp.construction import ConstructionParams, _reload, _reload_pass, construct_solution
+from ssbrp import loading
+from ssbrp.construction import ConstructionParams, _reload, _walk, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import (
     LoadingModel,
@@ -1167,42 +1167,76 @@ def test_constructed_plan_meeting_the_bound_is_optimal(case):
         assert after.objective.total == built.objective.total
 
 
-def _homogeneous(inst):
-    """The instance with every vehicle at the first one's capacity: phase one
-    then builds the routes in fleet order, as ``construction._reload_pass``
-    walks them."""
-    if not inst.fleet:
-        return inst
-    fleet = tuple(dataclasses.replace(v, capacity=inst.fleet[0].capacity) for v in inst.fleet)
-    return dataclasses.replace(inst, fleet=fleet)
-
-
-def _check_pass_repeats_phase_one(inst, built):
-    plans, state = _reload_pass(inst, built.routes, inst.depot.operative)
-    state.route_times = built.route_times
-    walked = construction.solution_from_plans(inst, state, built.routes, plans, ObjectiveWeights())
-    assert walked == built
-    assert walked.objective.total.hex() == built.objective.total.hex()
+def _check_walk_repeats_phase_one(inst, built):
+    # _walk walks fixed routes with build_route's move rule inline; in build
+    # order, with the whole depot stock and no quota, it must move what phase
+    # one moved at every visit and time each route as phase one timed it
+    order = inst._lookup.build_order
+    routes = [built.routes[j] for j in order]
+    walked = _walk(inst, routes, ObjectiveWeights(), inst.depot.operative)
+    for plan, j in zip(walked.plans, order, strict=True):
+        assert plan == built.plans[j], plan.vehicle_id
+    assert [(vid, t.hex()) for vid, t in walked.route_times.items()] == [
+        (r.vehicle_id, built.route_times[r.vehicle_id].hex()) for r in routes
+    ]
+    assert walked.final_operative == built.final_operative
+    assert walked.final_damaged == built.final_damaged
 
 
 @settings(max_examples=150, deadline=None)
 @given(random_instances(), st.integers(0, 2**32 - 1))
-def test_reload_pass_without_quota_repeats_phase_one(inst, seed):
-    # _reload_pass walks fixed routes with build_route's move rule inline;
-    # on a fleet of one capacity, with the whole depot stock and no quota,
-    # it must move what phase one moved at every visit
-    inst = _homogeneous(inst)
+def test_walk_without_quota_repeats_phase_one(inst, seed):
     built = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed))
-    _check_pass_repeats_phase_one(inst, built)
+    _check_walk_repeats_phase_one(inst, built)
 
 
-@pytest.mark.parametrize("name, seeds", [("palma-28", range(1, 41)), ("wien-90", range(1, 11))])
-def test_reload_pass_without_quota_repeats_phase_one_on_the_workloads(name, seeds):
+@pytest.mark.parametrize(
+    "name, seeds",
+    [("palma-28", range(1, 41)), ("wien-90", range(1, 11)), ("fleet-mixed", range(1, 41))],
+)
+def test_walk_without_quota_repeats_phase_one_on_the_workloads(name, seeds):
     inst = workloads()[name]
     for i in seeds:
-        _check_pass_repeats_phase_one(
+        _check_walk_repeats_phase_one(
             inst, construct_solution(inst, ConstructionParams(), np.random.default_rng([5, i]))
         )
+
+
+@st.composite
+def _walk_cases(draw):
+    """A random instance, a construction's routes, and a walk order of some
+    of them: a subset in fleet order, or a reorder of them all."""
+    inst = draw(random_instances())
+    built = construct_solution(
+        inst, ConstructionParams(), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    )
+    routes = list(built.routes)
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(routes), max_size=len(routes)))
+        return inst, [r for r, kept in zip(routes, keep) if kept], True
+    return inst, draw(st.permutations(routes)), False
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walk_cases())
+def test_walk_of_any_fixed_routes_is_feasible_and_replays_to_itself(case):
+    # items to come trim, reorder and recombine built routes and walk them
+    # again: any such walk must be feasible and read off what a replay gives
+    inst, routes, in_fleet_order = case
+    weights = ObjectiveWeights()
+    walked = _walk(inst, routes, weights, inst.depot.operative)
+    assert validate_solution(inst, walked.routes, walked.plans) == []
+    replayed = solution_from_plans(inst, walked.routes, walked.plans, weights)
+    for name in ("final_operative", "final_damaged"):
+        got, want = getattr(walked, name), getattr(replayed, name)
+        assert list(got.items()) == list(want.items()), name
+    for r in routes:
+        got, want = walked.route_times[r.vehicle_id], replayed.route_times[r.vehicle_id]
+        assert got.hex() == want.hex(), r.vehicle_id
+    if in_fleet_order:
+        # the replay times the whole fleet, an unwalked vehicle at 0.0, and
+        # sums in fleet order; a sum over the walked routes alone is equal
+        assert walked.objective.total.hex() == replayed.objective.total.hex()
 
 
 @st.composite

@@ -28,6 +28,7 @@ from ssbrp.model import (
     solution_from_plans,
     validate_solution,
 )
+from ssbrp.search import RunConfig
 
 
 def _instance(entries):
@@ -342,6 +343,41 @@ def test_check_instance_accepts_numpy_integer_counts():
     fleet = ((np.int32(1), i(5)),)
     instance = make_instance(stations, fleet=fleet, stock=i(2), depot_capacity=i(9))
     check_instance(instance)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ConstructionParams(theta=True, mu=True), "theta must be a real number, got True"),
+        (lambda: ConstructionParams(mu="1.5"), "mu must be a real number, got '1.5'"),
+        (lambda: ObjectiveWeights(True, False, False), "gamma_d must be a real number, got True"),
+        (lambda: ObjectiveWeights(1.0, 1.0, "0"), "gamma_t must be a real number, got '0'"),
+        (lambda: RunConfig(wall_clock_cap=True), "wall_clock_cap must be a real number, got True"),
+        (lambda: RunConfig(wall_clock_cap="5"), "wall_clock_cap must be a real number, got '5'"),
+        (lambda: GeneratorConfig(damaged_fraction=True).resolved(),
+         "damaged_fraction must be a real number, got True"),
+        (lambda: GeneratorConfig(time_budget_min="60").resolved(),
+         "time_budget_min must be a real number, got '60'"),
+        (lambda: check_instance(make_instance([(1, 10, 5, 0, 3, True)])),
+         "stations[0] (id=1): weight must be a real number, got True"),
+        (lambda: check_instance(make_instance([(1, 10, 5, 0, 3, "1")])),
+         "stations[0] (id=1): weight must be a real number, got '1'"),
+        (lambda: check_instance(
+            dataclasses.replace(make_instance([(1, 10, 5, 0, 3)]), time_budget=True)
+        ),
+         "time_budget_min must be a real number, got True"),
+    ],
+    ids=[
+        "theta-bool", "mu-str", "gamma_d-bool", "gamma_t-str", "wall_clock_cap-bool",
+        "wall_clock_cap-str", "damaged_fraction-bool", "time_budget_min-str", "weight-bool",
+        "weight-str", "time_budget-bool",
+    ],
+)
+def test_real_settings_reject_bools_and_non_numbers(make, message):
+    # a bool once passed as 1 or 0, and a string raised a bare TypeError from
+    # a comparison or from math.isfinite
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

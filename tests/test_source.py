@@ -8,8 +8,9 @@ read off that table somewhere in the package, no module holds an
 extension module by file), one call in the package makes a HiGHS instance
 (each thread keeps one), phase one's ``BuildState`` takes no attribute
 outside its fields, no module reads, writes or rewinds a bit generator's
-state, only ``construction.py`` states phase one's delivery rule, and
-``loading.py`` imports nothing from ``construction``."""
+state, phase one's delivery rule is stated only in ``construction.py``'s
+``feasible_successors`` and ``_walk``, and ``loading.py`` imports nothing
+from ``construction``."""
 
 import ast
 from pathlib import Path
@@ -307,15 +308,23 @@ DELIVERY = "beta = reach if reach < -d else -d"  # phase one's delivery at a def
 
 
 def _holders(sources: dict[str, str], statement: str) -> list[str]:
-    """The modules with an assignment that unparses to ``statement``."""
-    return [
-        module
-        for module, source in sources.items()
-        if any(
-            isinstance(node, ast.Assign) and ast.unparse(node) == statement
-            for node in ast.walk(ast.parse(source))
-        )
-    ]
+    """``module:function`` for each assignment that unparses to ``statement``, in
+    source order, naming the innermost function that holds it (none at module
+    level)."""
+    found = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assign) and ast.unparse(child) == statement:
+                found.append(f"{module}:{function}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+            else:
+                visit(child, module, function)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "")
+    return found
 
 
 def test_holder_check_finds_the_statement():
@@ -323,15 +332,32 @@ def test_holder_check_finds_the_statement():
         "a.py": "def f(reach, d):\n    beta = (reach if reach < - d else -d)\n    return beta\n",
         "b.py": "def g(reach, d):\n    beta = reach if reach < d else d\n    return beta\n",
         "c.py": "def h(reach, d):\n    # beta = reach if reach < -d else -d\n    return 0\n",
+        "d.py": (
+            "beta = reach if reach < -d else -d\n"
+            "def walk(reach, d):\n"
+            "    if d < 0:\n"
+            "        beta = reach if reach < -d else -d\n"
+            "    return beta\n"
+            "class Trim:\n"
+            "    def walk(self, reach, d):\n"
+            "        def step():\n"
+            "            beta = reach if reach < -d else -d\n"
+            "            return beta\n"
+            "        return step()\n"
+        ),
     }
-    assert _holders(sources, DELIVERY) == ["a.py"]
+    assert _holders(sources, DELIVERY) == ["a.py:f", "d.py:", "d.py:walk", "d.py:step"]
 
 
 def test_phase_one_move_rule_lives_in_construction():
-    # a walk that restates phase one's rule outside construction.py drifts
-    # from it without importing anything that a check could see
+    # a walk that restates phase one's rule drifts from it without importing
+    # anything that a check could see: the scan and the one walk of fixed
+    # routes hold it, and a trim, polish or recombination step calls _walk
     sources = {path.name: path.read_text() for path in MODULES}
-    assert _holders(sources, DELIVERY) == ["construction.py"]
+    assert _holders(sources, DELIVERY) == [
+        "construction.py:feasible_successors",
+        "construction.py:_walk",
+    ]
 
 
 def _construction_imports(source: str) -> list[int]:
