@@ -56,17 +56,17 @@ steps = []  # the moves drawn so far; one vehicle, so each step starts at the la
 
 
 def traced_select_next(candidates, rng, epsilon=None):
-    # the candidate moves (node, beta, alpha) come in station order, the
-    # depot last, with their ratios in the same order and the top ratio
+    # the scored moves (node, beta, alpha, ratio) come in station order, the
+    # depot last; the top is the largest ratio
     at = steps[-1][0] if steps else 0
     print(f"step {len(steps) + 1}: at node {at}")
-    for (v, beta, alpha), ratio in zip(candidates, candidates.ratios):
+    for v, beta, alpha, ratio in candidates:
         print(f"  node {v}: move ({beta} operative, {alpha} damaged)  ratio {ratio:.4f}")
     # the same draw select_next makes for epsilon; infinite ratios keep only themselves
     epsilon = rng.random()
-    top = candidates.top
+    top = max(ratio for *_, ratio in candidates)
     cut = top if top == math.inf else epsilon * top
-    eligible = [v for (v, _, _), r in zip(candidates, candidates.ratios) if r >= cut]
+    eligible = [v for v, _, _, ratio in candidates if ratio >= cut]
     print(f"  top {top:.4f}, epsilon {epsilon:.4f}, cut {cut:.4f} keeps {eligible}")
     move = select_next(candidates, rng, epsilon)
     print(f"  drew {move}\n")

@@ -9,17 +9,17 @@ fleet but gives no build order; the README gives this rule's effect on the
 benchmark's fleet-mixed, whose capacities are listed ascending. The solution
 keeps its routes, plans and route times in fleet order.
 
-Successor choice is greedy-randomized: every candidate gets a ratio (moved
-bikes vs. detour time), a fresh threshold epsilon keeps only candidates
-close to the best ratio, and the winner is drawn uniformly among them. A
-construction from a fresh PCG64 Generator, as ``run()``'s are, reads the
-Generator's raw words itself (``_Draws``); its draws are those of the
-Generator's own methods.
+Successor choice is greedy-randomized: the scan returns each candidate move
+with its ratio (moved bikes vs. detour time), a fresh threshold epsilon
+keeps only the moves close to the largest ratio, and the winner is drawn
+uniformly among them. A construction from a fresh PCG64 Generator, as
+``run()``'s are, reads the Generator's raw words itself (``_Draws``); its
+draws are those of the Generator's own methods.
 
 ``_walk`` carries fixed routes into a Solution under the same move rule,
 timing each route as build_route does. ``_reload`` makes two such walks of a
-built solution's routes, for a plan that ``search.run`` keeps without phase
-two where it meets ``loading_bound``.
+built solution's routes when the depot has stock, for a plan that
+``search.run`` keeps without phase two where it meets ``loading_bound``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -107,14 +108,6 @@ def _powers(theta: float, capacity: int) -> tuple[float, ...]:
     return tuple(n**theta for n in range(2 * capacity + 1))
 
 
-class Candidates(list):
-    """One scan step's moves ``(node, beta, alpha)``, in ``Instance.stations``
-    order with the depot last; ``ratios`` holds their ratios in the same
-    order and ``top`` the largest of them (0.0 when there is no move)."""
-
-    __slots__ = ("ratios", "top")
-
-
 def route_context(
     instance: Instance, state: BuildState, vehicle: Vehicle, params: ConstructionParams
 ) -> tuple:
@@ -149,9 +142,9 @@ def feasible_successors(
     lockers: int,
     stock: int,
     room: float,
-) -> Candidates:
-    """Candidate next visits from node u, as the moves ``(node, beta,
-    alpha)`` with their ratios.
+) -> list[tuple[int, int, int, float]]:
+    """Candidate next visits from node u, as scored moves ``(node, beta,
+    alpha, ratio)``.
 
     ``context`` is route_context's; the other arguments are the route's
     running values: minutes elapsed, operative and damaged bikes on board,
@@ -190,9 +183,7 @@ def feasible_successors(
     pick = free if free < room else room
     reach = onboard_op + (stock if stock < lockers else lockers)
     undamaged = k - onboard_dam
-    out = Candidates()
-    out.ratios = ratios = []
-    top = 0.0
+    out = []
     for i in live:
         v = ids[i]
         if v == u:
@@ -219,17 +210,9 @@ def feasible_successors(
                 r = (powered[n] if n < size else n**theta) / t * w
             else:
                 r = math.inf if t == 0 else 0.0
-            out.append((v, beta, alpha))
-            ratios.append(r)
-            if r > top:
-                top = r
+            out.append((v, beta, alpha, r))
     if u != DEPOT and onboard_dam > 0 and elapsed + t_u0 <= budget:
-        r = math.inf if t_u0 == 0 else mu * onboard_dam / t_u0
-        out.append((DEPOT, 0, 0))
-        ratios.append(r)
-        if r > top:
-            top = r
-    out.top = top
+        out.append((DEPOT, 0, 0, math.inf if t_u0 == 0 else mu * onboard_dam / t_u0))
     return out
 
 
@@ -286,12 +269,13 @@ class _Draws:
 
 
 def select_next(
-    candidates: Candidates,
+    candidates: list[tuple[int, int, int, float]],
     rng: np.random.Generator | _Draws,
     epsilon: float | None = None,
 ) -> tuple[int, int, int]:
-    """Uniform draw among the candidate moves whose ratio reaches epsilon
-    times the top ratio.
+    """Uniform draw among the scored moves ``(node, beta, alpha, ratio)``
+    whose ratio reaches epsilon times the largest, returned as ``(node,
+    beta, alpha)``.
 
     ``rng`` is a Generator, or the ``_Draws`` that construct_solution reads
     off a PCG64 Generator; both give the same draws."""
@@ -300,14 +284,15 @@ def select_next(
     if epsilon is None:
         # the same draw as rng.uniform(), which returns 0 + 1 * random()
         epsilon = rng.random()
-    top = candidates.top
+    top = max(candidates, key=itemgetter(3))[3]
     # ratios are >= 0, so an infinite cut keeps exactly the infinite ratios
     # (and never forms 0 * inf = nan)
     cut = top if top == math.inf else epsilon * top
-    eligible = [move for move, r in zip(candidates, candidates.ratios) if r >= cut]
+    eligible = [move for move in candidates if move[3] >= cut]
     # integers(1) is 0 and draws nothing, from a Generator as from _Draws; a
     # Generator's integers() is a NumPy integer, which indexes a list as is
-    return eligible[rng.integers(len(eligible))]
+    node, beta, alpha, _ = eligible[rng.integers(len(eligible))]
+    return node, beta, alpha
 
 
 def build_route(
@@ -586,19 +571,16 @@ def _reload(
 ) -> Solution | None:
     """Another feasible loading of a solution's routes, found without an LP, or None.
 
-    Two ``_walk``s over the routes, in fleet order. The first draws no depot
-    stock, so each route serves deficits from its own pickups. The second
-    draws on the stock, but gives each station from it at most the deficit
-    that the first walk left; without stock or such a deficit it would
-    repeat the first, which is kept. Without depot stock, on a fleet that
-    phase one builds in fleet order, the first walk is phase one's own
-    (``tests/test_loading.py`` pins that) and returns the constructed plan,
-    which ``run`` reloads only when it misses the bound: None is returned.
-    ``run`` keeps a result that meets the bound, as it is optimal then.
+    None without depot stock: no walk is made. With stock, two ``_walk``s
+    over the routes, in fleet order. The first draws no depot stock, so each
+    route serves deficits from its own pickups. The second, which is
+    returned, draws on the stock, but gives each station from it at most
+    the deficit that the first walk left; where no deficit is left it draws
+    nothing and repeats the first walk's plan. ``run`` keeps a result that
+    meets the bound, as it is optimal then.
     """
-    order = instance._lookup.build_order
     stock = instance.depot.operative
-    if not stock and order == sorted(order):
+    if not stock:
         return None
     routes = solution.routes
     first = _walk(instance, routes, weights, 0)
@@ -606,6 +588,4 @@ def _reload(
         max(target - first.final_operative[sid], 0)
         for sid, _, target in instance._lookup.objective_rows
     ]
-    if stock and any(quota):
-        return _walk(instance, routes, weights, stock, quota)
-    return first
+    return _walk(instance, routes, weights, stock, quota)

@@ -235,11 +235,17 @@ def _require_numbers(prefix: str, kind: type, **values) -> None:
     """Raise ValueError, as ``{prefix}{name} must be an integer, got {value!r}`` (``a real
     number`` where ``kind`` is ``numbers.Real``, not ``numbers.Integral``), on the first
     value that is not a Python or NumPy number of ``kind``; a bool, though an int, is
-    neither a count nor a setting."""
+    neither a count nor a setting. A real number that no float can hold, such as
+    ``10**400``, raises ValueError as ``{prefix}{name} is too large for a float``."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, kind):
             noun = "an integer" if kind is numbers.Integral else "a real number"
             raise ValueError(f"{prefix}{name} must be {noun}, got {value!r}")
+        if kind is numbers.Real:
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{prefix}{name} is too large for a float") from None
 
 
 def check_instance(instance: Instance) -> None:
@@ -361,6 +367,8 @@ def evaluate_objective(
     such as the depot's, is ignored. The imbalance and damaged terms are
     station-weighted and normalized by the initial total deviation
     ``D = sum(w * |dev| + damaged)``; when D is zero both terms are defined as 0.
+    A term or a total that is not finite, as huge station weights or gammas
+    make it, raises ValueError: no total could be compared with it.
     """
     lookup = instance._lookup
     denom = lookup.deviation
@@ -377,6 +385,12 @@ def evaluate_objective(
     total_time = sum(route_times.values())
     time_term = total_time / (instance.time_budget * fleet_size) if fleet_size else 0.0
     total = imbalance * weights.gamma_d + damaged * weights.gamma_a + time_term * weights.gamma_t
+    # the terms are >= 0, so a term that is not finite makes the total so too
+    if not math.isfinite(total):
+        raise ValueError(
+            f"objective is not finite: imbalance {imbalance}, damaged {damaged}, "
+            f"time {time_term}, total {total}"
+        )
     return ObjectiveBreakdown(imbalance, damaged, time_term, total)
 
 

@@ -7,17 +7,16 @@ import dataclasses
 import numpy as np
 from hypothesis import strategies as st
 
-from ssbrp.construction import Candidates
 from ssbrp.model import Depot, Instance, Station, TravelMatrix, Vehicle
 
 
 def as_candidates(ratios):
-    """A scan result for select_next: the keys of ``ratios`` as the moves, its
-    values as their ratios, and the largest value as the top ratio."""
-    out = Candidates(ratios)
-    out.ratios = list(ratios.values())
-    out.top = max(out.ratios)
-    return out
+    """A scan result for select_next: each key of ``ratios`` scored with its
+    value. A key is a move ``(node, beta, alpha)``, or a bare node, which
+    moves nothing: select_next returns ``(node, 0, 0)`` for it."""
+    return [
+        (*move, r) if isinstance(move, tuple) else (move, 0, 0, r) for move, r in ratios.items()
+    ]
 
 
 def make_instance(

@@ -1,11 +1,16 @@
 """Solution quality over master seeds: how good ``run()``'s best is, not how fast.
 
-``python tests/quality.py [--full] [--out FILE]`` runs ``run()`` at
-``max_iter=500`` on three workloads, once per master seed (1-5, or 1-20
+``python tests/quality.py [--full] [--ladder] [--out FILE]`` runs ``run()``
+at ``max_iter=500`` on three workloads, once per master seed (1-5, or 1-20
 with ``--full``):
 
 - palma-28 and wien-90, the scale-smoke pair of the acceptance tests;
 - fleet-mixed, the benchmark's mixed fleet (``fleet_mixed(1)``).
+
+``--ladder`` adds a scale ladder at ``max_iter=100`` over the same seeds:
+wien-180 with 6 vehicles and wien-300 with 10, the generator's wien
+instances with only the fleet size changed. The 3-vehicle workloads test
+only how little a few vehicles can do on many stations.
 
 Per workload it prints and writes the quartiles of the best total, the
 share of seeds whose best is above do-nothing's total and the median
@@ -51,6 +56,7 @@ from ssbrp import (
 )
 
 MAX_ITER = 500
+LADDER_MAX_ITER = 100
 SEEDS = range(1, 6)
 FULL_SEEDS = range(1, 21)
 
@@ -77,8 +83,39 @@ def workloads() -> dict[str, Instance]:
     }
 
 
-def report(seeds=SEEDS, max_iter: int = MAX_ITER) -> dict:
-    """Run every workload once per master seed and summarize the best totals."""
+def ladder() -> dict[str, Instance]:
+    """The scale ladder's rungs: wien instances with a fleet grown beside them."""
+    return {
+        f"wien-{stations}": generate_instance(
+            GeneratorConfig(family=Family.WIEN, stations=stations, vehicles=vehicles, seed=1)
+        )
+        for stations, vehicles in ((180, 6), (300, 10))
+    }
+
+
+def summarize(instance: Instance, seeds: list[int], max_iter: int) -> dict:
+    """One workload's row: ``run()``'s best total once per master seed, summarized."""
+    do_nothing = empty_solution(instance, ObjectiveWeights()).objective.total
+    best, iteration, seconds = [], [], []
+    for seed in seeds:
+        result = run(instance, RunConfig(max_iter=max_iter, master_seed=seed))
+        best.append(result.best_objective.total)
+        iteration.append(result.iteration_of_best)
+        seconds.append(result.elapsed_total)
+    return {
+        "do_nothing": do_nothing,
+        "best_quartiles": statistics.quantiles(best, n=4, method="inclusive"),
+        "share_above_do_nothing": sum(b > do_nothing for b in best) / len(best),
+        "median_iteration_of_best": statistics.median(iteration),
+        "median_seconds": statistics.median(seconds),
+        "best": best,
+        "iteration_of_best": iteration,
+    }
+
+
+def report(seeds=SEEDS, max_iter: int = MAX_ITER, ladder_max_iter: int | None = None) -> dict:
+    """Run every workload once per master seed and summarize the best totals;
+    with ``ladder_max_iter``, the ladder's rungs too, at that max_iter."""
     seeds = list(seeds)
     out = {
         "max_iter": max_iter,
@@ -88,26 +125,27 @@ def report(seeds=SEEDS, max_iter: int = MAX_ITER) -> dict:
             "numpy": np.__version__,
             "machine": platform.machine(),
         },
-        "workloads": {},
+        "workloads": {name: summarize(inst, seeds, max_iter) for name, inst in workloads().items()},
     }
-    for name, instance in workloads().items():
-        do_nothing = empty_solution(instance, ObjectiveWeights()).objective.total
-        best, iteration, seconds = [], [], []
-        for seed in seeds:
-            result = run(instance, RunConfig(max_iter=max_iter, master_seed=seed))
-            best.append(result.best_objective.total)
-            iteration.append(result.iteration_of_best)
-            seconds.append(result.elapsed_total)
-        out["workloads"][name] = {
-            "do_nothing": do_nothing,
-            "best_quartiles": statistics.quantiles(best, n=4, method="inclusive"),
-            "share_above_do_nothing": sum(b > do_nothing for b in best) / len(best),
-            "median_iteration_of_best": statistics.median(iteration),
-            "median_seconds": statistics.median(seconds),
-            "best": best,
-            "iteration_of_best": iteration,
+    if ladder_max_iter is not None:
+        out["ladder"] = {
+            "max_iter": ladder_max_iter,
+            "workloads": {
+                name: summarize(inst, seeds, ladder_max_iter) for name, inst in ladder().items()
+            },
         }
     return out
+
+
+def print_rows(rows: dict[str, dict]) -> None:
+    print("workload      best: q1 / median / q3     above do-nothing  median iteration  median wall")
+    for name, row in rows.items():
+        q1, median, q3 = row["best_quartiles"]
+        print(
+            f"{name:12s}  {q1:.4f} / {median:.4f} / {q3:.4f}  "
+            f"{row['share_above_do_nothing']:16.0%}  {row['median_iteration_of_best']:16g}  "
+            f"{row['median_seconds']:9.2f} s"
+        )
 
 
 def sign_test(before: dict, after: dict) -> dict[str, dict]:
@@ -134,6 +172,7 @@ def sign_test(before: dict, after: dict) -> dict[str, dict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true", help="master seeds 1-20 instead of 1-5")
+    parser.add_argument("--ladder", action="store_true", help="add the wien-180 and wien-300 rungs")
     parser.add_argument("--out", type=Path, help="write the report as JSON to this file")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
@@ -144,16 +183,15 @@ def main(argv: list[str] | None = None) -> int:
             counts = f"{row['lower']:5d}  {row['higher']:6d}  {row['equal']:5d}"
             print(f"{name:12s}  {counts}  {row['p_value']:7.2g}")
         return 0
-    result = report(FULL_SEEDS if args.full else SEEDS)
-    print(f"max_iter={result['max_iter']}, master seeds {result['seeds'][0]}-{result['seeds'][-1]}")
-    print("workload      best: q1 / median / q3     above do-nothing  median iteration  median wall")
-    for name, row in result["workloads"].items():
-        q1, median, q3 = row["best_quartiles"]
-        print(
-            f"{name:12s}  {q1:.4f} / {median:.4f} / {q3:.4f}  "
-            f"{row['share_above_do_nothing']:16.0%}  {row['median_iteration_of_best']:16g}  "
-            f"{row['median_seconds']:9.2f} s"
-        )
+    result = report(
+        FULL_SEEDS if args.full else SEEDS, ladder_max_iter=LADDER_MAX_ITER if args.ladder else None
+    )
+    seeds = f"master seeds {result['seeds'][0]}-{result['seeds'][-1]}"
+    print(f"max_iter={result['max_iter']}, {seeds}")
+    print_rows(result["workloads"])
+    if "ladder" in result:
+        print(f"\nladder: max_iter={result['ladder']['max_iter']}, {seeds}")
+        print_rows(result["ladder"]["workloads"])
     if args.out:
         args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0

@@ -145,6 +145,20 @@ def test_solve_names_the_bad_gamma_flag(tmp_path, capsys, flags, message):
     assert not sol_path.exists()
 
 
+def test_solve_rejects_gammas_whose_total_overflows(tmp_path, capsys):
+    # each gamma is finite, but a built route's weighted total is inf
+    inst_path = _generate(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    argv = ["solve", "--instance", str(inst_path), "--max-iter", "3", "--out", str(sol_path)]
+    gammas = ["--gamma-d", "1.7e308", "--gamma-a", "1.7e308", "--gamma-t", "1.7e308"]
+    capsys.readouterr()
+    assert main(argv + gammas) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: objective is not finite: imbalance .*, total inf\n", err)
+    assert not sol_path.exists()
+
+
 def test_solve_rejects_non_finite_mu(tmp_path, capsys):
     inst_path = _generate(tmp_path)
     argv = ["solve", "--instance", str(inst_path), "--max-iter", "3", "--mu", "nan"]

@@ -75,6 +75,11 @@ def _scan(instance, state, u, vehicle, params, walk=None):
     )
 
 
+def _moves(scan):
+    """The scan's moves ``(node, beta, alpha)``, without their ratios."""
+    return [move[:3] for move in scan]
+
+
 def _move(station, capacity, stock, **running):
     """The move feasible_successors offers at the only station of a
     one-station instance, from the depot, with the ``_Walk`` fields given
@@ -84,7 +89,7 @@ def _move(station, capacity, stock, **running):
     # the station is live whatever its residuals, so the move rule decides
     state = BuildState([s.imbalance], [s.damaged], stock, [0])
     successors = _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams(), _Walk(**running))
-    moves = [(beta, alpha) for v, beta, alpha in successors if v == s.id]
+    moves = [(beta, alpha) for v, beta, alpha, _ in successors if v == s.id]
     assert len(moves) == len(successors) <= 1
     return moves[0] if moves else (0, 0)
 
@@ -120,7 +125,9 @@ def test_feasible_successors_time_window():
     )
     state = BuildState.fresh(inst)
     params = ConstructionParams()
-    assert _scan(inst, state, DEPOT, inst.fleet[0], params, _Walk(elapsed=180.0)) == [(1, 2, 0)]
+    assert _moves(_scan(inst, state, DEPOT, inst.fleet[0], params, _Walk(elapsed=180.0))) == [
+        (1, 2, 0)
+    ]
     assert _scan(inst, state, DEPOT, inst.fleet[0], params, _Walk(elapsed=190.0)) == []
 
 
@@ -135,7 +142,7 @@ def test_feasible_successors_depot_only_with_damaged_on_board():
     state = BuildState.fresh(inst)
     params = ConstructionParams()
     successors = _scan(inst, state, 1, inst.fleet[0], params, _Walk(onboard_damaged=2))
-    assert successors == [(DEPOT, 0, 0)]
+    assert _moves(successors) == [(DEPOT, 0, 0)]
     assert _scan(inst, state, 1, inst.fleet[0], params) == []
 
 
@@ -156,14 +163,11 @@ def test_feasible_successors_score_examples():
     state = BuildState.fresh(inst)
     vehicle = inst.fleet[0]
     got = _scan(inst, state, DEPOT, vehicle, ConstructionParams(0.5, 1.5))
-    assert got == [(1, 3, 1), (2, 4, 5)]
-    assert (got.ratios, got.top) == ([1.0, 1.0], 1.0)
+    assert got == [(1, 3, 1, 1.0), (2, 4, 5, 1.0)]
     got = _scan(inst, state, DEPOT, vehicle, ConstructionParams(1.0, 1.5))
-    assert got == [(1, 3, 1), (2, 4, 5)]
-    assert (got.ratios, got.top) == ([2.0, 3.0], 3.0)
+    assert got == [(1, 3, 1, 2.0), (2, 4, 5, 3.0)]
     got = _scan(inst, state, 1, vehicle, ConstructionParams(0.5, 1.5), _Walk(onboard_damaged=4))
-    assert got[-1] == (DEPOT, 0, 0)
-    assert got.ratios[-1] == 3.0
+    assert got[-1] == (DEPOT, 0, 0, 3.0)
 
 
 def test_feasible_successors_keep_station_order():
@@ -171,11 +175,10 @@ def test_feasible_successors_keep_station_order():
     # a hand-built state: its residuals are by station position
     state = BuildState([2, 6, -3], [0, 0, 0], 0, [0, 1, 2])
     got = _scan(inst, state, 1, inst.fleet[0], ConstructionParams(), _Walk(onboard_damaged=1))
-    assert [v for v, _, _ in got] == [2, DEPOT]
+    assert [v for v, *_ in got] == [2, DEPOT]
     loaded = _Walk(onboard_operative=3, onboard_damaged=1)
     got = _scan(inst, state, 1, inst.fleet[0], ConstructionParams(), loaded)
-    assert [v for v, _, _ in got] == [2, 3, DEPOT]
-    assert len(got.ratios) == 3
+    assert [v for v, *_ in got] == [2, 3, DEPOT]
 
 
 def test_feasible_successors_score_moves_beyond_the_table():
@@ -188,9 +191,9 @@ def test_feasible_successors_score_moves_beyond_the_table():
     params = ConstructionParams(0.5, 1.5)
     state = BuildState.fresh(inst)
     got = _scan(inst, state, DEPOT, inst.fleet[0], params, _Walk(onboard_operative=-2))
-    assert (got, got.ratios, got.top) == ([(1, 4, 0)], [0.5], 0.5)
+    assert got == [(1, 4, 0, 0.5)]
     got = _scan(inst, state, DEPOT, inst.fleet[0], params, _Walk(onboard_operative=-14))
-    assert (got, got.ratios, got.top) == ([(1, 9, 7)], [1.0], 1.0)
+    assert got == [(1, 9, 7, 1.0)]
 
 
 def test_feasible_successors_score_zero_travel_dominates():
@@ -199,11 +202,9 @@ def test_feasible_successors_score_zero_travel_dominates():
     )
     state = BuildState.fresh(inst)
     got = _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams())
-    assert got == [(1, 2, 0)]
-    ratio = got.ratios[0]
-    assert math.isinf(ratio) and got.top == ratio
+    assert got == [(1, 2, 0, math.inf)]
     rng = np.random.default_rng(0)
-    assert select_next(as_candidates({(1, 2, 0): ratio, (2, 1, 0): 5.0}), rng) == (1, 2, 0)
+    assert select_next(as_candidates({(1, 2, 0): math.inf, (2, 1, 0): 5.0}), rng) == (1, 2, 0)
 
 
 def test_zero_weight_scores_zero_even_when_the_quotient_overflows():
@@ -216,7 +217,7 @@ def test_zero_weight_scores_zero_even_when_the_quotient_overflows():
     state = BuildState.fresh(inst)
     params = ConstructionParams()
     got = _scan(inst, state, DEPOT, inst.fleet[0], params)
-    assert (got, got.ratios, got.top) == ([(1, 2, 0), (2, 2, 0)], [0.0, math.inf], math.inf)
+    assert got == [(1, 2, 0, 0.0), (2, 2, 0, math.inf)]
     for seed in range(10):
         sol = construct_solution(inst, params, np.random.default_rng(seed))
         assert validate_solution(inst, sol.routes, sol.plans) == []
@@ -233,14 +234,13 @@ def test_zero_travel_time_wins_over_zero_weight():
     )
     state = BuildState.fresh(inst)
     got = _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams(1.0))
-    assert got == [(1, 2, 0), (2, 2, 0), (3, 2, 0)]
-    assert (got.ratios, got.top) == ([math.inf, 0.0, 0.5], math.inf)
+    assert got == [(1, 2, 0, math.inf), (2, 2, 0, 0.0), (3, 2, 0, 0.5)]
     assert select_next(got, np.random.default_rng(0)) == (1, 2, 0)
 
 
 def test_select_next_singleton():
     rng = np.random.default_rng(0)
-    assert select_next(as_candidates({7: 0.25}), rng) == 7
+    assert select_next(as_candidates({7: 0.25}), rng) == (7, 0, 0)
 
 
 def test_a_single_eligible_candidate_draws_nothing():
@@ -254,7 +254,7 @@ def test_a_single_eligible_candidate_draws_nothing():
     for name, make in sources.items():
         for ratios, epsilon in lone:
             rng, twin = make(), make()
-            assert select_next(as_candidates(ratios), rng, epsilon=epsilon) == "a"
+            assert select_next(as_candidates(ratios), rng, epsilon=epsilon) == ("a", 0, 0)
             assert rng.random() == twin.random(), (name, ratios)
 
 
@@ -263,7 +263,7 @@ def test_select_next_respects_forced_epsilon():
     seen = set()
     three = as_candidates({"a": 10.0, "b": 6.0, "c": 2.0})
     for _ in range(200):
-        seen.add(select_next(three, rng, epsilon=0.5))
+        seen.add(select_next(three, rng, epsilon=0.5)[0])
     assert seen == {"a", "b"}
 
 
@@ -272,7 +272,7 @@ def test_select_next_argmax_always_eligible():
     seen = set()
     two = as_candidates({"a": 10.0, "b": 1.0})
     for _ in range(400):
-        seen.add(select_next(two, rng))
+        seen.add(select_next(two, rng)[0])
     assert "a" in seen
 
 
@@ -502,8 +502,8 @@ def test_ratio_monotone_in_moved_bikes():
     for beta in (1, 2, 5, 8):
         # free lockers cap the pickup at beta
         got = _scan(inst, state, DEPOT, inst.fleet[0], params, _Walk(onboard_operative=8 - beta))
-        assert got == [(1, beta, 0)]
-        values.extend(got.ratios)
+        assert _moves(got) == [(1, beta, 0)]
+        values.append(got[0][3])
     assert values == sorted(values)
 
 
@@ -715,11 +715,10 @@ def test_phase_one_matches_reference_loop(case):
     got = _scan(instance, state, u, vehicle, params, walk)
     successors = _reference_successors(instance, state, walk, u, vehicle)
     want = [(v, beta, alpha) for v, (beta, alpha) in successors.items()]
-    assert got == want  # the same moves in the same order
-    assert [r.hex() for r in got.ratios] == [
+    assert _moves(got) == want  # the same moves in the same order
+    assert [r.hex() for *_, r in got] == [
         _reference_ratio(instance, walk, params, u, *move).hex() for move in want
     ]
-    assert got.top.hex() == max(got.ratios, default=0.0).hex()
 
 
 def test_phase_one_rejects_unknown_nodes():
@@ -915,7 +914,7 @@ def test_construction_moves_twice_the_capacity():
     state = BuildState.fresh(inst)
     start = _Walk(min_free_lockers=inst.fleet[0].capacity)
     successors = _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams(), start)
-    assert [key for key in successors if key[0] == 1] == [(1, 3, 3)]
+    assert [move for move in _moves(successors) if move[0] == 1] == [(1, 3, 3)]
     for seed in range(20):
         _check_construction(inst, ConstructionParams(), seed)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import make_instance, negative_zeros, random_instances, reweighted
 from oracle import brute_force_loading
 from quality import fleet_mixed, workloads
-from ssbrp import loading
+from ssbrp import construction, loading
 from ssbrp.construction import ConstructionParams, _reload, _walk, construct_solution
 from ssbrp.instances import Family, GeneratorConfig, generate_instance
 from ssbrp.loading import (
@@ -1275,6 +1275,26 @@ def test_reload_is_feasible_and_optimal_where_it_meets_the_bound(case):
     costs = [g * s.weight for s in inst.stations for g in (weights.gamma_d, weights.gamma_a)]
     if all(c == 0 or c >= 1e-6 for c in costs):
         assert after.objective.total.hex() == reloaded.objective.total.hex()
+
+
+def test_reload_walks_only_with_depot_stock_and_returns_the_quota_walk(monkeypatch):
+    walks = []
+
+    def recorded(instance, routes, weights, stock, quota=None):
+        walks.append((stock, walk(instance, routes, weights, stock, quota)))
+        return walks[-1][1]
+
+    walk = construction._walk
+    monkeypatch.setattr(construction, "_walk", recorded)
+    inst = fleet_mixed(1)
+    built = construct_solution(inst, ConstructionParams(), np.random.default_rng(1))
+    # fleet-mixed is built out of fleet order; without stock nothing is walked
+    stockless = dataclasses.replace(inst, depot=dataclasses.replace(inst.depot, operative=0))
+    assert _reload(stockless, built) is None
+    assert walks == []
+    reloaded = _reload(inst, built)
+    assert [stock for stock, _ in walks] == [0, inst.depot.operative]
+    assert reloaded is walks[-1][1]
 
 
 def test_reload_meets_the_bound_on_palma_route_sets_that_need_phase_two():

@@ -380,6 +380,33 @@ def test_real_settings_reject_bools_and_non_numbers(make, message):
         make()
 
 
+_HUGE = 10**400  # an int that no float can hold
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ObjectiveWeights(_HUGE, 1, 1), "gamma_d is too large for a float"),
+        (lambda: ConstructionParams(mu=_HUGE), "mu is too large for a float"),
+        (lambda: RunConfig(wall_clock_cap=_HUGE), "wall_clock_cap is too large for a float"),
+        (lambda: GeneratorConfig(time_budget_min=_HUGE).resolved(),
+         "time_budget_min is too large for a float"),
+        (lambda: check_instance(make_instance([(1, 10, 5, 0, 3, _HUGE)])),
+         "stations[0] (id=1): weight is too large for a float"),
+        (lambda: check_instance(
+            dataclasses.replace(make_instance([(1, 10, 5, 0, 3)]), time_budget=_HUGE)
+        ),
+         "time_budget_min is too large for a float"),
+    ],
+    ids=["gamma_d", "mu", "wall_clock_cap", "generator-time_budget_min", "weight", "time_budget"],
+)
+def test_real_settings_reject_ints_too_large_for_a_float(make, message):
+    # such an int raised OverflowError where it was compared with a float, or
+    # was accepted and overflowed later, as mu did in the scan's depot score
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_check_instance_rejects_non_finite_numbers(bad):
     with pytest.raises(ValueError, match="time_budget_min: must be finite"):

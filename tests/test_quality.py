@@ -7,13 +7,17 @@ import pytest
 from quality import main, report, sign_test
 
 WORKLOADS = ["palma-28", "wien-90", "fleet-mixed"]
+LADDER = ["wien-180", "wien-300"]
 
 
 def test_report_shape():
-    got = report(seeds=[1, 2], max_iter=2)
+    got = report(seeds=[1, 2], max_iter=2, ladder_max_iter=2)
     assert (got["max_iter"], got["seeds"]) == (2, [1, 2])
     assert list(got["workloads"]) == WORKLOADS
-    for name, row in got["workloads"].items():
+    assert got["ladder"]["max_iter"] == 2
+    assert list(got["ladder"]["workloads"]) == LADDER
+    rows = {**got["workloads"], **got["ladder"]["workloads"]}
+    for name, row in rows.items():
         q1, median, q3 = row["best_quartiles"]
         assert min(row["best"]) <= q1 <= median <= q3 <= max(row["best"]), name
         assert len(row["best"]) == len(row["iteration_of_best"]) == 2
@@ -24,6 +28,10 @@ def test_report_shape():
         assert row["median_seconds"] > 0
     # wien-90's best is above do-nothing's total on every master seed
     assert got["workloads"]["wien-90"]["share_above_do_nothing"] == 1.0
+
+
+def test_the_default_report_has_no_ladder():
+    assert "ladder" not in report(seeds=[1, 2], max_iter=2)
 
 
 def _report(best):

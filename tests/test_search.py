@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from itertools import islice
@@ -165,6 +166,31 @@ def test_invalid_instance_rejected_before_iterating():
     for _ in range(2):  # a failed check is not remembered
         with pytest.raises(ValueError):
             run(bad, RunConfig(max_iter=2))
+
+
+def _huge_weights(instance):
+    """The instance with every station weight at 1e308: the objective's
+    normalizer D overflows to inf, and inf / inf makes the imbalance term nan."""
+    stations = tuple(dataclasses.replace(s, weight=1e308) for s in instance.stations)
+    return dataclasses.replace(instance, stations=stations)
+
+
+@pytest.mark.parametrize(
+    "make, cause",
+    [
+        # do-nothing's total is a finite 1.7e308, a built plan's overflows
+        (lambda inst: (inst, ObjectiveWeights(1.7e308, 1.7e308, 1.7e308)),
+         r"imbalance 0\.\d+, .*total inf"),
+        (lambda inst: (_huge_weights(inst), ObjectiveWeights()), r"imbalance nan, .*total nan"),
+    ],
+    ids=["gammas", "station-weights"],
+)
+def test_an_objective_that_is_not_finite_is_rejected(make, cause):
+    # no total compares below inf or nan: the loop would keep no incumbent,
+    # or hand phase two a model with nan coefficients
+    instance, weights = make(generate_instance(GeneratorConfig()))
+    with pytest.raises(ValueError, match=f"^objective is not finite: {cause}$"):
+        run(instance, RunConfig(max_iter=3, weights=weights))
 
 
 def test_zero_vehicle_instance_terminates():
