@@ -18,8 +18,9 @@ draws are those of the Generator's own methods.
 
 ``_walk`` carries fixed routes into a Solution under the same move rule,
 timing each route as build_route does. ``_reload`` makes two such walks of a
-built solution's routes when the depot has stock, for a plan that
-``search.run`` keeps without phase two where it meets ``loading_bound``.
+built solution's routes when the depot has stock, and returns the built
+solution when it has none, for a plan that ``search.run`` keeps without
+phase two where it meets ``loading_bound``.
 """
 
 from __future__ import annotations
@@ -472,27 +473,25 @@ def _walk(
     instance: Instance,
     routes: Sequence[Route],
     weights: ObjectiveWeights,
-    stock: int,
     quota: list[int] | None = None,
 ) -> Solution:
     """One walk of fixed routes, in the order given, under phase one's move rule.
 
-    The walk starts from ``BuildState.fresh`` with ``stock`` as the depot's
-    stock. Each visit moves what feasible_successors offers there and
-    applies it as build_route does, stock and room included; a depot visit
-    drops the damaged bikes, and the route's last visit everything on board.
-    ``quota``, by station position, caps the bikes each station gets from
-    the depot stock in all and is used up in place; None is no cap. The
-    moves pass ``validate_solution`` for the reasons phase one's do, and a
-    quota only lowers a delivery. Each leg's minutes are added as
-    build_route adds them, and a route's time is recorded on the state as
-    the route closes (0.0 for an empty route); solution_from_plans reads
-    the Solution off the state.
+    The walk starts from ``BuildState.fresh``, the depot's stock included.
+    Each visit moves what feasible_successors offers there and applies it as
+    build_route does, stock and room included; a depot visit drops the
+    damaged bikes, and the route's last visit everything on board. ``quota``,
+    by station position, caps the bikes each station gets from the depot
+    stock in all and is used up in place; None is no cap, and an all-zero
+    quota draws no stock. The moves pass ``validate_solution`` for the
+    reasons phase one's do, and a quota only lowers a delivery. Each leg's
+    minutes are added as build_route adds them, and a route's time is
+    recorded on the state as the route closes (0.0 for an empty route);
+    solution_from_plans reads the Solution off the state.
     """
     lookup = instance._lookup
     rows, position, fleet = lookup.rows, lookup.position, lookup.fleet
     state = BuildState.fresh(instance)
-    state.depot_remaining = stock
     imbalance, damaged = state.residual_imbalance, state.residual_damaged
     plans: list[LoadingPlan] = []
     for route in routes:
@@ -568,24 +567,23 @@ def _reload(
     instance: Instance,
     solution: Solution,
     weights: ObjectiveWeights = ObjectiveWeights(),
-) -> Solution | None:
-    """Another feasible loading of a solution's routes, found without an LP, or None.
+) -> Solution:
+    """Another feasible loading of a solution's routes, found without an LP.
 
-    None without depot stock: no walk is made. With stock, two ``_walk``s
-    over the routes, in fleet order. The first draws no depot stock, so each
-    route serves deficits from its own pickups. The second, which is
-    returned, draws on the stock, but gives each station from it at most
-    the deficit that the first walk left; where no deficit is left it draws
-    nothing and repeats the first walk's plan. ``run`` keeps a result that
-    meets the bound, as it is optimal then.
+    Without depot stock, the solution itself: no walk is made. With stock,
+    two ``_walk``s over the routes, in fleet order. The first, under an
+    all-zero quota, draws no depot stock, so each route serves deficits from
+    its own pickups. The second, which is returned, draws on the stock, but
+    gives each station from it at most the deficit that the first walk left;
+    where no deficit is left it draws nothing and repeats the first walk's
+    plan. ``run`` keeps a result that meets the bound, as it is optimal then.
     """
-    stock = instance.depot.operative
-    if not stock:
-        return None
+    if not instance.depot.operative:
+        return solution
     routes = solution.routes
-    first = _walk(instance, routes, weights, 0)
+    first = _walk(instance, routes, weights, [0] * len(instance.stations))
     quota = [
         max(target - first.final_operative[sid], 0)
         for sid, _, target in instance._lookup.objective_rows
     ]
-    return _walk(instance, routes, weights, stock, quota)
+    return _walk(instance, routes, weights, quota)

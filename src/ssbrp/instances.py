@@ -144,11 +144,13 @@ def _plain_number(x: float):
 
 
 def write_instance(instance: Instance) -> dict:
-    """Serialize an Instance to its canonical document."""
+    """Serialize an Instance to its canonical document.
+
+    Ids and counts are written as Python ints, NumPy integers included."""
     matrix = [[_plain_number(x) for x in row] for row in instance.travel.minutes.tolist()]
-    depot_doc: dict = {"operative": instance.depot.operative}
+    depot_doc: dict = {"operative": int(instance.depot.operative)}
     if instance.depot.capacity is not None:
-        depot_doc["capacity"] = instance.depot.capacity
+        depot_doc["capacity"] = int(instance.depot.capacity)
     return {
         "format_version": FORMAT_VERSION,
         "metric": instance.metric,
@@ -156,16 +158,16 @@ def write_instance(instance: Instance) -> dict:
         "depot": depot_doc,
         "stations": [
             {
-                "id": s.id,
-                "capacity": s.capacity,
-                "operative": s.operative,
-                "damaged": s.damaged,
-                "target": s.target,
+                "id": int(s.id),
+                "capacity": int(s.capacity),
+                "operative": int(s.operative),
+                "damaged": int(s.damaged),
+                "target": int(s.target),
                 "weight": float(s.weight),
             }
             for s in instance.stations
         ],
-        "vehicles": [{"id": v.id, "capacity": v.capacity} for v in instance.fleet],
+        "vehicles": [{"id": int(v.id), "capacity": int(v.capacity)} for v in instance.fleet],
         "travel_min": matrix,
     }
 
@@ -176,14 +178,16 @@ def write_solution(
     seed: int | None = None,
     params: dict | None = None,
 ) -> dict:
-    """Serialize a Solution, optionally stamping the run's seed and parameters."""
+    """Serialize a Solution, optionally stamping the run's seed and parameters.
+
+    Ids and counts are written as Python ints, NumPy integers included."""
     doc: dict = {
         "routes": [
             {
-                "vehicle": route.vehicle_id,
-                "visits": list(route.visits),
+                "vehicle": int(route.vehicle_id),
+                "visits": [int(v) for v in route.visits],
                 "moves": [
-                    {"operative": dx, "damaged": dy} for dx, dy in plan.moves
+                    {"operative": int(dx), "damaged": int(dy)} for dx, dy in plan.moves
                 ],
             }
             for route, plan in zip(solution.routes, solution.plans)
@@ -191,7 +195,7 @@ def write_solution(
         "objective": asdict(solution.objective),
     }
     if seed is not None:
-        doc["seed"] = seed
+        doc["seed"] = int(seed)
     if params is not None:
         doc["params"] = dict(params)
     return doc

@@ -296,6 +296,8 @@ def check_instance(instance: Instance) -> None:
     if len({v.id for v in instance.fleet}) != len(instance.fleet):
         raise ValueError("vehicles: duplicate vehicle id")
     _require_numbers("", numbers.Real, time_budget_min=instance.time_budget)
+    if not isinstance(instance.metric, bool):
+        raise ValueError(f"metric must be a bool, got {instance.metric!r}")
     if not math.isfinite(instance.time_budget) or instance.time_budget <= 0:
         raise ValueError("time_budget_min: must be finite and positive")
 

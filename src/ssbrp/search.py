@@ -6,13 +6,13 @@ iteration ``i`` seeds its own ``default_rng`` with ``[master_seed, i]``, so
 any iteration can be replayed in isolation. The fold replaces the loading
 plans with exactly optimal ones (phase two) under one incumbent rule: a
 total improves when it is below ``beat``, the best total less a tolerance
-(infinite at first). ``loading_bound`` spares phase two three times: when
-the bound of the new routes is not below ``beat``, the iteration counts as
-non-improving; when the constructed plan meets the bound (so it improves),
-it is folded in, and returned, as constructed; and when phase one's
-``_reload``, two ``construction._walk``s of its move rule over the routes,
-each of which times the routes itself, finds a plan that meets the bound,
-that plan is. The bound's docstring proves that it never
+(infinite at first). ``loading_bound`` spares phase two twice: when the
+bound of the new routes is not below ``beat``, the iteration counts as
+non-improving; and when a plan phase one makes meets the bound (so it
+improves), that plan is folded in, and returned, as it is. One test keeps
+the constructed plan or, where that misses the bound, ``_reload``'s: two
+``construction._walk``s over the routes, or the constructed plan again
+when the depot has no stock. The bound's docstring proves that it never
 exceeds the reoptimized total, so the trace, the routes and the totals
 are those of a loop that reoptimizes every iteration; a certified best
 may keep another plan of the same total. The loop stops when ``run``'s
@@ -128,15 +128,13 @@ def run(instance: Instance, config: RunConfig = RunConfig()) -> RunReport:
             # even the bound's optimistic loading of these routes cannot win
             solution = None
             skipped += 1
-        elif built.objective.total <= bound:
-            # no plan over these routes scores below the bound, so phase two
-            # could not lower the total: the constructed plan is optimal
-            solution = built
-            certified += 1
         else:
-            # a reload of the routes that meets the bound is optimal for them too
-            solution = _reload(instance, built, config.weights)
-            if solution is not None and solution.objective.total <= bound:
+            # no plan over these routes scores below the bound, so a plan that
+            # meets it, the built one or else its reload, is optimal for them
+            solution = built
+            if built.objective.total > bound:
+                solution = _reload(instance, built, config.weights)
+            if solution.objective.total <= bound:
                 certified += 1
             else:
                 solution = reoptimize_solution(instance, built, config.weights)

@@ -21,7 +21,8 @@ not compared.
 ``python tests/quality.py --compare BEFORE AFTER`` reads two reports of the
 same seeds and prints, per workload, a seed-by-seed sign test: the seeds on
 which AFTER's best total is lower, higher or equal, and the exact two-sided
-p-value of the lower and higher counts.
+p-value of the lower and higher counts. When both reports have a ladder, its
+rungs are compared too, at one ladder max_iter.
 
 This module is a helper for the tests, not a test file; it needs only the
 standard library and ssbrp.
@@ -149,23 +150,30 @@ def print_rows(rows: dict[str, dict]) -> None:
 
 
 def sign_test(before: dict, after: dict) -> dict[str, dict]:
-    """Per workload, the seeds on which ``after``'s best is lower, higher and
-    equal, and the exact two-sided sign-test p-value of lower against higher."""
+    """Per workload, and per ladder rung when both reports have a ladder, the
+    seeds on which ``after``'s best is lower, higher and equal, and the exact
+    two-sided sign-test p-value of lower against higher."""
     if before["seeds"] != after["seeds"] or before["max_iter"] != after["max_iter"]:
         raise ValueError("the reports differ in seeds or max_iter")
+    sections = [(before["workloads"], after["workloads"])]
+    if "ladder" in before and "ladder" in after:
+        if before["ladder"]["max_iter"] != after["ladder"]["max_iter"]:
+            raise ValueError("the reports' ladders differ in max_iter")
+        sections.append((before["ladder"]["workloads"], after["ladder"]["workloads"]))
     out = {}
-    for name, old in before["workloads"].items():
-        pairs = list(zip(old["best"], after["workloads"][name]["best"]))
-        lower = sum(b < a for a, b in pairs)
-        higher = sum(b > a for a, b in pairs)
-        n = lower + higher
-        tail = sum(math.comb(n, k) for k in range(min(lower, higher) + 1)) / 2**n
-        out[name] = {
-            "lower": lower,
-            "higher": higher,
-            "equal": len(pairs) - n,
-            "p_value": min(1.0, 2 * tail),
-        }
+    for rows, new_rows in sections:
+        for name, old in rows.items():
+            pairs = list(zip(old["best"], new_rows[name]["best"]))
+            lower = sum(b < a for a, b in pairs)
+            higher = sum(b > a for a, b in pairs)
+            n = lower + higher
+            tail = sum(math.comb(n, k) for k in range(min(lower, higher) + 1)) / 2**n
+            out[name] = {
+                "lower": lower,
+                "higher": higher,
+                "equal": len(pairs) - n,
+                "p_value": min(1.0, 2 * tail),
+            }
     return out
 
 

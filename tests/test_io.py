@@ -20,6 +20,7 @@ from ssbrp.instances import (
 from ssbrp.construction import ConstructionParams, construct_solution
 from ssbrp.loading import reoptimize_solution
 from ssbrp.model import LoadingPlan, ObjectiveWeights, Route, check_instance, solution_from_plans
+from ssbrp.search import RunConfig, run
 
 
 def _minimal_doc():
@@ -235,6 +236,34 @@ def test_generator_accepts_numpy_integer_counts():
     config = GeneratorConfig(stations=np.int64(6), vehicles=np.int32(2), seed=np.int64(1))
     plain = GeneratorConfig(stations=6, vehicles=2, seed=1)
     assert generate_instance(config) == generate_instance(plain)
+
+
+def test_documents_of_numpy_integer_counts_round_trip_through_json():
+    # the writers once emitted NumPy integers as they were, and json.dumps
+    # raised "Object of type int64 is not JSON serializable"
+    plain = GeneratorConfig(stations=4, vehicle_capacity=7, depot_stock=3, seed=1)
+    config = dataclasses.replace(plain, vehicle_capacity=np.int64(7), depot_stock=np.int64(3))
+    inst = generate_instance(config)
+    text = json.dumps(write_instance(inst))
+    assert text == json.dumps(write_instance(generate_instance(plain)))
+    assert parse_instance(json.loads(text)) == inst
+    # NumPy station and vehicle ids reach run()'s routes and moves
+    i = np.int64
+    inst = dataclasses.replace(
+        inst,
+        stations=tuple(
+            dataclasses.replace(s, id=i(s.id), capacity=i(s.capacity), operative=i(s.operative))
+            for s in inst.stations
+        ),
+        fleet=tuple(dataclasses.replace(v, id=i(v.id)) for v in inst.fleet),
+    )
+    best = run(inst, RunConfig(max_iter=3)).best_solution
+    assert any(type(v) is i for r in best.routes for v in r.visits)
+    parsed_instance = parse_instance(json.loads(json.dumps(write_instance(inst))))
+    text = json.dumps(write_solution(best, seed=i(0)))
+    parsed = parse_solution(json.loads(text), parsed_instance)
+    assert (parsed.routes, parsed.plans) == (best.routes, best.plans)
+    assert parsed.objective == best.objective
 
 
 def test_generator_is_deterministic_and_seed_sensitive():

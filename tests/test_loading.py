@@ -1169,11 +1169,11 @@ def test_constructed_plan_meeting_the_bound_is_optimal(case):
 
 def _check_walk_repeats_phase_one(inst, built):
     # _walk walks fixed routes with build_route's move rule inline; in build
-    # order, with the whole depot stock and no quota, it must move what phase
-    # one moved at every visit and time each route as phase one timed it
+    # order, from the whole depot stock and with no quota, it must move what
+    # phase one moved at every visit and time each route as phase one timed it
     order = inst._lookup.build_order
     routes = [built.routes[j] for j in order]
-    walked = _walk(inst, routes, ObjectiveWeights(), inst.depot.operative)
+    walked = _walk(inst, routes, ObjectiveWeights())
     for plan, j in zip(walked.plans, order, strict=True):
         assert plan == built.plans[j], plan.vehicle_id
     assert [(vid, t.hex()) for vid, t in walked.route_times.items()] == [
@@ -1224,7 +1224,7 @@ def test_walk_of_any_fixed_routes_is_feasible_and_replays_to_itself(case):
     # again: any such walk must be feasible and read off what a replay gives
     inst, routes, in_fleet_order = case
     weights = ObjectiveWeights()
-    walked = _walk(inst, routes, weights, inst.depot.operative)
+    walked = _walk(inst, routes, weights)
     assert validate_solution(inst, walked.routes, walked.plans) == []
     replayed = solution_from_plans(inst, walked.routes, walked.plans, weights)
     for name in ("final_operative", "final_damaged"):
@@ -1258,7 +1258,9 @@ def test_reload_is_feasible_and_optimal_where_it_meets_the_bound(case):
     inst, weights, seed = case
     built = construct_solution(inst, ConstructionParams(), np.random.default_rng(seed), weights)
     reloaded = _reload(inst, built, weights)
-    if reloaded is None:
+    if reloaded is built:
+        # no depot stock: nothing was walked
+        assert not inst.depot.operative
         return
     assert validate_solution(inst, reloaded.routes, reloaded.plans) == []
     assert (reloaded.routes, reloaded.route_times) == (built.routes, built.route_times)
@@ -1280,21 +1282,26 @@ def test_reload_is_feasible_and_optimal_where_it_meets_the_bound(case):
 def test_reload_walks_only_with_depot_stock_and_returns_the_quota_walk(monkeypatch):
     walks = []
 
-    def recorded(instance, routes, weights, stock, quota=None):
-        walks.append((stock, walk(instance, routes, weights, stock, quota)))
+    def recorded(instance, routes, weights, quota=None):
+        walks.append((list(quota), walk(instance, routes, weights, quota)))
         return walks[-1][1]
 
     walk = construction._walk
     monkeypatch.setattr(construction, "_walk", recorded)
     inst = fleet_mixed(1)
     built = construct_solution(inst, ConstructionParams(), np.random.default_rng(1))
-    # fleet-mixed is built out of fleet order; without stock nothing is walked
+    # fleet-mixed is built out of fleet order; without stock nothing is
+    # walked, and the built solution is the reload
     stockless = dataclasses.replace(inst, depot=dataclasses.replace(inst.depot, operative=0))
-    assert _reload(stockless, built) is None
+    assert _reload(stockless, built) is built
     assert walks == []
     reloaded = _reload(inst, built)
-    assert [stock for stock, _ in walks] == [0, inst.depot.operative]
-    assert reloaded is walks[-1][1]
+    # the first walk draws no stock under an all-zero quota; the second is
+    # capped at the deficits that the first left
+    (first_quota, first), (second_quota, second) = walks
+    assert first_quota == [0] * len(inst.stations)
+    assert second_quota == [max(s.target - first.final_operative[s.id], 0) for s in inst.stations]
+    assert reloaded is second
 
 
 def test_reload_meets_the_bound_on_palma_route_sets_that_need_phase_two():
@@ -1307,7 +1314,7 @@ def test_reload_meets_the_bound_on_palma_route_sets_that_need_phase_two():
             continue
         need += 1
         reloaded = _reload(inst, built)
-        if reloaded is not None and reloaded.objective.total <= bound:
+        if reloaded.objective.total <= bound:
             met += 1
             after = reoptimize_solution(inst, built)
             assert reloaded.objective.total.hex() == after.objective.total.hex(), i

@@ -345,6 +345,16 @@ def test_check_instance_accepts_numpy_integer_counts():
     check_instance(instance)
 
 
+@pytest.mark.parametrize("metric", ["no", 1, None, np.True_], ids=repr)
+def test_check_instance_rejects_a_metric_that_is_not_a_bool(metric):
+    # a truthy one once switched the triangle check on, and the document that
+    # write_instance made of it failed parse_instance as "metric: wrong type"
+    instance = make_instance([(1, 10, 5, 0, 3)], metric=metric)
+    message = f"metric must be a bool, got {metric!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_instance(instance)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [

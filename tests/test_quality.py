@@ -1,6 +1,7 @@
 """The quality report of ``quality.py`` and its seed-by-seed sign test."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,31 @@ def test_sign_test_counts_seeds_and_gives_the_exact_p_value():
     assert sign_test(before, mixed)["w"] == {"lower": 2, "higher": 1, "equal": 3, "p_value": 1.0}
     with pytest.raises(ValueError, match="seeds or max_iter"):
         sign_test(before, _report([0.5]))
+
+
+def _laddered(best, rung, max_iter=2):
+    return {**_report(best), "ladder": {"max_iter": max_iter, "workloads": {"r": {"best": rung}}}}
+
+
+def test_sign_test_compares_the_ladder_when_both_reports_have_one():
+    # the ladder's rungs were once left out, so a comparison of two laddered
+    # reports printed the three workloads only
+    before = _laddered([0.5, 0.5], [0.9, 0.9])
+    after = _laddered([0.5, 0.5], [0.8, 1.0])
+    assert sign_test(before, after) == {
+        "w": {"lower": 0, "higher": 0, "equal": 2, "p_value": 1.0},
+        "r": {"lower": 1, "higher": 1, "equal": 0, "p_value": 1.0},
+    }
+    assert list(sign_test(before, _report([0.5, 0.5]))) == ["w"]
+    with pytest.raises(ValueError, match="ladders differ in max_iter"):
+        sign_test(before, _laddered([0.5, 0.5], [0.9, 0.9], max_iter=3))
+
+
+def test_compare_prints_the_ladder_rungs_of_the_committed_report(capsys):
+    report = str(Path(__file__).resolve().parents[1] / "QUALITY_48.json")
+    assert main(["--compare", report, report]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert names == [*WORKLOADS, *LADDER]
 
 
 def test_compare_prints_the_sign_test(tmp_path, capsys):

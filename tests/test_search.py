@@ -246,12 +246,12 @@ def _certified_best(instance, config, report):
     iterations = search._iterations(instance, config)
     _, built, _ = next(islice(iterations, report.iteration_of_best - 1, None))
     bound = loading_bound(instance, built, config.weights).total
-    if built.objective.total <= bound:
-        return built, built, "built"
-    reloaded = _reload(instance, built, config.weights)
-    if reloaded is not None and reloaded.objective.total <= bound:
-        return built, reloaded, "reload"
-    return built, None, None
+    solution = built
+    if built.objective.total > bound:
+        solution = _reload(instance, built, config.weights)
+    if solution.objective.total > bound:
+        return built, None, None
+    return built, solution, "built" if solution is built else "reload"
 
 
 def _check_against_always_reoptimized(instance, config, report):
@@ -318,8 +318,7 @@ def test_phase_two_runs_only_on_iterations_the_bound_neither_skips_nor_certifies
     def counted(instance, solution, weights):
         bound = loading_bound(instance, solution, weights).total
         assert solution.objective.total > bound
-        reloaded = _reload(instance, solution, weights)
-        assert reloaded is None or reloaded.objective.total > bound
+        assert _reload(instance, solution, weights).objective.total > bound
         calls.append(solution)
         return solve(instance, solution, weights)
 
