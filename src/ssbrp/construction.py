@@ -7,7 +7,9 @@ order is the fleet by descending capacity, ties in fleet order, so a fleet of
 one capacity is built as listed. The paper's abstract names a heterogeneous
 fleet but gives no build order; the README gives this rule's effect on the
 benchmark's fleet-mixed, whose capacities are listed ascending. The solution
-keeps its routes, plans and route times in fleet order.
+keeps its routes and plans in fleet order. ``model._solution``, the one
+assembly of a Solution, keys its route times over the fleet in fleet order,
+so its total depends only on its routes and plans.
 
 Successor choice is greedy-randomized: the scan returns each candidate move
 with its ratio (moved bikes vs. detour time), a fresh threshold epsilon
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
@@ -43,9 +44,9 @@ from .model import (
     Solution,
     Vehicle,
     _done,
-    _require_numbers,
+    _floats,
+    _solution,
     check_instance,
-    evaluate_objective,
 )
 
 
@@ -57,7 +58,7 @@ class ConstructionParams:
     mu: float = 1.5
 
     def __post_init__(self):
-        _require_numbers("", numbers.Real, theta=self.theta, mu=self.mu)
+        _floats(self, "", theta=self.theta, mu=self.mu)
         if not 0 < self.theta <= 1:
             raise ValueError("theta must lie in (0, 1]")
         if not 0 < self.mu < math.inf:
@@ -77,9 +78,11 @@ class BuildState:
     those with residual work left, and a visit drops a station once its work
     is done. A state built by hand passes its own list; it may also hold
     finished stations, which never become candidates.
-    ``route_times`` holds each routed vehicle's route time, recorded as
-    build_route or _walk closes its route. A route's running values live in
-    build_route's locals; the slots make any other attribute an error.
+    ``route_times`` holds the route time of each vehicle that left the
+    depot, recorded as build_route or _walk closes its route; an unused
+    vehicle has none, and the Solution's assembly times it at 0.0. A route's
+    running values live in build_route's locals; the slots make any other
+    attribute an error.
     """
 
     residual_imbalance: list[int]
@@ -123,7 +126,7 @@ def route_context(
         lookup.ids,
         lookup.back,
         lookup.weight,
-        instance.time_budget,
+        float(instance.time_budget),
         k,
         _powers(params.theta, k),
         params.theta,
@@ -381,7 +384,6 @@ def build_route(
     state.depot_room = room
     if len(visits) == 1:
         # never left the depot: an unused vehicle
-        state.route_times[vehicle.id] = 0.0
         return Route(vehicle.id), LoadingPlan(vehicle.id)
     if u == DEPOT:
         dx, dy = moves[-1]
@@ -447,26 +449,17 @@ def solution_from_plans(
     A station ends at its target plus its residual imbalance, with its
     residual damaged bikes; the state's lists are read beside the
     ``objective_rows`` of ``Instance._lookup`` into dicts by station id, in
-    station order.
-    The route times are the state's, which build_route or _walk wrote as
-    each route closed, keyed by vehicle id (check_instance keeps ids
-    distinct) in the order of ``routes``, so the objective adds them as the
-    replay of those routes does. Each is what
-    ``model._replay`` gives, to the bit: both add a route's legs in visit
-    order from 0.0.
+    station order. The route times are the state's, which build_route or
+    _walk wrote as each route closed; each is what ``model._replay`` gives,
+    to the bit, as both add a route's legs in visit order from 0.0.
+    ``model._solution`` assembles the Solution, as it does a replay's: route
+    times over the whole fleet in fleet order, so the total depends only on
+    the routes and plans, whatever order a walk took them in.
     """
     rows = instance._lookup.objective_rows
     operative = {sid: target + r for (sid, _, target), r in zip(rows, state.residual_imbalance)}
     damaged = {sid: r for (sid, _, _), r in zip(rows, state.residual_damaged)}
-    times = {r.vehicle_id: state.route_times[r.vehicle_id] for r in routes}
-    return Solution(
-        routes=tuple(routes),
-        plans=tuple(plans),
-        final_operative=operative,
-        final_damaged=damaged,
-        route_times=times,
-        objective=evaluate_objective(instance, operative, damaged, times, weights),
-    )
+    return _solution(instance, routes, plans, operative, damaged, state.route_times, weights)
 
 
 def _walk(
@@ -482,22 +475,24 @@ def _walk(
     build_route does, stock and room included; a depot visit drops the
     damaged bikes, and the route's last visit everything on board. ``quota``,
     by station position, caps the bikes each station gets from the depot
-    stock in all and is used up in place; None is no cap, and an all-zero
-    quota draws no stock. The moves pass ``validate_solution`` for the
-    reasons phase one's do, and a quota only lowers a delivery. Each leg's
-    minutes are added as build_route adds them, and a route's time is
-    recorded on the state as the route closes (0.0 for an empty route);
-    solution_from_plans reads the Solution off the state.
+    stock in all and is used up in place; None is the whole stock at every
+    station, a cap that never binds, and an all-zero quota draws no stock.
+    The moves pass ``validate_solution`` for the reasons phase one's do, and
+    a quota only lowers a delivery. Each leg's minutes are added as
+    build_route adds them, and a route's time is recorded on the state as
+    the route closes (an empty route records none); solution_from_plans
+    reads the Solution off the state.
     """
     lookup = instance._lookup
     rows, position, fleet = lookup.rows, lookup.position, lookup.fleet
     state = BuildState.fresh(instance)
     imbalance, damaged = state.residual_imbalance, state.residual_damaged
+    if quota is None:
+        quota = [state.depot_remaining] * len(imbalance)
     plans: list[LoadingPlan] = []
     for route in routes:
         visits = route.visits
         if not visits:
-            state.route_times[route.vehicle_id] = 0.0
             plans.append(LoadingPlan(route.vehicle_id))
             continue
         k = fleet[route.vehicle_id].capacity
@@ -524,7 +519,7 @@ def _walk(
             pick = free if free < room else room
             if d < 0:
                 depot = stock if stock < lockers else lockers
-                if quota is not None and quota[at] < depot:
+                if quota[at] < depot:
                     depot = quota[at]
                 reach = op + depot
                 beta = reach if reach < -d else -d
@@ -539,8 +534,7 @@ def _walk(
                     stock -= retro
                     lockers -= retro
                     op += retro
-                    if quota is not None:
-                        quota[at] -= retro
+                    quota[at] -= retro
                 op -= beta
                 imbalance[at] += beta
                 delta = -beta

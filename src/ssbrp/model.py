@@ -143,12 +143,13 @@ class Instance:
         """Built on first use, not at parse; not a field, so outside ``==``."""
         minutes = self.travel.minutes.tolist()
         ids = [s.id for s in self.stations]
-        weight = [s.weight for s in self.stations]
+        # Python floats: a NumPy weight would carry its precision into every score and total
+        weight = [float(s.weight) for s in self.stations]
         imbalance = [s.imbalance for s in self.stations]
         damaged = [s.damaged for s in self.stations]
         deviation = 0.0
-        for s in self.stations:
-            deviation += s.weight * abs(s.target - s.operative) + s.damaged
+        for w, d, a in zip(weight, imbalance, damaged):
+            deviation += w * abs(d) + a
         by_weight = sorted(self.stations, key=lambda s: s.weight)
         return _Lookup(
             rows={n: (row[1:], row[0]) for n, row in zip(self.nodes, minutes)},
@@ -160,14 +161,14 @@ class Instance:
             damaged=damaged,
             docks=[s.capacity - s.operative - s.damaged for s in self.stations],
             live=[i for i, (d, a) in enumerate(zip(imbalance, damaged)) if not _done(d, a)],
-            objective_rows=[(s.id, s.weight, s.target) for s in self.stations],
+            objective_rows=[(s.id, w, s.target) for s, w in zip(self.stations, weight)],
             deviation=deviation,
             start=(
                 {DEPOT: self.depot.operative} | {s.id: s.operative for s in self.stations},
                 {DEPOT: 0} | dict(zip(ids, damaged)),
             ),
             shortfall_order=[(s.id, -s.imbalance) for s in by_weight if s.imbalance < 0],
-            exact_sums=all(float(w).is_integer() for w in weight)
+            exact_sums=all(w.is_integer() for w in weight)
             and sum(int(w) * abs(d) for w, d in zip(weight, imbalance)) < 2**53,
             fleet={v.id: v for v in self.fleet},
             build_order=sorted(range(len(self.fleet)), key=lambda j: -self.fleet[j].capacity),
@@ -197,9 +198,7 @@ class ObjectiveWeights:
     gamma_t: float = 1.0
 
     def __post_init__(self):
-        _require_numbers(
-            "", numbers.Real, gamma_d=self.gamma_d, gamma_a=self.gamma_a, gamma_t=self.gamma_t
-        )
+        _floats(self, "", gamma_d=self.gamma_d, gamma_a=self.gamma_a, gamma_t=self.gamma_t)
         gammas = (self.gamma_d, self.gamma_a, self.gamma_t)
         if not all(math.isfinite(g) for g in gammas):
             raise ValueError("objective weights must be finite")
@@ -246,6 +245,15 @@ def _require_numbers(prefix: str, kind: type, **values) -> None:
                 float(value)
             except OverflowError:
                 raise ValueError(f"{prefix}{name} is too large for a float") from None
+
+
+def _floats(settings, prefix: str, **values) -> None:
+    """Check real settings as ``_require_numbers`` does and store each on the
+    frozen ``settings`` as a Python float, so that a NumPy float's precision
+    reaches no score or total."""
+    _require_numbers(prefix, numbers.Real, **values)
+    for name, value in values.items():
+        object.__setattr__(settings, name, float(value))
 
 
 def check_instance(instance: Instance) -> None:
@@ -385,7 +393,7 @@ def evaluate_objective(
     damaged = dam_num / denom if denom > 0 else 0.0
     fleet_size = len(instance.fleet)
     total_time = sum(route_times.values())
-    time_term = total_time / (instance.time_budget * fleet_size) if fleet_size else 0.0
+    time_term = total_time / (float(instance.time_budget) * fleet_size) if fleet_size else 0.0
     total = imbalance * weights.gamma_d + damaged * weights.gamma_a + time_term * weights.gamma_t
     # the terms are >= 0, so a term that is not finite makes the total so too
     if not math.isfinite(total):
@@ -396,6 +404,31 @@ def evaluate_objective(
     return ObjectiveBreakdown(imbalance, damaged, time_term, total)
 
 
+def _solution(
+    instance: Instance,
+    routes: Sequence[Route],
+    plans: Sequence[LoadingPlan],
+    operative: dict[int, int],
+    damaged: dict[int, int],
+    times: dict[int, float],
+    weights: ObjectiveWeights,
+) -> Solution:
+    """The one assembly of a Solution: inventories by station id in station
+    order, route times over the whole fleet in fleet order (0.0 for a vehicle
+    that ``times`` leaves out), scored by evaluate_objective. Equal routes and
+    plans give an equal Solution, to the bit and in key order, whether phase
+    one, a walk or a replay carried out their moves."""
+    route_times = {v.id: times.get(v.id, 0.0) for v in instance.fleet}
+    return Solution(
+        routes=tuple(routes),
+        plans=tuple(plans),
+        final_operative=operative,
+        final_damaged=damaged,
+        route_times=route_times,
+        objective=evaluate_objective(instance, operative, damaged, route_times, weights),
+    )
+
+
 def solution_from_plans(
     instance: Instance,
     routes: Sequence[Route],
@@ -404,24 +437,18 @@ def solution_from_plans(
 ) -> Solution:
     """Replay all moves into a Solution with its final station inventories, route
     times and objective; raises ValueError with the first structural fault
-    ``validate_solution`` reports."""
+    ``validate_solution`` reports. ``_solution`` assembles it, as it does
+    phase one's: its total depends only on the routes and plans."""
     faults, sound = _plan_faults(instance, routes, plans)
     if faults:
         raise ValueError(faults[0])
     operative, damaged = _inventories(instance)
-    times: dict[int, float] = {v.id: 0.0 for v in instance.fleet}
+    times: dict[int, float] = {}
     for route, plan, _ in sound:
         for *_, minutes in _replay(instance, route, plan, operative, damaged):
             times[route.vehicle_id] = minutes
     del operative[DEPOT], damaged[DEPOT]
-    return Solution(
-        routes=tuple(routes),
-        plans=tuple(plans),
-        final_operative=operative,
-        final_damaged=damaged,
-        route_times=times,
-        objective=evaluate_objective(instance, operative, damaged, times, weights),
-    )
+    return _solution(instance, routes, plans, operative, damaged, times, weights)
 
 
 def empty_solution(instance: Instance, weights: ObjectiveWeights) -> Solution:
@@ -527,7 +554,7 @@ def validate_solution(
                     stock.append(f"{tag}: visit {i}: station {node} damaged pickups exceed stock")
         if route.visits and (op != 0 or dam != 0):
             out.append(f"{tag}: not empty at route end (operative={op}, damaged={dam})")
-        if t > instance.time_budget:
+        if t > float(instance.time_budget):
             out.append(f"{tag}: route time {t:g} exceeds budget {instance.time_budget:g}")
     out += stock
 

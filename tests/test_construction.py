@@ -11,6 +11,8 @@ from ssbrp import construction
 from ssbrp.construction import (
     BuildState,
     ConstructionParams,
+    _reload,
+    _walk,
     build_route,
     construct_solution,
     feasible_successors,
@@ -608,6 +610,37 @@ def test_a_mixed_fleet_is_built_largest_first_and_replays_in_fleet_order(case):
     assert validate_solution(instance, got.routes, got.plans) == []
     reoptimized = reoptimize_solution(instance, got, weights)
     assert validate_solution(instance, reoptimized.routes, reoptimized.plans) == []
+
+
+def _check_assembled(instance, solution, weights):
+    replayed = solution_from_plans(instance, solution.routes, solution.plans, weights)
+    assert solution == replayed
+    assert list(solution.route_times) == [v.id for v in instance.fleet]
+    assert [x.hex() for x in astuple(solution.objective)] == [
+        x.hex() for x in astuple(replayed.objective)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_fleet_cases(), st.data())
+def test_built_walked_and_reloaded_solutions_equal_the_replay_of_their_plans(case, data):
+    # one assembly makes every Solution: route times keyed over the whole
+    # fleet in fleet order, so the total depends only on the routes and plans,
+    # whether phase one, a walk in any order or a reload carried them out
+    instance, seed = case
+    weights = ObjectiveWeights()
+    for make_rng in (np.random.default_rng, _philox):
+        built = construct_solution(instance, ConstructionParams(), make_rng(seed), weights)
+        _check_assembled(instance, built, weights)
+    routes = list(built.routes)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(routes), max_size=len(routes)))
+    for walked in (
+        [routes[j] for j in instance._lookup.build_order],
+        data.draw(st.permutations(routes)),
+        [r for r, kept in zip(routes, keep) if kept],
+    ):
+        _check_assembled(instance, _walk(instance, walked, weights), weights)
+    _check_assembled(instance, _reload(instance, built, weights), weights)
 
 
 # --- reference equivalence: phase one against the per-station loop -------------

@@ -266,6 +266,40 @@ def test_documents_of_numpy_integer_counts_round_trip_through_json():
     assert parsed.objective == best.objective
 
 
+def test_numpy_float_settings_give_python_float_totals():
+    # float32 gammas, station weights or time budget once made the total a
+    # np.float32: run() compared its incumbents in float32, and json.dumps
+    # raised "Object of type float32 is not JSON serializable"
+    f = np.float32
+    inst = generate_instance(GeneratorConfig(stations=8, seed=1))
+    weights = (0.5, 1.0, 2.0, 1.5) * 2
+    plain = dataclasses.replace(
+        inst,
+        stations=tuple(dataclasses.replace(s, weight=w) for s, w in zip(inst.stations, weights)),
+    )
+    single = dataclasses.replace(
+        plain,
+        stations=tuple(dataclasses.replace(s, weight=f(s.weight)) for s in plain.stations),
+        time_budget=f(plain.time_budget),
+    )
+    assert single.time_budget == plain.time_budget
+
+    def config(real):
+        return RunConfig(
+            max_iter=5,
+            weights=ObjectiveWeights(real(1.0), real(0.5), real(2.0)),
+            construction=ConstructionParams(real(0.75), real(1.25)),
+        )
+
+    want = run(plain, config(float)).best_solution
+    got = run(single, config(f)).best_solution
+    terms = dataclasses.astuple(got.objective)
+    assert all(type(x) is float for x in terms)
+    assert [x.hex() for x in terms] == [x.hex() for x in dataclasses.astuple(want.objective)]
+    assert (got.routes, got.plans) == (want.routes, want.plans)
+    assert json.loads(json.dumps(write_solution(got)))["objective"]["total"] == got.objective.total
+
+
 def test_generator_is_deterministic_and_seed_sensitive():
     a = generate_instance(GeneratorConfig(seed=11))
     b = generate_instance(GeneratorConfig(seed=11))

@@ -1170,17 +1170,23 @@ def test_constructed_plan_meeting_the_bound_is_optimal(case):
 def _check_walk_repeats_phase_one(inst, built):
     # _walk walks fixed routes with build_route's move rule inline; in build
     # order, from the whole depot stock and with no quota, it must move what
-    # phase one moved at every visit and time each route as phase one timed it
+    # phase one moved at every visit and time each route as phase one timed
+    # it, and its Solution keys the route times in fleet order, as phase
+    # one's does, so the objective is the built one to the bit
     order = inst._lookup.build_order
     routes = [built.routes[j] for j in order]
     walked = _walk(inst, routes, ObjectiveWeights())
     for plan, j in zip(walked.plans, order, strict=True):
         assert plan == built.plans[j], plan.vehicle_id
     assert [(vid, t.hex()) for vid, t in walked.route_times.items()] == [
-        (r.vehicle_id, built.route_times[r.vehicle_id].hex()) for r in routes
+        (vid, t.hex()) for vid, t in built.route_times.items()
     ]
+    assert list(walked.route_times) == [v.id for v in inst.fleet]
     assert walked.final_operative == built.final_operative
     assert walked.final_damaged == built.final_damaged
+    assert [x.hex() for x in dataclasses.astuple(walked.objective)] == [
+        x.hex() for x in dataclasses.astuple(built.objective)
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1213,16 +1219,17 @@ def _walk_cases(draw):
     routes = list(built.routes)
     if draw(st.booleans()):
         keep = draw(st.lists(st.booleans(), min_size=len(routes), max_size=len(routes)))
-        return inst, [r for r, kept in zip(routes, keep) if kept], True
-    return inst, draw(st.permutations(routes)), False
+        return inst, [r for r, kept in zip(routes, keep) if kept]
+    return inst, draw(st.permutations(routes))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_walk_cases())
 def test_walk_of_any_fixed_routes_is_feasible_and_replays_to_itself(case):
     # items to come trim, reorder and recombine built routes and walk them
-    # again: any such walk must be feasible and read off what a replay gives
-    inst, routes, in_fleet_order = case
+    # again: any such walk must be feasible and read off what a replay gives,
+    # the route times of the whole fleet in fleet order and the total included
+    inst, routes = case
     weights = ObjectiveWeights()
     walked = _walk(inst, routes, weights)
     assert validate_solution(inst, walked.routes, walked.plans) == []
@@ -1230,13 +1237,10 @@ def test_walk_of_any_fixed_routes_is_feasible_and_replays_to_itself(case):
     for name in ("final_operative", "final_damaged"):
         got, want = getattr(walked, name), getattr(replayed, name)
         assert list(got.items()) == list(want.items()), name
-    for r in routes:
-        got, want = walked.route_times[r.vehicle_id], replayed.route_times[r.vehicle_id]
-        assert got.hex() == want.hex(), r.vehicle_id
-    if in_fleet_order:
-        # the replay times the whole fleet, an unwalked vehicle at 0.0, and
-        # sums in fleet order; a sum over the walked routes alone is equal
-        assert walked.objective.total.hex() == replayed.objective.total.hex()
+    assert [(vid, t.hex()) for vid, t in walked.route_times.items()] == [
+        (vid, t.hex()) for vid, t in replayed.route_times.items()
+    ]
+    assert walked.objective.total.hex() == replayed.objective.total.hex()
 
 
 @st.composite
