@@ -1,14 +1,15 @@
 """Watch the randomized greedy route construction choose, one visit at a time.
 
-Phase one grows a route one visit at a time: one scan finds the feasible
-successors and scores each with a moved-bikes-per-minute ratio, then the
-next stop is drawn among those close to the best ratio. This script wraps
-the draw, ``construction.select_next``, which ``build_route`` looks up by
-module name at every step, and prints what each step of the real builder
-sees: the candidates and ratios, the top ratio, the epsilon cut, the
-eligible moves and the draw. The wrapper draws epsilon as ``select_next``
-would and hands it on, so the random stream, and the route, are the ones
-an unwrapped construction gets.
+Phase one grows a route one visit at a time: one scan scores the feasible
+successors with a moved-bikes-per-minute ratio and keeps those close to the
+best ratio, then the next stop is drawn among them. This script wraps the
+scan, ``construction.feasible_successors``, which ``build_route`` looks up
+by module name at every step and hands that step's epsilon, and prints what
+each step of the real builder sees: every candidate and ratio (the same
+scan without epsilon), the top ratio, the epsilon cut, the moves the scan
+keeps and, once the route stands at the next node, the draw. The wrapper
+draws nothing, so the random stream, and the route, are the ones an
+unwrapped construction gets.
 """
 
 import math
@@ -51,34 +52,38 @@ instance = Instance(
 )
 params = ConstructionParams(theta=0.5, mu=1.5)
 
-select_next = construction.select_next
-steps = []  # the moves drawn so far; one vehicle, so each step starts at the last
+scan = construction.feasible_successors
+steps = []  # the node each step starts at
+kept = []  # the last step's kept moves, one of which was drawn
 
 
-def traced_select_next(candidates, rng, epsilon=None):
-    # the scored moves (node, beta, alpha, ratio) come in station order, the
-    # depot last; the top is the largest ratio
-    at = steps[-1][0] if steps else 0
-    print(f"step {len(steps) + 1}: at node {at}")
-    for v, beta, alpha, ratio in candidates:
-        print(f"  node {v}: move ({beta} operative, {alpha} damaged)  ratio {ratio:.4f}")
-    # the same draw select_next makes for epsilon; infinite ratios keep only themselves
-    epsilon = rng.random()
-    top = max(ratio for *_, ratio in candidates)
-    cut = top if top == math.inf else epsilon * top
-    eligible = [v for v, _, _, ratio in candidates if ratio >= cut]
-    print(f"  top {top:.4f}, epsilon {epsilon:.4f}, cut {cut:.4f} keeps {eligible}")
-    move = select_next(candidates, rng, epsilon)
-    print(f"  drew {move}\n")
-    steps.append(move)
-    return move
+def traced_scan(context, u, elapsed, operative, damaged, lockers, stock, room, epsilon=None):
+    running = (elapsed, operative, damaged, lockers, stock, room)
+    if kept:
+        # the route now stands at the drawn move's node; a node has one move
+        print(f"  drew {next(move[:3] for move in kept if move[0] == u)}\n")
+        kept.clear()
+    moves = scan(context, u, *running, epsilon)
+    if moves:
+        steps.append(u)
+        print(f"step {len(steps)}: at node {u}")
+        # the scored moves (node, beta, alpha, ratio) come in station order,
+        # the depot last; the top is the largest ratio
+        for v, beta, alpha, ratio in scan(context, u, *running):
+            print(f"  node {v}: move ({beta} operative, {alpha} damaged)  ratio {ratio:.4f}")
+        top = max(ratio for *_, ratio in moves)
+        # infinite ratios keep only themselves
+        cut = top if top == math.inf else epsilon * top
+        print(f"  top {top:.4f}, epsilon {epsilon:.4f}, cut {cut:.4f} keeps {[v for v, *_ in moves]}")
+        kept.extend(moves)
+    return moves
 
 
-construction.select_next = traced_select_next
+construction.feasible_successors = traced_scan
 try:
     solution = construct_solution(instance, params, np.random.default_rng(3))
 finally:
-    construction.select_next = select_next
+    construction.feasible_successors = scan
 
 # the builder ends the route at the depot once no candidate is left, and a
 # delivery beyond the bikes on board claims the rest at the last depot visit

@@ -11,12 +11,15 @@ keeps its routes and plans in fleet order. ``model._solution``, the one
 assembly of a Solution, keys its route times over the fleet in fleet order,
 so its total depends only on its routes and plans.
 
-Successor choice is greedy-randomized: the scan returns each candidate move
-with its ratio (moved bikes vs. detour time), a fresh threshold epsilon
-keeps only the moves close to the largest ratio, and the winner is drawn
-uniformly among them. A construction from a fresh PCG64 Generator, as
-``run()``'s are, reads the Generator's raw words itself (``_Draws``); its
-draws are those of the Generator's own methods.
+Successor choice is greedy-randomized: each candidate move has a ratio
+(moved bikes vs. detour time), a fresh threshold epsilon keeps only the
+moves close to the largest ratio, and the winner is drawn uniformly among
+them. A construction from a fresh PCG64 Generator, as ``run()``'s are,
+reads the Generator's raw words itself (``_Draws``); its draws are those of
+the Generator's own methods. It peeks each step's epsilon before the scan,
+which walks the stations by descending weight / minutes, stops once none
+left can reach the cut, and returns only the moves kept; the draws, and so
+the routes, are those of a whole scan filtered by ``select_next``.
 
 ``_walk`` carries fixed routes into a Solution under the same move rule,
 timing each route as build_route does. ``_reload`` makes two such walks of a
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
@@ -43,7 +47,6 @@ from .model import (
     Route,
     Solution,
     Vehicle,
-    _done,
     _floats,
     _solution,
     check_instance,
@@ -70,14 +73,12 @@ class BuildState:
     """Mutable construction state shared across the fleet.
 
     The residual imbalances and damaged bikes are lists in
-    ``Instance.stations`` order. They, the live list and the depot's stock
-    and room persist between routes. ``depot_room`` is what the depot can
-    still take in of the bikes the routes remove from stations (every
-    removed bike ends there), ``math.inf`` for a depot without a capacity.
-    ``live`` holds the station positions the scan visits: ``fresh`` lists
-    those with residual work left, and a visit drops a station once its work
-    is done. A state built by hand passes its own list; it may also hold
-    finished stations, which never become candidates.
+    ``Instance.stations`` order. They and the depot's stock and room persist
+    between routes. ``depot_room`` is what the depot can still take in of
+    the bikes the routes remove from stations (every removed bike ends
+    there), ``math.inf`` for a depot without a capacity. A station whose
+    residuals leave no work (imbalance 0, damaged <= 0) is never a
+    candidate; a state built by hand may give any station work.
     ``route_times`` holds the route time of each vehicle that left the
     depot, recorded as build_route or _walk closes its route; an unused
     vehicle has none, and the Solution's assembly times it at 0.0. A route's
@@ -88,7 +89,6 @@ class BuildState:
     residual_imbalance: list[int]
     residual_damaged: list[int]
     depot_remaining: int
-    live: list[int]
     depot_room: float = math.inf
     route_times: dict[int, float] = field(default_factory=dict)
 
@@ -101,7 +101,6 @@ class BuildState:
             residual_damaged=lookup.damaged.copy(),
             depot_remaining=instance.depot.operative,
             depot_room=math.inf if capacity is None else capacity - instance.depot.operative,
-            live=lookup.live.copy(),
         )
 
 
@@ -116,13 +115,14 @@ def route_context(
     instance: Instance, state: BuildState, vehicle: Vehicle, params: ConstructionParams
 ) -> tuple:
     """What feasible_successors reads that no step of a route changes: the
-    lookup tables, the time budget, the vehicle's capacity and ``n ** theta``
-    table, theta, mu, and the state's live list and residual lists, which the
-    steps update in place."""
+    lookup tables, each node's walk order among them, the time budget, the
+    vehicle's capacity and ``n ** theta`` table, theta, mu, and the state's
+    residual lists, which the steps update in place."""
     lookup = instance._lookup
     k = vehicle.capacity
     return (
         lookup.rows,
+        lookup.by_ratio,
         lookup.ids,
         lookup.back,
         lookup.weight,
@@ -131,10 +131,17 @@ def route_context(
         _powers(params.theta, k),
         params.theta,
         params.mu,
-        state.live,
         state.residual_imbalance,
         state.residual_damaged,
     )
+
+
+# the walk's stop test (feasible_successors): a relative margin of 32 units
+# of 2**-53, an absolute slack of twice the least subnormal, and the cap of
+# an infinite cut
+_MARGIN = 1 + 2.0**-48
+_SLACK = 2.0**-1073
+_LARGEST = sys.float_info.max
 
 
 def feasible_successors(
@@ -146,9 +153,11 @@ def feasible_successors(
     lockers: int,
     stock: int,
     room: float,
+    epsilon: float | None = None,
 ) -> list[tuple[int, int, int, float]]:
     """Candidate next visits from node u, as scored moves ``(node, beta,
-    alpha, ratio)``.
+    alpha, ratio)``: all of them, or with ``epsilon`` those whose ratio
+    reaches epsilon times the largest.
 
     ``context`` is route_context's; the other arguments are the route's
     running values: minutes elapsed, operative and damaged bikes on board,
@@ -156,15 +165,15 @@ def feasible_successors(
     stock and the depot's room (``math.inf`` is unbounded). An unknown u
     raises KeyError.
 
-    A station qualifies if it is live, the route can visit it and return to
-    the depot in time, and the vehicle can actually move at least one bike
-    there. Surplus and balanced stations are served from free vehicle
-    capacity. Deficit stations may draw on bikes already onboard plus a
-    retroactive depot pickup bounded by the unclaimed stock and by the
-    lockers that were free along the whole segment since the last depot
-    visit. Pickups, net of the delivery, never exceed the depot's room. The
-    depot qualifies only to unload damaged bikes. Stations come in
-    ``Instance.stations`` order, the depot last.
+    A station qualifies if the route can visit it and return to the depot
+    in time, and the vehicle can actually move at least one bike there; a
+    station with no work left never can. Surplus and balanced stations are
+    served from free vehicle capacity. Deficit stations may draw on bikes
+    already onboard plus a retroactive depot pickup bounded by the unclaimed
+    stock and by the lockers that were free along the whole segment since
+    the last depot visit. Pickups, net of the delivery, never exceed the
+    depot's room. The depot qualifies only to unload damaged bikes. Moves
+    come in ``Instance.stations`` order, the depot last.
 
     A station scores ``(beta + alpha) ** theta / t * w`` (bikes moved, travel
     minutes, station weight), the depot ``mu * onboard damaged / t``. Zero
@@ -175,28 +184,74 @@ def feasible_successors(
     comes from a table up to 2 * capacity, the largest move of a load that
     fits the vehicle; a larger move, which only a hand-built state can
     yield, uses the same formula.
+
+    The walk follows ``Instance._lookup.by_ratio[u]``: the other stations
+    by descending ``q = w / t`` (0 minutes first, as infinity). No move at
+    this step exceeds ``nb = max(pick, reach + min(pick + reach,
+    undamaged))``, named as in the body: a surplus move is at most pick,
+    and a deficit move at most ``beta + min(pick + beta, undamaged)`` with
+    ``beta <= reach``. So no station's ratio exceeds ``P(nb) · w / t``, with
+    ``P(n) = n ** theta``. The cut is epsilon times the largest ratio so
+    far, the depot's included, or that ratio when it is infinite; it only
+    rises. With epsilon, the walk stops at the first station whose q is
+    below ``g = (min(cut, largest float) - S) / (P(nb) · M)``, as no station
+    from there on reaches the cut, and returns the moves that reach the
+    final cut. So the largest ratio, the cut and the moves returned are
+    those of the whole scan, filtered as ``select_next`` filters it.
+
+    The bound holds in floats. Let u = 2**-53 and e = 2**-1074, the least
+    subnormal. Each operation is within u relative, or e/2 absolute in the
+    subnormal range, and pow within one unit in the last place, so
+    ``fl(P(n)) <= A · (1 + 2u) / (1 - 2u)`` with ``A = fl(P(nb)) >= 1``. A
+    computed ratio ``fl(fl(P(n) / t) · w)`` is then at most ``A · (q + e/2)
+    · (1 + 12u) + e/2``. (A quotient ``P(n) / t`` in the subnormal range
+    needs t > 2**1022, and as t < 2**1024 its absolute error times w is at
+    most 4u · w / t.) Floats with q < g differ by e at least, so ``q + e/2
+    <= g - e/2``, and g, rounded three times, keeps ``A · (q + e/2)`` under
+    ``(cut - S) · (1 + 3u) / M``. With ``M = 1 + 32u`` the ratio stays under
+    ``cut - S + e/2``, which is below the cut as ``S = 2e``. An infinite cut
+    is capped at the largest float, so g stays finite and every ratio
+    under the cap is finite.
     """
-    rows, ids, back, weight, budget, k, powered, theta, mu, live, imbalance, damaged = context
+    rows, by_ratio, ids, back, weight, budget, k, powered, theta, mu, imbalance, damaged = context
     row, t_u0 = rows[u]
-    size = len(powered)
-    # conditional expressions, not min()/max(): this runs for every live
+    # conditional expressions, not min()/max(): this runs for every walked
     # station at every step, and the builtin calls would cost twice the rest
-    # of the body. A finished station (imbalance 0, damaged <= 0) always gets
-    # beta + alpha <= 0.
+    # of the body
     free = k - onboard_op - onboard_dam
     pick = free if free < room else room
     reach = onboard_op + (stock if stock < lockers else lockers)
     undamaged = k - onboard_dam
+    depot = []
+    if u != DEPOT and onboard_dam > 0 and elapsed + t_u0 <= budget:
+        depot.append((DEPOT, 0, 0, math.inf if t_u0 == 0 else mu * onboard_dam / t_u0))
+    nb = reach + (pick + reach if pick + reach < undamaged else undamaged)
+    if nb < pick:
+        nb = pick
+    if nb <= 0:
+        return depot  # no station move: the depot's, if any, is the top
+    size = len(powered)
+    bound = powered[nb] if nb < size else nb**theta
+    scale = bound * _MARGIN
+    top = cut = -1.0  # no move yet: every ratio exceeds top and reaches cut
+    g = 0.0  # quotients are >= 0: no stop before the first move
+    if epsilon is None:
+        top = math.inf  # never exceeded: cut and g stay, and every move is kept
+    elif depot:
+        top = depot[0][3]
+        cut = top if top == math.inf else epsilon * top
+        g = ((cut if cut < _LARGEST else _LARGEST) - _SLACK) / scale
     out = []
-    for i in live:
-        v = ids[i]
-        if v == u:
+    for i, q in by_ratio[u]:
+        if q < g:
+            break
+        d = imbalance[i]
+        avail_damaged = damaged[i]
+        if not d and avail_damaged <= 0:
             continue
         t = row[i]
         if elapsed + t + back[i] > budget:
             continue
-        d = imbalance[i]
-        avail_damaged = damaged[i]
         if d < 0:
             beta = reach if reach < -d else -d
             # free space after the delivery, never beyond the lockers damaged bikes leave open
@@ -214,10 +269,18 @@ def feasible_successors(
                 r = (powered[n] if n < size else n**theta) / t * w
             else:
                 r = math.inf if t == 0 else 0.0
-            out.append((v, beta, alpha, r))
-    if u != DEPOT and onboard_dam > 0 and elapsed + t_u0 <= budget:
-        out.append((DEPOT, 0, 0, math.inf if t_u0 == 0 else mu * onboard_dam / t_u0))
-    return out
+            if r > top:
+                top = r
+                cut = top if top == math.inf else epsilon * top
+                g = ((cut if cut < _LARGEST else _LARGEST) - _SLACK) / scale
+            elif r < cut:
+                continue
+            out.append((i, beta, alpha, r))
+    out.sort()
+    moves = [(ids[i], beta, alpha, r) for i, beta, alpha, r in out if r >= cut]
+    if depot and depot[0][3] >= cut:
+        moves += depot
+    return moves
 
 
 _BLOCK = 64  # raw words per fetch: about one construction of a 15-station instance
@@ -233,9 +296,11 @@ class _Draws:
     as ``Generator.integers`` does for 1 <= m <= 2**32 (Lemire's method on
     32-bit values): each word gives its low half first and keeps its high half
     for the next 32-bit draw, as PCG64's ``next_uint32`` does. ``integers(1)``
-    is 0 and draws nothing. Words are fetched in blocks with ``random_raw``,
-    the only call made on the bit generator: it is left past the last block
-    read, and a half it already kept goes unused.
+    is 0 and draws nothing. ``peek()`` is the next ``random()``, drawn
+    later or never: it fetches a block when none is left, but consumes no
+    word and leaves a kept half kept. Words are fetched in blocks with
+    ``random_raw``, the only call made on the bit generator: it is left past
+    the last block read, and a half it already kept goes unused.
     """
 
     __slots__ = ("_bits", "_words", "_half")
@@ -252,6 +317,11 @@ class _Draws:
     def random(self) -> float:
         words = self._words or self._fetch()
         return (words.pop() >> 11) * _UNIT
+
+    def peek(self) -> float:
+        """The next ``random()``, drawing nothing."""
+        words = self._words or self._fetch()
+        return (words[-1] >> 11) * _UNIT
 
     def integers(self, m: int) -> int:
         if m == 1:
@@ -314,15 +384,20 @@ def build_route(
     context, which is collected once. Each drawn move is applied here: a
     delivery beyond the operative bikes on board claims the rest at the last
     depot visit. A move that overloads the vehicle or overdraws the depot
-    stock or the free lockers raises ValueError. The residual lists and the
-    live list are updated in place, at the drawn station's position; the
-    depot's stock and room and the route's time are written once, as the
-    route closes, and not at all when a check raises."""
+    stock or the free lockers raises ValueError. The residual lists are
+    updated in place, at the drawn station's position; the depot's stock and
+    room and the route's time are written once, as the route closes, and not
+    at all when a check raises.
+
+    From ``_Draws`` each step peeks epsilon, scans with it, and only when a
+    move is left consumes epsilon and draws the move's index among the
+    returned ones; the draws are those of select_next over the whole scan.
+    From a Generator each step scans whole and calls select_next."""
     k = vehicle.capacity
     context = route_context(instance, state, vehicle, params)
     lookup = instance._lookup
     rows, position = lookup.rows, lookup.position
-    imbalance, damaged, live = state.residual_imbalance, state.residual_damaged, state.live
+    imbalance, damaged = state.residual_imbalance, state.residual_damaged
     elapsed = 0.0
     onboard_op = onboard_dam = 0
     lockers = k
@@ -331,13 +406,19 @@ def build_route(
     u = DEPOT
     visits: list[int] = [DEPOT]
     moves: list[tuple[int, int]] = [(0, 0)]
+    peek = rng.peek if type(rng) is _Draws else None
     while True:
+        epsilon = peek() if peek else None
         candidates = feasible_successors(
-            context, u, elapsed, onboard_op, onboard_dam, lockers, stock, room
+            context, u, elapsed, onboard_op, onboard_dam, lockers, stock, room, epsilon
         )
         if not candidates:
             break
-        v, beta, alpha = select_next(candidates, rng)
+        if peek:
+            rng.random()  # epsilon, peeked
+            v, beta, alpha, _ = candidates[rng.integers(len(candidates))]
+        else:
+            v, beta, alpha = select_next(candidates, rng)
         row, to_depot = rows[u]
         if v == DEPOT:
             elapsed += to_depot
@@ -368,8 +449,6 @@ def build_route(
             onboard_dam += alpha
             damaged[i] -= alpha
             room -= delta_op + alpha
-            if _done(imbalance[i], damaged[i]):
-                live.remove(i)
             visits.append(v)
             moves.append((delta_op, alpha))
             load = onboard_op + onboard_dam

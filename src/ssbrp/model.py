@@ -11,6 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -84,6 +85,9 @@ class _Lookup(NamedTuple):
     """
 
     rows: dict[int, tuple[list[float], float]]  # node -> (minutes to each station, to the depot)
+    # node -> (position, weight / minutes) of the other stations, by descending
+    # quotient; 0 minutes is infinity
+    by_ratio: dict[int, list[tuple[int, float]]]
     back: list[float]  # minutes from each station to the depot
     ids: list[int]  # station id at each position
     position: dict[int, int]  # station id -> position
@@ -91,7 +95,6 @@ class _Lookup(NamedTuple):
     imbalance: list[int]  # operative bikes above (+) or below (-) the target
     damaged: list[int]
     docks: list[int]  # free docks: capacity - operative - damaged
-    live: list[int]  # positions of the stations with work left (not ``_done``)
     objective_rows: list[tuple[int, float, int]]  # (id, weight, target): what the objective sums
     deviation: float  # the objective's normalizer D = sum(w * |dev| + damaged), in station order
     start: tuple[dict[int, int], dict[int, int]]  # operative and damaged inventories by node
@@ -99,13 +102,6 @@ class _Lookup(NamedTuple):
     exact_sums: bool  # integer weights, sum w * |imbalance| < 2**53: float sums are exact
     fleet: dict[int, Vehicle]  # vehicle id -> vehicle
     build_order: list[int]  # fleet positions, largest capacity first; ties in fleet order
-
-
-def _done(imbalance: int, damaged: int) -> bool:
-    """No residual work left at a station. Residuals only move toward 0 within
-    a construction; ``Instance._lookup.live`` lists the positions of the
-    stations for which this is false at the start."""
-    return imbalance == 0 and damaged <= 0
 
 
 @dataclass(frozen=True)
@@ -151,8 +147,15 @@ class Instance:
         for w, d, a in zip(weight, imbalance, damaged):
             deviation += w * abs(d) + a
         by_weight = sorted(self.stations, key=lambda s: s.weight)
+        by_ratio = {}
+        # own: the node's station position, -1 at the depot; a station is left out of its own order
+        for own, (node, row) in enumerate(zip(self.nodes, minutes), start=-1):
+            quotients = [w / t if t else math.inf for w, t in zip(weight, row[1:])]
+            pairs = [(i, q) for i, q in enumerate(quotients) if i != own]
+            by_ratio[node] = sorted(pairs, key=itemgetter(1), reverse=True)
         return _Lookup(
             rows={n: (row[1:], row[0]) for n, row in zip(self.nodes, minutes)},
+            by_ratio=by_ratio,
             back=[row[0] for row in minutes[1:]],
             ids=ids,
             position={sid: i for i, sid in enumerate(ids)},
@@ -160,7 +163,6 @@ class Instance:
             imbalance=imbalance,
             damaged=damaged,
             docks=[s.capacity - s.operative - s.damaged for s in self.stations],
-            live=[i for i, (d, a) in enumerate(zip(imbalance, damaged)) if not _done(d, a)],
             objective_rows=[(s.id, w, s.target) for s, w in zip(self.stations, weight)],
             deviation=deviation,
             start=(

@@ -1,12 +1,13 @@
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_candidates, make_instance
+from conftest import as_candidates, make_instance, random_instances
+from quality import fleet_mixed
 from ssbrp import construction
 from ssbrp.construction import (
     BuildState,
@@ -60,10 +61,10 @@ class _Walk:
     last_depot_index: int = 0
 
 
-def _scan(instance, state, u, vehicle, params, walk=None):
+def _scan(instance, state, u, vehicle, params, walk=None, epsilon=None):
     """feasible_successors at node u, given the route context, the running
-    values of ``walk`` (all 0 by default) and the depot's stock and room
-    that ``state`` holds."""
+    values of ``walk`` (all 0 by default), the depot's stock and room that
+    ``state`` holds, and epsilon (None scans whole)."""
     walk = walk or _Walk()
     return feasible_successors(
         route_context(instance, state, vehicle, params),
@@ -74,6 +75,7 @@ def _scan(instance, state, u, vehicle, params, walk=None):
         walk.min_free_lockers,
         state.depot_remaining,
         state.depot_room,
+        epsilon,
     )
 
 
@@ -88,8 +90,8 @@ def _move(station, capacity, stock, **running):
     in ``running``; (0, 0) when it offers none."""
     inst = make_instance([station], fleet=((1, capacity),), stock=stock)
     s = inst.stations[0]
-    # the station is live whatever its residuals, so the move rule decides
-    state = BuildState([s.imbalance], [s.damaged], stock, [0])
+    # the state holds the station's own residuals, so the move rule decides
+    state = BuildState([s.imbalance], [s.damaged], stock)
     successors = _scan(inst, state, DEPOT, inst.fleet[0], ConstructionParams(), _Walk(**running))
     moves = [(beta, alpha) for v, beta, alpha, _ in successors if v == s.id]
     assert len(moves) == len(successors) <= 1
@@ -175,7 +177,7 @@ def test_feasible_successors_score_examples():
 def test_feasible_successors_keep_station_order():
     inst = make_instance([(1, 10, 7, 0, 5), (2, 10, 9, 0, 3), (3, 10, 1, 0, 4)])
     # a hand-built state: its residuals are by station position
-    state = BuildState([2, 6, -3], [0, 0, 0], 0, [0, 1, 2])
+    state = BuildState([2, 6, -3], [0, 0, 0], 0)
     got = _scan(inst, state, 1, inst.fleet[0], ConstructionParams(), _Walk(onboard_damaged=1))
     assert [v for v, *_ in got] == [2, DEPOT]
     loaded = _Walk(onboard_operative=3, onboard_damaged=1)
@@ -284,16 +286,25 @@ _BOUNDS = (1, 2, 3, 17, 90, 2**31 + 7, 2**32 - 1)
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    calls=st.lists(st.none() | st.sampled_from(_BOUNDS), max_size=150),
+    calls=st.lists(st.none() | st.just("peek") | st.sampled_from(_BOUNDS), max_size=150),
 )
+# a peek at a block boundary, where the next word is not fetched yet, and
+# peeks between an integers() that keeps a half and the one that uses it
+@example(seed=1, calls=[None] * construction._BLOCK + ["peek", "peek", None, 17])
+@example(seed=2, calls=[17, "peek", 17, "peek", None, 2**31 + 7, "peek", 2**31 + 7])
 def test_draws_equal_the_generators(seed, calls):
-    # None stands for random(), m for integers(m); 2**31 + 7 rejects about
-    # half of its 32-bit values, and a long sequence fetches more than one block
+    # None stands for random(), m for integers(m), and "peek" for peek(), the
+    # next random() without drawing it; 2**31 + 7 rejects about half of its
+    # 32-bit values, and a long sequence fetches more than one block
     draws = construction._Draws(np.random.default_rng(seed).bit_generator)
     want = np.random.default_rng(seed)
     for m in calls:
         if m is None:
             assert draws.random() == want.random()
+        elif m == "peek":
+            saved = want.bit_generator.state
+            assert draws.peek() == want.random()
+            want.bit_generator.state = saved
         else:
             assert draws.integers(m) == want.integers(m)
 
@@ -459,31 +470,40 @@ def test_construct_solution_deterministic_under_seed():
 
 def test_construction_calls_the_scan_and_the_draw_by_module_name(monkeypatch):
     # the benchmark's tracer swaps both functions in the module namespace and
-    # counts each step's candidates by len() of the scan's result
+    # counts each step's moves by len() of the scan's result. Every step calls
+    # the scan by name: from a PCG64 Generator with the peeked epsilon, the
+    # draw then inline; from a Generator on another bit generator without
+    # epsilon, and select_next draws
     inst = make_instance(
         [(1, 12, 9, 1, 4), (2, 12, 2, 2, 8), (3, 12, 6, 0, 6), (4, 12, 1, 1, 5)],
         fleet=((1, 8), (2, 6)),
         stock=4,
     )
-    want = construct_solution(inst, ConstructionParams(), np.random.default_rng(7))
-    scans, draws = [], []
-
-    def counting_scan(*args, **kwargs):
-        result = scan(*args, **kwargs)
-        scans.append((len(result), len(list(result))))
-        return result
-
-    def counting_draw(*args, **kwargs):
-        draws.append(args[0])
-        return draw(*args, **kwargs)
-
     scan, draw = construction.feasible_successors, construction.select_next
-    monkeypatch.setattr(construction, "feasible_successors", counting_scan)
-    monkeypatch.setattr(construction, "select_next", counting_draw)
-    got = construct_solution(inst, ConstructionParams(), np.random.default_rng(7))
-    assert got == want
-    assert draws and all(n == keys for n, keys in scans)
-    assert len(draws) == sum(1 for n, _ in scans if n)
+    for make_rng, peeked in ((np.random.default_rng, True), (_philox, False)):
+        want = construct_solution(inst, ConstructionParams(), make_rng(7))
+        scans, draws = [], []
+
+        def counting_scan(*args, **kwargs):
+            result = scan(*args, **kwargs)
+            scans.append((len(result), len(list(result)), args[8]))
+            return result
+
+        def counting_draw(*args, **kwargs):
+            draws.append(args[0])
+            return draw(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(construction, "feasible_successors", counting_scan)
+            patch.setattr(construction, "select_next", counting_draw)
+            got = construct_solution(inst, ConstructionParams(), make_rng(7))
+        assert got == want
+        assert scans and all(n == keys for n, keys, _ in scans)
+        if peeked:
+            assert draws == [] and all(type(epsilon) is float for _, _, epsilon in scans)
+        else:
+            assert len(draws) == sum(1 for n, _, _ in scans if n)
+            assert all(epsilon is None for _, _, epsilon in scans)
 
 
 def test_construct_solution_balances_symmetric_toy():
@@ -708,7 +728,9 @@ def _phase_one_cases(draw):
     n = len(ids) + 1
     minutes = st.sampled_from([0.0, 0.5, 1.0, 2.75, 7.0, 12.5, 30.0, 61.1])
     matrix = np.array([[0.0 if a == b else draw(minutes) for b in range(n)] for a in range(n)])
-    weights = st.sampled_from([0.0, 0.5, 1.0, 1.75, 3.0])
+    # the least subnormal and 1e-300 give subnormal quotients and ratios, 1e300
+    # ratios that overflow to infinity at minutes > 0
+    weights = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 1.75, 3.0, 1e300])
     stations = tuple(Station(sid, 30, 0, 0, 0, draw(weights)) for sid in ids)
     instance = Instance(
         stations=stations,
@@ -717,12 +739,11 @@ def _phase_one_cases(draw):
         fleet=(),
         time_budget=draw(st.sampled_from([5.0, 20.0, 45.5, 120.0])),
     )
-    # a state built by hand: every station is live, finished or not
+    # a state built by hand: any station may have work, finished or not
     state = BuildState(
         residual_imbalance=[draw(st.integers(-10, 10)) for _ in ids],
         residual_damaged=[draw(st.integers(-1, 6)) for _ in ids],
         depot_remaining=draw(st.integers(0, 10)),
-        live=list(range(len(ids))),
         depot_room=draw(st.just(math.inf) | st.integers(0, 15)),
     )
     walk = _Walk(
@@ -752,6 +773,44 @@ def test_phase_one_matches_reference_loop(case):
     assert [r.hex() for *_, r in got] == [
         _reference_ratio(instance, walk, params, u, *move).hex() for move in want
     ]
+
+
+_EPSILONS = st.sampled_from([0.0, 2**-53, 1 - 2**-53]) | st.integers(0, 2**53 - 1).map(
+    lambda m: m * 2**-53
+)
+
+
+def _subnormal_case():
+    """Two stations of weight 2**-1074, the least subnormal: station 1, 1
+    minute away, has the top ratio 2**-1074 for one bike, and station 2,
+    2.75 minutes away, scores the same for two, while its quotient w / t
+    rounds to 0. A cut of 2**-1074 keeps both."""
+    matrix = np.ones((3, 3)) - np.eye(3)
+    matrix[0, 2] = 2.75
+    stations = (Station(1, 30, 0, 0, 0, 5e-324), Station(2, 30, 0, 0, 0, 5e-324))
+    instance = Instance(stations, Depot(0), TravelMatrix(matrix), (), 120.0)
+    state = BuildState([1, 2], [0, 0], 0)
+    return instance, state, _Walk(min_free_lockers=3), Vehicle(1, 3), ConstructionParams(), DEPOT
+
+
+@settings(max_examples=500, deadline=None)
+@given(_phase_one_cases(), _EPSILONS)
+@example(_subnormal_case(), 1 - 2**-53)
+def test_walk_returns_the_whole_scan_filtered_by_the_cut(case, epsilon):
+    # epsilon is 0, the least and the largest draw below 1, or any other
+    # random(): a multiple of 2**-53
+    instance, state, walk, vehicle, params, u = case
+    whole = _scan(instance, state, u, vehicle, params, walk)
+    got = _scan(instance, state, u, vehicle, params, walk, epsilon)
+    if not whole:
+        assert got == []
+        return
+    top = max(r for *_, r in whole)
+    cut = top if top == math.inf else epsilon * top
+    want = [move for move in whole if move[3] >= cut]
+    assert _moves(got) == _moves(want)
+    assert [r.hex() for *_, r in got] == [r.hex() for *_, r in want]
+    assert top.hex() in [r.hex() for *_, r in got]
 
 
 def test_phase_one_rejects_unknown_nodes():
@@ -801,8 +860,6 @@ def _apply_visit(instance, state, walk, vehicle, visits, moves, v_star, beta, al
     walk.onboard_damaged += alpha
     state.residual_damaged[i] -= alpha
     state.depot_room -= delta_op + alpha
-    if state.residual_imbalance[i] == 0 and state.residual_damaged[i] <= 0:
-        state.live.remove(i)
     visits.append(v_star)
     moves.append((delta_op, alpha))
     walk.min_free_lockers = min(
@@ -815,9 +872,9 @@ def _apply_visit(instance, state, walk, vehicle, visits, moves, v_star, beta, al
 
 
 def _reference_construction(instance, params, rng, state):
-    """construct_solution without the live list: every station is scanned at
-    every step, each candidate's ratio is one call, and each visit is
-    applied by ``_apply_visit``. The vehicles are built largest first and
+    """construct_solution as a whole scan: every station is scanned at
+    every step, each candidate's ratio is one call, select_next draws the
+    move, and each visit is applied by ``_apply_visit``. The vehicles are built largest first and
     replayed in fleet order."""
     routes, plans = [], []
     for vehicle in _largest_first(instance.fleet):
@@ -853,23 +910,14 @@ def _reference_construction(instance, params, rng, state):
 
 
 def _hand_built_state(instance):
-    """A fresh state built by hand, with every station live, finished or not."""
+    """A fresh state built by hand, without ``Instance._lookup``."""
     depot = instance.depot
     return BuildState(
         residual_imbalance=[s.imbalance for s in instance.stations],
         residual_damaged=[s.damaged for s in instance.stations],
         depot_remaining=depot.operative,
-        live=list(range(len(instance.stations))),
         depot_room=math.inf if depot.capacity is None else depot.capacity - depot.operative,
     )
-
-
-def _live(state):
-    return [
-        i
-        for i, (d, a) in enumerate(zip(state.residual_imbalance, state.residual_damaged))
-        if d != 0 or a > 0
-    ]
 
 
 def _philox(seed):
@@ -889,16 +937,12 @@ def _check_construction(instance, params, seed):
         for name in ("final_operative", "final_damaged", "route_times"):
             assert list(getattr(got, name).items()) == list(getattr(want, name).items())
         assert [x.hex() for x in astuple(got.objective)] == [x.hex() for x in astuple(want.objective)]
-        # route by route: a fresh state's live list holds exactly the stations with
-        # work left, and a hand-built state (listing every station) builds the same
-        fresh = BuildState.fresh(instance)
-        for state in (fresh, _hand_built_state(instance)):
+        # route by route, from a fresh state and from one built by hand
+        for state in (BuildState.fresh(instance), _hand_built_state(instance)):
             route_rng = make_rng(seed)
             built = dict(zip(instance.fleet, zip(got.routes, got.plans)))
             for vehicle in _largest_first(instance.fleet):
                 assert build_route(instance, state, vehicle, params, route_rng) == built[vehicle]
-                if state is fresh:
-                    assert state.live == _live(state)
         assert validate_solution(instance, got.routes, got.plans) == []
 
 
@@ -962,3 +1006,37 @@ def test_construction_with_zero_travel_times():
     )
     for seed in range(20):
         _check_construction(inst, ConstructionParams(), seed)
+
+
+@st.composite
+def _whole_scan_cases(draw):
+    """An instance from random_instances or of fleet-mixed's shape, half of
+    them given a finite depot capacity, construction params and a seed."""
+    instance = draw(random_instances() | st.integers(1, 50).map(fleet_mixed))
+    if draw(st.booleans()):
+        stock = instance.depot.operative
+        room = draw(st.integers(0, 20))
+        instance = replace(instance, depot=Depot(stock, stock + room))
+    params = ConstructionParams(
+        theta=draw(st.sampled_from([0.25, 0.5, 1.0])), mu=draw(st.sampled_from([0.5, 1.5, 4.0]))
+    )
+    return instance, params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_whole_scan_cases())
+def test_construction_draws_as_the_whole_scan_and_select_next(case):
+    # from a Generator, not _Draws, build_route scans every station and
+    # calls select_next: the reference for construct_solution's walk
+    instance, params, seed = case
+    got = construct_solution(instance, params, np.random.default_rng(seed))
+    state = BuildState.fresh(instance)
+    rng = np.random.default_rng(seed)
+    built = {
+        vehicle: build_route(instance, state, vehicle, params, rng)
+        for vehicle in _largest_first(instance.fleet)
+    }
+    routes, plans = zip(*(built[vehicle] for vehicle in instance.fleet)) if built else ((), ())
+    want = construction.solution_from_plans(instance, state, routes, plans, ObjectiveWeights())
+    assert got.routes == want.routes and got.plans == want.plans
+    assert [x.hex() for x in astuple(got.objective)] == [x.hex() for x in astuple(want.objective)]
