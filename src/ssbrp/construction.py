@@ -115,14 +115,15 @@ def route_context(
     instance: Instance, state: BuildState, vehicle: Vehicle, params: ConstructionParams
 ) -> tuple:
     """What feasible_successors reads that no step of a route changes: the
-    lookup tables, each node's walk order among them, the time budget, the
-    vehicle's capacity and ``n ** theta`` table, theta, mu, and the state's
+    lookup tables, each node's walk order and fewest minutes to a station,
+    the time budget, the vehicle's capacity and ``n ** theta`` table, theta, mu, and the state's
     residual lists, which the steps update in place."""
     lookup = instance._lookup
     k = vehicle.capacity
     return (
         lookup.rows,
         lookup.by_ratio,
+        lookup.nearest,
         lookup.ids,
         lookup.back,
         lookup.weight,
@@ -212,8 +213,15 @@ def feasible_successors(
     ``cut - S + e/2``, which is below the cut as ``S = 2e``. An infinite cut
     is capped at the largest float, so g stays finite and every ratio
     under the cap is finite.
+
+    The bound needs ``fl(P(n) / t)`` finite. A quotient ``w / t`` below the
+    cap can come with a ``P(n) / t`` that overflows, and so an infinite
+    ratio, for t below ``A · (1 + 5u)`` over the largest float. So when
+    ``Instance._lookup.nearest[u]``, the fewest positive minutes to a
+    station, times the largest float is below ``A · M``, g stays 0 and the
+    walk reads every station.
     """
-    rows, by_ratio, ids, back, weight, budget, k, powered, theta, mu, imbalance, damaged = context
+    rows, by_ratio, nearest, ids, back, weight, budget, k, powered, theta, mu, imbalance, damaged = context
     row, t_u0 = rows[u]
     # conditional expressions, not min()/max(): this runs for every walked
     # station at every step, and the builtin calls would cost twice the rest
@@ -233,6 +241,8 @@ def feasible_successors(
     size = len(powered)
     bound = powered[nb] if nb < size else nb**theta
     scale = bound * _MARGIN
+    if scale > nearest[u] * _LARGEST:
+        scale = math.inf  # some P(n) / t may overflow: g stays 0, and no station stops the walk
     top = cut = -1.0  # no move yet: every ratio exceeds top and reaches cut
     g = 0.0  # quotients are >= 0: no stop before the first move
     if epsilon is None:

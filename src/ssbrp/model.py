@@ -88,6 +88,8 @@ class _Lookup(NamedTuple):
     # node -> (position, weight / minutes) of the other stations, by descending
     # quotient; 0 minutes is infinity
     by_ratio: dict[int, list[tuple[int, float]]]
+    # node -> fewest positive minutes to another station, infinity if none
+    nearest: dict[int, float]
     back: list[float]  # minutes from each station to the depot
     ids: list[int]  # station id at each position
     position: dict[int, int]  # station id -> position
@@ -148,14 +150,18 @@ class Instance:
             deviation += w * abs(d) + a
         by_weight = sorted(self.stations, key=lambda s: s.weight)
         by_ratio = {}
+        nearest = {}
         # own: the node's station position, -1 at the depot; a station is left out of its own order
         for own, (node, row) in enumerate(zip(self.nodes, minutes), start=-1):
             quotients = [w / t if t else math.inf for w, t in zip(weight, row[1:])]
             pairs = [(i, q) for i, q in enumerate(quotients) if i != own]
             by_ratio[node] = sorted(pairs, key=itemgetter(1), reverse=True)
+            positive = (t for i, t in enumerate(row[1:]) if t > 0 and i != own)
+            nearest[node] = min(positive, default=math.inf)
         return _Lookup(
             rows={n: (row[1:], row[0]) for n, row in zip(self.nodes, minutes)},
             by_ratio=by_ratio,
+            nearest=nearest,
             back=[row[0] for row in minutes[1:]],
             ids=ids,
             position={sid: i for i, sid in enumerate(ids)},

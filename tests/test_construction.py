@@ -793,9 +793,24 @@ def _subnormal_case():
     return instance, state, _Walk(min_free_lockers=3), Vehicle(1, 3), ConstructionParams(), DEPOT
 
 
+def _overflow_case():
+    """Station 1, 0 minutes away, scores infinity; station 2, of weight
+    0.25 and 2**-1025 minutes away, has the finite quotient 2**1023, but
+    1 / t overflows, so it scores infinity too and reaches the infinite
+    cut."""
+    matrix = np.ones((3, 3)) - np.eye(3)
+    matrix[0, 1] = 0.0
+    matrix[0, 2] = 2.0**-1025
+    stations = (Station(1, 30, 0, 0, 1, 1.0), Station(2, 30, 0, 0, 1, 0.25))
+    instance = Instance(stations, Depot(1), TravelMatrix(matrix), (Vehicle(1, 1),), 1.0)
+    state, walk = BuildState.fresh(instance), _Walk(min_free_lockers=1)
+    return instance, state, walk, Vehicle(1, 1), ConstructionParams(0.25), DEPOT
+
+
 @settings(max_examples=500, deadline=None)
 @given(_phase_one_cases(), _EPSILONS)
 @example(_subnormal_case(), 1 - 2**-53)
+@example(_overflow_case(), 0.5)
 def test_walk_returns_the_whole_scan_filtered_by_the_cut(case, epsilon):
     # epsilon is 0, the least and the largest draw below 1, or any other
     # random(): a multiple of 2**-53
@@ -1025,6 +1040,7 @@ def _whole_scan_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_whole_scan_cases())
+@example((_overflow_case()[0], ConstructionParams(0.25), 0))
 def test_construction_draws_as_the_whole_scan_and_select_next(case):
     # from a Generator, not _Draws, build_route scans every station and
     # calls select_next: the reference for construct_solution's walk
